@@ -25,7 +25,6 @@ LAYER_FUNCTIONS = [
     ("sceneio", "parse_scene"),
     ("sceneio", "parse_robot"),
     ("kinematics", "forward_kinematics"),
-    ("kinematics", "posed_link_shapes"),
     ("kinematics", "point_jacobian"),
     ("geometry", "distance"),
     ("geometry", "intersects"),
@@ -37,7 +36,6 @@ LAYER_FUNCTIONS = [
     ("planner", "evaluate_constraints"),
     ("planner", "convexify"),
     ("validate", "monte_carlo_risk"),
-    ("validate", "risk_blind_plan"),
     ("validate", "ira_plan"),
 ]
 

@@ -45,7 +45,7 @@ SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
 # Set-up is timed in this process and in this many fresh child processes;
 # setup_s is the median.
-SETUP_PROBES = 2
+SETUP_PROBES = 4
 
 
 def import_program():
@@ -101,15 +101,6 @@ def run_cycles(w, seconds, span=_no_span):
     return workloads.cpu_seconds() - cpu
 
 
-def pin_to_one_cpu():
-    """Pin this process, and the set-up probes it starts, to the lowest CPU
-    it may use: on a 2-core VM the two cores ran the same certificates about
-    8% apart, so runs the scheduler placed differently split into two
-    modes."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
 def machine_record():
     import numpy
     import scipy
@@ -126,8 +117,6 @@ def machine_record():
         "scipy": scipy.__version__,
         "blas": blas,
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
-        "cpu_affinity": sorted(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity") else None,
     }
 
 
@@ -189,7 +178,6 @@ def main(argv=None):
     parser.add_argument("--setup-probe", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    pin_to_one_cpu()
 
     if args.setup_probe:
         print(repr(set_up(args.workload, args.seed)[1]))

@@ -3,18 +3,21 @@
 Every workload runs the same cycle of user operations, one caller at a
 time (a closed loop: each operation starts when the previous one returns):
 
-    solve, blind, ira_plan, blind, solve, blind, monte_carlo_risk,
-    certify chunk
+    solve, blind, certify, blind, ira_plan, blind, certify, solve, blind,
+    certify, blind, monte_carlo_risk, blind, certify
 
-where blind is risk_blind_plan and a certify chunk is many cold
-certificates (certify_risk, then risk_gradient).
+where blind is risk_blind_plan and certify is a chunk of cold
+certificates. A certificate is what ``ccplan certify`` computes: one
+configuration certified against every obstacle of its scene (certify_risk,
+then risk_gradient, per obstacle). The four chunks are spread over the
+cycle so that certification samples the machine at the same times as the
+plans do.
 
 The workloads differ in their inputs:
 
 * ``corridor2d``: the README quick start (point robot, two sphere pillars).
   Its certify chunk cold-certifies seeded jitters of the committed reference
-  trajectory's waypoints against every obstacle, as ``ccplan validate``
-  does.
+  trajectory's waypoints against the scene.
 * ``pickplace3d``: the 4-dof arm past a bin wall and a carton, same cycle.
 * ``certify-random``: the certify chunk cold-certifies seeded random
   (robot, obstacle, configuration) triples; its planning operations re-run
@@ -57,6 +60,7 @@ WORKLOADS = tuple(PLAN_PROBLEM)
 # ira_plan draws its own samples; a fixed seed keeps its round count, and so
 # plan_ira_s, independent of the workload seed (the CLI default is also 0).
 IRA_SEED = 0
+IRA_SAMPLES = 1_000       # samples per ira_plan round, its default
 # Standard deviation of the seeded joint jitter applied to reference
 # waypoints before cold certification on the planning workloads: small, so
 # every seed certifies the same mix of branches, yet no input repeats.
@@ -69,19 +73,17 @@ MC_CHECK_EVERY = 50
 @dataclass(frozen=True)
 class Size:
     mc_samples: int          # monte_carlo_risk on the reference trajectory
-    ira_samples: int         # samples per ira_plan round
-    cert_chunks: dict        # certificates per cycle, by workload
+    cert_chunks: dict        # certificates per certify chunk, by workload
     min_certs: int           # per run, so p99 keeps ten beyond it
     mc_check_samples: int    # per checked certify-random triple
 
 
-FULL = Size(mc_samples=100_000, ira_samples=1_000,
-            cert_chunks={"corridor2d": 1_000, "pickplace3d": 1_000,
-                         "certify-random": 500},
+FULL = Size(mc_samples=100_000,
+            cert_chunks={"corridor2d": 250, "pickplace3d": 250,
+                         "certify-random": 125},
             min_certs=1_000, mc_check_samples=20_000)
-TINY = Size(mc_samples=2_000, ira_samples=1_000,
-            cert_chunks=dict.fromkeys(WORKLOADS, 40), min_certs=0,
-            mc_check_samples=2_000)
+TINY = Size(mc_samples=2_000, cert_chunks=dict.fromkeys(WORKLOADS, 10),
+            min_certs=0, mc_check_samples=2_000)
 
 # Planar 3-link capsule arm of the certify-random family.
 ARM3_2D = {
@@ -136,11 +138,11 @@ def load_reference(name):
 # ---------------------------------------------------------------------------
 
 def waypoint_jitters(problem, reference, seed, chunk, n):
-    """Seeded jitters of every (waypoint, obstacle) pair of the reference, in
-    whole passes over the pairs until there are at least ``n``, so every
-    chunk holds the same mix of pairs.
+    """Seeded jitters of every waypoint of the reference, in whole passes
+    over the waypoints until there are at least ``n``, so every chunk holds
+    the same mix of waypoints.
 
-    Entries are (robot, theta, obstacle, mc_seed); mc_seed is None because
+    Entries are (robot, theta, obstacles, mc_seed); mc_seed is None because
     the planning workloads check soundness on the whole reference trajectory.
     """
     rng = np.random.default_rng([seed, chunk])
@@ -148,8 +150,7 @@ def waypoint_jitters(problem, reference, seed, chunk, n):
     while len(out) < n:
         for theta in reference:
             th = theta + rng.normal(0.0, WAYPOINT_JITTER, size=theta.shape)
-            out.extend((problem.robot, th, ob, None)
-                       for ob in problem.obstacles)
+            out.append((problem.robot, th, problem.obstacles, None))
     return out
 
 
@@ -218,7 +219,8 @@ class RandomTriples:
     (randomized quasi-Monte Carlo): every seed covers the family evenly, so
     runs differ little in their mix of cheap and expensive certificates.
     Shape details come from a generator seeded by (seed, i). Triple ``i``
-    depends only on (seed, i).
+    depends only on (seed, i); its obstacle alone is its scene, so it is one
+    certificate.
     """
 
     def __init__(self, seed):
@@ -246,7 +248,7 @@ class RandomTriples:
         obstacle = sceneio.parse_scene(doc).obstacles[0]
         theta = -0.7 + 1.4 * u[2 + dim:]
         mc_seed = i if rng.random() < 1.0 / MC_CHECK_EVERY else None
-        return robot, theta, obstacle, mc_seed
+        return robot, theta, [obstacle], mc_seed
 
     def chunk(self, n):
         first = self.count
@@ -297,9 +299,10 @@ class Workload:
 
     def cycle(self):
         """One round of operations. risk_blind_plan is cheap, so it runs
-        three times a round to give its median as many samples."""
-        return [self.solve, self.blind, self.ira, self.blind, self.solve,
-                self.blind, self.monte_carlo, self.certify_chunk]
+        six times a round to give its median more samples."""
+        cert, blind = self.certify_chunk, self.blind
+        return [self.solve, blind, cert, blind, self.ira, blind, cert,
+                self.solve, blind, cert, blind, self.monte_carlo, blind, cert]
 
     def needs_certs(self):
         return self.certs_attempted < self.size.min_certs
@@ -356,7 +359,7 @@ class Workload:
         self._timed("ira",
                     lambda: validate.ira_plan(
                         self.problem, self.config,
-                        sample_count=self.size.ira_samples, seed=IRA_SEED),
+                        sample_count=IRA_SAMPLES, seed=IRA_SEED),
                     _check_converged, span)
 
     # -- validation ----------------------------------------------------------
@@ -390,37 +393,45 @@ class Workload:
             for entry in self.pending:
                 measured.append((entry, self._certify(*entry[:3])))
         # The seeded Monte Carlo subset runs outside the certify span.
-        for (robot, theta, obstacle, mc_seed), (elapsed, problem, cert) \
+        for (robot, theta, obstacles, mc_seed), (elapsed, problem, certs) \
                 in measured:
             if problem is None and mc_seed is not None:
-                problem = self._check_sampled(robot, theta, obstacle,
-                                              mc_seed, cert)
+                problem = self._check_sampled(robot, theta, obstacles,
+                                              mc_seed, certs)
             self._record("cert", elapsed, problem)
         self.pending = self._next_chunk()
 
-    def _certify(self, robot, theta, obstacle):
+    def _certify(self, robot, theta, obstacles):
+        """Certify one configuration against its scene, as ``ccplan
+        certify`` does. Returns (CPU seconds, problem or None, certs)."""
         self.certs_attempted += 1
         eps_tol = self.config.eps_tol
+        out = []
         try:
             t0 = cpu_seconds()
-            cert = risk.certify_risk(robot, theta, obstacle, eps_tol=eps_tol)
-            grad = (None if cert.saturated
-                    else risk.risk_gradient(cert, robot, theta, obstacle))
+            for ob in obstacles:
+                cert = risk.certify_risk(robot, theta, ob, eps_tol=eps_tol)
+                grad = (None if cert.saturated
+                        else risk.risk_gradient(cert, robot, theta, ob))
+                out.append((cert, grad))
             elapsed = cpu_seconds() - t0
         except Exception as exc:  # an operation that raises counts as failed
             return None, f"raised {type(exc).__name__}: {exc}", None
-        return elapsed, check_certificate(cert, grad, eps_tol), cert
+        problems = (check_certificate(c, g, eps_tol) for c, g in out)
+        return (elapsed, next((p for p in problems if p), None),
+                [c for c, _ in out])
 
-    def _check_sampled(self, robot, theta, obstacle, mc_seed, cert):
+    def _check_sampled(self, robot, theta, obstacles, mc_seed, certs):
         try:
-            rep = validate.monte_carlo_risk(robot, [theta], [obstacle],
+            rep = validate.monte_carlo_risk(robot, [theta], obstacles,
                                             self.size.mc_check_samples,
                                             mc_seed)
         except Exception as exc:  # a failing check fails the certificate
             return f"Monte Carlo check raised {type(exc).__name__}: {exc}"
-        if rep.estimate > cert.eps_prime + 3.0 * rep.standard_error:
+        bound = sum(c.eps_prime for c in certs)
+        if rep.estimate > bound + 3.0 * rep.standard_error:
             return (f"Monte Carlo {rep.estimate!r} exceeds eps' "
-                    f"{cert.eps_prime!r} + 3 SE")
+                    f"{bound!r} + 3 SE")
         return None
 
 
