@@ -3,17 +3,17 @@ cold certification.
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload corridor2d --seed 1 --seconds 30 \\
+    python3 perfbench/run.py --workload pickplace3d --seed 1 --seconds 50 \\
         --trace 0
 
-Workloads: corridor2d, pickplace3d, certify-random (see workloads.py). One
+Workloads: pickplace3d, certify-random (see workloads.py). One
 caller runs the workload's operation cycle in a closed loop until
 ``--seconds`` have passed, at least one whole cycle has run and 1000
 certificates are done; every output is checked. Operations are timed in
-CPU seconds (see workloads.cpu_seconds). ``--trace 1`` instead runs one
-cycle with the layer trace of layertrace.py installed, between two untraced
-runs of the same cycle, writes the spans under ``.bench_out/`` and reports
-the per-layer metrics.
+CPU seconds scaled to a reference machine speed (see speed.py).
+``--trace 1`` instead runs one cycle with the layer trace of layertrace.py
+installed, between two untraced runs of the same cycle, writes the spans
+under ``.bench_out/`` and reports the per-layer metrics.
 
 Human-readable lines come first. The last line of standard output is one
 JSON object: {"correct", "attempted", "failed", "metrics"}. BLAS is pinned
@@ -43,9 +43,10 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
-# Set-up is timed in this process and in this many fresh child processes;
-# setup_s is the median.
-SETUP_PROBES = 4
+# Set-up is timed in this many fresh child processes, each scaled by a
+# machine-speed sample taken when it ends; setup_s is the median at the
+# reference speed.
+SETUP_PROBES = 5
 
 
 def import_program():
@@ -60,7 +61,7 @@ def import_program():
                          f"not from {SRC}")
 
 
-def set_up(workload, seed, size=None):
+def set_up(workload, seed, size=None, sample_speed=True):
     """Import ccplan, parse the inputs and build the workload. Returns
     (workload, CPU seconds taken)."""
     t0 = time.process_time()
@@ -69,17 +70,21 @@ def set_up(workload, seed, size=None):
     if workload not in workloads.WORKLOADS:
         raise SystemExit(f"error: unknown workload {workload!r}; expected "
                          f"one of {', '.join(workloads.WORKLOADS)}")
-    w = workloads.Workload(workload, seed, size or workloads.FULL)
+    w = workloads.Workload(workload, seed, size or workloads.FULL,
+                           sample_speed)
     return w, time.process_time() - t0
 
 
 def _probe_setup(workload, seed):
-    """Set-up time of a fresh interpreter, measured inside it."""
-    out = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
-         "--workload", workload, "--seed", str(seed)],
-        capture_output=True, text=True, timeout=120, check=True)
-    return float(out.stdout.split()[-1])
+    """Set-up time of a fresh interpreter, measured inside it, at the
+    reference speed."""
+    from speed import Stopwatch
+    with Stopwatch() as watch:
+        out = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
+             "--workload", workload, "--seed", str(seed)],
+            capture_output=True, text=True, timeout=120, check=True)
+    return float(out.stdout.split()[-1]) * watch.scale()
 
 
 def _no_span(name):
@@ -90,15 +95,15 @@ def run_cycles(w, seconds, span=_no_span):
     """Run operations in cycle order until ``seconds`` of wall time have
     passed, at least one whole cycle has run and the workload has its
     minimum number of certificates. Returns the CPU seconds taken."""
-    import workloads
+    from speed import cpu_seconds
     cycle = w.cycle()
-    start, cpu = time.perf_counter(), workloads.cpu_seconds()
+    start, cpu = time.perf_counter(), cpu_seconds()
     i = 0
     while (i < len(cycle) or w.needs_certs()
            or time.perf_counter() - start < seconds):
         cycle[i % len(cycle)](span)
         i += 1
-    return workloads.cpu_seconds() - cpu
+    return cpu_seconds() - cpu
 
 
 def machine_record():
@@ -122,13 +127,16 @@ def machine_record():
 
 def measure(workload, seed, seconds, trace, size=None):
     """One benchmark run. Returns (result dict, workload objects)."""
-    w, setup_s = set_up(workload, seed, size)
+    w, _ = set_up(workload, seed, size, sample_speed=not trace)
     if not trace:
-        setups = [setup_s] + [_probe_setup(workload, seed)
-                              for _ in range(SETUP_PROBES)]
+        setups = [_probe_setup(workload, seed) for _ in range(SETUP_PROBES)]
         run_cycles(w, seconds)
         import workloads
         metrics = workloads.end_to_end(w)
+        print(f"machine speed: reference kernel {1e3 * min(w.kernel_s):.3f}"
+              f" to {1e3 * max(w.kernel_s):.3f} ms, median "
+              f"{1e3 * statistics.median(w.kernel_s):.3f} ms over "
+              f"{len(w.kernel_s)} samples")
         metrics["setup_s"] = (statistics.median(setups), "s")
         metrics["peak_rss_mb"] = (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB")
@@ -145,11 +153,11 @@ def measure(workload, seed, seconds, trace, size=None):
         sites = tracer.install()
         try:
             with tracer.span("setup"):
-                traced = workloads.Workload(workload, seed, w.size)
+                traced = workloads.Workload(workload, seed, w.size, False)
             traced_s = run_cycles(traced, 0, tracer.span)
         finally:
             tracer.uninstall()
-        again = workloads.Workload(workload, seed, w.size)
+        again = workloads.Workload(workload, seed, w.size, False)
         untraced_s.append(run_cycles(again, 0))
         print(f"trace: {sites} import sites wrapped, {len(tracer.spans)} "
               f"spans, traced cycle {traced_s:.3f} s, untraced cycles "
@@ -173,7 +181,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true",
                         help=argparse.SUPPRESS)

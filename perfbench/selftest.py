@@ -20,8 +20,7 @@ SEED = 1
 # The failure a corrupted certificate must cause, by workload: the Monte
 # Carlo check of the reference trajectory, or on certify-random the seeded
 # Monte Carlo check of random triples (failures read "<kind>: <problem>").
-CORRUPTION_CAUGHT_BY = {"corridor2d": "mc: Monte Carlo",
-                        "pickplace3d": "mc: Monte Carlo",
+CORRUPTION_CAUGHT_BY = {"pickplace3d": "mc: Monte Carlo",
                         "certify-random": "cert: Monte Carlo"}
 
 

@@ -11,17 +11,19 @@ certificates. A certificate is what ``ccplan certify`` computes: one
 configuration certified against every obstacle of its scene (certify_risk,
 then risk_gradient, per obstacle). The four chunks are spread over the
 cycle so that certification samples the machine at the same times as the
-plans do.
+plans do. Every operation and certificate is timed on a speed.Stopwatch,
+at the machine's reference speed.
 
 The workloads differ in their inputs:
 
-* ``corridor2d``: the README quick start (point robot, two sphere pillars).
-  Its certify chunk cold-certifies seeded jitters of the committed reference
+* ``pickplace3d``: the 4-dof arm past a bin wall and a carton. Its certify
+  chunk cold-certifies seeded jitters of the committed reference
   trajectory's waypoints against the scene.
-* ``pickplace3d``: the 4-dof arm past a bin wall and a carton, same cycle.
 * ``certify-random``: the certify chunk cold-certifies seeded random
-  (robot, obstacle, configuration) triples; its planning operations re-run
-  the corridor2d problem so that every end-to-end metric exists here too.
+  (robot, obstacle, configuration) triples. Its planning operations run the
+  README quick start, corridor2d (point robot, two sphere pillars), so that
+  every end-to-end metric exists here too; they are the control for
+  kinematics, 3D-geometry and hull-kernel changes.
 
 Monte Carlo always validates a committed reference trajectory (see
 ``reference/``), so planner changes cannot shift the validator's workload.
@@ -29,8 +31,6 @@ Monte Carlo always validates a committed reference trajectory (see
 
 import json
 import math
-import resource
-import time
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ccplan import planner, risk, sceneio, validate
+from speed import Stopwatch
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 
@@ -53,21 +54,26 @@ PROBLEMS = {
 }
 
 # Which problem each workload plans and validates.
-PLAN_PROBLEM = {"corridor2d": "corridor2d", "pickplace3d": "pickplace3d",
-                "certify-random": "corridor2d"}
+PLAN_PROBLEM = {"pickplace3d": "pickplace3d", "certify-random": "corridor2d"}
 WORKLOADS = tuple(PLAN_PROBLEM)
 
 # ira_plan draws its own samples; a fixed seed keeps its round count, and so
 # plan_ira_s, independent of the workload seed (the CLI default is also 0).
 IRA_SEED = 0
 IRA_SAMPLES = 1_000       # samples per ira_plan round, its default
-# Standard deviation of the seeded joint jitter applied to reference
-# waypoints before cold certification on the planning workloads: small, so
-# every seed certifies the same mix of branches, yet no input repeats.
-WAYPOINT_JITTER = 1e-3
+# Standard deviation of the seeded joint jitter applied to the configurations
+# certified cold (reference waypoints on pickplace3d, the random family on
+# certify-random): small, so every seed certifies the same mix of branches,
+# yet no input repeats.
+JITTER = 1e-3
+# Seed of the certify-random family of triples (see RandomTriples).
+FAMILY_SEED = 0
 # On certify-random, one triple in this many is also checked against
 # Monte Carlo (a seeded subset).
 MC_CHECK_EVERY = 50
+# A certificate's time is scaled by the CERT_WINDOW speed samples taken
+# before its end and the CERT_WINDOW after, about 0.1 s of the chunk.
+CERT_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,8 @@ class Size:
 
 
 FULL = Size(mc_samples=100_000,
-            cert_chunks={"corridor2d": 250, "pickplace3d": 250,
-                         "certify-random": 125},
-            min_certs=1_000, mc_check_samples=20_000)
+            cert_chunks={"pickplace3d": 250, "certify-random": 125},
+            min_certs=1_000, mc_check_samples=5_000)
 TINY = Size(mc_samples=2_000, cert_chunks=dict.fromkeys(WORKLOADS, 10),
             min_certs=0, mc_check_samples=2_000)
 
@@ -98,19 +103,6 @@ ARM3_2D = {
     "linkShapes": [[{"type": "capsule", "p0": [0.0, 0.0], "p1": [0.4, 0.0],
                      "radius": 0.03}]] * 3,
 }
-
-
-def cpu_seconds():
-    """CPU time of this process and its reaped children.
-
-    Operations are timed with it. The benchmark runs one caller with BLAS
-    pinned to one thread, so on an idle core an operation's CPU time equals
-    its wall time; on a shared machine, wall time also holds whatever the
-    scheduler or hypervisor took away, which widened the spread between
-    runs up to threefold (see README.md).
-    """
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return time.process_time() + children.ru_utime + children.ru_stime
 
 
 def _bundled(name):
@@ -149,7 +141,7 @@ def waypoint_jitters(problem, reference, seed, chunk, n):
     out = []
     while len(out) < n:
         for theta in reference:
-            th = theta + rng.normal(0.0, WAYPOINT_JITTER, size=theta.shape)
+            th = theta + rng.normal(0.0, JITTER, size=theta.shape)
             out.append((problem.robot, th, problem.obstacles, None))
     return out
 
@@ -213,21 +205,27 @@ class RandomTriples:
     span the saturated, risky and nearly-safe regimes. Each triple is parsed
     afresh through sceneio, so certificates share nothing.
 
-    The parameters that decide a certificate's branch (obstacle kind,
-    annulus radius, covariance scale, direction, configuration) follow a
-    Halton sequence per robot under a random shift drawn from the seed
-    (randomized quasi-Monte Carlo): every seed covers the family evenly, so
-    runs differ little in their mix of cheap and expensive certificates.
-    Shape details come from a generator seeded by (seed, i). Triple ``i``
-    depends only on (seed, i); its obstacle alone is its scene, so it is one
-    certificate.
+    The family is drawn once, from FAMILY_SEED. The parameters that decide
+    a certificate's branch (obstacle kind, annulus radius, covariance scale,
+    direction, configuration) follow a Halton sequence per robot under a
+    random shift, so any prefix of the stream covers the family evenly;
+    shape details and the covariance come from a generator seeded by
+    (FAMILY_SEED, i). The workload seed jitters each configuration by
+    JITTER and picks the Monte Carlo subset, so every seed certifies the
+    same mix of branches, yet no input repeats. The mix matters: 3% of the
+    certificates take over 50 ms and 60% of certification time, and when
+    the whole family was drawn from the workload seed, its share moved
+    certify_per_s by 12% and certify_ms.p99 by 15% between seeds.
+
+    Triple ``i`` depends only on (seed, i); its obstacle alone is its scene,
+    so it is one certificate.
     """
 
     def __init__(self, seed):
         self.seed = seed
         self.robots = [ARM3_2D, _bundled("arm4dof3d.json"),
                        _bundled("pointbot2d.json")]
-        rng = np.random.default_rng([seed, len(self.robots)])
+        rng = np.random.default_rng([FAMILY_SEED, len(self.robots)])
         self.shifts = [rng.random(2 + doc["dimension"] + len(doc["joints"]))
                        for doc in self.robots]
         self.count = 0
@@ -241,12 +239,14 @@ class RandomTriples:
         centre = np.zeros(dim)
         if dim == 3:
             centre[2] = 0.3          # arm4dof3d shoulder height
-        rng = np.random.default_rng([self.seed, i])
-        doc = _random_obstacle(rng, kind=int(3 * u[0]), centre=centre,
+        doc = _random_obstacle(np.random.default_rng([FAMILY_SEED, i]),
+                               kind=int(3 * u[0]), centre=centre,
                                radius=0.3 + u[1], scale=0.05 + 0.2 * u[2],
                                direction=_unit_vector(u[3:2 + dim]))
         obstacle = sceneio.parse_scene(doc).obstacles[0]
-        theta = -0.7 + 1.4 * u[2 + dim:]
+        rng = np.random.default_rng([self.seed, i])
+        joints = u[2 + dim:]
+        theta = -0.7 + 1.4 * joints + rng.normal(0.0, JITTER, joints.shape)
         mc_seed = i if rng.random() < 1.0 / MC_CHECK_EVERY else None
         return robot, theta, [obstacle], mc_seed
 
@@ -267,10 +267,11 @@ class Workload:
     traced run passes the tracer's, the timed runs a no-op.
     """
 
-    def __init__(self, name, seed, size):
+    def __init__(self, name, seed, size, sample_speed=True):
         self.name = name
         self.seed = seed
         self.size = size
+        self.sample_speed = sample_speed
         self.config = planner.SCOConfig()
         self.problem = load_problem(PLAN_PROBLEM[name])
         self.reference = load_reference(PLAN_PROBLEM[name])
@@ -281,9 +282,10 @@ class Workload:
         self.pending = self._next_chunk()
         self.reference_bound = None
         self.first_solve = None
-        # CPU seconds per successful operation, by kind.
+        # Seconds at the reference speed per successful operation, by kind.
         self.times = {k: [] for k in ("solve", "blind", "ira", "mc", "cert")}
         self.certs_attempted = 0
+        self.kernel_s = []      # every reference kernel time of the run
         self.objective = None
         self.attempted = 0
         self.failed = 0
@@ -318,10 +320,13 @@ class Workload:
     def _timed(self, kind, fn, check, span):
         """Run ``fn`` once, time it, and record the verdict of ``check``."""
         try:
-            with span("op." + kind):
-                t0 = cpu_seconds()
+            with Stopwatch(interrupt=self.sample_speed) as watch, \
+                    span("op." + kind):
+                t0 = watch.cpu()
                 out = fn()
-                elapsed = cpu_seconds() - t0
+                elapsed = watch.cpu() - t0
+            self.kernel_s += watch.kernel_s
+            elapsed *= watch.scale()
             problem = check(out)
         except Exception as exc:  # an operation that raises counts as failed
             elapsed, problem = None, f"raised {type(exc).__name__}: {exc}"
@@ -388,33 +393,41 @@ class Workload:
     # -- cold certification ------------------------------------------------
 
     def certify_chunk(self, span):
-        measured = []
-        with span("op.certify"):
+        out = []
+        ends = []      # speed samples taken by the end of each certificate
+        with Stopwatch() as watch, span("op.certify"):
             for entry in self.pending:
-                measured.append((entry, self._certify(*entry[:3])))
+                out.append(self._certify(watch, *entry[:3]))
+                ends.append(len(watch.kernel_s))
+                if self.sample_speed:
+                    watch.tick()
+        self.kernel_s += watch.kernel_s
         # The seeded Monte Carlo subset runs outside the certify span.
-        for (robot, theta, obstacles, mc_seed), (elapsed, problem, certs) \
-                in measured:
+        for (robot, theta, obstacles, mc_seed), (elapsed, problem, certs), n \
+                in zip(self.pending, out, ends):
             if problem is None and mc_seed is not None:
                 problem = self._check_sampled(robot, theta, obstacles,
                                               mc_seed, certs)
+            if elapsed is not None:
+                elapsed *= watch.scale(n - CERT_WINDOW, n + CERT_WINDOW)
             self._record("cert", elapsed, problem)
         self.pending = self._next_chunk()
 
-    def _certify(self, robot, theta, obstacles):
+    def _certify(self, watch, robot, theta, obstacles):
         """Certify one configuration against its scene, as ``ccplan
-        certify`` does. Returns (CPU seconds, problem or None, certs)."""
+        certify`` does, timed on ``watch``. Returns (CPU seconds, problem or
+        None, certs)."""
         self.certs_attempted += 1
         eps_tol = self.config.eps_tol
         out = []
         try:
-            t0 = cpu_seconds()
+            t0 = watch.cpu()
             for ob in obstacles:
                 cert = risk.certify_risk(robot, theta, ob, eps_tol=eps_tol)
                 grad = (None if cert.saturated
                         else risk.risk_gradient(cert, robot, theta, ob))
                 out.append((cert, grad))
-            elapsed = cpu_seconds() - t0
+            elapsed = watch.cpu() - t0
         except Exception as exc:  # an operation that raises counts as failed
             return None, f"raised {type(exc).__name__}: {exc}", None
         problems = (check_certificate(c, g, eps_tol) for c, g in out)
