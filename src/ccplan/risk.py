@@ -21,6 +21,7 @@ from . import chi2
 from .geometry import (
     ConvexBody,
     Ellipsoid,
+    GeometryError,
     HalfEllipsoid,
     MinkowskiSum,
     _gjk,
@@ -126,10 +127,6 @@ def half_shadow(obstacle, eps, normal):
     c = chi2.chi2_inv_cdf(1.0 - eps, obstacle.dim)
     return MinkowskiSum(obstacle.nominal,
                         HalfEllipsoid(obstacle.covariance, c, n))
-
-
-def _shadow_at_c(obstacle, c):
-    return MinkowskiSum(obstacle.nominal, Ellipsoid(obstacle.covariance, c))
 
 
 def _half_shadow_at_c(obstacle, c, normal):
@@ -255,7 +252,8 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, normal_override=None,
             # Only possible with an overridden (off-tangent) normal; fall
             # back to the nominal geometry as the known-miss bracket end.
             lo = 0.0
-            assert not hits(lo), "half-shadow bisection bracket invalid"
+            if hits(lo):
+                raise GeometryError("half-shadow bisection bracket invalid")
         for _ in range(HALF_SEARCH_ITERS):
             if hi - lo <= 1e-9 * max(1.0, hi):
                 break
@@ -266,8 +264,8 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, normal_override=None,
                 lo = mid
         c2 = lo
     eps2 = chi2.chi2_sf(c2, n)
-    if normal_override is None:
-        assert eps2 <= eps1 + 1e-12, "half-shadow search exceeded eps1"
+    if normal_override is None and eps2 > eps1 + 1e-12:
+        raise GeometryError("half-shadow search exceeded eps1")
 
     # Contact data of the second (half-shadow) tangency. The displacement x2
     # that realizes the contact is recovered from a decomposed GJK query, not

@@ -20,6 +20,14 @@ from .planner import CONVERGED, ITERATION_LIMIT, solve
 # obstacle's largest displacement standard deviation.
 IRA_MARGIN_ETA = 0.5
 
+# Tolerance of the exact Monte Carlo hit test: a sample hits when its
+# distance to the difference hull is within the radius plus this.
+HIT_TOL = 1e-9
+# Room the triangle-inequality cull leaves beyond HIT_TOL, so that roundoff
+# in |d| and in the hull distance bound never drops a sample the exact test
+# would count (both are absolute, like the scene's coordinates).
+CULL_SLACK = 1e-9
+
 # Fixed support-direction counts for the generic containment test.
 CONTAINMENT_DIRECTIONS_2D = 32
 CONTAINMENT_DIRECTIONS_3D = 64
@@ -102,8 +110,8 @@ def _point_polytope_hits(D, W, radius, candidates):
             return W[j] - di, None, None
 
         dist, *_ = _gjk(sp, W.shape[1], seed_direction=W.mean(axis=0) - di,
-                        boolean_cutoff=radius + 1e-9)
-        hit[i] = dist <= radius + 1e-9
+                        boolean_cutoff=radius + HIT_TOL)
+        hit[i] = dist <= radius + HIT_TOL
     return hit
 
 
@@ -118,60 +126,112 @@ def _hull_facet_normals(W):
     return eq[:, :-1], -eq[:, -1]
 
 
+def _hull_distance_lower_bound(W):
+    """A certified lower bound on dist(0, conv W).
+
+    GJK's |v| bounds the distance from above, so it is not used. Every point
+    x of conv W satisfies |x| >= u.x >= min_j u.W_j for a unit u; taking u
+    along GJK's closest-point estimate makes this supporting-plane bound
+    tight at convergence.
+    """
+    def sp(v):
+        return W[int(np.argmax(W @ v))], None, None
+
+    dist, v, _, _ = _gjk(sp, W.shape[1], seed_direction=W.mean(axis=0))
+    if dist == 0.0:
+        return 0.0
+    u = v / np.linalg.norm(v)
+    return max(0.0, float(np.min(W @ u)))
+
+
+class _ObstacleSamples:
+    """One obstacle's displacement draws, with their norms sorted once so
+    that each pair test finds its candidates with one binary search."""
+
+    def __init__(self, obstacle, n_samples, seed, obstacle_index):
+        sw = obstacle.nominal.swept()
+        if sw is None:
+            raise ValueError("Monte Carlo requires sphere-swept obstacle "
+                             "geometry")
+        self.vertices, self.radius = sw
+        self.D = _displacements(obstacle, n_samples, seed, obstacle_index)
+        norms = np.linalg.norm(self.D, axis=1)
+        self.order = np.argsort(norms)
+        self.sorted_norms = norms[self.order]
+
+    def pair_hits(self, Vt, rt, done):
+        """Indices of the samples not marked in ``done`` that hit the link
+        shape swept from vertices ``Vt`` by radius ``rt``: the one Monte
+        Carlo pair test.
+
+        A sample hits when its displacement d lies within r = rt + radius
+        of conv(W), W the difference vertices. For delta <= dist(0, conv W)
+        the triangle inequality gives dist(d, conv W) >= delta - |d|; a
+        sample whose bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and
+        is skipped. The others go to the exact test, so the hits are those
+        of testing every sample.
+        """
+        W = (Vt[:, None, :] - self.vertices[None, :, :]).reshape(
+            -1, Vt.shape[1])
+        r = rt + self.radius
+        delta = _hull_distance_lower_bound(W)
+        first = np.searchsorted(self.sorted_norms,
+                                delta - r - HIT_TOL - CULL_SLACK)
+        candidates = np.sort(self.order[first:])
+        candidates = candidates[~done[candidates]]
+        if candidates.size == 0:
+            return candidates
+        return candidates[_point_polytope_hits(self.D, W, r, candidates)]
+
+
+def _swept_shapes(robot, trajectory):
+    """Per timestep, the sphere-swept (vertices, radius) of every link shape."""
+    shapes_per_t = []
+    for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
+        poses = forward_kinematics(robot, theta)
+        shapes_per_t.append([body.swept()
+                             for _, body in posed_link_shapes(robot, poses)])
+    return shapes_per_t
+
+
 def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     """Estimate the probability that the swept trajectory hits any obstacle.
 
     A trial is a joint draw of one displacement per obstacle; it counts as a
     hit if any timestep configuration intersects any displaced obstacle.
+
+    Each (timestep, link shape, obstacle) pair tests only the trials not yet
+    hit, and culls those whose displacement d is too short to reach the
+    difference hull W: a certified lower bound delta on dist(0, conv W) and
+    the triangle inequality give dist(d, conv W) >= delta - |d|, so a trial
+    is skipped only when that bound exceeds the hit radius plus the exact
+    test's tolerance and a slack. The cull is conservative: the hit count is
+    the one that testing every trial exactly gives.
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
-    traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    shapes_per_t = []
-    for theta in traj:
-        poses = forward_kinematics(robot, theta)
-        shapes_per_t.append([body.swept()
-                             for _, body in posed_link_shapes(robot, poses)])
-
+    shapes_per_t = _swept_shapes(robot, trajectory)
     hit = np.zeros(n_samples, dtype=bool)
     for oi, ob in enumerate(obstacles):
-        sw = ob.nominal.swept()
-        if sw is None:
-            raise ValueError("Monte Carlo requires sphere-swept obstacle "
-                             "geometry")
-        Vn, rn = sw
-        D = _displacements(ob, n_samples, seed, oi)
+        samples = _ObstacleSamples(ob, n_samples, seed, oi)
         for shapes in shapes_per_t:
             for Vt, rt in shapes:
-                alive = np.flatnonzero(~hit)
-                if alive.size == 0:
-                    break
-                W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, Vt.shape[1])
-                hit[alive] |= _point_polytope_hits(D, W, rt + rn, alive)
+                hit[samples.pair_hits(Vt, rt, hit)] = True
     return _report(n_samples, int(hit.sum()), seed)
 
 
 def _pair_hit_estimates(robot, trajectory, obstacles, n_samples, seed):
     """Sampled hit probability per (timestep, obstacle) plus the joint
     trajectory-level estimate, all from shared displacement draws."""
-    traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    T = len(traj)
-    shapes_per_t = []
-    for theta in traj:
-        poses = forward_kinematics(robot, theta)
-        shapes_per_t.append([body.swept()
-                             for _, body in posed_link_shapes(robot, poses)])
-    probs = np.zeros((T, len(obstacles)))
+    shapes_per_t = _swept_shapes(robot, trajectory)
+    probs = np.zeros((len(shapes_per_t), len(obstacles)))
     any_hit = np.zeros(n_samples, dtype=bool)
-    everything = np.arange(n_samples)
     for oi, ob in enumerate(obstacles):
-        Vn, rn = ob.nominal.swept()
-        D = _displacements(ob, n_samples, seed, oi)
+        samples = _ObstacleSamples(ob, n_samples, seed, oi)
         for t, shapes in enumerate(shapes_per_t):
             hit_t = np.zeros(n_samples, dtype=bool)
             for Vt, rt in shapes:
-                W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, Vt.shape[1])
-                hit_t |= _point_polytope_hits(D, W, rt + rn, everything)
+                hit_t[samples.pair_hits(Vt, rt, hit_t)] = True
             probs[t, oi] = hit_t.mean()
             any_hit |= hit_t
     return probs, float(any_hit.mean())

@@ -193,3 +193,17 @@ class TestErrorReporting:
                      "--theta", "0,0"])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_linalg_failure_is_numerical(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure,
+        # not invalid input.
+        import ccplan.cli as cli
+
+        def boom(args):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        monkeypatch.setattr(cli, "cmd_certify", boom)
+        code = main(["certify", "--scene", CORRIDOR, "--robot", POINTBOT,
+                     "--theta", "0,0"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err

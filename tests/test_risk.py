@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ccplan.chi2 import chi2_inv_cdf, chi2_sf
-from ccplan.geometry import Pose, Sphere, point_body
+from ccplan import risk
+from ccplan.geometry import GeometryError, Pose, Sphere, point_body
 from ccplan.kinematics import Joint, RobotModel, planar_point_robot
 from ccplan.risk import (
     RiskCertificate,
@@ -225,6 +226,33 @@ class TestCertifyClosedForm:
         ob = point_obstacle(np.eye(2))
         with pytest.raises(ValueError):
             certify_risk(robot, [1.0, 0.0], ob, eps_tol=0.7)
+
+
+class TestInvariantErrors:
+    """Broken certification invariants raise GeometryError (CLI exit 4),
+    which ``python -O`` keeps, unlike an assert."""
+
+    def test_eps2_above_eps1_raises(self, monkeypatch):
+        # Every probe reports contact and the bisection is given no steps,
+        # so the half-shadow radius stays at the known-miss end 0 and eps2
+        # = 1 exceeds eps1.
+        monkeypatch.setattr(risk, "intersects", lambda a, b: True)
+        monkeypatch.setattr(risk, "HALF_SEARCH_ITERS", 0)
+        ob = point_obstacle(0.25 * np.eye(2))
+        with pytest.raises(GeometryError, match="exceeded eps1"):
+            certify_risk(planar_point_robot(), [1.0, 0.0], ob)
+
+    def test_invalid_bisection_bracket_raises(self, monkeypatch):
+        # With saturation off, a robot on the nominal geometry has c1 = 0,
+        # so the nominal-geometry end of the bracket is probed too; every
+        # probe reporting contact leaves no known-miss end.
+        monkeypatch.setattr(risk, "SATURATION_C", -1.0)
+        monkeypatch.setattr(risk, "intersects", lambda a, b: True)
+        monkeypatch.setattr(risk, "_half_shadow_at_c", lambda *args: None)
+        ob = point_obstacle(0.25 * np.eye(2))
+        with pytest.raises(GeometryError, match="bracket invalid"):
+            certify_risk(planar_point_robot(), [0.0, 0.0], ob,
+                         normal_override=[1.0, 0.0])
 
 
 class TestGradient:

@@ -1,10 +1,16 @@
+import itertools
+import json
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ccplan import validate
 from ccplan.geometry import (
+    Capsule,
+    Polytope,
     Pose,
     Posed,
     Sphere,
@@ -21,8 +27,14 @@ from ccplan.kinematics import (
 )
 from ccplan.planner import CONVERGED, TrajectoryProblem, solve
 from ccplan.risk import UncertainObstacle, certify_risk, half_shadow, shadow
+from ccplan.sceneio import parse_robot, parse_scene
 from ccplan.validate import (
     MonteCarloReport,
+    _displacements,
+    _hull_distance_lower_bound,
+    _ObstacleSamples,
+    _pair_hit_estimates,
+    _point_polytope_hits,
     ira_plan,
     monte_carlo_containment,
     monte_carlo_risk,
@@ -102,7 +114,6 @@ class TestRisk:
         n = 500
         rep = monte_carlo_risk(robot, traj, [ob], n, seed=10)
 
-        from ccplan.validate import _displacements
         D = _displacements(ob, n, 10, 0)
         hits = 0
         for d in D:
@@ -132,6 +143,181 @@ class TestRisk:
         ob = UncertainObstacle(point_body(np.zeros(2)), np.eye(2))
         with pytest.raises(ValueError):
             monte_carlo_risk(robot, [[1.0, 0.0]], [ob], 0, seed=1)
+
+
+def unculled_hits(robot, trajectory, obstacles, n, seed):
+    """The hit mask of the loop without the cull: every sample not yet hit
+    goes to the exact test at every (obstacle, timestep, link shape)."""
+    hit = np.zeros(n, dtype=bool)
+    for oi, ob in enumerate(obstacles):
+        Vn, rn = ob.nominal.swept()
+        D = _displacements(ob, n, seed, oi)
+        for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
+            poses = forward_kinematics(robot, theta)
+            for _, body in posed_link_shapes(robot, poses):
+                Vt, rt = body.swept()
+                alive = np.flatnonzero(~hit)
+                W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, Vt.shape[1])
+                hit[alive] |= _point_polytope_hits(D, W, rt + rn, alive)
+    return hit
+
+
+def unculled_pair_hits(samples, Vt, rt, done):
+    W = (Vt[:, None, :] - samples.vertices[None, :, :]).reshape(
+        -1, Vt.shape[1])
+    rest = np.flatnonzero(~done)
+    return rest[_point_polytope_hits(samples.D, W, rt + samples.radius, rest)]
+
+
+def hull_distance(W):
+    """dist(0, conv W) by enumeration: the closest point is the projection
+    of the origin onto the affine hull of some simplex of at most dim + 1
+    vertices, with non-negative barycentric weights."""
+    best = math.inf
+    for k in range(1, W.shape[1] + 2):
+        for idx in itertools.combinations(range(len(W)), k):
+            S = W[list(idx)]
+            # Minimize |S^T lam| subject to sum(lam) = 1 (KKT system).
+            K = np.zeros((k + 1, k + 1))
+            K[:k, :k] = S @ S.T
+            K[:k, k] = K[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            lam = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
+            if lam.min() >= -1e-12:
+                best = min(best, float(np.linalg.norm(lam @ S)))
+    return best
+
+
+@pytest.fixture(scope="module")
+def pickplace():
+    scenes = files("ccplan") / "scenes"
+    scene = parse_scene(json.loads((scenes / "pickplace3d.json").read_text()))
+    robot = parse_robot(json.loads((scenes / "arm4dof3d.json").read_text()))
+    problem = TrajectoryProblem(
+        robot, scene.obstacles, 17, np.array([-0.8, -0.5, -0.7, -0.3]),
+        np.array([0.9, -0.4, -0.8, -0.2]), 0.10, 0.02)
+    return problem, solve(problem).trajectory
+
+
+class TestCulledPairTest:
+    """The cull skips only samples that cannot hit: every result equals
+    that of running the exact test on every sample."""
+
+    def test_pickplace_reference_matches_unculled(self, pickplace,
+                                                  monkeypatch):
+        problem, traj = pickplace
+        n, seed = 20_000, 3
+        tested = []
+
+        def counted(D, W, radius, candidates):
+            tested.append(len(candidates))
+            return _point_polytope_hits(D, W, radius, candidates)
+
+        monkeypatch.setattr(validate, "_point_polytope_hits", counted)
+        rep = monte_carlo_risk(problem.robot, traj, problem.obstacles, n,
+                               seed)
+        hit = unculled_hits(problem.robot, traj, problem.obstacles, n, seed)
+        assert hit.sum() > 0
+        assert rep.hit_count == int(hit.sum())
+        # The cull leaves few samples to the exact test (one pass over
+        # every pair would be n * pairs).
+        pairs = len(traj) * len(problem.obstacles) * sum(
+            len(s) for s in problem.robot.link_shapes)
+        assert sum(tested) < 0.05 * n * pairs
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_scenes_match_unculled(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        n = 4_000
+        many = 2 ** dim + 3
+        nominals = [point_body(rng.normal(size=dim) * 0.3),
+                    Capsule(rng.normal(size=dim) * 0.3,
+                            rng.normal(size=dim) * 0.3, 0.05),
+                    Polytope(rng.normal(size=(many, dim)) * 0.3)]
+        for oi, nominal in enumerate(nominals):
+            A = rng.normal(size=(dim, dim)) * 0.3
+            ob = UncertainObstacle(nominal, A @ A.T + 0.02 * np.eye(dim))
+            samples = _ObstacleSamples(ob, n, seed=oi, obstacle_index=oi)
+            for k in (1, 2, many):
+                for offset in (0.0, 0.5, 1.5):
+                    Vt = (rng.normal(size=(k, dim)) * 0.2
+                          + offset * rng.normal(size=dim))
+                    rt = float(rng.uniform(0.0, 0.1))
+                    done = rng.random(n) < 0.3
+                    got = samples.pair_hits(Vt, rt, done)
+                    want = unculled_pair_hits(samples, Vt, rt, done)
+                    np.testing.assert_array_equal(got, want)
+
+    def test_overlapping_nominal_pose(self):
+        # The link covers the obstacle's nominal pose: delta = 0 culls
+        # nothing, and every sample still gets the exact answer.
+        ob = UncertainObstacle(box([0.1, 0.1, 0.1]), 0.04 * np.eye(3))
+        samples = _ObstacleSamples(ob, 5_000, seed=1, obstacle_index=0)
+        Vt = box([0.3, 0.05, 0.2]).vertices
+        W = (Vt[:, None, :] - samples.vertices[None]).reshape(-1, 3)
+        assert _hull_distance_lower_bound(W) == 0.0
+        done = np.zeros(5_000, dtype=bool)
+        got = samples.pair_hits(Vt, 0.0, done)
+        np.testing.assert_array_equal(
+            got, unculled_pair_hits(samples, Vt, 0.0, done))
+        assert 0 < got.size < 5_000
+
+    def test_configuration_at_exactly_the_hit_radius(self):
+        # The point robot touches the sphere obstacle nominally: delta
+        # equals the hit radius, and the cull bound is 0 - |d|.
+        R = 0.25
+        robot = planar_point_robot()
+        ob = UncertainObstacle(Sphere(np.zeros(2), R), 0.01 * np.eye(2))
+        n = 20_000
+        rep = monte_carlo_risk(robot, [[R, 0.0]], [ob], n, seed=4)
+        hit = unculled_hits(robot, [[R, 0.0]], [ob], n, 4)
+        assert rep.hit_count == int(hit.sum()) > 0
+
+    def test_samples_on_the_cull_boundary(self, monkeypatch):
+        # Displacements whose triangle-inequality bound sits at the hit
+        # radius, and just either side of it, are all tested exactly.
+        rng = np.random.default_rng(5)
+        w = np.array([0.6, 0.8, 0.0])      # one-point hull, |w| = 1
+        r = 0.3
+        u = w / np.linalg.norm(w)
+        lengths = (1.0 - r) + np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12,
+                                        1e-9, 1e-6])
+        D = np.concatenate([lengths[:, None] * u,
+                            rng.normal(size=(200, 3)) * 0.5])
+        monkeypatch.setattr(validate, "_displacements",
+                            lambda ob, n, seed, oi: D)
+        ob = UncertainObstacle(point_body(np.zeros(3)), np.eye(3))
+        samples = _ObstacleSamples(ob, len(D), seed=0, obstacle_index=0)
+        done = np.zeros(len(D), dtype=bool)
+        got = samples.pair_hits(w[None, :], r, done)
+        np.testing.assert_array_equal(
+            got, unculled_pair_hits(samples, w[None, :], r, done))
+        assert {4, 5, 6} <= set(got.tolist())   # at or inside the radius
+
+    def test_pair_estimates_match_monte_carlo(self, pickplace):
+        problem, traj = pickplace
+        blind = risk_blind_plan(problem).trajectory
+        for trajectory in (traj, blind):
+            rep = monte_carlo_risk(problem.robot, trajectory,
+                                   problem.obstacles, 5_000, seed=2)
+            _, estimate = _pair_hit_estimates(
+                problem.robot, trajectory, problem.obstacles, 5_000, seed=2)
+            assert estimate == rep.estimate
+        assert rep.hit_count > 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lower_bound_never_exceeds_hull_distance(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(150):
+            k = int(rng.integers(1, 9))
+            W = (rng.normal(size=(k, dim)) * rng.uniform(0.01, 1.0)
+                 + rng.normal(size=dim) * rng.uniform(0.0, 2.0))
+            exact = hull_distance(W)
+            delta = _hull_distance_lower_bound(W)
+            assert 0.0 <= delta <= exact + 1e-12
+            # Tight enough to cull: within GJK's tolerance of the distance.
+            assert delta >= exact - 1e-6 * max(1.0, exact)
 
 
 class TestContainment:
