@@ -130,7 +130,6 @@ def cmd_plan(args):
         "maxViolation": result.report.max_violation,
         "timesteps": problem.timesteps,
         "runtimeSeconds": result.runtime,
-        "seed": args.seed,
     }
     _write_json(out / "plan.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))

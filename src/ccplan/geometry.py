@@ -715,11 +715,6 @@ def _face_witness(face_entries, n, d):
 # Public queries
 # ---------------------------------------------------------------------------
 
-def support(body, direction):
-    """Support point of ``body`` in ``direction``."""
-    return body.support(direction)
-
-
 def distance(body_a, body_b, tolerance=1e-9):
     """Signed distance between two convex bodies.
 

@@ -5,14 +5,20 @@ Gaussian translation. A shadow with squared Mahalanobis radius c contains the
 obstacle with probability cdf_n(c); if a shadow misses the robot, the survival
 probability certifies an upper bound on collision risk.
 
-The first (full-ellipsoid) search is computed exactly: the smallest bound
-corresponds to the minimum squared Mahalanobis norm over the robot/obstacle
-difference set, a single whitened GJK query. The second (half-ellipsoid)
-search expands away from the robot along the contact normal and is found by
-bisection over the squared radius, warm-started at the first contact.
+Both searches are exact. The first (full-ellipsoid) search gives the
+smallest squared radius c1 whose shadow touches the robot: the minimum
+squared Mahalanobis norm over the robot/obstacle difference set, one
+whitened GJK query per body. The second (half-ellipsoid) search expands away
+from the robot along the contact normal n; its radius is
+c2 = min { d^T Sigma^-1 d : d in A - O, n^T d >= 0 }, a convex program whose
+Lagrangian dual is a concave function of one multiplier. Each dual value is
+one whitened GJK query, and is a certified lower bound on c2, so eps2 is
+never under-stated; the search stops when a feasible primal point is within
+HALF_GAP of the best dual value.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +31,7 @@ from .geometry import (
     HalfEllipsoid,
     MinkowskiSum,
     _gjk,
-    intersects,
+    _pair_support,
     mahalanobis_contact,
 )
 from .kinematics import forward_kinematics, point_jacobian, posed_link_shapes
@@ -34,10 +40,13 @@ from .kinematics import forward_kinematics, point_jacobian, posed_link_shapes
 # nominal geometry (risk saturates at 1).
 SATURATION_C = 1e-16
 
-# Bisection iteration cap for the half-shadow search. Moderate precision is
-# enough: curved-branch contacts are refined to an exact value afterwards,
-# and bisection always terminates on the certified (miss) side.
-HALF_SEARCH_ITERS = 48
+# Relative gap at which the half-shadow dual search stops: the feasible
+# primal point's value is within HALF_GAP * max(1, c) of the returned c2.
+HALF_GAP = 1e-9
+
+# Dual evaluations per body in the half-shadow search; reaching the cap
+# raises GeometryError.
+HALF_DUAL_MAX_ITER = 64
 
 
 @dataclass
@@ -93,19 +102,6 @@ class RiskCertificate:
     floored2: bool = False               # no second contact below the floor
 
 
-@dataclass
-class RiskLinearization:
-    """First-order model eps(theta) ~ eps0 + g . (theta - theta0)."""
-
-    eps0: float
-    gradient: np.ndarray
-    theta0: np.ndarray
-
-    def __call__(self, theta):
-        d = np.asarray(theta, dtype=float) - self.theta0
-        return self.eps0 + float(self.gradient @ d)
-
-
 def _check_eps(eps):
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -129,21 +125,19 @@ def half_shadow(obstacle, eps, normal):
                         HalfEllipsoid(obstacle.covariance, c, n))
 
 
-def _half_shadow_at_c(obstacle, c, normal):
-    return MinkowskiSum(obstacle.nominal,
-                        HalfEllipsoid(obstacle.covariance, c, normal))
-
-
-def certify_risk(robot, theta, obstacle, eps_tol=1e-6, normal_override=None,
-                 shapes=None, body_contacts=None):
+def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
+                 body_contacts=None):
     """Certify an upper bound on the collision risk of one configuration.
 
     Returns a RiskCertificate with eps_prime = (eps1 + eps2)/2. If the robot
     touches the nominal geometry the certificate saturates at 1. eps values
     below ``eps_tol`` are reported as eps_tol (risk below resolution).
 
-    ``normal_override`` pins the half-shadow expansion direction; it is used
-    by finite-difference checks that hold the contact normal fixed.
+    c2, which gives eps2, is the best value of the half-shadow search's
+    Lagrangian dual, a lower bound on the exact minimum; x2 (robot point
+    contact_point2) is a feasible point whose value exceeds c2 by at most
+    HALF_GAP * max(1, c2).
+
     ``shapes`` optionally supplies precomputed posed link shapes for this
     configuration (callers evaluating many obstacles share one kinematics
     pass). ``body_contacts``, aligned with ``shapes``, gives each body's
@@ -189,16 +183,12 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, normal_override=None,
     if c_min <= SATURATION_C:
         return RiskCertificate(1.0, 1.0, 1.0, True)
 
-    eps1_exact = chi2.chi2_sf(c_min, n)
+    eps1 = chi2.chi2_sf(c_min, n)
     x1 = wit_robot - wit_obs
-    if normal_override is not None:
-        n_hat = np.asarray(normal_override, dtype=float)
-        n_hat = n_hat / np.linalg.norm(n_hat)
-    else:
-        g = obstacle.sigma_inv @ x1
-        n_hat = -g / np.linalg.norm(g)
+    g = obstacle.sigma_inv @ x1
+    n_hat = -g / np.linalg.norm(g)
 
-    if eps1_exact < eps_tol:
+    if eps1 < eps_tol:
         # Even the largest shadow considered misses the robot: risk is below
         # resolution and the half-shadow search is skipped.
         return RiskCertificate(
@@ -207,121 +197,128 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, normal_override=None,
             contact_point=np.asarray(wit_robot, dtype=float),
             c1=c_min, floored=True, floored2=True)
 
-    eps1 = eps1_exact
-    active = [(c, li, body) for c, li, body, _, _ in per_shape if c <= c_max]
-
-    def hits(c):
-        # A body whose unconstrained Mahalanobis minimum exceeds c cannot
-        # touch the (smaller) half-shadow at radius^2 c.
-        hs = _half_shadow_at_c(obstacle, c, n_hat)
-        return any(intersects(body, hs)
-                   for cb, _, body in active if cb <= c)
-
-    # A body whose first-search contact vector lies on the feasible side of
-    # the cut touches the half-shadow exactly at its own Mahalanobis minimum
-    # (the cut is inactive there): the smallest such value is a known curved
-    # tangency and an upper bound for the search.
-    c_cand = math.inf
-    for c, li, body, wa, wb in per_shape:
-        if c <= c_max and float(n_hat @ (wa - wb)) > 0.0:
-            c_cand = min(c_cand, c)
-
-    c2 = None
-    if c_cand < math.inf:
-        # Probe just below the candidate: a miss there rules out any earlier
-        # rim contact, so the candidate itself is the tangency.
-        probe = c_cand - 1e-6 * max(1.0, c_cand)
-        if probe <= c_min or not hits(probe):
-            c2 = c_cand
-        else:
-            hi = probe
-    else:
-        hi = c_max
-        if not hits(hi):
-            # Free space all around: no second contact below resolution.
-            cert_eps2 = eps_tol
-            return RiskCertificate(
-                eps1, cert_eps2, 0.5 * (eps1 + cert_eps2), False,
-                contact_normal=n_hat, x1=x1, link_index=link_idx,
-                contact_point=np.asarray(wit_robot, dtype=float),
-                c1=c_min, c2=c_max, floored2=True)
-
-    if c2 is None:
-        lo = c_min
-        if hits(lo):
-            # Only possible with an overridden (off-tangent) normal; fall
-            # back to the nominal geometry as the known-miss bracket end.
-            lo = 0.0
-            if hits(lo):
-                raise GeometryError("half-shadow bisection bracket invalid")
-        for _ in range(HALF_SEARCH_ITERS):
-            if hi - lo <= 1e-9 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if hits(mid):
-                hi = mid
-            else:
-                lo = mid
-        c2 = lo
-    eps2 = chi2.chi2_sf(c2, n)
-    if normal_override is None and eps2 > eps1 + 1e-12:
+    found = _half_contact(per_shape, obstacle, n_hat, c_max)
+    # Without a body reaching the half-space below resolution, eps2 floors.
+    c2, link_idx2, wa2, x2 = found or (c_max, None, None, None)
+    eps2 = eps_tol if found is None else chi2.chi2_sf(c2, n)
+    if eps2 > eps1 + 1e-12:
         raise GeometryError("half-shadow search exceeded eps1")
-
-    # Contact data of the second (half-shadow) tangency. The displacement x2
-    # that realizes the contact is recovered from a decomposed GJK query, not
-    # from the witness normal, which is ill-conditioned at near-zero gap.
-    half = HalfEllipsoid(obstacle.covariance, c2, n_hat)
-    best2 = None
-    for cb, li, body in active:
-        if cb > c2 + 1e-3 * max(1.0, c2):
-            continue
-        d2, wa2, x2c = _second_contact(body, obstacle, half)
-        if best2 is None or d2 < best2[0]:
-            best2 = (d2, li, body, wa2, x2c)
-    _, link_idx2, body2, wa2, x2 = best2
-
-    # On the curved branch the half-space cut is inactive at the tangency, so
-    # c2 equals the unconstrained Mahalanobis minimum of the winning body;
-    # replace the bisection estimate with that exact value (the bisection
-    # carries the intersection test's detection noise, ~1e-6 in c).
-    cb, we_a, we_b = mahalanobis_contact(body2, obstacle.nominal,
-                                         obstacle.chol,
-                                         chol_inv=obstacle.chol_inv)
-    x_e = we_a - we_b
-    if (float(n_hat @ x_e) > 1e-9 * np.linalg.norm(x_e)
-            and abs(cb - c2) <= 1e-3 * max(1.0, c2)):
-        c2 = cb
-        x2 = x_e
-        wa2 = we_a
-        eps2 = chi2.chi2_sf(c2, n)
-
+    eps2 = min(eps2, eps1)
     return RiskCertificate(
-        eps1, min(eps2, eps1), 0.5 * (eps1 + min(eps2, eps1)), False,
-        contact_normal=n_hat, x1=x1, link_index=link_idx,
-        contact_point=np.asarray(wit_robot, dtype=float),
-        link_index2=link_idx2,
-        contact_point2=np.asarray(wa2, dtype=float),
-        x2=x2, c1=c_min, c2=c2)
+        eps1, eps2, 0.5 * (eps1 + eps2), False, contact_normal=n_hat, x1=x1,
+        link_index=link_idx, contact_point=np.asarray(wit_robot, dtype=float),
+        link_index2=link_idx2, contact_point2=wa2, x2=x2, c1=c_min, c2=c2,
+        floored2=found is None)
 
 
-def _second_contact(body, obstacle, half):
-    """Gap, robot witness, and displacement witness against a half-shadow.
+def _half_contact(per_shape, obstacle, normal, c_max):
+    """Second (half-shadow) contact over the bodies of ``per_shape``.
 
-    Runs GJK on robot - (nominal + half_ellipsoid), carrying the robot and
-    nominal witnesses; the displacement component is their difference minus
-    the (near-zero) separation vector.
+    Entries are (c, link index, body, witness on the body, witness on the
+    nominal geometry) from the first search. Bodies are visited in
+    increasing c, which bounds their c2 from below, and the search stops
+    once that bound reaches the best c2 so far. Returns (c2, link index,
+    robot point, x2), or None if no body gets below ``c_max``.
     """
     nominal = obstacle.nominal
+    best, cap = None, c_max
+    for c, li, body, wa, wb in sorted(per_shape, key=lambda e: e[0]):
+        if c >= cap:
+            break
+        # The farthest point of A - O along n: if it lies behind the cut,
+        # the body cannot reach the half-space.
+        far = (body._support(normal), nominal._support(-normal))
+        if float(normal @ (far[0] - far[1])) < 0.0:
+            continue
+        if float(normal @ (wa - wb)) >= 0.0:
+            # The cut is inactive at the body's own minimum.
+            found = (c, wa, wa - wb)
+        else:
+            found = _rim_contact(body, obstacle, normal, (wa, wb), far, cap)
+        if found is not None:
+            cap, a, x = found
+            best = (cap, li, a, x)
+    return best
 
-    def sp(v):
-        a = body._support(v)
-        bn = nominal._support(-v)
-        bh = half._support(-v)
-        return a - bn - bh, a, bn
 
-    seed = body.center() - nominal.center()
-    dist, v, wa, wbn = _gjk(sp, body.dim, tol=1e-12, seed_direction=seed)
-    return dist, wa, wa - wbn - v
+# A dual evaluation: phi(lam), s = n^T x of the projection y(lam) = L^-1 x,
+# and the witness pair (a on the robot, b on the nominal geometry), x = a - b.
+_DualPoint = namedtuple("_DualPoint", "lam phi s a b")
+
+
+def _rim_contact(body, obstacle, normal, first, far, cap):
+    """One body's c2 when the cut is active, from the concave 1-D dual.
+
+    With Y = L^-1 (A - O) and m = L^T n, c2 = min { |y|^2 : y in Y,
+    m^T y >= 0 } and its dual is phi(lam) = dist^2(lam m / 2, Y)
+    - lam^2 |m|^2 / 4 for lam >= 0, with phi(lam) <= c2 and
+    phi'(lam) = -m^T y(lam), y(lam) the projection of lam m / 2 onto Y.
+    ``first`` is the witness pair at lam = 0 (m^T y < 0) and ``far`` the
+    pair farthest along n (n^T x >= 0, the end at lam = infinity). Doubling
+    lam brackets the root of m^T y(lam); the next lam is where the bracket
+    ends' tangents of phi meet. The primal point is the combination of the
+    ends' points that meets the cut, feasible by convexity.
+
+    Returns (c2, robot point, x2), c2 the best dual value, a lower bound
+    within HALF_GAP of x2's value; None once a dual value exceeds ``cap``.
+    """
+    L_inv = obstacle.chol_inv
+    m = obstacle.chol.T @ normal
+    mm = float(m @ m)
+    pair = _pair_support(body, obstacle.nominal, linear_map=L_inv)
+    y0 = L_inv @ (first[0] - first[1])
+    scale = max(1.0, float(y0 @ y0))
+
+    def dual(lam, a, b):
+        # phi from a supporting-plane lower bound on the distance, never
+        # from GJK's |v|, which bounds it from above.
+        q = 0.5 * lam * m
+
+        def sp(v):
+            p, pa, pb = pair(v)
+            return p - q, pa, pb
+
+        v = L_inv @ (a - b) - q
+        if lam > 0.0:
+            # Seeded along the previous projection (starting at the old
+            # witness, a combination of supports, can stall on a face). The
+            # tolerance, relative to |v|^2, which far exceeds c when the cut
+            # is nearly parallel to a face of A - O, keeps the gap ~1e-12 c.
+            tol = 1e-12 * scale / max(scale, float(v @ v))
+            _, v, a, b = _gjk(sp, body.dim, tol=tol, seed_direction=v)
+        nv = math.sqrt(float(v @ v))
+        lb = max(0.0, float(v @ sp(-v)[0])) / nv if nv > 0.0 else 0.0
+        return _DualPoint(lam, lb * lb - 0.25 * lam * lam * mm,
+                          float(normal @ (a - b)), a, b)
+
+    lo = last = dual(0.0, *first)
+    hi = _DualPoint(math.inf, None, float(normal @ (far[0] - far[1])), *far)
+    best = lo.phi
+    lam = -2.0 * lo.s / mm
+    for _ in range(HALF_DUAL_MAX_ITER):
+        last = dual(lam, last.a, last.b)
+        if last.phi > cap:
+            return None
+        best = max(best, last.phi)
+        if last.s >= 0.0:
+            hi = last
+        else:
+            lo = last
+        t = lo.s / (lo.s - hi.s)
+        a = lo.a + t * (hi.a - lo.a)
+        x = a - (lo.b + t * (hi.b - lo.b))
+        value = float(x @ obstacle.sigma_inv @ x)
+        if value - best <= HALF_GAP * max(1.0, best):
+            return best, a, x
+        if hi.lam == math.inf:
+            lam *= 2.0
+            continue
+        lam = ((hi.phi - lo.phi + hi.s * hi.lam - lo.s * lo.lam)
+               / (hi.s - lo.s))
+        if not lo.lam < lam < hi.lam:
+            lam = 0.5 * (lo.lam + hi.lam)
+    raise GeometryError("half-shadow dual search did not converge within "
+                        f"{HALF_DUAL_MAX_ITER} steps")
 
 
 def shadow_gradients(cert, robot, theta, obstacle, frames=None):
@@ -354,16 +351,3 @@ def risk_gradient(cert, robot, theta, obstacle, frames=None):
     """Gradient of the certified bound eps_prime with respect to theta."""
     g1, g2 = shadow_gradients(cert, robot, theta, obstacle, frames)
     return 0.5 * (g1 + g2)
-
-
-def linearize_risk(cert, gradient, theta0):
-    """Affine model of the certified risk around ``theta0``."""
-    return RiskLinearization(cert.eps_prime, np.asarray(gradient, dtype=float),
-                             np.asarray(theta0, dtype=float))
-
-
-def scene_risk(robot, theta, obstacles, eps_tol=1e-6):
-    """Certificates against every obstacle plus their eps_prime sum."""
-    certs = [certify_risk(robot, theta, ob, eps_tol) for ob in obstacles]
-    total = float(sum(c.eps_prime for c in certs))
-    return certs, total

@@ -17,7 +17,6 @@ from ccplan.geometry import (
     intersects,
     mahalanobis_contact,
     point_body,
-    support,
 )
 
 
@@ -29,19 +28,19 @@ def rand_spd(rng, dim, scale=1.0):
 class TestSupport:
     def test_sphere_support(self):
         s = Sphere([0, 0, 0], 1.0)
-        np.testing.assert_allclose(support(s, [0, 0, 1]), [0, 0, 1])
+        np.testing.assert_allclose(s.support([0, 0, 1]), [0, 0, 1])
 
     def test_box_vertex_support(self):
         b = box([1, 1, 1])
-        np.testing.assert_allclose(support(b, [1, 1, 1]), [1, 1, 1])
+        np.testing.assert_allclose(b.support([1, 1, 1]), [1, 1, 1])
 
     def test_minkowski_sum_of_spheres(self):
         m = MinkowskiSum(Sphere([0, 0, 0], 1.0), Sphere([0, 0, 0], 1.0))
-        np.testing.assert_allclose(support(m, [1, 0, 0]), [2, 0, 0])
+        np.testing.assert_allclose(m.support([1, 0, 0]), [2, 0, 0])
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            support(Sphere([0, 0], 1.0), [0, 0])
+            Sphere([0, 0], 1.0).support([0, 0])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -51,8 +50,8 @@ class TestSupport:
             for _ in range(100):
                 v = rng.normal(size=3)
                 lam = rng.uniform(0.1, 10)
-                np.testing.assert_allclose(support(body, v),
-                                           support(body, lam * v), atol=1e-12)
+                np.testing.assert_allclose(body.support(v),
+                                           body.support(lam * v), atol=1e-12)
 
     def test_minkowski_property_random(self):
         rng = np.random.default_rng(1)
@@ -62,27 +61,27 @@ class TestSupport:
             m = MinkowskiSum(a, b)
             v = rng.normal(size=3)
             np.testing.assert_allclose(
-                support(m, v), support(a, v) + support(b, v), atol=1e-12)
+                m.support(v), a.support(v) + b.support(v), atol=1e-12)
 
     def test_posed_support(self):
         pose = Pose.planar(math.pi / 2, np.array([1.0, 0.0]))
         b = Posed(pose, box([1.0, 0.5]))
         # Rotated by 90 degrees: half-extent 0.5 now lies along x.
-        np.testing.assert_allclose(support(b, [1, 0])[0], 1.5, atol=1e-12)
+        np.testing.assert_allclose(b.support([1, 0])[0], 1.5, atol=1e-12)
 
 
 class TestEllipsoidSupport:
     def test_unit_sphere(self):
         e = Ellipsoid(np.eye(3), 1.0)
-        np.testing.assert_allclose(support(e, [0, 0, 1]), [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(e.support([0, 0, 1]), [0, 0, 1], atol=1e-12)
 
     def test_anisotropic_closed_form(self):
         e = Ellipsoid(np.diag([4.0, 1.0, 1.0]), 1.0)
-        np.testing.assert_allclose(support(e, [1, 0, 0]), [2, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(e.support([1, 0, 0]), [2, 0, 0], atol=1e-12)
 
     def test_degenerate_zero_radius(self):
         e = Ellipsoid(np.diag([4.0, 1.0, 1.0]), 0.0)
-        np.testing.assert_allclose(support(e, [1, 2, 3]), [0, 0, 0])
+        np.testing.assert_allclose(e.support([1, 2, 3]), [0, 0, 0])
 
     def test_support_maximizes(self):
         rng = np.random.default_rng(2)
@@ -91,7 +90,7 @@ class TestEllipsoidSupport:
             c = rng.uniform(0.1, 5)
             e = Ellipsoid(S, c)
             v = rng.normal(size=3)
-            p = support(e, v)
+            p = e.support(v)
             # On the boundary and optimal against sampled boundary points.
             assert p @ np.linalg.solve(S, p) == pytest.approx(c, rel=1e-9)
             L = np.linalg.cholesky(S)
@@ -104,18 +103,18 @@ class TestEllipsoidSupport:
 class TestHalfEllipsoidSupport:
     def test_halfspace_inactive(self):
         h = HalfEllipsoid(np.eye(3), 1.0, [0, 0, 1])
-        np.testing.assert_allclose(support(h, [0, 0, 1]), [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(h.support([0, 0, 1]), [0, 0, 1], atol=1e-12)
 
     def test_antiparallel_gives_slice_point(self):
         h = HalfEllipsoid(np.eye(3), 1.0, [0, 0, 1])
-        p = support(h, [0, 0, -1])
+        p = h.support([0, 0, -1])
         assert abs(p[2]) < 1e-9
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-9)
 
     def test_2d_unconstrained(self):
         h = HalfEllipsoid(np.eye(2), 4.0, [1, 0])
         v = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
-        np.testing.assert_allclose(support(h, v),
+        np.testing.assert_allclose(h.support(v),
                                    [math.sqrt(2), math.sqrt(2)], atol=1e-12)
 
     def test_feasible_and_undominated(self):
@@ -127,7 +126,7 @@ class TestHalfEllipsoidSupport:
             n /= np.linalg.norm(n)
             h = HalfEllipsoid(S, c, n)
             v = rng.normal(size=3)
-            p = support(h, v)
+            p = h.support(v)
             # Feasibility within 1e-9.
             assert p @ np.linalg.solve(S, p) <= c * (1 + 1e-9)
             assert n @ p >= -1e-9

@@ -4,17 +4,31 @@ import numpy as np
 import pytest
 
 from ccplan.chi2 import chi2_inv_cdf, chi2_sf
-from ccplan import risk
-from ccplan.geometry import GeometryError, Pose, Sphere, point_body
-from ccplan.kinematics import Joint, RobotModel, planar_point_robot
+from ccplan import risk, sceneio
+from ccplan.geometry import (
+    Capsule,
+    GeometryError,
+    HalfEllipsoid,
+    Polytope,
+    Pose,
+    Sphere,
+    box,
+    distance,
+    point_body,
+)
+from ccplan.kinematics import (
+    Joint,
+    RobotModel,
+    forward_kinematics,
+    planar_point_robot,
+    posed_link_shapes,
+)
 from ccplan.risk import (
     RiskCertificate,
     UncertainObstacle,
     certify_risk,
     half_shadow,
-    linearize_risk,
     risk_gradient,
-    scene_risk,
     shadow,
     shadow_gradients,
 )
@@ -30,14 +44,75 @@ def slider_robot():
     return RobotModel(joints, [[point_body([0.0, 0.0])]], Pose.identity(2))
 
 
+def translating_robot(bodies):
+    """Prismatic robot, one joint per axis, carrying ``bodies``."""
+    dim = bodies[0].dim
+    joints = [Joint("prismatic", Pose.identity(dim), np.eye(dim)[i])
+              for i in range(dim)]
+    shapes = [[] for _ in range(dim - 1)] + [list(bodies)]
+    return RobotModel(joints, shapes, Pose.identity(dim))
+
+
 def straddle_robot(left, right):
     """Prismatic x/y robot carrying two points at (left, 0) and (right, 0)."""
-    joints = [
-        Joint("prismatic", Pose.identity(2), np.array([1.0, 0.0])),
-        Joint("prismatic", Pose.identity(2), np.array([0.0, 1.0])),
-    ]
-    shapes = [[], [point_body([left, 0.0]), point_body([right, 0.0])]]
-    return RobotModel(joints, shapes, Pose.identity(2))
+    return translating_robot([point_body([left, 0.0]),
+                              point_body([right, 0.0])])
+
+
+def check_second_contact(cert, robot, theta, obstacle):
+    """The half-shadow contact is feasible and within the certified gap.
+
+    Returns True if the certificate has a second contact.
+    """
+    if cert.saturated or cert.floored2:
+        return False
+    x2, n, c2 = cert.x2, cert.contact_normal, cert.c2
+    bodies = [body for li, body in
+              posed_link_shapes(robot, forward_kinematics(robot, theta))
+              if li == cert.link_index2]
+    on_link = min(distance(point_body(cert.contact_point2), b)
+                  .signed_distance for b in bodies)
+    assert on_link <= 1e-9
+    assert distance(point_body(cert.contact_point2 - x2),
+                    obstacle.nominal).signed_distance <= 1e-9
+    assert float(n @ x2) >= -1e-12
+    value = float(x2 @ obstacle.sigma_inv @ x2)
+    scale = max(1.0, c2)
+    assert c2 <= value + 1e-12 * scale
+    assert value <= c2 + 1e-9 * scale
+    assert HalfEllipsoid(obstacle.covariance, c2 * (1 + 1e-7), n).contains(
+        x2, 1e-12)
+    return True
+
+
+def random_scene(rng, dim):
+    """A translating robot carrying several random bodies scattered around
+    a random uncertain obstacle near the origin."""
+    bodies = []
+    for _ in range(rng.integers(2, 5)):
+        u = rng.normal(size=dim)
+        at = u / np.linalg.norm(u) * rng.uniform(0.4, 1.6)
+        kind = rng.integers(4)
+        if kind == 0:
+            bodies.append(point_body(at))
+        elif kind == 1:
+            bodies.append(Sphere(at, rng.uniform(0.02, 0.2)))
+        elif kind == 2:
+            bodies.append(Capsule(at, at + rng.normal(size=dim) * 0.8,
+                                  rng.uniform(0.0, 0.1)))
+        else:
+            bodies.append(box(rng.uniform(0.02, 0.4, size=dim), center=at))
+    kind = rng.integers(3)
+    centre = rng.normal(size=dim) * 0.1
+    if kind == 0:
+        nominal = Sphere(centre, rng.uniform(0.0, 0.2))
+    elif kind == 1:
+        nominal = box(rng.uniform(0.02, 0.2, size=dim), center=centre)
+    else:
+        nominal = Polytope(centre + rng.normal(size=(6, dim)) * 0.1)
+    A = rng.normal(size=(dim, dim)) * rng.uniform(0.1, 0.5)
+    obstacle = UncertainObstacle(nominal, A @ A.T + 0.01 * np.eye(dim))
+    return translating_robot(bodies), rng.normal(size=dim) * 0.1, obstacle
 
 
 def nondegenerate(cert):
@@ -168,6 +243,20 @@ class TestCertifyClosedForm:
             0.5 * (cert.eps1 + cert.eps2), abs=1e-15)
         assert cert.eps2 <= cert.eps1
 
+    def test_second_search_takes_the_smallest_over_bodies(self):
+        # Bodies are searched in increasing first-search c: the triangle
+        # (c = 2.56) meets the half-shadow only at its rim, at c2 = 4; the
+        # point at (1.9, 0), searched after it, lies on the curved part at
+        # c2 = 3.61.
+        robot = translating_robot([
+            point_body([-1.0, 0.0]),
+            Polytope([[0.0, 2.0], [0.0, 3.0], [-2.0, 0.5]]),
+            point_body([1.9, 0.0])])
+        ob = point_obstacle(np.eye(2))
+        cert = certify_risk(robot, [0.0, 0.0], ob)
+        assert cert.c2 == pytest.approx(3.61, rel=1e-12)
+        np.testing.assert_allclose(cert.x2, [1.9, 0.0])
+
     def test_saturated_inside_obstacle(self):
         robot = planar_point_robot()
         ob = UncertainObstacle(Sphere(np.zeros(2), 0.5), 0.01 * np.eye(2))
@@ -212,6 +301,22 @@ class TestCertifyClosedForm:
             cert = certify_risk(robot, th, ob)
             if not cert.saturated:
                 assert cert.eps2 <= cert.eps1 + 1e-12
+        # Multi-body robots in 2D and 3D, where the half-shadow meets a
+        # second body on the curved part (n.x2 > 0) or at the rim.
+        for dim in (2, 3):
+            curved = rim = 0
+            for _ in range(100):
+                robot, th, ob = random_scene(rng, dim)
+                cert = certify_risk(robot, th, ob)
+                if cert.saturated:
+                    continue
+                assert cert.eps2 <= cert.eps1 + 1e-12
+                if check_second_contact(cert, robot, th, ob):
+                    at_rim = (cert.contact_normal @ cert.x2
+                              <= 1e-9 * np.linalg.norm(cert.x2))
+                    rim += at_rim
+                    curved += not at_rim
+            assert curved >= 10 and rim >= 5
 
     def test_deterministic(self):
         robot = straddle_robot(-1.5, 2.0)
@@ -227,32 +332,150 @@ class TestCertifyClosedForm:
         with pytest.raises(ValueError):
             certify_risk(robot, [1.0, 0.0], ob, eps_tol=0.7)
 
+    def test_eps1_survival_consistency(self):
+        # eps1 must equal the survival function at the certified c1.
+        robot = planar_point_robot()
+        ob = point_obstacle(np.array([[0.5, 0.1], [0.1, 0.3]]))
+        cert = certify_risk(robot, [0.8, -0.4], ob)
+        assert cert.eps1 == pytest.approx(chi2_sf(cert.c1, 2), rel=1e-12)
+
+
+class TestHalfShadowDegenerate:
+    """Degenerate geometry of the half-shadow search: flat difference sets,
+    faces and vertices on the cut plane, and touching bodies."""
+
+    def test_point_bodies_flat_difference_set(self):
+        # Each point body's difference set with a point obstacle is a single
+        # point: the far one is the second contact, the near one is cut off.
+        S = np.array([[1.0, 0.2], [0.2, 0.8]])
+        robot = straddle_robot(-1.5, 2.0)
+        ob = point_obstacle(S)
+        cert = certify_risk(robot, [0.1, -0.2], ob)
+        assert check_second_contact(cert, robot, [0.1, -0.2], ob)
+        np.testing.assert_array_equal(cert.x2, [2.1, -0.2])
+        assert cert.c2 == pytest.approx(cert.x2 @ np.linalg.solve(S, cert.x2),
+                                        rel=1e-14)
+
+    @pytest.mark.parametrize("far_vertex", [(0.0, 3.0), (-1.0, 3.0)])
+    def test_cut_plane_touches_face_or_vertex(self, far_vertex):
+        # The near point fixes n = +x. The triangle's closest point to the
+        # obstacle has x < 0 and its largest x is exactly 0, on the face
+        # from (0, 2) to (0, 3) or at the vertex (0, 2): the rim contact is
+        # (0, 2), with c2 = 4.
+        robot = translating_robot([
+            point_body([-1.0, 0.0]),
+            Polytope([[0.0, 2.0], far_vertex, [-2.0, 0.5]])])
+        ob = point_obstacle(np.eye(2))
+        cert = certify_risk(robot, [0.0, 0.0], ob)
+        np.testing.assert_allclose(cert.contact_normal, [1.0, 0.0])
+        assert check_second_contact(cert, robot, [0.0, 0.0], ob)
+        assert cert.link_index2 == 1
+        assert cert.c2 == pytest.approx(4.0, rel=1e-9)
+        np.testing.assert_allclose(cert.x2, [0.0, 2.0], atol=1e-6)
+
+    def test_cut_plane_touches_curved_body(self):
+        # A body whose own closest point lies on the cut plane: the curved
+        # branch, with c2 its unconstrained minimum.
+        robot = translating_robot([point_body([-1.0, 0.0]),
+                                   Capsule([-3.0, 2.0], [0.0, 2.0], 0.0)])
+        ob = point_obstacle(np.eye(2))
+        cert = certify_risk(robot, [0.0, 0.0], ob)
+        assert check_second_contact(cert, robot, [0.0, 0.0], ob)
+        assert cert.c2 == pytest.approx(4.0, rel=1e-12)
+
+    def test_touching_bodies_saturate(self):
+        # A link touching the nominal geometry (c1 = 0), with a second body
+        # behind the obstacle.
+        robot = translating_robot([box([0.25, 0.25], center=[-0.75, 0.0]),
+                                   point_body([2.0, 0.0])])
+        ob = UncertainObstacle(Sphere(np.zeros(2), 0.5), 0.04 * np.eye(2))
+        cert = certify_risk(robot, [0.0, 0.0], ob)
+        assert cert.saturated and cert.eps_prime == 1.0
+
+
+class TestHalfShadowRegression:
+    """A rim contact that the former bisection over-estimated (c2 too high,
+    eps2 too low by 2.2e-5 relative): GJK probes of the half-shadow at
+    radii between the two values stalled against the cut face."""
+
+    ROBOT = {
+        "formatVersion": 1, "name": "arm3link2d", "dimension": 2,
+        "joints": [
+            {"type": "revolute", "limits": [-3.1416, 3.1416]},
+            {"type": "revolute", "offset": {"translation": [0.4, 0.0]},
+             "limits": [-2.5, 2.5]},
+            {"type": "revolute", "offset": {"translation": [0.4, 0.0]},
+             "limits": [-2.5, 2.5]},
+        ],
+        "linkShapes": [[{"type": "capsule", "p0": [0.0, 0.0],
+                         "p1": [0.4, 0.0], "radius": 0.03}]] * 3,
+    }
+    SCENE = {
+        "formatVersion": 1, "dimension": 2, "obstacles": [{
+            "shape": {"type": "sphere", "radius": 0.22468772340620669},
+            "pose": {"translation": [0.884820303920105, -0.272552448425689]},
+            "covariance": [[0.020510724765963897, 0.022709914454048973],
+                           [0.022709914454048973, 0.04624414152702251]]}]}
+    THETA = [-0.592355348212395, -0.12635471905270002, 0.2609501213828547]
+
+    @staticmethod
+    def supports(body, U):
+        """Support points of a sphere-swept body in each row of ``U``."""
+        V, r = body.swept()
+        return V[np.argmax(U @ V.T, axis=1)] + r * U
+
+    def test_c2_below_a_scanned_feasible_point(self):
+        robot = sceneio.parse_robot(self.ROBOT)
+        ob = sceneio.parse_scene(self.SCENE).obstacles[0]
+        cert = certify_risk(robot, self.THETA, ob)
+        n = cert.contact_normal
+        # Walk the boundary of each A - O by its outward normal angle:
+        # d = s_A(u) - s_O(-u). Where n.d changes sign between neighbours,
+        # the chord of the two boundary points meets the cut plane inside
+        # A - O; the feasible chord of the cut plane joins the two crossings.
+        psi = np.linspace(0.0, 2.0 * math.pi, 200_001)
+        U = np.column_stack([np.cos(psi), np.sin(psi)])
+        best = None
+        for _, body in posed_link_shapes(
+                robot, forward_kinematics(robot, self.THETA)):
+            A, O = self.supports(body, U), self.supports(ob.nominal, -U)
+            s = (A - O) @ n
+            ends = []
+            for k in np.flatnonzero((s[:-1] < 0.0) != (s[1:] < 0.0)):
+                t = s[k] / (s[k] - s[k + 1])
+                ends.append((A[k] + t * (A[k + 1] - A[k]),
+                             O[k] + t * (O[k + 1] - O[k])))
+            if not ends:
+                continue
+            (a0, o0), (a1, o1) = ends
+            d0, e = a0 - o0, (a1 - o1) - (a0 - o0)
+            tau = min(1.0, max(0.0, -(d0 @ ob.sigma_inv @ e)
+                               / (e @ ob.sigma_inv @ e)))
+            a, o = a0 + tau * (a1 - a0), o0 + tau * (o1 - o0)
+            assert distance(point_body(a), body).signed_distance <= 1e-10
+            assert distance(point_body(o), ob.nominal).signed_distance <= 1e-10
+            d = a - o
+            assert n @ d >= -1e-12
+            value = float(d @ ob.sigma_inv @ d)
+            best = value if best is None else min(best, value)
+        assert cert.c2 <= best
+        # The scan reaches the exact minimum to within its resolution.
+        assert cert.c2 == pytest.approx(best, rel=1e-8)
+
 
 class TestInvariantErrors:
     """Broken certification invariants raise GeometryError (CLI exit 4),
     which ``python -O`` keeps, unlike an assert."""
 
     def test_eps2_above_eps1_raises(self, monkeypatch):
-        # Every probe reports contact and the bisection is given no steps,
-        # so the half-shadow radius stays at the known-miss end 0 and eps2
-        # = 1 exceeds eps1.
-        monkeypatch.setattr(risk, "intersects", lambda a, b: True)
-        monkeypatch.setattr(risk, "HALF_SEARCH_ITERS", 0)
-        ob = point_obstacle(0.25 * np.eye(2))
+        # A half-shadow radius below c1 would make eps2 exceed eps1.
+        robot = straddle_robot(-1.5, 2.0)
+        ob = point_obstacle(np.eye(2))
+        monkeypatch.setattr(
+            risk, "_half_contact",
+            lambda *args: (1.0, 1, np.array([2.0, 0.0]), np.array([2.0, 0.0])))
         with pytest.raises(GeometryError, match="exceeded eps1"):
-            certify_risk(planar_point_robot(), [1.0, 0.0], ob)
-
-    def test_invalid_bisection_bracket_raises(self, monkeypatch):
-        # With saturation off, a robot on the nominal geometry has c1 = 0,
-        # so the nominal-geometry end of the bracket is probed too; every
-        # probe reporting contact leaves no known-miss end.
-        monkeypatch.setattr(risk, "SATURATION_C", -1.0)
-        monkeypatch.setattr(risk, "intersects", lambda a, b: True)
-        monkeypatch.setattr(risk, "_half_shadow_at_c", lambda *args: None)
-        ob = point_obstacle(0.25 * np.eye(2))
-        with pytest.raises(GeometryError, match="bracket invalid"):
-            certify_risk(planar_point_robot(), [0.0, 0.0], ob,
-                         normal_override=[1.0, 0.0])
+            certify_risk(robot, [0.0, 0.0], ob)
 
 
 class TestGradient:
@@ -309,38 +532,3 @@ class TestGradient:
                 checked += 1
         assert checked >= 5
 
-    def test_normal_override_reproduces(self):
-        robot = straddle_robot(-1.5, 2.0)
-        ob = point_obstacle(np.eye(2))
-        cert = certify_risk(robot, [0.0, 0.0], ob)
-        again = certify_risk(robot, [0.0, 0.0], ob,
-                             normal_override=cert.contact_normal)
-        assert again.eps1 == cert.eps1
-        assert again.eps2 == pytest.approx(cert.eps2, rel=1e-9)
-
-
-class TestLinearizeAndScene:
-    def test_linearization_evaluates(self):
-        robot = planar_point_robot()
-        ob = point_obstacle(np.eye(2))
-        th = np.array([1.0, 0.0])
-        cert = certify_risk(robot, th, ob)
-        g = risk_gradient(cert, robot, th, ob)
-        lin = linearize_risk(cert, g, th)
-        assert lin(th) == pytest.approx(cert.eps_prime)
-        step = np.array([0.1, 0.0])
-        assert lin(th + step) == pytest.approx(cert.eps_prime + g @ step)
-
-    def test_scene_risk_sums(self):
-        robot = planar_point_robot()
-        obs = [point_obstacle(np.eye(2)) for _ in range(3)]
-        certs, total = scene_risk(robot, [1.0, 0.5], obs)
-        assert len(certs) == 3
-        assert total == pytest.approx(sum(c.eps_prime for c in certs))
-
-    def test_eps1_survival_consistency(self):
-        # eps1 must equal the survival function at the certified c1.
-        robot = planar_point_robot()
-        ob = point_obstacle(np.array([[0.5, 0.1], [0.1, 0.3]]))
-        cert = certify_risk(robot, [0.8, -0.4], ob)
-        assert cert.eps1 == pytest.approx(chi2_sf(cert.c1, 2), rel=1e-12)
