@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConvexBody, Pose, Posed
+from .geometry import Pose
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class Joint:
 @dataclass
 class RobotModel:
     joints: list
-    link_shapes: list           # per-link list of ConvexBody in link frame
+    link_shapes: list           # per-link list of SweptHull in link frame
     base: Pose
     dim: int = field(init=False)
 
@@ -124,12 +124,12 @@ def forward_kinematics(robot, theta):
 
 
 def posed_link_shapes(robot, poses):
-    """Flattened list of (link_index, world-space ConvexBody)."""
+    """Flattened list of (link_index, world-space SweptHull)."""
     out = []
     for i, shapes in enumerate(robot.link_shapes):
         pose = poses[i]
         for s in shapes:
-            out.append((i, Posed(pose, s)))
+            out.append((i, s.posed(pose)))
     return out
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .geometry import convex_hull
 from .kinematics import forward_kinematics, posed_link_shapes
 
 PLOT_SIZE = 640          # pixel width and height of the square canvas
@@ -34,15 +35,14 @@ def _hull_order(points):
     """Boundary vertices of the 2D point cloud in drawing order."""
     if len(points) <= 2:
         return points
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return points[ConvexHull(points).vertices]
-    except QhullError:
-        # Degenerate (collinear) cloud: order along the spread direction.
-        c = points.mean(axis=0)
-        d = points - c
-        u = d[np.argmax(np.linalg.norm(d, axis=1))]
-        return points[np.argsort(d @ u)]
+    hull = convex_hull(points)
+    if hull is not None:
+        return points[hull.vertices]
+    # Degenerate (collinear) cloud: order along the spread direction.
+    c = points.mean(axis=0)
+    d = points - c
+    u = d[np.argmax(np.linalg.norm(d, axis=1))]
+    return points[np.argsort(d @ u)]
 
 
 def _ellipse_boundary(center, sigma, k):
@@ -126,16 +126,8 @@ class _Canvas:
 
 
 def _draw_body(canvas, body, style):
-    sw = body.swept()
-    if sw is None:
-        # Support-only body: sample its outline by support directions.
-        dirs = _ellipse_boundary(np.zeros(2), np.eye(2), 1.0)
-        pts = np.stack([body.support(np.append(d, [0.0] * (body.dim - 2)))
-                        for d in dirs])
-        canvas.polygon(_hull_order(_xy(pts)), style)
-        return
-    V, r = sw
-    V = _hull_order(_xy(V))
+    r = body.radius
+    V = _hull_order(_xy(body.vertices))
     if len(V) == 1:
         canvas.circle(V[0], max(r, 1e-3), style)
     else:

@@ -7,9 +7,10 @@ probability certifies an upper bound on collision risk.
 
 Both searches are exact. The first (full-ellipsoid) search gives the
 smallest squared radius c1 whose shadow touches the robot: the minimum
-squared Mahalanobis norm over the robot/obstacle difference set, one
-whitened GJK query per body. The second (half-ellipsoid) search expands away
-from the robot along the contact normal n; its radius is
+squared Mahalanobis norm over the robot/obstacle difference set, from one
+whitened GJK query per body whose supporting-plane lower bound is kept, so
+eps1 is never under-stated. The second (half-ellipsoid) search expands
+away from the robot along the contact normal n; its radius is
 c2 = min { d^T Sigma^-1 d : d in A - O, n^T d >= 0 }, a convex program whose
 Lagrangian dual is a concave function of one multiplier. Each dual value is
 one whitened GJK query, and is a certified lower bound on c2, so eps2 is
@@ -25,11 +26,8 @@ import numpy as np
 
 from . import chi2
 from .geometry import (
-    ConvexBody,
-    Ellipsoid,
     GeometryError,
-    HalfEllipsoid,
-    MinkowskiSum,
+    SweptHull,
     _gjk,
     _pair_support,
     mahalanobis_contact,
@@ -53,7 +51,7 @@ HALF_DUAL_MAX_ITER = 64
 class UncertainObstacle:
     """Convex nominal geometry plus positional covariance."""
 
-    nominal: ConvexBody
+    nominal: SweptHull
     covariance: np.ndarray
     chol: np.ndarray = field(init=False, repr=False)
     chol_inv: np.ndarray = field(init=False, repr=False)
@@ -100,29 +98,6 @@ class RiskCertificate:
     c2: float = None
     floored: bool = False                # eps1 hit the resolution floor
     floored2: bool = False               # no second contact below the floor
-
-
-def _check_eps(eps):
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-
-
-def shadow(obstacle, eps):
-    """Maximal eps-shadow: nominal geometry swollen by the covariance ellipsoid."""
-    _check_eps(eps)
-    c = chi2.chi2_inv_cdf(1.0 - eps, obstacle.dim)
-    return MinkowskiSum(obstacle.nominal, Ellipsoid(obstacle.covariance, c))
-
-
-def half_shadow(obstacle, eps, normal):
-    """Maximal eps/2-shadow extending away from the robot along ``normal``."""
-    _check_eps(eps)
-    n = np.asarray(normal, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise ValueError("contact normal must be unit length")
-    c = chi2.chi2_inv_cdf(1.0 - eps, obstacle.dim)
-    return MinkowskiSum(obstacle.nominal,
-                        HalfEllipsoid(obstacle.covariance, c, n))
 
 
 def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
@@ -234,7 +209,8 @@ def _half_contact(per_shape, obstacle, normal, c_max):
             # The cut is inactive at the body's own minimum.
             found = (c, wa, wa - wb)
         else:
-            found = _rim_contact(body, obstacle, normal, (wa, wb), far, cap)
+            found = _rim_contact(body, obstacle, normal, (c, wa, wb), far,
+                                 cap)
         if found is not None:
             cap, a, x = found
             best = (cap, li, a, x)
@@ -253,11 +229,12 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
     m^T y >= 0 } and its dual is phi(lam) = dist^2(lam m / 2, Y)
     - lam^2 |m|^2 / 4 for lam >= 0, with phi(lam) <= c2 and
     phi'(lam) = -m^T y(lam), y(lam) the projection of lam m / 2 onto Y.
-    ``first`` is the witness pair at lam = 0 (m^T y < 0) and ``far`` the
-    pair farthest along n (n^T x >= 0, the end at lam = infinity). Doubling
-    lam brackets the root of m^T y(lam); the next lam is where the bracket
-    ends' tangents of phi meet. The primal point is the combination of the
-    ends' points that meets the cut, feasible by convexity.
+    ``first`` is the first search's (c, witness pair): phi(0) = c, with
+    m^T y < 0; ``far`` is the pair farthest along n (n^T x >= 0, the end at
+    lam = infinity). Doubling lam brackets the root of m^T y(lam); the next
+    lam is where the bracket ends' tangents of phi meet. The primal point is
+    the combination of the ends' points that meets the cut, feasible by
+    convexity.
 
     Returns (c2, robot point, x2), c2 the best dual value, a lower bound
     within HALF_GAP of x2's value; None once a dual value exceeds ``cap``.
@@ -265,33 +242,30 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
     L_inv = obstacle.chol_inv
     m = obstacle.chol.T @ normal
     mm = float(m @ m)
-    pair = _pair_support(body, obstacle.nominal, linear_map=L_inv)
-    y0 = L_inv @ (first[0] - first[1])
-    scale = max(1.0, float(y0 @ y0))
+    pair = _pair_support(body, obstacle.nominal, L_inv)
+    c, wa, wb = first
+    scale = max(1.0, c)
 
     def dual(lam, a, b):
-        # phi from a supporting-plane lower bound on the distance, never
-        # from GJK's |v|, which bounds it from above.
+        # phi from GJK's supporting-plane lower bound on the distance,
+        # never from its |v|, which bounds it from above.
         q = 0.5 * lam * m
 
         def sp(v):
             p, pa, pb = pair(v)
             return p - q, pa, pb
 
+        # Seeded along the previous projection (starting at the old witness,
+        # a combination of supports, can stall on a face). The tolerance,
+        # relative to |v|^2, which far exceeds c when the cut is nearly
+        # parallel to a face of A - O, keeps the gap ~1e-12 c.
         v = L_inv @ (a - b) - q
-        if lam > 0.0:
-            # Seeded along the previous projection (starting at the old
-            # witness, a combination of supports, can stall on a face). The
-            # tolerance, relative to |v|^2, which far exceeds c when the cut
-            # is nearly parallel to a face of A - O, keeps the gap ~1e-12 c.
-            tol = 1e-12 * scale / max(scale, float(v @ v))
-            _, v, a, b = _gjk(sp, body.dim, tol=tol, seed_direction=v)
-        nv = math.sqrt(float(v @ v))
-        lb = max(0.0, float(v @ sp(-v)[0])) / nv if nv > 0.0 else 0.0
+        tol = 1e-12 * scale / max(scale, float(v @ v))
+        _, _, a, b, lb = _gjk(sp, body.dim, tol=tol, seed_direction=v)
         return _DualPoint(lam, lb * lb - 0.25 * lam * lam * mm,
                           float(normal @ (a - b)), a, b)
 
-    lo = last = dual(0.0, *first)
+    lo = last = _DualPoint(0.0, c, float(normal @ (wa - wb)), wa, wb)
     hi = _DualPoint(math.inf, None, float(normal @ (far[0] - far[1])), *far)
     best = lo.phi
     lam = -2.0 * lo.s / mm

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Capsule, Polytope, Pose, Posed, Sphere, box
+from .geometry import Capsule, Polytope, Pose, Sphere, box
 from .kinematics import Joint, RobotModel
 from .risk import UncertainObstacle
 
@@ -46,18 +46,35 @@ def _take(mapping, context, required=(), optional=()):
     return {k: mapping[k] for k in mapping}
 
 
-def _vector(value, dim, context):
-    arr = np.asarray(value, dtype=float)
-    _require(arr.shape == (dim,) and np.all(np.isfinite(arr)),
-             f"{context}: expected a finite length-{dim} vector")
+# What converting a JSON value to numbers can raise: ValueError (ragged
+# lists, text), TypeError (objects, null) and OverflowError (huge integers).
+_CONVERSION_ERRORS = (ValueError, TypeError, OverflowError)
+
+
+def _array(value, shape, context, what):
+    try:
+        arr = np.asarray(value, dtype=float)
+    except _CONVERSION_ERRORS:
+        arr = None
+    _require(arr is not None and arr.shape == shape
+             and np.all(np.isfinite(arr)), f"{context}: expected {what}")
     return arr
+
+
+def _vector(value, dim, context):
+    return _array(value, (dim,), context, f"a finite length-{dim} vector")
 
 
 def _matrix(value, dim, context):
-    arr = np.asarray(value, dtype=float)
-    _require(arr.shape == (dim, dim) and np.all(np.isfinite(arr)),
-             f"{context}: expected a finite {dim}x{dim} row-major matrix")
-    return arr
+    return _array(value, (dim, dim), context,
+                  f"a finite {dim}x{dim} row-major matrix")
+
+
+def _dimension(fields, context):
+    dim = fields["dimension"]
+    _require(isinstance(dim, int) and dim in (2, 3),
+             f"{context}.dimension: must be 2 or 3")
+    return dim
 
 
 def _parse_pose(value, dim, context):
@@ -71,7 +88,9 @@ def _parse_pose(value, dim, context):
              f"{context}: give either rotation or angle, not both")
     if "angle" in fields:
         _require(dim == 2, f"{context}.angle: only valid in 2D")
-        return Pose.planar(float(fields["angle"]), t)
+        angle = _array(fields["angle"], (), f"{context}.angle",
+                       "a finite number")
+        return Pose.planar(float(angle), t)
     R = (_matrix(fields["rotation"], dim, f"{context}.rotation")
          if "rotation" in fields else np.eye(dim))
     try:
@@ -104,7 +123,7 @@ def _parse_shape(value, dim, context):
             return Capsule(_vector(fields["p0"], dim, f"{context}.p0"),
                            _vector(fields["p1"], dim, f"{context}.p1"),
                            float(fields["radius"]))
-    except (ValueError, TypeError) as exc:
+    except _CONVERSION_ERRORS as exc:
         if isinstance(exc, SceneFormatError):
             raise
         raise SceneFormatError(f"{context}: {exc}") from exc
@@ -119,20 +138,12 @@ def _check_version(fields, context):
              f"{fields['formatVersion']!r} (expected {FORMAT_VERSION})")
 
 
-def _posed(pose, shape):
-    if (np.array_equal(pose.rotation, np.eye(pose.dim))
-            and not pose.translation.any()):
-        return shape
-    return Posed(pose, shape)
-
-
 def parse_scene(data):
     fields = _take(data, "scene",
                    required=("formatVersion", "dimension", "obstacles"),
                    optional=("name",))
     _check_version(fields, "scene")
-    dim = fields["dimension"]
-    _require(dim in (2, 3), "scene.dimension: must be 2 or 3")
+    dim = _dimension(fields, "scene")
     _require(isinstance(fields["obstacles"], list),
              "scene.obstacles: expected a list")
     obstacles = []
@@ -146,7 +157,7 @@ def parse_scene(data):
         pose = _parse_pose(ob.get("pose"), dim, f"{ctx}.pose")
         sigma = _matrix(ob["covariance"], dim, f"{ctx}.covariance")
         try:
-            obstacles.append(UncertainObstacle(_posed(pose, shape), sigma))
+            obstacles.append(UncertainObstacle(shape.posed(pose), sigma))
         except ValueError as exc:
             raise SceneFormatError(
                 f"{ctx}.covariance ({name}): {exc}") from exc
@@ -160,8 +171,7 @@ def parse_robot(data):
                              "linkShapes"),
                    optional=("name", "base"))
     _check_version(fields, "robot")
-    dim = fields["dimension"]
-    _require(dim in (2, 3), "robot.dimension: must be 2 or 3")
+    dim = _dimension(fields, "robot")
     base = _parse_pose(fields.get("base"), dim, "robot.base")
     _require(isinstance(fields["joints"], list), "robot.joints: expected a "
              "list")

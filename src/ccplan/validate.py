@@ -1,4 +1,4 @@
-"""Monte Carlo ground truth for collision risk and shadow containment.
+"""Monte Carlo ground truth for collision risk, and the baseline planners.
 
 Obstacle positions are uncertain but static: each trial draws one Gaussian
 displacement per obstacle and holds it fixed along the whole trajectory.
@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .geometry import MinkowskiSum, _gjk
+from .geometry import _gjk, convex_hull
 from .kinematics import forward_kinematics, posed_link_shapes
 from .planner import CONVERGED, ITERATION_LIMIT, solve
 
@@ -27,10 +26,9 @@ HIT_TOL = 1e-9
 # in |d| and in the hull distance bound never drops a sample the exact test
 # would count (both are absolute, like the scene's coordinates).
 CULL_SLACK = 1e-9
-
-# Fixed support-direction counts for the generic containment test.
-CONTAINMENT_DIRECTIONS_2D = 32
-CONTAINMENT_DIRECTIONS_3D = 64
+# Candidates the exact hit test takes at a time, which bounds its
+# (candidates x hull vertices x dim) temporaries to a few megabytes.
+HIT_BLOCK = 4096
 
 
 @dataclass
@@ -40,7 +38,6 @@ class MonteCarloReport:
     estimate: float
     standard_error: float
     seed: int
-    direction_count: int = None   # set by containment reports
 
     def to_dict(self):
         return {
@@ -49,16 +46,13 @@ class MonteCarloReport:
             "estimate": self.estimate,
             "standardError": self.standard_error,
             "seed": self.seed,
-            **({"directionCount": self.direction_count}
-               if self.direction_count is not None else {}),
         }
 
 
-def _report(n, hits, seed, directions=None):
+def _report(n, hits, seed):
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
-    return MonteCarloReport(n, int(hits), float(p), float(se), int(seed),
-                            directions)
+    return MonteCarloReport(n, int(hits), float(p), float(se), int(seed))
 
 
 def _displacements(obstacle, n, seed, obstacle_index):
@@ -75,8 +69,23 @@ def _point_polytope_hits(D, W, radius, candidates):
     Vectorized exact paths for 1- and 2-point hulls; larger hulls use a
     vertex-distance upper bound and a facet-plane lower bound to classify
     most samples, with a per-sample GJK only for the ambiguous band.
+    Candidates go HIT_BLOCK at a time; each sample's answer is its own.
     """
-    d = D[candidates]
+    planes = None
+    if W.shape[0] > 2:
+        hull = convex_hull(W)
+        if hull is not None:
+            # Rows [normal, offset] with normal.x + offset <= 0 on conv(W).
+            planes = hull.equations[:, :-1], -hull.equations[:, -1]
+    hit = np.empty(len(candidates), dtype=bool)
+    for s in range(0, len(candidates), HIT_BLOCK):
+        hit[s:s + HIT_BLOCK] = _block_hits(
+            D[candidates[s:s + HIT_BLOCK]], W, radius, planes)
+    return hit
+
+
+def _block_hits(d, W, radius, planes):
+    """``_point_polytope_hits`` for the displacement rows ``d``."""
     m = W.shape[0]
     if m == 1:
         return np.linalg.norm(d - W[0], axis=1) <= radius
@@ -96,9 +105,8 @@ def _point_polytope_hits(D, W, radius, candidates):
     # Certain misses: some supporting facet plane puts the sample beyond
     # radius (a valid lower bound on the distance to the hull).
     lower = np.zeros(len(d))
-    normals = _hull_facet_normals(W)
-    if normals is not None:
-        A, b = normals
+    if planes is not None:
+        A, b = planes
         lower = np.max(d @ A.T - b, axis=1)
         lower = np.maximum(lower, 0.0)
     ambiguous = np.flatnonzero(~hit & (lower <= radius))
@@ -115,33 +123,14 @@ def _point_polytope_hits(D, W, radius, candidates):
     return hit
 
 
-def _hull_facet_normals(W):
-    """Outward facet planes (A, b) with A x <= b on conv(W), or None."""
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        hull = ConvexHull(W)
-    except QhullError:
-        return None
-    eq = hull.equations  # rows [normal, offset] with normal.x + offset <= 0
-    return eq[:, :-1], -eq[:, -1]
-
-
 def _hull_distance_lower_bound(W):
-    """A certified lower bound on dist(0, conv W).
-
-    GJK's |v| bounds the distance from above, so it is not used. Every point
-    x of conv W satisfies |x| >= u.x >= min_j u.W_j for a unit u; taking u
-    along GJK's closest-point estimate makes this supporting-plane bound
-    tight at convergence.
-    """
+    """A certified lower bound on dist(0, conv W): GJK's supporting-plane
+    bound, tight at convergence (its |v| bounds the distance from above,
+    so it is not used)."""
     def sp(v):
         return W[int(np.argmax(W @ v))], None, None
 
-    dist, v, _, _ = _gjk(sp, W.shape[1], seed_direction=W.mean(axis=0))
-    if dist == 0.0:
-        return 0.0
-    u = v / np.linalg.norm(v)
-    return max(0.0, float(np.min(W @ u)))
+    return _gjk(sp, W.shape[1], seed_direction=W.mean(axis=0))[4]
 
 
 class _ObstacleSamples:
@@ -149,11 +138,8 @@ class _ObstacleSamples:
     that each pair test finds its candidates with one binary search."""
 
     def __init__(self, obstacle, n_samples, seed, obstacle_index):
-        sw = obstacle.nominal.swept()
-        if sw is None:
-            raise ValueError("Monte Carlo requires sphere-swept obstacle "
-                             "geometry")
-        self.vertices, self.radius = sw
+        self.vertices = obstacle.nominal.vertices
+        self.radius = obstacle.nominal.radius
         self.D = _displacements(obstacle, n_samples, seed, obstacle_index)
         norms = np.linalg.norm(self.D, axis=1)
         self.order = np.argsort(norms)
@@ -189,7 +175,7 @@ def _swept_shapes(robot, trajectory):
     shapes_per_t = []
     for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
         poses = forward_kinematics(robot, theta)
-        shapes_per_t.append([body.swept()
+        shapes_per_t.append([(body.vertices, body.radius)
                              for _, body in posed_link_shapes(robot, poses)])
     return shapes_per_t
 
@@ -295,74 +281,3 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
         result.status = ITERATION_LIMIT
     result.iterations = result.iterations + rounds
     return result
-
-
-def _support_directions(dim):
-    if dim == 2:
-        ang = 2 * np.pi * np.arange(CONTAINMENT_DIRECTIONS_2D) \
-            / CONTAINMENT_DIRECTIONS_2D
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    # Deterministic Fibonacci-sphere directions.
-    k = np.arange(CONTAINMENT_DIRECTIONS_3D)
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-    z = 1.0 - 2.0 * (k + 0.5) / CONTAINMENT_DIRECTIONS_3D
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def _vectorized_membership(body, D, tol=1e-9):
-    """Exact per-sample membership d in `body` for known body families.
-
-    Returns a boolean array or None when no closed form applies.
-    """
-    from .geometry import Ellipsoid, HalfEllipsoid
-    if isinstance(body, Ellipsoid):
-        y = solve_triangular(body.chol, (D - body.center()).T, lower=True)
-        return np.einsum("ij,ij->j", y, y) <= body.c + tol
-    if isinstance(body, HalfEllipsoid):
-        inner = _vectorized_membership(body.ellipsoid, D, tol)
-        return inner & (D @ body.normal >= -tol)
-    return None
-
-
-def monte_carlo_containment(obstacle, body, n_samples, seed,
-                            obstacle_index=0):
-    """Estimate P(displaced obstacle entirely inside ``body``).
-
-    For a convex obstacle O and convex body, O + d is contained in O + B
-    exactly when d lies in B, so shadow-shaped bodies (the obstacle's own
-    geometry Minkowski-summed with a displacement set) are tested in closed
-    form. Other bodies fall back to support-point membership over a fixed
-    deterministic direction set, a sound desk-scale approximation whose
-    direction count is recorded in the report.
-    """
-    if n_samples < 1:
-        raise ValueError("sample count must be >= 1")
-    D = _displacements(obstacle, n_samples, seed, obstacle_index)
-
-    if isinstance(body, MinkowskiSum) and body.a is obstacle.nominal:
-        inside = _vectorized_membership(body.b, D)
-        if inside is not None:
-            return _report(n_samples, int(inside.sum()), seed)
-
-    dirs = _support_directions(obstacle.dim)
-    supports = np.stack([obstacle.nominal.support(u) for u in dirs])
-    contained = np.zeros(n_samples, dtype=bool)
-    for i in range(n_samples):
-        contained[i] = all(
-            _point_in_body(s + D[i], body) for s in supports)
-    return _report(n_samples, int(contained.sum()), seed,
-                   directions=len(dirs))
-
-
-def _point_in_body(p, body, tol=1e-9):
-    contains = getattr(body, "contains", None)
-    if contains is not None:
-        return bool(contains(p, tol))
-
-    def sp(v):
-        return p - body.support(-v), None, None
-
-    dist, *_ = _gjk(sp, body.dim, seed_direction=p - body.center(),
-                    boolean_cutoff=tol)
-    return dist <= tol

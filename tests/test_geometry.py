@@ -1,18 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ccplan.geometry import (
     Capsule,
-    Ellipsoid,
-    HalfEllipsoid,
-    MinkowskiSum,
     Polytope,
     Pose,
-    Posed,
     Sphere,
+    SweptHull,
+    _pair_support,
     box,
+    convex_hull,
     distance,
     intersects,
     mahalanobis_contact,
@@ -35,8 +37,11 @@ class TestSupport:
         np.testing.assert_allclose(b.support([1, 1, 1]), [1, 1, 1])
 
     def test_minkowski_sum_of_spheres(self):
-        m = MinkowskiSum(Sphere([0, 0, 0], 1.0), Sphere([0, 0, 0], 1.0))
-        np.testing.assert_allclose(m.support([1, 0, 0]), [2, 0, 0])
+        # The implicit Minkowski sum A + (-B) that the distance kernel
+        # searches: two unit balls give a ball of radius 2.
+        sp = _pair_support(Sphere([0, 0, 0], 1.0), Sphere([0, 0, 0], 1.0),
+                           np.eye(3))
+        np.testing.assert_allclose(sp(np.array([1.0, 0, 0]))[0], [2, 0, 0])
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -58,85 +63,24 @@ class TestSupport:
         for _ in range(50):
             a = Sphere(rng.normal(size=3), rng.uniform(0.1, 1))
             b = Polytope(rng.normal(size=(5, 3)))
-            m = MinkowskiSum(a, b)
+            M = rng.normal(size=(3, 3))
+            sp = _pair_support(a, b, M)
             v = rng.normal(size=3)
+            # The support of M (A - B) is M (s_A(M^T v) - s_B(-M^T v)),
+            # farthest along v among points M (a - b) of the set.
+            w = M.T @ v
+            p = sp(v)[0]
             np.testing.assert_allclose(
-                m.support(v), a.support(v) + b.support(v), atol=1e-12)
+                p, M @ (a.support(w) - b.support(-w)), atol=1e-12)
+            others = [M @ (a.support(u1) - b.support(u2))
+                      for u1, u2 in rng.normal(size=(100, 2, 3))]
+            assert max(q @ v for q in others) <= p @ v + 1e-12
 
     def test_posed_support(self):
         pose = Pose.planar(math.pi / 2, np.array([1.0, 0.0]))
-        b = Posed(pose, box([1.0, 0.5]))
+        b = box([1.0, 0.5]).posed(pose)
         # Rotated by 90 degrees: half-extent 0.5 now lies along x.
         np.testing.assert_allclose(b.support([1, 0])[0], 1.5, atol=1e-12)
-
-
-class TestEllipsoidSupport:
-    def test_unit_sphere(self):
-        e = Ellipsoid(np.eye(3), 1.0)
-        np.testing.assert_allclose(e.support([0, 0, 1]), [0, 0, 1], atol=1e-12)
-
-    def test_anisotropic_closed_form(self):
-        e = Ellipsoid(np.diag([4.0, 1.0, 1.0]), 1.0)
-        np.testing.assert_allclose(e.support([1, 0, 0]), [2, 0, 0], atol=1e-12)
-
-    def test_degenerate_zero_radius(self):
-        e = Ellipsoid(np.diag([4.0, 1.0, 1.0]), 0.0)
-        np.testing.assert_allclose(e.support([1, 2, 3]), [0, 0, 0])
-
-    def test_support_maximizes(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            S = rand_spd(rng, 3)
-            c = rng.uniform(0.1, 5)
-            e = Ellipsoid(S, c)
-            v = rng.normal(size=3)
-            p = e.support(v)
-            # On the boundary and optimal against sampled boundary points.
-            assert p @ np.linalg.solve(S, p) == pytest.approx(c, rel=1e-9)
-            L = np.linalg.cholesky(S)
-            us = rng.normal(size=(200, 3))
-            us /= np.linalg.norm(us, axis=1, keepdims=True)
-            samples = math.sqrt(c) * us @ L.T
-            assert (samples @ v).max() <= p @ v + 1e-9
-
-
-class TestHalfEllipsoidSupport:
-    def test_halfspace_inactive(self):
-        h = HalfEllipsoid(np.eye(3), 1.0, [0, 0, 1])
-        np.testing.assert_allclose(h.support([0, 0, 1]), [0, 0, 1], atol=1e-12)
-
-    def test_antiparallel_gives_slice_point(self):
-        h = HalfEllipsoid(np.eye(3), 1.0, [0, 0, 1])
-        p = h.support([0, 0, -1])
-        assert abs(p[2]) < 1e-9
-        assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-9)
-
-    def test_2d_unconstrained(self):
-        h = HalfEllipsoid(np.eye(2), 4.0, [1, 0])
-        v = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
-        np.testing.assert_allclose(h.support(v),
-                                   [math.sqrt(2), math.sqrt(2)], atol=1e-12)
-
-    def test_feasible_and_undominated(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            S = rand_spd(rng, 3)
-            c = rng.uniform(0.1, 4)
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            h = HalfEllipsoid(S, c, n)
-            v = rng.normal(size=3)
-            p = h.support(v)
-            # Feasibility within 1e-9.
-            assert p @ np.linalg.solve(S, p) <= c * (1 + 1e-9)
-            assert n @ p >= -1e-9
-            # Not dominated by dense boundary sampling.
-            L = np.linalg.cholesky(S)
-            us = rng.normal(size=(100_000, 3))
-            us /= np.linalg.norm(us, axis=1, keepdims=True)
-            samples = math.sqrt(c) * us @ L.T
-            ok = samples @ n >= 0
-            assert (samples[ok] @ v).max() <= p @ v + 1e-9
 
 
 class TestDistance:
@@ -222,20 +166,143 @@ class TestDistance:
                 assert np.linalg.norm(res.normal) == pytest.approx(1.0, abs=1e-9)
 
 
+def touching_gap(a, b, sd, n):
+    """Signed distance after translating A by sd * n, which must bring the
+    bodies into touching contact when (sd, n) is a penetration result."""
+    return distance(a.posed(Pose(np.eye(a.dim), sd * n)), b).signed_distance
+
+
+def check_penetration(a, b, res):
+    """Witnesses and normal of a penetrating pair are exact."""
+    n, sd = res.normal, res.signed_distance
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(res.witness_a - res.witness_b, -sd * n,
+                               atol=1e-9)
+    # Each core witness lies on its own body's core (GJK's roundoff floor,
+    # 1e-14 on |v|^2, resolves distances near zero to about 1e-7).
+    for body, w in ((a, res.witness_a - a.radius * n),
+                    (b, res.witness_b + b.radius * n)):
+        core = SweptHull(body.vertices, 0.0)
+        assert distance(point_body(w), core).signed_distance <= 1e-7
+    assert abs(touching_gap(a, b, sd, n)) <= 1e-7
+
+
+class TestPenetration:
+    """Depth, normal and witnesses from the facet planes of the difference
+    hull, with regressions the iterative search (EPA) got wrong."""
+
+    def test_crossing_capsules_2d_depth(self):
+        # The former search reported zero core depth (sd = -0.1).
+        a = Capsule([0.428, 0.252], [-0.313, -0.027], 0.05)
+        b = Capsule([-0.444, 0.137], [0.539, 0.221], 0.05)
+        res = distance(a, b)
+        assert res.signed_distance == pytest.approx(-0.140338, abs=1e-6)
+        check_penetration(a, b, res)
+
+    def test_capsule_through_box_witnesses(self):
+        # Right depth, but the former witnesses missed 0.35 n by 0.2.
+        a = Capsule([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.05)
+        b = box([0.3, 0.3, 0.3], center=[0.6, 0.0, 0.0])
+        res = distance(a, b)
+        assert res.signed_distance == pytest.approx(-0.35, abs=1e-12)
+        check_penetration(a, b, res)
+
+    def test_flat_difference_has_zero_core_depth(self):
+        # Crossing 3D segments: the difference vertices are coplanar, no
+        # hull exists, and the cores need no translation to separate.
+        a = Capsule([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.1)
+        b = Capsule([0.0, -1.0, 0.0], [0.0, 1.0, 0.0], 0.1)
+        assert distance(a, b).signed_distance == pytest.approx(-0.2,
+                                                               abs=1e-12)
+
+    def test_box_face_split_into_triangles(self):
+        # The nearest face of the difference hull is a square that Qhull
+        # splits into two triangles; the witness is found on either.
+        a = box([1.0, 1.0, 1.0])
+        for y, z in ((0.3, 0.2), (-0.3, -0.2), (0.3, -0.2), (-0.3, 0.2)):
+            b = box([0.5, 0.5, 0.5], center=[1.2, y, z])
+            res = distance(a, b)
+            assert res.signed_distance == pytest.approx(-0.3, abs=1e-12)
+            check_penetration(a, b, res)
+
+
+coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def bodies(draw, dim):
+    """A point, sphere, capsule, box or 7-vertex hull."""
+    vec = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    radius = draw(st.floats(0.0, 0.3))
+    kind = draw(st.sampled_from(["point", "sphere", "capsule", "box",
+                                 "hull"]))
+    if kind == "point":
+        return point_body(draw(vec))
+    if kind == "sphere":
+        return Sphere(draw(vec), radius)
+    if kind == "capsule":
+        return Capsule(draw(vec), draw(vec), radius)
+    if kind == "box":
+        half = st.lists(st.floats(0.05, 0.8), min_size=dim, max_size=dim)
+        return box(draw(half), center=draw(vec))
+    return Polytope(np.array(draw(st.lists(vec, min_size=7, max_size=7))))
+
+
+@st.composite
+def body_pairs(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    return draw(bodies(dim)), draw(bodies(dim))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestDistanceProperties:
+    @PROPERTY
+    @given(body_pairs())
+    def test_symmetric(self, pair):
+        a, b = pair
+        ab, ba = distance(a, b), distance(b, a)
+        assert ab.signed_distance == pytest.approx(ba.signed_distance,
+                                                   abs=1e-9)
+        if ab.signed_distance > 1e-6:
+            np.testing.assert_allclose(ab.normal, -ba.normal, atol=1e-6)
+        elif ab.signed_distance < -1e-6 and not flat_difference(a, b):
+            # Penetration: the reversed normal is a minimal translation
+            # too (it may differ where two facets are equally near).
+            assert abs(touching_gap(a, b, ab.signed_distance,
+                                    -ba.normal)) <= 1e-7
+
+    @PROPERTY
+    @given(body_pairs())
+    def test_sign_agrees_with_intersects(self, pair):
+        a, b = pair
+        sd = distance(a, b).signed_distance
+        assert intersects(a, b) == intersects(b, a) == (sd <= 1e-9)
+
+    @PROPERTY
+    @given(body_pairs())
+    def test_penetration_witnesses(self, pair):
+        a, b = pair
+        res = distance(a, b)
+        assume(res.signed_distance < -1e-6 and not flat_difference(a, b))
+        check_penetration(a, b, res)
+
+
+def flat_difference(a, b):
+    """True when the core difference vertices span no full-dimensional
+    hull: the penetration normal is then a fixed fallback."""
+    W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, a.dim)
+    return convex_hull(W) is None
+
+
 class TestIntersects:
     def test_far_spheres(self):
         assert not intersects(Sphere([0, 0, 0], 1), Sphere([3, 0, 0], 1))
 
     def test_identical_spheres(self):
         assert intersects(Sphere([0, 0, 0], 1), Sphere([0, 0, 0], 1))
-
-    def test_implicit_sum_vs_far_box(self):
-        body = MinkowskiSum(Sphere([0, 0, 0], 1.0), Ellipsoid(np.eye(3), 1.0))
-        assert not intersects(body, box([1, 1, 1], center=[10, 0, 0]))
-
-    def test_implicit_sum_overlap(self):
-        body = MinkowskiSum(Sphere([0, 0, 0], 1.0), Ellipsoid(np.eye(3), 4.0))
-        assert intersects(body, box([1, 1, 1], center=[3.5, 0, 0]))
 
     def test_consistent_with_distance(self):
         rng = np.random.default_rng(7)
@@ -274,6 +341,65 @@ class TestMahalanobisContact:
                 d = pa - pb
                 best = min(best, float(d @ Sinv @ d))
             assert c <= best + 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_never_exceeds_enumerated_minimum(self, dim):
+        # c1 is a certified lower bound: on radius-0 pairs it never exceeds
+        # the exact minimum of |L^-1 w|^2 over conv(W), and it is tight.
+        rng = np.random.default_rng(20 + dim)
+        for _ in range(60):
+            bodies = []
+            for _ in range(2):
+                centre = rng.normal(size=dim) * 1.5
+                kind = rng.integers(3)
+                if kind == 0:
+                    bodies.append(point_body(centre))
+                elif kind == 1:
+                    bodies.append(box(rng.uniform(0.05, 0.5, size=dim),
+                                      center=centre))
+                else:
+                    bodies.append(Polytope(
+                        centre + rng.normal(size=(6, dim)) * 0.3))
+            a, b = bodies
+            L = np.linalg.cholesky(rand_spd(rng, dim, 0.1))
+            W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, dim)
+            exact = enumerated_minimum(np.linalg.solve(L, W.T).T)
+            res = distance(a, b)
+            for guess in (None, (res.witness_a, res.witness_b)):
+                c = mahalanobis_contact(a, b, L, guess=guess)[0]
+                assert c <= exact * (1.0 + 1e-14)
+                if c > 0.0:
+                    assert c >= exact * (1.0 - 1e-9)
+
+
+def enumerated_minimum(Y):
+    """min |y|^2 over conv(Y) for the origin outside it: the closest point
+    lies on a segment (2D) or triangle (3D) of the points; segments cover
+    the vertices and the triangles' edges."""
+    best = float(np.min(np.einsum("ij,ij->i", Y, Y)))
+    if len(Y) >= 2:
+        i, j = np.array(list(itertools.combinations(range(len(Y)), 2))).T
+        a, e = Y[i], Y[j] - Y[i]
+        ee = np.einsum("ij,ij->i", e, e)
+        t = np.clip(-np.einsum("ij,ij->i", a, e)
+                    / np.where(ee > 0, ee, 1.0), 0.0, 1.0)
+        p = a + t[:, None] * e
+        best = min(best, float(np.min(np.einsum("ij,ij->i", p, p))))
+    if Y.shape[1] == 3 and len(Y) >= 3:
+        i, j, k = np.array(list(itertools.combinations(range(len(Y)), 3))).T
+        a, b, c = Y[i], Y[j], Y[k]
+        n = np.cross(b - a, c - a)
+        nn = np.einsum("ij,ij->i", n, n)
+        ok = nn > 1e-24
+        a, b, c, n, nn = a[ok], b[ok], c[ok], n[ok], nn[ok]
+        h = np.einsum("ij,ij->i", a, n)
+        q = (h / nn)[:, None] * n     # the origin projected on the plane
+        inside = np.ones(len(q), dtype=bool)
+        for u, v in ((a, b), (b, c), (c, a)):
+            inside &= np.einsum("ij,ij->i", np.cross(v - u, q - u), n) >= 0
+        if inside.any():
+            best = min(best, float(np.min(h[inside] ** 2 / nn[inside])))
+    return best
 
 
 # Four support points met by a GJK whitened search on the pickplace scene:
@@ -338,12 +464,12 @@ class TestGJKTermination:
         sigma = math.sqrt(0.0012)
         calls = []
 
-        class Counted(Capsule):
+        class Counted(SweptHull):
             def _support(self, v):
                 calls.append(1)
                 return super()._support(v)
 
-        counted = Counted(link.p0, link.p1, link.radius)
+        counted = Counted(link.vertices, link.radius)
         c, wa, wb = mahalanobis_contact(counted, wall, sigma * np.eye(3))
         assert len(calls) < GJK_MAX_ITER // 2
         # Isotropic metric: c is the Euclidean distance over sigma, squared.

@@ -47,6 +47,43 @@ def dual_pg_oracle(qp, iters=40_000):
     return float(0.5 * z @ H @ z + f @ z + qp.constant), z
 
 
+def assert_duality_gap(qp, sol):
+    """Certify optimality by weak duality, trusting nothing the solver says.
+
+    With every inequality and finite bound stacked as A z <= b, any u >= 0
+    (and free multipliers w on the equalities E z = e) gives the dual value
+    g(u, w) = -1/2 r^T H^-1 r - b^T u - e^T w + const, r = f + A^T u + E^T w,
+    and g <= f* <= f(z) for feasible z. So a feasible z whose objective is
+    within the gap of g(u, w), u = max(0, solver duals), is optimal.
+    """
+    n, z = qp.n, sol.z
+    rows, rhs, mult = [], [], []
+    if qp.a_ineq is not None:
+        rows += [qp.a_ineq]
+        rhs += [qp.b_ineq]
+        mult += [sol.duals_ineq]
+    for bound, sign, duals in ((qp.lo, -1.0, sol.duals_lo),
+                               (qp.hi, 1.0, sol.duals_hi)):
+        if bound is not None:
+            finite = np.isfinite(bound)
+            rows += [sign * np.eye(n)[finite]]
+            rhs += [sign * bound[finite]]
+            mult += [duals[finite]]
+    A = np.vstack(rows) if rows else np.zeros((0, n))
+    b = np.concatenate(rhs) if rows else np.zeros(0)
+    u = np.maximum(0.0, np.concatenate(mult)) if rows else np.zeros(0)
+    assert np.all(A @ z <= b + 1e-10)
+    r = qp.linear + A.T @ u
+    dual = -b @ u + qp.constant
+    if qp.a_eq is not None:
+        np.testing.assert_allclose(qp.a_eq @ z, qp.b_eq, atol=1e-10)
+        r = r + qp.a_eq.T @ sol.duals_eq
+        dual -= qp.b_eq @ sol.duals_eq
+    dual -= 0.5 * r @ np.linalg.solve(qp.hessian, r)
+    primal = 0.5 * z @ qp.hessian @ z + qp.linear @ z + qp.constant
+    assert primal - dual <= 1e-9 * max(1.0, abs(primal))
+
+
 class TestBasics:
     def test_unconstrained_min_norm(self):
         qp = QuadraticProgram(2 * np.eye(3), np.zeros(3))
@@ -158,14 +195,20 @@ def random_feasible_qp(rng, with_eq=False):
 
 class TestRandomized:
     def test_matches_dual_projected_gradient_oracle(self):
+        # Every solution carries a duality-gap certificate; the first few
+        # are also compared with the oracle, which cross-checks the
+        # certificate code.
         rng = np.random.default_rng(42)
-        for _ in range(200):
+        for i in range(200):
             qp = random_feasible_qp(rng)
             sol = solve_qp(qp)
             assert sol.status == OPTIMAL
-            obj_ref, _ = dual_pg_oracle(qp)
-            assert sol.objective <= obj_ref + 1e-5
-            assert abs(sol.objective - obj_ref) < 1e-5 * max(1, abs(obj_ref))
+            assert_duality_gap(qp, sol)
+            if i < 5:
+                obj_ref, _ = dual_pg_oracle(qp)
+                assert sol.objective <= obj_ref + 1e-5
+                assert abs(sol.objective - obj_ref) < 1e-5 * max(
+                    1, abs(obj_ref))
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(43)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ccplan.chi2 import chi2_inv_cdf, chi2_sf
+from ccplan.chi2 import chi2_sf
 from ccplan import risk, sceneio
 from ccplan.geometry import (
     Capsule,
     GeometryError,
-    HalfEllipsoid,
     Polytope,
     Pose,
     Sphere,
@@ -27,9 +26,7 @@ from ccplan.risk import (
     RiskCertificate,
     UncertainObstacle,
     certify_risk,
-    half_shadow,
     risk_gradient,
-    shadow,
     shadow_gradients,
 )
 
@@ -80,8 +77,6 @@ def check_second_contact(cert, robot, theta, obstacle):
     scale = max(1.0, c2)
     assert c2 <= value + 1e-12 * scale
     assert value <= c2 + 1e-9 * scale
-    assert HalfEllipsoid(obstacle.covariance, c2 * (1 + 1e-7), n).contains(
-        x2, 1e-12)
     return True
 
 
@@ -174,37 +169,6 @@ class TestObstacle:
         ob = point_obstacle(S)
         np.testing.assert_allclose(ob.chol @ ob.chol.T, S, atol=1e-12)
         np.testing.assert_allclose(ob.sigma_inv @ S, np.eye(2), atol=1e-12)
-
-
-class TestShadowSets:
-    def test_point_obstacle_shadow_extent(self):
-        # Shadow of a point with Sigma = s^2 I is a disk of radius s*sqrt(c).
-        s = 0.3
-        ob = point_obstacle(s * s * np.eye(2))
-        eps = 0.05
-        sh = shadow(ob, eps)
-        c = chi2_inv_cdf(1.0 - eps, 2)
-        for d in (np.array([1.0, 0.0]), np.array([0.6, -0.8])):
-            p = sh.support(d)
-            assert np.linalg.norm(p) == pytest.approx(s * math.sqrt(c),
-                                                      abs=1e-12)
-
-    def test_half_shadow_one_sided(self):
-        ob = point_obstacle(np.eye(2))
-        hs = half_shadow(ob, 0.1, np.array([1.0, 0.0]))
-        # Support toward -x stays on the slice plane x = 0.
-        p = hs.support(np.array([-1.0, 0.0]))
-        assert p[0] == pytest.approx(0.0, abs=1e-12)
-        # Support toward +x reaches the full ellipsoid boundary.
-        c = chi2_inv_cdf(0.9, 2)
-        p = hs.support(np.array([1.0, 0.0]))
-        assert p[0] == pytest.approx(math.sqrt(c), abs=1e-12)
-
-    def test_invalid_eps(self):
-        ob = point_obstacle(np.eye(2))
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                shadow(ob, bad)
 
 
 class TestCertifyClosedForm:
@@ -421,8 +385,8 @@ class TestHalfShadowRegression:
     @staticmethod
     def supports(body, U):
         """Support points of a sphere-swept body in each row of ``U``."""
-        V, r = body.swept()
-        return V[np.argmax(U @ V.T, axis=1)] + r * U
+        V = body.vertices
+        return V[np.argmax(U @ V.T, axis=1)] + body.radius * U
 
     def test_c2_below_a_scanned_feasible_point(self):
         robot = sceneio.parse_robot(self.ROBOT)

@@ -15,3 +15,33 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in ccplan: {found}"
+
+
+def module_level_imports(tree):
+    """Import statements that run when the module is imported: all but
+    those inside function bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            yield from module_level_imports(node)
+
+
+def test_no_module_level_scipy_spatial_import():
+    # Importing scipy.spatial costs more CPU than importing the rest of
+    # ccplan, so only the functions that build hulls import it.
+    package = Path(ccplan.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in module_level_imports(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+            if any(n == "scipy.spatial" or n.startswith("scipy.spatial.")
+                   for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"module-level scipy.spatial imports: {found}"

@@ -6,13 +6,14 @@ from importlib.resources import files
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from ccplan import validate
+from ccplan.chi2 import chi2_inv_cdf
 from ccplan.geometry import (
     Capsule,
     Polytope,
     Pose,
-    Posed,
     Sphere,
     box,
     intersects,
@@ -26,7 +27,7 @@ from ccplan.kinematics import (
     posed_link_shapes,
 )
 from ccplan.planner import CONVERGED, TrajectoryProblem, solve
-from ccplan.risk import UncertainObstacle, certify_risk, half_shadow, shadow
+from ccplan.risk import UncertainObstacle, certify_risk
 from ccplan.sceneio import parse_robot, parse_scene
 from ccplan.validate import (
     MonteCarloReport,
@@ -36,7 +37,6 @@ from ccplan.validate import (
     _pair_hit_estimates,
     _point_polytope_hits,
     ira_plan,
-    monte_carlo_containment,
     monte_carlo_risk,
     risk_blind_plan,
 )
@@ -117,7 +117,7 @@ class TestRisk:
         D = _displacements(ob, n, 10, 0)
         hits = 0
         for d in D:
-            displaced = Posed(Pose(np.eye(2), d), ob.nominal)
+            displaced = ob.nominal.posed(Pose(np.eye(2), d))
             sample_hit = False
             for th in traj:
                 poses = forward_kinematics(robot, th)
@@ -150,12 +150,12 @@ def unculled_hits(robot, trajectory, obstacles, n, seed):
     goes to the exact test at every (obstacle, timestep, link shape)."""
     hit = np.zeros(n, dtype=bool)
     for oi, ob in enumerate(obstacles):
-        Vn, rn = ob.nominal.swept()
+        Vn, rn = ob.nominal.vertices, ob.nominal.radius
         D = _displacements(ob, n, seed, oi)
         for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
             poses = forward_kinematics(robot, theta)
             for _, body in posed_link_shapes(robot, poses):
-                Vt, rt = body.swept()
+                Vt, rt = body.vertices, body.radius
                 alive = np.flatnonzero(~hit)
                 W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, Vt.shape[1])
                 hit[alive] |= _point_polytope_hits(D, W, rt + rn, alive)
@@ -320,52 +320,53 @@ class TestCulledPairTest:
             assert delta >= exact - 1e-6 * max(1.0, exact)
 
 
+def shadow_containment(ob, eps, n_samples, seed, normal=None):
+    """Share of sampled displacements d that the maximal eps-shadow
+    contains: d^T Sigma^-1 d <= chi2_inv_cdf(1 - eps), and n.d >= 0 for the
+    half shadow along ``normal``. For convex O, O + d lies inside the shadow
+    O + E exactly when d lies in E."""
+    D = _displacements(ob, n_samples, seed, 0)
+    y = solve_triangular(ob.chol, D.T, lower=True)
+    inside = np.einsum("ij,ij->j", y, y) <= chi2_inv_cdf(1.0 - eps,
+                                                          ob.dim) + 1e-9
+    if normal is not None:
+        inside &= D @ normal >= -1e-9
+    return float(inside.mean())
+
+
 class TestContainment:
+    """Shadow containment probabilities in closed form, and the Monte
+    Carlo report."""
+
     def test_shadow_containment_matches_eps(self):
         ob = UncertainObstacle(Sphere(np.zeros(2), 0.2),
                                np.array([[0.5, 0.1], [0.1, 0.3]]))
         for eps in (0.5, 0.1):
-            body = shadow(ob, eps)
-            rep = monte_carlo_containment(ob, body, 100_000, seed=12)
-            assert abs(rep.estimate - (1 - eps)) <= se_window(
-                1 - eps, rep.sample_count)
+            p = shadow_containment(ob, eps, 100_000, seed=12)
+            assert abs(p - (1 - eps)) <= se_window(1 - eps, 100_000)
 
     def test_half_shadow_containment(self):
         # Symmetry: P(d in half-ellipsoid at level eps) = (1 - eps) / 2.
         ob = UncertainObstacle(point_body(np.zeros(2)), np.eye(2))
         eps = 0.2
-        body = half_shadow(ob, eps, np.array([1.0, 0.0]))
-        rep = monte_carlo_containment(ob, body, 100_000, seed=13)
+        p = shadow_containment(ob, eps, 100_000, seed=13,
+                               normal=np.array([1.0, 0.0]))
         expect = (1 - eps) / 2
-        assert abs(rep.estimate - expect) <= se_window(expect,
-                                                       rep.sample_count)
+        assert abs(p - expect) <= se_window(expect, 100_000)
 
     def test_containment_3d(self):
         ob = UncertainObstacle(Sphere(np.zeros(3), 0.1),
                                np.diag([0.4, 0.2, 0.3]))
-        body = shadow(ob, 0.3)
-        rep = monte_carlo_containment(ob, body, 50_000, seed=14)
-        assert abs(rep.estimate - 0.7) <= se_window(0.7, rep.sample_count)
-
-    def test_huge_ball_contains_all(self):
-        ob = UncertainObstacle(Sphere(np.zeros(2), 0.2), np.eye(2))
-        rep = monte_carlo_containment(ob, Sphere(np.zeros(2), 100.0), 200,
-                                      seed=15)
-        assert rep.estimate == 1.0
-        assert rep.direction_count == 32  # generic support-direction path
-
-    def test_nominal_body_contains_none(self):
-        ob = UncertainObstacle(Sphere(np.zeros(2), 0.2), np.eye(2))
-        rep = monte_carlo_containment(ob, Sphere(np.zeros(2), 0.2), 200,
-                                      seed=16)
-        assert rep.estimate == 0.0
+        p = shadow_containment(ob, 0.3, 50_000, seed=14)
+        assert abs(p - 0.7) <= se_window(0.7, 50_000)
 
     def test_report_shape(self):
-        ob = UncertainObstacle(point_body(np.zeros(2)), np.eye(2))
-        rep = monte_carlo_containment(ob, shadow(ob, 0.5), 1_000, seed=17)
+        robot = planar_point_robot()
+        ob = UncertainObstacle(Sphere(np.zeros(2), 1.0), np.eye(2))
+        rep = monte_carlo_risk(robot, [[1.0, 0.0]], [ob], 1_000, seed=17)
         assert isinstance(rep, MonteCarloReport)
         assert rep.hit_count == round(rep.estimate * rep.sample_count)
-        assert 0.0 <= rep.estimate <= 1.0
+        assert 0.0 < rep.estimate < 1.0
         d = rep.to_dict()
         assert d["sampleCount"] == 1_000 and d["seed"] == 17
 
