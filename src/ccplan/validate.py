@@ -8,6 +8,7 @@ reports are bit-reproducible and trials can be partitioned across workers.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,8 @@ HIT_TOL = 1e-9
 # would count (both are absolute, like the scene's coordinates).
 CULL_SLACK = 1e-9
 # Candidates the exact hit test takes at a time, which bounds its
-# (candidates x hull vertices x dim) temporaries to a few megabytes.
+# (candidates x hull vertices x dim) temporaries to a few megabytes; the
+# facet-simplex distance takes sub-blocks of the same element count.
 HIT_BLOCK = 4096
 
 
@@ -62,29 +64,116 @@ def _displacements(obstacle, n, seed, obstacle_index):
     return z @ obstacle.chol.T
 
 
+class _HullBoundary:
+    """The boundary of a full-dimensional conv(W) as Qhull triangulates it:
+    the facet planes, and, built on first use, the edges of the facet
+    simplices and in 3D the triangles themselves."""
+
+    def __init__(self, W, hull):
+        self.W = W
+        self.simplices = hull.simplices
+        # Rows [normal, offset] with normal.x + offset <= 0 on conv(W).
+        self.normals = hull.equations[:, :-1]
+        self.offsets = hull.equations[:, -1]
+
+    def plane_values(self, d):
+        """Each row's largest facet-plane value: <= 0 inside the hull, and
+        outside a lower bound on the distance to it."""
+        return np.max(d @ self.normals.T + self.offsets, axis=1)
+
+    @cached_property
+    def _edges(self):
+        """(start points, directions, squared lengths) of the edges."""
+        W, S = self.W, self.simplices
+        if W.shape[1] == 3:
+            # Each edge is shared by two triangles; keep it once.
+            m = W.shape[0]
+            pairs = np.sort(S[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+            keys = np.unique(pairs[:, 0] * m + pairs[:, 1])
+            S = np.stack([keys // m, keys % m], axis=1)
+        p0 = W[S[:, 0]]
+        e = W[S[:, 1]] - p0
+        return p0, e, np.einsum("ij,ij->i", e, e)
+
+    @cached_property
+    def _triangles(self):
+        """(B, B0, normals, offsets): the rows of ``x @ B.T - B0`` are the
+        barycentric coordinates (u, v) of x's projection on each triangle's
+        plane, u over the first half of the columns and v over the second;
+        None in 2D."""
+        W, S = self.W, self.simplices
+        if W.shape[1] == 2:
+            return None
+        a = W[S[:, 0]]
+        e0, e1 = W[S[:, 1]] - a, W[S[:, 2]] - a
+        g00 = np.einsum("ij,ij->i", e0, e0)
+        g01 = np.einsum("ij,ij->i", e0, e1)
+        g11 = np.einsum("ij,ij->i", e1, e1)
+        det = g00 * g11 - g01 * g01
+        # Qhull may emit zero-area triangles, whose points lie on edges.
+        ok = det > 1e-12 * g00 * g11
+        a, e0, e1 = a[ok], e0[ok], e1[ok]
+        g00, g01, g11 = (g[ok, None] / det[ok, None] for g in (g00, g01, g11))
+        # (u, v) = G^-1 [e0; e1] (x - a), G the Gram matrix of e0 and e1.
+        B = np.concatenate([g11 * e0 - g01 * e1, g00 * e1 - g01 * e0])
+        B0 = np.einsum("ij,ij->i", B, np.concatenate([a, a]))
+        return B, B0, self.normals[ok], self.offsets[ok]
+
+    def distances(self, d):
+        """Exact distances to the hull from the rows of ``d``, points
+        outside it: the least distance to an edge (clamped projection on
+        the segment) or to the plane of a triangle that holds the point's
+        projection. Rows go in sub-blocks whose (rows x edges x dim)
+        temporaries stay within HIT_BLOCK x vertices x dim elements."""
+        p0, e, ee = self._edges
+        step = max(1, HIT_BLOCK * self.W.shape[0] // len(p0))
+        out = np.empty(len(d))
+        for s in range(0, len(d), step):
+            ds = d[s:s + step]
+            rel = ds[:, None, :] - p0[None, :, :]
+            t = np.clip(np.einsum("nkj,kj->nk", rel, e) / ee, 0.0, 1.0)
+            rel -= t[:, :, None] * e[None, :, :]
+            best = np.einsum("nkj,nkj->nk", rel, rel).min(axis=1)
+            if self._triangles is not None:
+                B, B0, normals, offsets = self._triangles
+                u, v = np.split(ds @ B.T - B0, 2, axis=1)
+                inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+                h = ds @ normals.T + offsets
+                best = np.minimum(best, np.where(inside, h * h, np.inf)
+                                  .min(axis=1))
+            out[s:s + step] = np.sqrt(best)
+        return out
+
+
 def _point_polytope_hits(D, W, radius, candidates):
     """Which displacement rows of ``D[candidates]`` lie within ``radius`` of
     conv(W). Returns a boolean array over ``candidates``.
 
-    Vectorized exact paths for 1- and 2-point hulls; larger hulls use a
-    vertex-distance upper bound and a facet-plane lower bound to classify
-    most samples, with a per-sample GJK only for the ambiguous band.
-    Candidates go HIT_BLOCK at a time; each sample's answer is its own.
+    Vectorized exact paths for 1- and 2-point hulls. A larger,
+    full-dimensional W is tested against its Qhull facets: a sample with
+    no positive facet-plane value lies inside the hull and hits; one with
+    a plane value beyond ``radius + HIT_TOL`` misses (the value bounds the
+    distance from below); any other hits when its distance to the hull,
+    the least distance to a facet simplex (segments in 2D, triangles in
+    3D, by clamped closed-form projections), is at most
+    ``radius + HIT_TOL``. A flat W has no facets: a vertex within
+    ``radius`` is a certain hit, and a per-sample GJK with the same
+    tolerance decides the rest. Candidates go HIT_BLOCK at a time; each
+    sample's answer is its own.
     """
-    planes = None
+    boundary = None
     if W.shape[0] > 2:
         hull = convex_hull(W)
         if hull is not None:
-            # Rows [normal, offset] with normal.x + offset <= 0 on conv(W).
-            planes = hull.equations[:, :-1], -hull.equations[:, -1]
+            boundary = _HullBoundary(W, hull)
     hit = np.empty(len(candidates), dtype=bool)
     for s in range(0, len(candidates), HIT_BLOCK):
         hit[s:s + HIT_BLOCK] = _block_hits(
-            D[candidates[s:s + HIT_BLOCK]], W, radius, planes)
+            D[candidates[s:s + HIT_BLOCK]], W, radius, boundary)
     return hit
 
 
-def _block_hits(d, W, radius, planes):
+def _block_hits(d, W, radius, boundary):
     """``_point_polytope_hits`` for the displacement rows ``d``."""
     m = W.shape[0]
     if m == 1:
@@ -97,20 +186,17 @@ def _block_hits(d, W, radius, planes):
         t = np.clip((d - W[0]) @ e / ee, 0.0, 1.0)
         proj = W[0] + t[:, None] * e
         return np.linalg.norm(d - proj, axis=1) <= radius
-
-    # Certain hits: within radius of some vertex.
-    dist_v = np.min(
-        np.linalg.norm(d[:, None, :] - W[None, :, :], axis=2), axis=1)
-    hit = dist_v <= radius
-    # Certain misses: some supporting facet plane puts the sample beyond
-    # radius (a valid lower bound on the distance to the hull).
-    lower = np.zeros(len(d))
-    if planes is not None:
-        A, b = planes
-        lower = np.max(d @ A.T - b, axis=1)
-        lower = np.maximum(lower, 0.0)
-    ambiguous = np.flatnonzero(~hit & (lower <= radius))
-    for i in ambiguous:
+    if boundary is not None:
+        plane = boundary.plane_values(d)
+        hit = plane <= 0.0
+        band = np.flatnonzero(~hit & (plane <= radius + HIT_TOL))
+        if band.size:
+            hit[band] = boundary.distances(d[band]) <= radius + HIT_TOL
+        return hit
+    # A flat W: certain hits are within radius of some vertex.
+    hit = np.min(np.linalg.norm(d[:, None, :] - W[None, :, :], axis=2),
+                 axis=1) <= radius
+    for i in np.flatnonzero(~hit):
         di = d[i]
 
         def sp(v):
@@ -255,9 +341,7 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
     T = problem.timesteps
     n_obs = len(problem.obstacles)
     margins = np.full((T, n_obs), problem.margin)
-    sigma_max = np.array([
-        math.sqrt(float(np.linalg.eigvalsh(ob.covariance)[-1]))
-        for ob in problem.obstacles])
+    sigma_max = np.array([ob.sigma_max for ob in problem.obstacles])
     uniform = problem.risk_budget / max(T * n_obs, 1)
 
     result = None

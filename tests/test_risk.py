@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ccplan.chi2 import chi2_sf
 from ccplan import risk, sceneio
@@ -495,4 +497,13 @@ class TestGradient:
             if check_fd_gradient(robot, th, ob):
                 checked += 1
         assert checked >= 5
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    def test_finite_differences_random_scenes(self, seed, dim):
+        # Multi-body robots around random obstacles: check_fd_gradient
+        # skips saturated, floored, rim and branch-crossing certificates.
+        robot, th, ob = random_scene(np.random.default_rng(seed), dim)
+        assume(check_fd_gradient(robot, th, ob))
 

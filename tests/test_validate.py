@@ -15,7 +15,9 @@ from ccplan.geometry import (
     Polytope,
     Pose,
     Sphere,
+    SweptHull,
     box,
+    convex_hull,
     intersects,
     point_body,
 )
@@ -318,6 +320,126 @@ class TestCulledPairTest:
             assert 0.0 <= delta <= exact + 1e-12
             # Tight enough to cull: within GJK's tolerance of the distance.
             assert delta >= exact - 1e-6 * max(1.0, exact)
+
+
+def planted_samples(W, radius):
+    """Displacements beside the boundary of the full-dimensional conv(W):
+    on every hull vertex, facet-simplex edge midpoint and facet centroid,
+    moved +-1e-7 along an outward normal there (a facet's normal, or the
+    mean of the normals of the facets that meet there) and, for radius > 0,
+    by radius +- 1e-7 along it."""
+    hull = convex_hull(W)
+    normals = hull.equations[:, :-1]
+    points, outward = [], []
+    for v in hull.vertices:
+        points.append(W[v])
+        outward.append(normals[(hull.simplices == v).any(axis=1)].sum(axis=0))
+    for k, simplex in enumerate(hull.simplices):
+        points.append(W[simplex].mean(axis=0))
+        outward.append(normals[k])
+        for i, j in itertools.combinations(simplex, 2):
+            points.append(0.5 * (W[i] + W[j]))
+            outward.append(normals[(hull.simplices == i).any(axis=1)
+                                   & (hull.simplices == j).any(axis=1)]
+                           .sum(axis=0))
+    outward = np.array(outward)
+    outward /= np.linalg.norm(outward, axis=1, keepdims=True)
+    offsets = {-1e-7, 1e-7, radius - 1e-7, radius + 1e-7}
+    return np.concatenate([np.array(points) + s * outward
+                           for s in sorted(offsets)])
+
+
+def oracle_hits(Vt, Vn, radius, D):
+    """Per-sample ``intersects`` of the link conv(Vt) swept by ``radius``
+    with the obstacle hull conv(Vn) displaced by each row of D."""
+    link = SweptHull(Vt, radius)
+    return np.array([intersects(link, SweptHull(Vn + d, 0.0)) for d in D])
+
+
+class TestHullBandKernel:
+    """The facet-simplex distance that settles the band between the
+    certain hits and certain misses, against per-sample geometry."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("radius", [0.0, 0.07])
+    def test_planted_boundary_samples_match_geometry(self, dim, radius,
+                                                     monkeypatch):
+        def no_gjk(*args, **kwargs):
+            raise AssertionError("GJK called for a full-dimensional hull")
+
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(4):
+            Vt = rng.normal(size=(int(rng.integers(2, 5)), dim)) * 0.3
+            Vn = rng.normal(size=(int(rng.integers(2, 5)), dim)) * 0.2
+            W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, dim)
+            D = np.concatenate([planted_samples(W, radius),
+                                rng.normal(size=(200, dim)) * 0.4])
+            want = oracle_hits(Vt, Vn, radius, D)
+            with monkeypatch.context() as m:
+                m.setattr(validate, "_gjk", no_gjk)
+                got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
+            np.testing.assert_array_equal(got, want)
+            assert 0 < want.sum() < len(D)
+
+    def test_flat_hull_takes_gjk(self, monkeypatch):
+        # A square link in the z = 0 plane against a point obstacle: the
+        # difference set is flat, has no facets, and GJK decides the band.
+        Vt = box([0.2, 0.1, 0.0]).vertices
+        Vn = np.array([[0.05, -0.02, 0.0]])
+        W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, 3)
+        assert convex_hull(W) is None
+        radius = 0.05
+        D = np.concatenate([
+            # Above the square's interior, and beside its edge x = 0.15.
+            np.array([[0.0, 0.02, radius - 1e-7], [0.0, 0.02, radius + 1e-7],
+                      [0.15 + radius - 1e-7, 0.02, 0.0],
+                      [0.15 + radius + 1e-7, 0.02, 0.0]]),
+            np.random.default_rng(9).normal(size=(300, 3)) * 0.2])
+        calls = []
+        gjk = validate._gjk
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gjk(*args, **kwargs)
+
+        monkeypatch.setattr(validate, "_gjk", counted)
+        got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
+        np.testing.assert_array_equal(got, oracle_hits(Vt, Vn, radius, D))
+        assert calls and 0 < got.sum() < len(D)
+        assert got[:4].tolist() == [True, False, True, False]
+
+
+class TestPinnedOutputs:
+    """Hit counts and IRA round estimates that the per-sample GJK band test
+    gave, which the facet-simplex distance reproduces bit for bit."""
+
+    def test_pickplace_hit_counts(self, pickplace):
+        problem, traj = pickplace
+        blind = risk_blind_plan(problem).trajectory
+        counts = [monte_carlo_risk(problem.robot, t, problem.obstacles,
+                                   100_000, seed=1).hit_count
+                  for t in (traj, blind)]
+        assert counts == [139, 27981]
+
+    def test_pickplace_ira_rounds(self, pickplace):
+        problem, _ = pickplace
+        res = ira_plan(problem, sample_count=1000, seed=0)
+        assert [e["estimated_risk"] for e in res.iterations
+                if "round" in e] == [0.265, 0.124, 0.032]
+
+    def test_corridor_ira_rounds(self):
+        scenes = files("ccplan") / "scenes"
+        scene = parse_scene(json.loads(
+            (scenes / "corridor2d.json").read_text()))
+        robot = parse_robot(json.loads(
+            (scenes / "pointbot2d.json").read_text()))
+        problem = TrajectoryProblem(robot, scene.obstacles, 10,
+                                    np.array([-1.5, 0.0]),
+                                    np.array([1.5, 0.0]), 0.01, 0.02)
+        res = ira_plan(problem, sample_count=1000, seed=0)
+        assert [e["estimated_risk"] for e in res.iterations
+                if "round" in e] == [0.496, 0.338, 0.163, 0.052, 0.019,
+                                     0.004]
 
 
 def shadow_containment(ob, eps, n_samples, seed, normal=None):
