@@ -294,7 +294,7 @@ def _closest_on_tetrahedron(P):
 
 
 def _gjk(support_pair, dim, tol=GJK_REL_TOL, max_iter=GJK_MAX_ITER,
-         seed_direction=None, boolean_cutoff=None, start=None):
+         seed_direction=None, start=None):
     """GJK distance between the origin and a convex set given by supports.
 
     ``support_pair(v)`` returns (p, a, b): the support point p of the set in
@@ -311,10 +311,8 @@ def _gjk(support_pair, dim, tol=GJK_REL_TOL, max_iter=GJK_MAX_ITER,
     from above; ``lower_bound`` = max(0, v.s(-v)) / |v|, with s(-v) the
     last support, bounds it from below (every point x of the set has
     |x| >= u.x >= u.s(-u) for the unit u along v), and the two meet at
-    convergence. If ``boolean_cutoff`` is given, iteration stops early once
-    that lower bound exceeds it. The estimate also stops where |v|^2 no
-    longer decreases (the roundoff floor); reaching ``max_iter`` raises
-    GeometryError.
+    convergence. The estimate also stops where |v|^2 no longer decreases
+    (the roundoff floor); reaching ``max_iter`` raises GeometryError.
     """
     if start is None:
         d0 = seed_direction
@@ -336,8 +334,6 @@ def _gjk(support_pair, dim, tol=GJK_REL_TOL, max_iter=GJK_MAX_ITER,
         # Relative duality-gap test (an absolute test loses accuracy near
         # tangency, where nv2 itself is tiny), with a floor at roundoff.
         if nv2 - vp <= tol * nv2 + 1e-14:
-            break
-        if boolean_cutoff is not None and vp > boolean_cutoff * math.sqrt(nv2):
             break
         simplex.append(p)
         entries.append(entry)

@@ -48,37 +48,39 @@ class TrajectoryProblem:
         self.goal = self.robot.check_state(self.goal)
 
 
+# The slack penalty weight mu and the trust-region radius of ``solve``.
+MU_INITIAL = 10.0
+MU_GROWTH = 10.0
+MU_MAX = 1e6
+RADIUS_INITIAL = 0.3
+RADIUS_EXPAND = 1.5
+RADIUS_SHRINK = 0.25
+RADIUS_MIN = 1e-4
+RATIO_THRESHOLD = 0.25      # least actual/predicted decrease accepted
+MAX_INNER = 50
+MAX_OUTER = 12
+# Once the true constraints are satisfied, stop refining when the predicted
+# merit decrease falls below this fraction of the current merit (each
+# refinement step costs a full re-certification).
+POLISH_TOLERANCE = 0.02
+# Slack variables get a small quadratic term (this fraction of mu) so the QP
+# Hessian stays well-conditioned; the l1 penalty still dominates.
+SLACK_CURVATURE = 1e-2
+# Small regularization on the allocation variables; keeps the QP Hessian
+# well-conditioned while biasing delta by far less than the tolerance.
+DELTA_REG = 1e-4
+
+
 @dataclass
 class SCOConfig:
-    mu_initial: float = 10.0
-    mu_growth: float = 10.0
-    mu_max: float = 1e6
-    radius_initial: float = 0.3
-    radius_expand: float = 1.5
-    radius_shrink: float = 0.25
-    radius_min: float = 1e-4
-    ratio_threshold: float = 0.25
+    """Convergence tolerance on the true constraint violation, and
+    ``certify_risk``'s eps_tol."""
+
     tolerance: float = 1e-4
     eps_tol: float = 1e-6
-    max_inner: int = 50
-    max_outer: int = 12
-    # Once the true constraints are satisfied, stop refining when the
-    # predicted merit decrease falls below this fraction of the current
-    # merit (each refinement step costs a full re-certification).
-    polish_tolerance: float = 0.02
-    # Slack variables get a small quadratic term (this fraction of mu) so the
-    # QP Hessian stays well-conditioned; the l1 penalty still dominates.
-    slack_curvature: float = 1e-2
-    # Small regularization on the allocation variables; keeps the QP Hessian
-    # well-conditioned while biasing delta by far less than the tolerance.
-    delta_reg: float = 1e-4
 
     def __post_init__(self):
-        if self.mu_growth <= 1.0:
-            raise ValueError("penalty growth factor must exceed 1")
-        for name in ("mu_initial", "mu_max", "radius_initial",
-                     "radius_expand", "radius_shrink", "radius_min",
-                     "ratio_threshold", "tolerance", "eps_tol"):
+        for name in ("tolerance", "eps_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -211,7 +213,7 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
 
 
 def convexify(problem, trajectory, allocation, report, mu, radius,
-              config=None, include_risk=True, margins=None):
+              include_risk=True, margins=None):
     """Build the convex subproblem around the current iterate.
 
     Decision variables: [theta_0..theta_{T-1} | delta_0..delta_{T-1} |
@@ -221,7 +223,6 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     (the variables remain, pinned harmlessly by their regularizer), and
     ``margins`` overrides the scalar margin per (timestep, obstacle).
     """
-    cfg = config or SCOConfig()
     robot = problem.robot
     T = problem.timesteps
     dof = robot.dof
@@ -258,8 +259,8 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     K[T - 1, T - 1] += 1.0
     H[:n_th, :n_th] = 2.0 * np.kron(K, np.eye(dof))
     for t in range(T):
-        H[delta_idx(t), delta_idx(t)] = 2.0 * cfg.delta_reg
-    sq = 2.0 * cfg.slack_curvature * mu
+        H[delta_idx(t), delta_idx(t)] = 2.0 * DELTA_REG
+    sq = 2.0 * SLACK_CURVATURE * mu
     for i in range(n_th + T, n):
         H[i, i] = sq
     f = np.zeros(n)
@@ -341,13 +342,13 @@ def _merit(problem, trajectory, allocation, mu, eps_tol, include_risk=True,
     return path_objective(trajectory) + mu * report.total_violation, report
 
 
-def _model_merit(qp, sol, n_th, T, cfg, mu):
+def _model_merit(sol, n_th, T, mu):
     """QP objective with the regularization terms stripped."""
     s = sol.z[n_th + T:]
     d = sol.z[n_th:n_th + T]
     return (sol.objective
-            - cfg.slack_curvature * mu * float(s @ s)
-            - cfg.delta_reg * float(d @ d))
+            - SLACK_CURVATURE * mu * float(s @ s)
+            - DELTA_REG * float(d @ d))
 
 
 def solve(problem, config=None, include_risk=True, margins=None):
@@ -367,7 +368,7 @@ def solve(problem, config=None, include_risk=True, margins=None):
 
     report = evaluate_constraints(problem, trajectory, allocation,
                                   cfg.eps_tol, include_risk, margins)
-    mu = cfg.mu_initial
+    mu = MU_INITIAL
     # Every QP of a solve has the same rows and, per penalty weight, the
     # same Hessian: factor each Hessian once and start each active-set
     # search from the previous QP's active set.
@@ -377,14 +378,14 @@ def solve(problem, config=None, include_risk=True, margins=None):
     outer = 0
     while True:
         outer += 1
-        if outer > cfg.max_outer:
+        if outer > MAX_OUTER:
             status = ITERATION_LIMIT
             break
-        radius = cfg.radius_initial
+        radius = RADIUS_INITIAL
         merit_cur = path_objective(trajectory) + mu * report.total_violation
-        for inner in range(cfg.max_inner):
+        for inner in range(MAX_INNER):
             qp = convexify(problem, trajectory, allocation, report, mu,
-                           radius, cfg, include_risk, margins)
+                           radius, include_risk, margins)
             sol = solve_qp(qp, warm_rows=warm_rows, factors=factors)
             warm_rows = sol.active_rows
             if sol.status == INFEASIBLE:  # cannot happen with slacks; guard
@@ -393,19 +394,19 @@ def solve(problem, config=None, include_risk=True, margins=None):
             cand_traj[0] = problem.start
             cand_traj[-1] = problem.goal
             cand_alloc = np.maximum(sol.z[n_th:n_th + T], 0.0)
-            model_new = _model_merit(qp, sol, n_th, T, cfg, mu)
+            model_new = _model_merit(sol, n_th, T, mu)
             predicted = merit_cur - model_new
             if predicted <= cfg.tolerance:
                 break
             if (report.max_violation <= cfg.tolerance
-                    and predicted <= cfg.polish_tolerance
+                    and predicted <= POLISH_TOLERANCE
                     * max(1.0, merit_cur)):
                 break
             merit_new, cand_report = _merit(problem, cand_traj, cand_alloc,
                                             mu, cfg.eps_tol, include_risk,
                                             margins)
             ratio = (merit_cur - merit_new) / predicted
-            accepted = ratio >= cfg.ratio_threshold
+            accepted = ratio >= RATIO_THRESHOLD
             log.append({
                 "mu": mu, "inner": inner, "radius": radius,
                 "objective": path_objective(cand_traj),
@@ -418,16 +419,16 @@ def solve(problem, config=None, include_risk=True, margins=None):
                 trajectory, allocation = cand_traj, cand_alloc
                 report = cand_report
                 merit_cur = merit_new
-                radius = min(radius * cfg.radius_expand, cfg.radius_initial)
+                radius = min(radius * RADIUS_EXPAND, RADIUS_INITIAL)
             else:
-                radius *= cfg.radius_shrink
-                if radius < cfg.radius_min:
+                radius *= RADIUS_SHRINK
+                if radius < RADIUS_MIN:
                     break
         if report.max_violation <= cfg.tolerance:
             status = CONVERGED
             break
-        mu *= cfg.mu_growth
-        if mu > cfg.mu_max:
+        mu *= MU_GROWTH
+        if mu > MU_MAX:
             status = PLAN_INFEASIBLE
             break
 

@@ -65,16 +65,28 @@ def _displacements(obstacle, n, seed, obstacle_index):
 
 
 class _HullBoundary:
-    """The boundary of a full-dimensional conv(W) as Qhull triangulates it:
-    the facet planes, and, built on first use, the edges of the facet
-    simplices and in 3D the triangles themselves."""
+    """conv(W) for the exact hit test, as ``simplices``: vertex index pairs
+    in 2D, triples in 3D. For a full-dimensional W they are the Qhull
+    facets, which cover the boundary, and ``normals``/``offsets`` hold
+    their planes. A flat W has no facets (``normals`` is None): conv(W) is
+    a point, segment or polygon, star-shaped about W[0], so the vertex
+    pairs and, in 3D, the triangles (W[0], W[i], W[j]) cover it
+    (Caratheodory). One point is a zero-length segment."""
 
-    def __init__(self, W, hull):
+    def __init__(self, W):
         self.W = W
-        self.simplices = hull.simplices
-        # Rows [normal, offset] with normal.x + offset <= 0 on conv(W).
-        self.normals = hull.equations[:, :-1]
-        self.offsets = hull.equations[:, -1]
+        m, dim = W.shape
+        hull = convex_hull(W) if m > dim else None
+        if hull is not None:
+            # Rows [normal, offset] with normal.x + offset <= 0 on conv(W).
+            self.normals = hull.equations[:, :-1]
+            self.offsets = hull.equations[:, -1]
+            self.simplices = hull.simplices
+            return
+        self.normals = None
+        pairs = (np.stack(np.triu_indices(m, 1), axis=1) if m > 1
+                 else np.zeros((1, 2), dtype=int))
+        self.simplices = pairs if dim == 2 else np.insert(pairs, 0, 0, axis=1)
 
     def plane_values(self, d):
         """Each row's largest facet-plane value: <= 0 inside the hull, and
@@ -83,7 +95,9 @@ class _HullBoundary:
 
     @cached_property
     def _edges(self):
-        """(start points, directions, squared lengths) of the edges."""
+        """(start points, directions, squared lengths) of the simplices'
+        edges; a zero-length edge gets squared length 1, so that its
+        clamped projection is its start point."""
         W, S = self.W, self.simplices
         if W.shape[1] == 3:
             # Each edge is shared by two triangles; keep it once.
@@ -93,14 +107,17 @@ class _HullBoundary:
             S = np.stack([keys // m, keys % m], axis=1)
         p0 = W[S[:, 0]]
         e = W[S[:, 1]] - p0
-        return p0, e, np.einsum("ij,ij->i", e, e)
+        ee = np.einsum("ij,ij->i", e, e)
+        ee[ee == 0.0] = 1.0
+        return p0, e, ee
 
     @cached_property
     def _triangles(self):
         """(B, B0, normals, offsets): the rows of ``x @ B.T - B0`` are the
         barycentric coordinates (u, v) of x's projection on each triangle's
-        plane, u over the first half of the columns and v over the second;
-        None in 2D."""
+        plane, u over the first half of the columns and v over the second,
+        and ``x @ normals.T + offsets`` its signed distance from the plane;
+        None in 2D or when no triangle has a positive area."""
         W, S = self.W, self.simplices
         if W.shape[1] == 2:
             return None
@@ -110,32 +127,42 @@ class _HullBoundary:
         g01 = np.einsum("ij,ij->i", e0, e1)
         g11 = np.einsum("ij,ij->i", e1, e1)
         det = g00 * g11 - g01 * g01
-        # Qhull may emit zero-area triangles, whose points lie on edges.
+        # Zero-area triangles (from Qhull, or collinear vertices of a flat
+        # W) hold only points of their edges.
         ok = det > 1e-12 * g00 * g11
-        a, e0, e1 = a[ok], e0[ok], e1[ok]
-        g00, g01, g11 = (g[ok, None] / det[ok, None] for g in (g00, g01, g11))
+        if not ok.any():
+            return None
+        a, e0, e1, det = a[ok], e0[ok], e1[ok], det[ok, None]
+        g00, g01, g11 = (g[ok, None] / det for g in (g00, g01, g11))
         # (u, v) = G^-1 [e0; e1] (x - a), G the Gram matrix of e0 and e1.
         B = np.concatenate([g11 * e0 - g01 * e1, g00 * e1 - g01 * e0])
         B0 = np.einsum("ij,ij->i", B, np.concatenate([a, a]))
+        if self.normals is None:
+            # A flat W's triangle planes; |e0 x e1|^2 = det (Lagrange).
+            normals = np.cross(e0, e1) / np.sqrt(det)
+            return B, B0, normals, -np.einsum("ij,ij->i", normals, a)
         return B, B0, self.normals[ok], self.offsets[ok]
 
     def distances(self, d):
-        """Exact distances to the hull from the rows of ``d``, points
-        outside it: the least distance to an edge (clamped projection on
-        the segment) or to the plane of a triangle that holds the point's
-        projection. Rows go in sub-blocks whose (rows x edges x dim)
-        temporaries stay within HIT_BLOCK x vertices x dim elements."""
+        """Exact distances to conv(W) from the rows of ``d``, points outside
+        a full-dimensional hull: the least distance to an edge (clamped
+        projection on the segment) or to the plane of a triangle that holds
+        the point's projection. Rows go in sub-blocks whose (rows x edges x
+        dim) temporaries stay within HIT_BLOCK x vertices x dim elements."""
         p0, e, ee = self._edges
+        triangles = self._triangles
         step = max(1, HIT_BLOCK * self.W.shape[0] // len(p0))
         out = np.empty(len(d))
         for s in range(0, len(d), step):
             ds = d[s:s + step]
-            rel = ds[:, None, :] - p0[None, :, :]
-            t = np.clip(np.einsum("nkj,kj->nk", rel, e) / ee, 0.0, 1.0)
-            rel -= t[:, :, None] * e[None, :, :]
+            rel = ds[:, None, :] - p0
+            t = np.einsum("nkj,kj->nk", rel, e)
+            t /= ee
+            np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+            rel -= t[:, :, None] * e
             best = np.einsum("nkj,nkj->nk", rel, rel).min(axis=1)
-            if self._triangles is not None:
-                B, B0, normals, offsets = self._triangles
+            if triangles is not None:
+                B, B0, normals, offsets = triangles
                 u, v = np.split(ds @ B.T - B0, 2, axis=1)
                 inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
                 h = ds @ normals.T + offsets
@@ -146,66 +173,35 @@ class _HullBoundary:
 
 
 def _point_polytope_hits(D, W, radius, candidates):
-    """Which displacement rows of ``D[candidates]`` lie within ``radius`` of
-    conv(W). Returns a boolean array over ``candidates``.
+    """Which displacement rows of ``D[candidates]`` lie within ``radius``
+    (plus HIT_TOL) of conv(W). Returns a boolean array over ``candidates``.
 
-    Vectorized exact paths for 1- and 2-point hulls. A larger,
-    full-dimensional W is tested against its Qhull facets: a sample with
-    no positive facet-plane value lies inside the hull and hits; one with
-    a plane value beyond ``radius + HIT_TOL`` misses (the value bounds the
-    distance from below); any other hits when its distance to the hull,
-    the least distance to a facet simplex (segments in 2D, triangles in
-    3D, by clamped closed-form projections), is at most
-    ``radius + HIT_TOL``. A flat W has no facets: a vertex within
-    ``radius`` is a certain hit, and a per-sample GJK with the same
-    tolerance decides the rest. Candidates go HIT_BLOCK at a time; each
-    sample's answer is its own.
+    A full-dimensional W is tested against its Qhull facets first: a
+    sample with no positive facet-plane value lies inside the hull and
+    hits; one with a plane value beyond ``radius + HIT_TOL`` misses (the
+    value bounds the distance from below). The others, and every sample of
+    a flat W, which has no facets, are settled by their exact distance to
+    conv(W) (``_HullBoundary.distances``). Candidates go HIT_BLOCK at a
+    time; each sample's answer is its own.
     """
-    boundary = None
-    if W.shape[0] > 2:
-        hull = convex_hull(W)
-        if hull is not None:
-            boundary = _HullBoundary(W, hull)
+    boundary = _HullBoundary(W)
+    reach = radius + HIT_TOL
     hit = np.empty(len(candidates), dtype=bool)
     for s in range(0, len(candidates), HIT_BLOCK):
         hit[s:s + HIT_BLOCK] = _block_hits(
-            D[candidates[s:s + HIT_BLOCK]], W, radius, boundary)
+            D[candidates[s:s + HIT_BLOCK]], boundary, reach)
     return hit
 
 
-def _block_hits(d, W, radius, boundary):
-    """``_point_polytope_hits`` for the displacement rows ``d``."""
-    m = W.shape[0]
-    if m == 1:
-        return np.linalg.norm(d - W[0], axis=1) <= radius
-    if m == 2:
-        e = W[1] - W[0]
-        ee = float(e @ e)
-        if ee < 1e-30:
-            return np.linalg.norm(d - W[0], axis=1) <= radius
-        t = np.clip((d - W[0]) @ e / ee, 0.0, 1.0)
-        proj = W[0] + t[:, None] * e
-        return np.linalg.norm(d - proj, axis=1) <= radius
-    if boundary is not None:
-        plane = boundary.plane_values(d)
-        hit = plane <= 0.0
-        band = np.flatnonzero(~hit & (plane <= radius + HIT_TOL))
-        if band.size:
-            hit[band] = boundary.distances(d[band]) <= radius + HIT_TOL
-        return hit
-    # A flat W: certain hits are within radius of some vertex.
-    hit = np.min(np.linalg.norm(d[:, None, :] - W[None, :, :], axis=2),
-                 axis=1) <= radius
-    for i in np.flatnonzero(~hit):
-        di = d[i]
-
-        def sp(v):
-            j = int(np.argmax(W @ v))
-            return W[j] - di, None, None
-
-        dist, *_ = _gjk(sp, W.shape[1], seed_direction=W.mean(axis=0) - di,
-                        boolean_cutoff=radius + HIT_TOL)
-        hit[i] = dist <= radius + HIT_TOL
+def _block_hits(d, boundary, reach):
+    """``_point_polytope_hits`` for rows ``d``; reach = radius + HIT_TOL."""
+    if boundary.normals is None:
+        return boundary.distances(d) <= reach
+    plane = boundary.plane_values(d)
+    hit = plane <= 0.0
+    band = np.flatnonzero(~hit & (plane <= reach))
+    if band.size:
+        hit[band] = boundary.distances(d[band]) <= reach
     return hit
 
 

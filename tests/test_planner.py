@@ -6,7 +6,6 @@ from ccplan.kinematics import planar_point_robot
 from ccplan.planner import (
     CONVERGED,
     PLAN_INFEASIBLE,
-    SCOConfig,
     TrajectoryProblem,
     convexify,
     evaluate_constraints,
@@ -173,8 +172,7 @@ class TestSolve:
         ob = UncertainObstacle(point_body([0.0, 0.1]), 0.25 * np.eye(2))
         p = TrajectoryProblem(robot, [ob], 5, np.array([-1.0, 0.0]),
                               np.array([1.0, 0.0]), 1e-3)
-        cfg = SCOConfig(mu_max=1e3, max_inner=10)
-        res = solve(p, cfg)
+        res = solve(p)
         assert res.status == PLAN_INFEASIBLE
         assert res.report.max_violation > 1e-4
 

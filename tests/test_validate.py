@@ -349,6 +349,58 @@ def planted_samples(W, radius):
                            for s in sorted(offsets)])
 
 
+def rim_samples(W, radius, rng):
+    """Displacements at a known distance from conv(W), with whether each
+    lies within ``radius`` of it. A step s from a point p of conv(W) along
+    a unit u with u.x <= u.p on W (u is in the normal cone at p) ends at
+    distance s. The (p, u) pairs: each vertex and vertex-pair midpoint with
+    each unit normal of W's affine hull, and with its direction away from
+    W's centroid within the affine hull and orthogonal to the pair, where
+    that supports W (on edges and at vertices); and the vertex maximizing
+    u.x for random units u. Steps are radius +- 1e-7 (or 0 for radius 0)."""
+    c = W.mean(axis=0)
+    _, sv, Vh = np.linalg.svd(W - c)
+    normals = Vh[int(np.sum(sv > 1e-9)):]
+    starts, units = [], []
+    for a, b in itertools.product(W, W):
+        p, e = 0.5 * (a + b), b - a
+        starts += [p] * len(normals)
+        units += list(normals)
+        u = p - c - normals.T @ (normals @ (p - c))
+        if e @ e > 0.0:
+            u -= (u @ e) / (e @ e) * e
+        norm = np.linalg.norm(u)
+        if norm > 1e-9 and np.max(W @ u) <= u @ p + 1e-12 * norm:
+            starts.append(p)
+            units.append(u / norm)
+    for u in rng.normal(size=(40, W.shape[1])):
+        u /= np.linalg.norm(u)
+        starts.append(W[np.argmax(W @ u)])
+        units.append(u)
+    steps = sorted({max(radius - 1e-7, 0.0), radius + 1e-7})
+    D = np.concatenate([np.array(starts) + s * np.array(units)
+                        for s in steps])
+    return D, np.repeat([s <= radius for s in steps], len(starts))
+
+
+# Flat difference sets W = Vt - Vn, by link vertices Vt and obstacle
+# vertices Vn.
+FLAT_SETS = {
+    "square-z0-vs-point": (box([0.2, 0.1, 0.0]).vertices,
+                           [[0.05, -0.02, 0.0]]),
+    "capsule-vs-capsule-3d": ([[0.0, 0.0, 0.0], [0.4, 0.0, 0.0]],
+                              [[0.1, 0.1, 0.05], [0.1, -0.2, 0.3]]),
+    "collinear-2d": ([[0.0, 0.0], [0.3, 0.1]],
+                     [[0.0, 0.0], [0.15, 0.05], [-0.3, -0.1]]),
+    "collinear-3d": ([[0.1, 0.0, 0.2], [0.2, 0.1, 0.1], [0.4, 0.3, -0.1]],
+                     [[0.0, 0.0, 0.05]]),
+    "point-2d": ([[0.1, 0.2]], [[0.0, -0.1]]),
+    "point-3d": ([[0.1, 0.2, 0.3]], [[0.0, 0.0, 0.1]]),
+    "zero-box-vs-point": (box([0.0, 0.0, 0.0], [0.1, 0.0, 0.2]).vertices,
+                          [[0.0, 0.1, 0.0]]),
+}
+
+
 def oracle_hits(Vt, Vn, radius, D):
     """Per-sample ``intersects`` of the link conv(Vt) swept by ``radius``
     with the obstacle hull conv(Vn) displaced by each row of D."""
@@ -381,32 +433,40 @@ class TestHullBandKernel:
             np.testing.assert_array_equal(got, want)
             assert 0 < want.sum() < len(D)
 
-    def test_flat_hull_takes_gjk(self, monkeypatch):
-        # A square link in the z = 0 plane against a point obstacle: the
-        # difference set is flat, has no facets, and GJK decides the band.
-        Vt = box([0.2, 0.1, 0.0]).vertices
-        Vn = np.array([[0.05, -0.02, 0.0]])
-        W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, 3)
-        assert convex_hull(W) is None
-        radius = 0.05
-        D = np.concatenate([
-            # Above the square's interior, and beside its edge x = 0.15.
-            np.array([[0.0, 0.02, radius - 1e-7], [0.0, 0.02, radius + 1e-7],
-                      [0.15 + radius - 1e-7, 0.02, 0.0],
-                      [0.15 + radius + 1e-7, 0.02, 0.0]]),
-            np.random.default_rng(9).normal(size=(300, 3)) * 0.2])
-        calls = []
-        gjk = validate._gjk
+    @pytest.mark.parametrize("radius", [0.0, 0.05])
+    @pytest.mark.parametrize("Vt, Vn", FLAT_SETS.values(),
+                             ids=FLAT_SETS.keys())
+    def test_flat_sets_match_geometry(self, Vt, Vn, radius, monkeypatch):
+        # A flat difference set has no facets: every sample takes the
+        # distance to its vertex segments and triangles, never GJK.
+        def no_gjk(*args, **kwargs):
+            raise AssertionError("GJK called for a flat difference set")
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return gjk(*args, **kwargs)
-
-        monkeypatch.setattr(validate, "_gjk", counted)
+        Vt, Vn = np.array(Vt, dtype=float), np.array(Vn, dtype=float)
+        dim = Vt.shape[1]
+        W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, dim)
+        assert len(W) <= dim or convex_hull(W) is None
+        rim, inside = rim_samples(W, radius, np.random.default_rng(11))
+        D = np.concatenate([rim, W.mean(axis=0) + np.random.default_rng(
+            12).normal(size=(300, dim)) * 0.2])
+        want = oracle_hits(Vt, Vn, radius, D)
+        np.testing.assert_array_equal(want[:len(rim)], inside)
+        monkeypatch.setattr(validate, "_gjk", no_gjk)
         got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
-        np.testing.assert_array_equal(got, oracle_hits(Vt, Vn, radius, D))
-        assert calls and 0 < got.sum() < len(D)
-        assert got[:4].tolist() == [True, False, True, False]
+        np.testing.assert_array_equal(got, want)
+        assert 0 < got.sum() < len(D)
+
+    def test_segment_square_and_geometry_share_the_tolerance(self):
+        # A sample 5e-10 beyond the radius from the segment hits (within
+        # HIT_TOL), whether the segment is W or an edge of a square W.
+        r = 0.1
+        d = np.array([[0.5, r + 5e-10]])
+        segment = np.array([[0.0, 0.0], [1.0, 0.0]])
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [1.0, -1.0]])
+        for W in (segment, square):
+            assert _point_polytope_hits(d, W, r, np.arange(1)).tolist() \
+                == [True]
+        assert intersects(SweptHull(segment, r), point_body(d[0]))
 
 
 class TestPinnedOutputs:
