@@ -1,24 +1,33 @@
-"""Sphere-swept hulls, GJK distance, exact facet-plane penetration, and
-Mahalanobis contact.
+"""Sphere-swept hulls, an exact batched distance kernel, exact facet-plane
+penetration, and Mahalanobis contact.
 
 Every body is a convex hull of vertices swept by a ball (a point, sphere,
 capsule, box or hull), so one support mapping and one distance kernel
-serve every shape. Separation comes from GJK on the difference vertices of
-two bodies; penetration depth, normal and witnesses come exactly from the
-facet planes of the difference hull. The Mahalanobis query runs GJK in
-whitened coordinates and returns a certified lower bound.
+serve every shape. Each core (the hull before the radius is added) carries
+its boundary complex: vertex index pairs (edges) and, in 3D, triples
+(triangles) that cover its boundary, built on first use and shared by
+every rigid placement. The distance kernel takes the closest pair over
+the candidate features of two cores, clamped segment-segment for every
+edge pair and vertex-triangle for every vertex against every triangle
+interior, vectorized over a stack of placements. The pair is a separation
+only when the supporting planes normal to it are apart, which proves the
+cores disjoint; otherwise (touching, containment, or an edge piercing a
+face) penetration depth, normal and witnesses come exactly from the facet
+planes of the difference hull. The Mahalanobis query runs GJK in whitened
+coordinates, where a sphere becomes an ellipsoid, and returns a certified
+lower bound.
 
 Workspace dimension is 2 or 3 and is carried by each body.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 GJK_MAX_ITER = 128
-GJK_REL_TOL = 1e-9
 
 
 class GeometryError(RuntimeError):
@@ -100,11 +109,17 @@ class SweptHull:
     support mapping and one distance kernel serve every shape. Build bodies
     with the validating constructors below (``Sphere``, ``Capsule``,
     ``Polytope``, ``box``, ``point_body``) and place them with ``posed``;
-    the class itself trusts its arguments.
+    the class itself trusts its arguments. ``posed`` copies share the
+    boundary complex, which rigid motion leaves unchanged.
     """
 
     vertices: np.ndarray    # (k, dim) floats
     radius: float
+    boundary: "Boundary" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.boundary is None:
+            self.boundary = Boundary(self.vertices)
 
     @property
     def dim(self):
@@ -131,7 +146,67 @@ class SweptHull:
     def posed(self, pose):
         """The body placed in the workspace by ``pose`` (of the same dim)."""
         return SweptHull(self.vertices @ pose.rotation.T + pose.translation,
-                         self.radius)
+                         self.radius, self.boundary)
+
+
+class Boundary:
+    """The boundary complex of a core conv(V): ``edges``, (E, 2) vertex
+    index pairs, and ``triangles``, (F, 3) index triples (none in 2D),
+    whose segments and triangles cover the boundary and lie in the core.
+    Every vertex is also a zero-length edge (i, i).
+
+    A full-dimensional core takes Qhull's facet simplices (in 3D, the
+    triangles and the edges between facets). A flat one (at most dim
+    points, or Qhull finds no volume) takes every vertex pair and, in 3D,
+    the fan triangles (V[0], V[i], V[j]); conv(V) is star-shaped about
+    V[0], so by Caratheodory they cover it. Built on first use, since
+    Qhull needs SciPy's spatial module.
+    """
+
+    def __init__(self, vertices):
+        self._vertices = vertices
+
+    @cached_property
+    def _faces(self):
+        V = self._vertices
+        m, dim = V.shape
+        none = np.zeros((0, 3), dtype=int)
+        if m == 1:
+            return np.zeros((0, 2), dtype=int), none
+        hull = convex_hull(V) if m > dim else None
+        if hull is not None and dim == 2:
+            return hull.simplices, none
+        if hull is not None:
+            # Each edge is shared by two triangles: keep it once, and not
+            # at all between the triangles of one facet (a box face's
+            # diagonal), whose points the triangles hold.
+            S, nbr, eq = hull.simplices, hull.neighbors, hull.equations
+            edges = [np.delete(S, k, axis=1)[
+                (np.arange(len(S)) < nbr[:, k])
+                & np.any(eq != eq[nbr[:, k]], axis=1)] for k in range(3)]
+            return np.sort(np.concatenate(edges), axis=1), S
+        edges = np.stack(np.triu_indices(m, 1), axis=1)
+        if dim == 2:
+            return edges, none
+        fan = edges[edges[:, 0] > 0]
+        return edges, np.insert(fan, 0, 0, axis=1)
+
+    @cached_property
+    def edges(self):
+        points = np.arange(len(self._vertices))
+        return np.concatenate([self._faces[0],
+                               np.stack([points, points], axis=1)])
+
+    @property
+    def triangles(self):
+        return self._faces[1]
+
+    @cached_property
+    def key(self):
+        """Equal for cores of the same topology, which can share one
+        batched distance call."""
+        return (len(self._vertices), self.edges.tobytes(),
+                self.triangles.tobytes())
 
 
 def _radius(radius):
@@ -180,7 +255,8 @@ def box(half_extents, center=None):
 
 @dataclass
 class DistanceResult:
-    """Signed distance with witness points and a unit normal from A into B."""
+    """Signed distance with witness points and a unit normal from A into B;
+    from ``distances``, arrays with a leading axis over the stack."""
 
     signed_distance: float
     witness_a: np.ndarray
@@ -293,9 +369,10 @@ def _closest_on_tetrahedron(P):
     return best[1]
 
 
-def _gjk(support_pair, dim, tol=GJK_REL_TOL, max_iter=GJK_MAX_ITER,
-         seed_direction=None, start=None):
-    """GJK distance between the origin and a convex set given by supports.
+def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
+         start=None):
+    """GJK distance between the origin and a convex set given by supports,
+    to the relative duality gap ``tol``.
 
     ``support_pair(v)`` returns (p, a, b): the support point p of the set in
     direction v plus auxiliary witness payloads a, b carried through the
@@ -362,8 +439,6 @@ def _combine(entries, lam, slot):
     out = None
     for w, e in zip(lam, entries):
         part = e[1 + slot]
-        if part is None:
-            return None
         out = w * part if out is None else out + w * part
     return out
 
@@ -397,55 +472,227 @@ def convex_hull(points):
 
 
 # ---------------------------------------------------------------------------
+# Exact batched distance kernel
+# ---------------------------------------------------------------------------
+
+# Least supporting-plane gap, relative to the magnitude of the coordinates,
+# that proves two cores disjoint: far above the gap's roundoff.
+SEPARATION_RTOL = 1e-12
+# Elements of the kernel's largest (placements x features x features x dim)
+# temporaries per block of placements: a few megabytes.
+DISTANCE_BLOCK = 1 << 16
+
+
+def _dots(u, v):
+    """Dot products over the first axis (the coordinates), broadcast."""
+    return np.einsum("i...,i...->...", u, v)
+
+
+def _unit_ratio(num, den):
+    """num / den clamped to [0, 1], and 0 where den is not positive; num
+    has the broadcast shape."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0.0)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _closest_cores(Va, boundary_a, Vb, boundary_b):
+    """Closest candidate pair of conv(Va[p]) and conv(Vb) for every
+    placement p: Va is (P, ka, dim), every placement sharing
+    ``boundary_a``; Vb is (kb, dim).
+
+    The candidates are every edge pair, by clamped segment-segment
+    (Ericson, Real-Time Collision Detection, 2005, 5.1.9), a vertex being
+    a zero-length edge, and in 3D every vertex of one core against every
+    triangle interior of the other. The closest pair of separated cores
+    lies on a vertex and a facet or on two edges, so it is among them.
+    Returns (witness_a, witness_b, d, n, gap): n is the unit direction
+    from witness_a to witness_b (zero where d = 0) and gap = min(Vb n) -
+    max(Va n) the separation of the supporting planes normal to n. gap
+    never exceeds the core distance, and matches d, up to the roundoff of
+    n, when the pair is the closest one of separated cores.
+
+    Points are computed coordinate-first, (dim, P, ...), so that every
+    operation broadcasts over contiguous planes.
+    """
+    P, ka, dim = Va.shape
+    ea, fa = boundary_a.edges, boundary_a.triangles
+    eb, fb = boundary_b.edges, boundary_b.triangles
+    width = max(len(ea) * len(eb), ka * len(fb), len(Vb) * len(fa))
+    step = max(1, DISTANCE_BLOCK // (width * dim))
+    wa, wb = np.empty((P, dim)), np.empty((P, dim))
+    B = Vb.T
+    for s in range(0, P, step):
+        A = Va[s:s + step].transpose(2, 0, 1)
+        wa[s:s + step], wb[s:s + step] = _closest_block(A, ea, fa, B, eb, fb)
+    diff = wb - wa
+    d = np.sqrt(_dots(diff.T, diff.T))
+    n = np.divide(diff, d[:, None], out=np.zeros_like(diff),
+                  where=d[:, None] > 0.0)
+    gap = (_dots(B[:, None, :], n.T[:, :, None]).min(axis=1)
+           - _dots(Va.transpose(2, 0, 1), n.T[:, :, None]).max(axis=1))
+    return wa, wb, d, n, gap
+
+
+def _closest_block(A, ea, fa, B, eb, fb):
+    """(witness_a, witness_b) of ``_closest_cores`` for one block of
+    placements, A (dim, P, ka) against B (dim, kb)."""
+    best = _nearest(*_edge_pairs(A[:, :, ea[:, 0], None],
+                                 A[:, :, ea[:, 1], None],
+                                 B[:, None, None, eb[:, 0]],
+                                 B[:, None, None, eb[:, 1]]))
+    if len(fb):
+        xa = A[:, :, :, None]
+        y, inside = _onto_triangles(xa, *(B[:, None, None, fb[:, i]]
+                                          for i in range(3)))
+        best = _nearer(best, _nearest(xa, y, inside))
+    if len(fa):
+        xb = B[:, None, :, None]
+        x, inside = _onto_triangles(xb, *(A[:, :, None, fa[:, i]]
+                                          for i in range(3)))
+        best = _nearer(best, _nearest(x, xb, inside))
+    return best[1], best[2]
+
+
+def _edge_pairs(a0, a1, b0, b1):
+    """Closest points x = a0 + s (a1 - a0), y = b0 + t (b1 - b0) of the
+    segment pairs, broadcast, by clamped segment-segment: the optimal s
+    for the clamped t is taken last, which also settles parallel edges. A
+    zero-length edge (a vertex) gets the clamped projection on the other
+    segment: where nearly parallel edges make their pair ill-conditioned,
+    the closest pair has an end of one of them."""
+    d1, d2, r = a1 - a0, b1 - b0, a0 - b0
+    a, e, b = _dots(d1, d1), _dots(d2, d2), _dots(d1, d2)
+    c, f = _dots(d1, r), _dots(d2, r)
+    s = _unit_ratio(b * f - c * e, a * e - b * b)
+    t = _unit_ratio(b * s + f, e)
+    s = _unit_ratio(b * t - c, a)
+    return a0 + s * d1, b0 + t * d2
+
+
+def _onto_triangles(X, A, B, C):
+    """Feet of the points X on the planes of the triangles (A, B, C),
+    broadcast, and whether each foot lies inside its triangle (a triangle
+    without area holds none)."""
+    e0, e1, w = B - A, C - A, X - A
+    g00, g01, g11 = _dots(e0, e0), _dots(e0, e1), _dots(e1, e1)
+    det = g00 * g11 - g01 * g01
+    w0, w1 = _dots(w, e0), _dots(w, e1)
+    # Barycentric coordinates of the foot, times det.
+    u, v = g11 * w0 - g01 * w1, g00 * w1 - g01 * w0
+    inside = (det > 1e-12 * g00 * g11) & (u >= 0.0) & (v >= 0.0) \
+        & (u + v <= det)
+    nrm = np.stack([e0[1] * e1[2] - e0[2] * e1[1],
+                    e0[2] * e1[0] - e0[0] * e1[2],
+                    e0[0] * e1[1] - e0[1] * e1[0]])
+    h = np.zeros(inside.shape)
+    np.divide(_dots(w, nrm), _dots(nrm, nrm), out=h, where=inside)
+    return X - h * nrm, inside
+
+
+def _nearest(x, y, valid=None):
+    """The closest of the candidate pairs (x, y), coordinate-first
+    (dim, P, m, n) after broadcasting, among the ``valid`` ones: (squared
+    distance, x, y) per placement, the points as (P, dim)."""
+    diff = x - y
+    sq = _dots(diff, diff)
+    if valid is not None:
+        sq = np.where(valid, sq, np.inf)
+    P, m, n = sq.shape
+    i, j = np.divmod(np.argmin(sq.reshape(P, -1), axis=1), n)
+    rows = np.arange(P)
+    return sq[rows, i, j], _pick(x, rows, i, j), _pick(y, rows, i, j)
+
+
+def _pick(x, rows, i, j):
+    """Rows (P, dim) of the coordinate-first x at the broadcast indices
+    (rows, i, j); an axis of length 1 is broadcast."""
+    _, P, m, n = x.shape
+    return x[:, rows % P, i % m, j % n].T
+
+
+def _nearer(p, q):
+    """Per placement, the nearer of two (squared distance, x, y) triples;
+    ties keep p."""
+    take = q[0] < p[0]
+    return (np.where(take, q[0], p[0]), np.where(take[:, None], q[1], p[1]),
+            np.where(take[:, None], q[2], p[2]))
+
+
+def distances(vertices, radii, boundary, body_b, tolerance=1e-9):
+    """Signed distances from a stack of placements of one core to
+    ``body_b``, in one kernel call: vertices (P, k, dim), every placement
+    sharing the boundary complex ``boundary`` and swept by ``radii`` (a
+    scalar or (P,)). Returns a DistanceResult of arrays over the stack.
+
+    A pair is separated when its closest candidate pair is more than
+    ``tolerance`` apart and the supporting planes normal to it are apart
+    too, by more than SEPARATION_RTOL of the coordinates' magnitude: the
+    gap then proves the cores disjoint, so the candidate pair is the
+    closest and its distance exact (the gap matches it up to the roundoff
+    of the direction). Any other pair, touching, contained, or with an
+    edge through a face, takes the exact facet-plane penetration of its
+    difference hull.
+    """
+    Vb, rb = body_b.vertices, body_b.radius
+    wa, wb, d, n, gap = _closest_cores(vertices, boundary, Vb,
+                                       body_b.boundary)
+    ra = np.broadcast_to(np.asarray(radii, dtype=float), d.shape)
+    scale = np.maximum(np.abs(vertices).max(axis=(1, 2)),
+                       max(1.0, float(np.abs(Vb).max())))
+    core = d.copy()
+    for p in np.flatnonzero((d <= tolerance)
+                            | (gap <= SEPARATION_RTOL * scale)):
+        core[p], wa[p], wb[p], n[p] = _penetration(
+            vertices[p], Vb, wa[p], wb[p], n[p] if d[p] > tolerance else None,
+            tolerance)
+    return DistanceResult(core - ra - rb, wa + ra[:, None] * n,
+                          wb - rb * n, n)
+
+
+def _penetration(Va, Vb, wa, wb, n, tolerance):
+    """(minus the core penetration depth, core witnesses, unit normal
+    A -> B) of cores that touch or overlap, exact from the facet planes of
+    conv(W), W = {a_i - b_j}. ``wa``, ``wb`` and ``n`` are the kernel's
+    closest candidate pair and its direction (None when the pair is within
+    ``tolerance``); a flat W keeps them."""
+    dim, nb = Va.shape[1], Vb.shape[0]
+    W = (Va[:, None, :] - Vb[None, :, :]).reshape(-1, dim)
+    hull = convex_hull(W)
+    if hull is None:
+        # Flat core difference (e.g. coincident sphere centres): zero core
+        # penetration, with a deterministic normal.
+        if n is None:
+            n = np.zeros(dim)
+            n[0] = 1.0
+        return 0.0, wa, wb, n
+    depth, n, s, lam = _nearest_facet_point(hull, W, tolerance)
+    # Translating A by -depth * n separates the cores, so n points A -> B.
+    return -depth, lam @ Va[s // nb], lam @ Vb[s % nb], n
+
+
+# ---------------------------------------------------------------------------
 # Public queries
 # ---------------------------------------------------------------------------
 
 def distance(body_a, body_b, tolerance=1e-9):
-    """Signed distance between two bodies.
+    """Signed distance between two bodies: ``distances`` for a stack of one.
 
-    Positive: separation distance, from GJK on the difference vertices
-    W = {a_i - b_j} of the cores (the hulls before the radii are added).
-    Non-positive: minus the penetration depth, exact from the facet planes
-    of conv(W). The normal is the unit direction from A into B; translating
-    A by ``signed_distance * normal`` brings the bodies into touching
-    contact, and witness_a - witness_b = -signed_distance * normal.
+    Positive: separation distance, exact over the cores' boundary features
+    (the hulls before the radii are added). Non-positive: minus the
+    penetration depth, exact from the facet planes of the core difference
+    hull. The normal is the unit direction from A into B; translating A by
+    ``signed_distance * normal`` brings the bodies into touching contact,
+    and witness_a - witness_b = -signed_distance * normal.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if body_a.dim != body_b.dim:
         raise ValueError("dimension mismatch")
-    Va, Vb = body_a.vertices, body_b.vertices
-    ra, rb = body_a.radius, body_b.radius
-    dim = Va.shape[1]
-    W = (Va[:, None, :] - Vb[None, :, :]).reshape(-1, dim)
-    nb = Vb.shape[0]
-
-    def sp(v):
-        i = int(np.argmax(W @ v))
-        return W[i], Va[i // nb], Vb[i % nb]
-
-    seed = Va.mean(axis=0) - Vb.mean(axis=0)
-    dist, v, wa, wb, _ = _gjk(sp, dim, tol=tolerance, seed_direction=seed)
-    if dist > tolerance:
-        # v points from B-side toward A-side: witness direction A -> B is -v.
-        n = -v / dist
-        return DistanceResult(dist - ra - rb, wa + ra * n, wb - rb * n, n)
-    hull = convex_hull(W)
-    if hull is None:
-        # Flat core difference (e.g. coincident sphere centres): zero core
-        # penetration, with a deterministic normal.
-        depth = 0.0
-        nv = float(np.dot(v, v))
-        if nv > tolerance * tolerance:
-            n = -v / math.sqrt(nv)
-        else:
-            n = np.zeros(dim)
-            n[0] = 1.0
-    else:
-        depth, n, s, lam = _nearest_facet_point(hull, W, tolerance)
-        wa, wb = lam @ Va[s // nb], lam @ Vb[s % nb]
-    # Translating A by -depth * n separates the cores, so n points A -> B.
-    return DistanceResult(-depth - ra - rb, wa + ra * n, wb - rb * n, n)
+    res = distances(body_a.vertices[None], body_a.radius, body_a.boundary,
+                    body_b, tolerance)
+    return DistanceResult(float(res.signed_distance[0]), res.witness_a[0],
+                          res.witness_b[0], res.normal[0])
 
 
 def _nearest_facet_point(hull, W, tolerance):

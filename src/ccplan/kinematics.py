@@ -6,7 +6,6 @@ A robot with no joints is a rigid body fixed at the base pose (used for
 point/sphere robots in certification-only scenes).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,20 @@ class Joint:
             object.__setattr__(self, "axis", a / n)
         elif not (self.kind == "revolute" and self.offset.dim == 2):
             raise ValueError("joint axis required (except 2D revolute)")
+        # Constant terms of the joint's motion for the kinematics walk: a
+        # revolute joint turns by c * I + s * J in 2D and by
+        # I + s * K + (1 - c) * K^2 in 3D (Rodrigues' formula).
+        dim = self.offset.dim
+        if self.kind == "prismatic":
+            terms = None
+        elif dim == 2:
+            terms = (np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+        else:
+            a = self.axis
+            K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]],
+                          [-a[1], a[0], 0]])
+            terms = (K, K @ K)
+        object.__setattr__(self, "_motion_terms", terms)
 
 
 @dataclass
@@ -73,49 +86,79 @@ class RobotModel:
         return th
 
 
-def _joint_motion(joint, q, dim):
-    # Trusted: Joint normalized the axis and check_state made q finite.
-    if joint.kind == "prismatic":
-        return Pose._trusted(np.eye(dim), q * joint.axis)
-    c, s = math.cos(q), math.sin(q)
-    if dim == 2:
-        return Pose._trusted(np.array([[c, -s], [s, c]]), np.zeros(2))
-    a = joint.axis   # Rodrigues' formula
-    K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return Pose._trusted(np.eye(3) + s * K + (1 - c) * (K @ K), np.zeros(3))
-
-
 @dataclass(frozen=True)
 class ChainFrames:
-    """One kinematics pass at a joint state: everything FK and Jacobians need.
+    """One kinematics pass over T joint states: everything FK, distances
+    and Jacobians need. A single joint state is a trajectory of one.
 
-    ``origins[i]`` and ``axes[i]`` are joint i's world position and world
-    axis before its own motion (the axis is unused for 2D revolute joints).
+    ``rotations[t, i]`` and ``translations[t, i]`` place link frame i at
+    step t; ``origins[t, i]`` and ``axes[t, i]`` are joint i's world
+    position and world axis before its own motion (the axis is unused for
+    2D revolute joints).
     """
 
-    poses: list             # world pose of every link frame
-    origins: np.ndarray     # (dof, dim)
-    axes: np.ndarray        # (dof, dim)
+    rotations: np.ndarray       # (T, n_links, dim, dim)
+    translations: np.ndarray    # (T, n_links, dim)
+    origins: np.ndarray         # (T, dof, dim)
+    axes: np.ndarray            # (T, dof, dim)
+
+    def step(self, t):
+        """The frames of step ``t`` alone, a trajectory of one."""
+        s = slice(t, t + 1)
+        return ChainFrames(self.rotations[s], self.translations[s],
+                           self.origins[s], self.axes[s])
+
+    @property
+    def poses(self):
+        """World pose of every link frame at the first step."""
+        return [Pose._trusted(R, p)
+                for R, p in zip(self.rotations[0], self.translations[0])]
+
+
+def trajectory_frames(robot, trajectory):
+    """Walk the chain once for every row of ``trajectory`` (T, dof), with
+    stacked rotations; see ChainFrames."""
+    th = np.asarray(trajectory, dtype=float)
+    if th.ndim != 2 or th.shape[1] != robot.dof:
+        raise ValueError(f"trajectory shape {th.shape} does not match dof "
+                         f"{robot.dof}")
+    if not np.all(np.isfinite(th)):
+        raise ValueError("joint state must be finite")
+    T, dim = len(th), robot.dim
+    origins = np.zeros((T, robot.dof, dim))
+    axes = np.zeros((T, robot.dof, dim))
+    # R and p take a leading step axis once a joint's motion moves them.
+    R, p = robot.base.rotation, robot.base.translation
+    if not robot.joints:
+        return ChainFrames(np.tile(R, (T, 1, 1, 1)), np.tile(p, (T, 1, 1)),
+                           origins, axes)
+    rotations = np.empty((T, robot.dof, dim, dim))
+    translations = np.empty((T, robot.dof, dim))
+    for i, joint in enumerate(robot.joints):
+        # The joint frame before motion, then the joint's own motion.
+        R, p = R @ joint.offset.rotation, R @ joint.offset.translation + p
+        origins[:, i] = p
+        if joint.axis is not None:
+            axes[:, i] = R @ joint.axis
+        q = th[:, i]
+        if joint.kind == "prismatic":
+            p = (R @ (q[:, None] * joint.axis)[:, :, None])[:, :, 0] + p
+        elif dim == 2:
+            I, J = joint._motion_terms
+            R = R @ (np.cos(q)[:, None, None] * I
+                     + np.sin(q)[:, None, None] * J)
+        else:
+            K, KK = joint._motion_terms
+            R = R @ (np.eye(3) + np.sin(q)[:, None, None] * K
+                     + (1 - np.cos(q))[:, None, None] * KK)
+        rotations[:, i] = R
+        translations[:, i] = p
+    return ChainFrames(rotations, translations, origins, axes)
 
 
 def chain_frames(robot, theta):
-    """Walk the chain once at ``theta``; see ChainFrames."""
-    th = robot.check_state(theta)
-    dim = robot.dim
-    origins = np.zeros((robot.dof, dim))
-    axes = np.zeros((robot.dof, dim))
-    if not robot.joints:
-        return ChainFrames([robot.base], origins, axes)
-    poses = []
-    cur = robot.base
-    for i, (joint, q) in enumerate(zip(robot.joints, th)):
-        frame = cur.compose(joint.offset)  # joint frame before motion
-        origins[i] = frame.translation
-        if joint.axis is not None:
-            axes[i] = frame.rotation @ joint.axis
-        cur = frame.compose(_joint_motion(joint, float(q), dim))
-        poses.append(cur)
-    return ChainFrames(poses, origins, axes)
+    """``trajectory_frames`` for the single joint state ``theta``."""
+    return trajectory_frames(robot, robot.check_state(theta)[None])
 
 
 def forward_kinematics(robot, theta):
@@ -133,11 +176,44 @@ def posed_link_shapes(robot, poses):
     return out
 
 
+@dataclass(frozen=True)
+class LinkGroup:
+    """Link shapes of one boundary topology, posed at every step of a
+    ChainFrames: one batched distance call serves the whole group.
+    ``bodies`` index the flattened link shapes of ``posed_link_shapes``."""
+
+    bodies: list                # flat body index per member
+    links: list                 # link index per member
+    radii: np.ndarray           # (G,)
+    boundary: object            # the members' shared boundary topology
+    vertices: np.ndarray        # (T, G, k, dim) world vertices
+
+
+def posed_link_groups(robot, frames):
+    """Every link shape placed at every step of ``frames``, grouped by
+    boundary topology (see LinkGroup)."""
+    members = {}
+    k = 0
+    for li, shapes in enumerate(robot.link_shapes):
+        R = frames.rotations[:, li].transpose(0, 2, 1)
+        p = frames.translations[:, li, None, :]
+        for s in shapes:
+            members.setdefault(s.boundary.key, []).append(
+                (k, li, s, s.vertices @ R + p))
+            k += 1
+    return [LinkGroup([m[0] for m in group], [m[1] for m in group],
+                      np.array([m[2].radius for m in group]),
+                      group[0][2].boundary,
+                      np.stack([m[3] for m in group], axis=1))
+            for group in members.values()]
+
+
 def point_jacobian(robot, theta, link_index, world_point, frames=None):
     """Position Jacobian of a point rigidly attached to a link.
 
     Columns for joints distal to ``link_index`` are zero. ``frames`` is
-    ``chain_frames(robot, theta)`` when the caller already has it.
+    ``chain_frames(robot, theta)`` (or that step of a trajectory's frames)
+    when the caller already has it.
     """
     th = robot.check_state(theta)
     if not 0 <= link_index < robot.n_links:
@@ -149,11 +225,11 @@ def point_jacobian(robot, theta, link_index, world_point, frames=None):
     if frames is None:
         frames = chain_frames(robot, th)
     for i, joint in enumerate(robot.joints[:link_index + 1]):
-        a = frames.axes[i]
+        a = frames.axes[0, i]
         if joint.kind == "prismatic":
             J[:, i] = a
             continue
-        r = (p - frames.origins[i]).tolist()
+        r = (p - frames.origins[0, i]).tolist()
         if robot.dim == 2:
             J[:, i] = (-r[1], r[0])
         else:

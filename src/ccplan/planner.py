@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import distance
-from .kinematics import chain_frames, point_jacobian, posed_link_shapes
+from .geometry import DistanceResult, SweptHull, distances
+from .kinematics import point_jacobian, posed_link_groups, trajectory_frames
 from .chi2 import chi2_sf
 from .qp import INFEASIBLE, HessianFactors, QuadraticProgram, solve_qp
 from .risk import RiskCertificate, certify_risk, risk_gradient
@@ -95,11 +95,14 @@ class ConstraintReport:
     allocation_residual: float        # max(0, sum delta - budget)
     max_violation: float
     total_violation: float            # l1 sum used by the merit function
-    # [t][o] tuples (sd, outward normal, witness point, link index) and [t]
-    # ChainFrames, cached so convexification reuses the distance queries
-    # and the kinematics pass done here.
-    pair_geometry: list
-    frames: list
+    # The closest link of every (timestep, obstacle) pair: the direction of
+    # increasing clearance, the robot witness point and the link index,
+    # plus the trajectory's ChainFrames, kept so convexification reuses the
+    # distance queries and the kinematics pass done here.
+    normals: np.ndarray               # (T, n_obstacles, dim)
+    witnesses: np.ndarray             # (T, n_obstacles, dim)
+    links: np.ndarray                 # (T, n_obstacles) link indices
+    frames: object
 
 
 @dataclass
@@ -132,19 +135,22 @@ def path_objective(trajectory):
     return float(np.sum(steps * steps))
 
 
-def _pair_distance_shapes(shapes, obstacle):
-    """Closest (signed distance, outward normal, witness, link) over posed
-    link shapes, plus the per-body DistanceResults."""
-    best = None
-    per_body = []
-    for li, body in shapes:
-        res = distance(body, obstacle.nominal)
-        per_body.append(res)
-        if best is None or res.signed_distance < best[0]:
-            # res.normal points from the robot into the obstacle; its
-            # negation is the direction of increasing clearance.
-            best = (res.signed_distance, -res.normal, res.witness_a, li)
-    return best, per_body
+def _body_distances(groups, n_bodies, obstacle):
+    """Signed distances of every posed link shape to the obstacle's nominal
+    geometry: a DistanceResult of (T, n_bodies) arrays, one kernel call per
+    link group."""
+    T, _, _, dim = groups[0].vertices.shape
+    sd = np.empty((T, n_bodies))
+    wa, wb, n = (np.empty((T, n_bodies, dim)) for _ in range(3))
+    for g in groups:
+        G, k = g.vertices.shape[1:3]
+        res = distances(g.vertices.reshape(T * G, k, dim),
+                        np.tile(g.radii, T), g.boundary, obstacle.nominal)
+        sd[:, g.bodies] = res.signed_distance.reshape(T, G)
+        wa[:, g.bodies] = res.witness_a.reshape(T, G, dim)
+        wb[:, g.bodies] = res.witness_b.reshape(T, G, dim)
+        n[:, g.bodies] = res.normal.reshape(T, G, dim)
+    return DistanceResult(sd, wa, wb, n)
 
 
 def _certify_pair(robot, theta, obstacle, sd, eps_tol, shapes=None,
@@ -174,30 +180,53 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     scalar margin with a per-(timestep, obstacle) array.
     """
     T = problem.timesteps
+    robot = problem.robot
     n_obs = len(problem.obstacles)
     if margins is None:
         margins = np.full((T, n_obs), problem.margin)
+    frames = trajectory_frames(robot, trajectory)
+    groups = posed_link_groups(robot, frames)
+    n_bodies = sum(len(g.bodies) for g in groups)
+    links = np.empty(n_bodies, dtype=int)
+    for g in groups:
+        links[g.bodies] = g.links
+    steps = np.arange(T)
     sds = np.zeros((T, n_obs))
+    normals = np.zeros((T, n_obs, robot.dim))
+    witnesses = np.zeros((T, n_obs, robot.dim))
+    nearest = np.zeros((T, n_obs), dtype=int)
+    contacts = []
+    for o, ob in enumerate(problem.obstacles):
+        res = _body_distances(groups, n_bodies, ob)
+        k = np.argmin(res.signed_distance, axis=1)
+        sds[:, o] = res.signed_distance[steps, k]
+        # res.normal points from the robot into the obstacle; its negation
+        # is the direction of increasing clearance.
+        normals[:, o] = -res.normal[steps, k]
+        witnesses[:, o] = res.witness_a[steps, k]
+        nearest[:, o] = links[k]
+        contacts.append(res)
     certs = []
-    geometry = []
-    frames = []
     risk_totals = np.zeros(T)
     for t in range(T):
-        frames.append(chain_frames(problem.robot, trajectory[t]))
-        shapes = posed_link_shapes(problem.robot, frames[t].poses)
+        if not include_risk:
+            certs.append([])
+            continue
+        shapes = [None] * n_bodies
+        for g in groups:
+            for j, b in enumerate(g.bodies):
+                shapes[b] = (g.links[j], SweptHull(g.vertices[t, j],
+                                                   g.radii[j], g.boundary))
         row = []
-        geo_row = []
         for o, ob in enumerate(problem.obstacles):
-            pair, per_body = _pair_distance_shapes(shapes, ob)
-            geo_row.append(pair)
-            sds[t, o] = pair[0]
-            if include_risk:
-                cert = _certify_pair(problem.robot, trajectory[t], ob,
-                                     sds[t, o], eps_tol, shapes, per_body)
-                row.append(cert)
-                risk_totals[t] += cert.eps_prime
+            res = contacts[o]
+            cert = _certify_pair(
+                robot, trajectory[t], ob, sds[t, o], eps_tol, shapes,
+                DistanceResult(res.signed_distance[t], res.witness_a[t],
+                               res.witness_b[t], res.normal[t]))
+            row.append(cert)
+            risk_totals[t] += cert.eps_prime
         certs.append(row)
-        geometry.append(geo_row)
     sd_res = np.maximum(0.0, margins - sds)
     if include_risk:
         risk_res = np.maximum(0.0, risk_totals - allocation)
@@ -209,7 +238,8 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     max_v = float(max(sd_res.max(initial=0.0), risk_res.max(initial=0.0),
                       alloc_res))
     return ConstraintReport(sds, certs, risk_totals, risk_res, sd_res,
-                            alloc_res, max_v, total, geometry, frames)
+                            alloc_res, max_v, total, normals, witnesses,
+                            nearest, frames)
 
 
 def convexify(problem, trajectory, allocation, report, mu, radius,
@@ -280,12 +310,13 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     rhs = []
     for t in range(T):
         th = trajectory[t]
-        frames = report.frames[t]
+        frames = report.frames.step(t)
         # Signed-distance rows: sd0 + n.J (theta - th) + s >= margin.
         for o, ob in enumerate(problem.obstacles):
-            sd0, n_out, witness, li = report.pair_geometry[t][o]
-            J = point_jacobian(robot, th, li, witness, frames)
-            g = n_out @ J
+            sd0 = report.signed_distances[t, o]
+            J = point_jacobian(robot, th, report.links[t, o],
+                               report.witnesses[t, o], frames)
+            g = report.normals[t, o] @ J
             row = np.zeros(n)
             row[th_slice(t)] = -g
             row[sd_slack(t, o)] = -1.0

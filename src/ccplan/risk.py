@@ -115,11 +115,12 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
 
     ``shapes`` optionally supplies precomputed posed link shapes for this
     configuration (callers evaluating many obstacles share one kinematics
-    pass). ``body_contacts``, aligned with ``shapes``, gives each body's
-    Euclidean DistanceResult against the nominal geometry: bodies provably
-    outside the largest shadow considered (distance^2 / lambda_max(Sigma)
-    beyond the eps_tol radius) are skipped, and the witness pair seeds the
-    Mahalanobis search of the others.
+    pass). ``body_contacts``, a DistanceResult of arrays aligned with
+    ``shapes``, gives each body's Euclidean distance and witness pair
+    against the nominal geometry: bodies provably outside the largest
+    shadow considered (distance^2 / lambda_max(Sigma) beyond the eps_tol
+    radius) are skipped, and the witness pair seeds the Mahalanobis search
+    of the others.
     """
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
@@ -137,12 +138,11 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
     for k, (li, body) in enumerate(shapes):
         guess = None
         if body_contacts is not None:
-            res = body_contacts[k]
-            sd = res.signed_distance
+            sd = float(body_contacts.signed_distance[k])
             # Cheap lower bound on this body's Mahalanobis minimum.
             if sd > 0.0 and (sd / obstacle.sigma_max) ** 2 > c_max:
                 continue
-            guess = (res.witness_a, res.witness_b)
+            guess = (body_contacts.witness_a[k], body_contacts.witness_b[k])
         c, wa, wb = mahalanobis_contact(body, obstacle.nominal, obstacle.chol,
                                         chol_inv=obstacle.chol_inv,
                                         guess=guess)

@@ -12,8 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _gjk, convex_hull
-from .kinematics import forward_kinematics, posed_link_shapes
+from .geometry import _closest_cores, convex_hull
+from .kinematics import posed_link_groups, trajectory_frames
 from .planner import CONVERGED, ITERATION_LIMIT, solve
 
 # Margin growth step for iterative risk allocation, as a multiple of the
@@ -205,14 +205,15 @@ def _block_hits(d, boundary, reach):
     return hit
 
 
-def _hull_distance_lower_bound(W):
-    """A certified lower bound on dist(0, conv W): GJK's supporting-plane
-    bound, tight at convergence (its |v| bounds the distance from above,
-    so it is not used)."""
-    def sp(v):
-        return W[int(np.argmax(W @ v))], None, None
-
-    return _gjk(sp, W.shape[1], seed_direction=W.mean(axis=0))[4]
+def _cull_bounds(vertices, boundary, nominal):
+    """Certified lower bounds on dist(0, conv W) for a stack of link cores
+    (P, k, dim) sharing ``boundary``, W the difference vertices with the
+    obstacle's core: max(0, gap), gap the distance kernel's supporting-
+    plane gap, which matches that distance, to roundoff, when the cores
+    are separated."""
+    gap = _closest_cores(vertices, boundary, nominal.vertices,
+                         nominal.boundary)[4]
+    return np.maximum(gap, 0.0)
 
 
 class _ObstacleSamples:
@@ -220,6 +221,7 @@ class _ObstacleSamples:
     that each pair test finds its candidates with one binary search."""
 
     def __init__(self, obstacle, n_samples, seed, obstacle_index):
+        self.nominal = obstacle.nominal
         self.vertices = obstacle.nominal.vertices
         self.radius = obstacle.nominal.radius
         self.D = _displacements(obstacle, n_samples, seed, obstacle_index)
@@ -227,22 +229,34 @@ class _ObstacleSamples:
         self.order = np.argsort(norms)
         self.sorted_norms = norms[self.order]
 
-    def pair_hits(self, Vt, rt, done):
+    def pairs(self, groups):
+        """(timestep, Vt, rt, delta) for every posed link shape of
+        ``groups`` (see ``_swept_shapes``), timestep by timestep; delta is
+        the link's cull bound, from one kernel call per group."""
+        bounds = [_cull_bounds(g.vertices.reshape(-1, *g.vertices.shape[2:]),
+                               g.boundary, self.nominal)
+                  .reshape(g.vertices.shape[:2]) for g in groups]
+        steps = len(groups[0].vertices) if groups else 0
+        for t in range(steps):
+            for g, delta in zip(groups, bounds):
+                for j, rt in enumerate(g.radii):
+                    yield t, g.vertices[t, j], rt, delta[t, j]
+
+    def pair_hits(self, Vt, rt, delta, done):
         """Indices of the samples not marked in ``done`` that hit the link
         shape swept from vertices ``Vt`` by radius ``rt``: the one Monte
         Carlo pair test.
 
         A sample hits when its displacement d lies within r = rt + radius
         of conv(W), W the difference vertices. For delta <= dist(0, conv W)
-        the triangle inequality gives dist(d, conv W) >= delta - |d|; a
-        sample whose bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and
-        is skipped. The others go to the exact test, so the hits are those
-        of testing every sample.
+        (``_cull_bounds``) the triangle inequality gives dist(d, conv W) >=
+        delta - |d|; a sample whose bound exceeds r + HIT_TOL + CULL_SLACK
+        cannot hit and is skipped. The others go to the exact test, so the
+        hits are those of testing every sample.
         """
         W = (Vt[:, None, :] - self.vertices[None, :, :]).reshape(
             -1, Vt.shape[1])
         r = rt + self.radius
-        delta = _hull_distance_lower_bound(W)
         first = np.searchsorted(self.sorted_norms,
                                 delta - r - HIT_TOL - CULL_SLACK)
         candidates = np.sort(self.order[first:])
@@ -253,13 +267,10 @@ class _ObstacleSamples:
 
 
 def _swept_shapes(robot, trajectory):
-    """Per timestep, the sphere-swept (vertices, radius) of every link shape."""
-    shapes_per_t = []
-    for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
-        poses = forward_kinematics(robot, theta)
-        shapes_per_t.append([(body.vertices, body.radius)
-                             for _, body in posed_link_shapes(robot, poses)])
-    return shapes_per_t
+    """The link shapes posed at every timestep, grouped by topology
+    (``posed_link_groups``), from one kinematics pass."""
+    trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
+    return posed_link_groups(robot, trajectory_frames(robot, trajectory))
 
 
 def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
@@ -278,30 +289,29 @@ def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
-    shapes_per_t = _swept_shapes(robot, trajectory)
+    groups = _swept_shapes(robot, trajectory)
     hit = np.zeros(n_samples, dtype=bool)
     for oi, ob in enumerate(obstacles):
         samples = _ObstacleSamples(ob, n_samples, seed, oi)
-        for shapes in shapes_per_t:
-            for Vt, rt in shapes:
-                hit[samples.pair_hits(Vt, rt, hit)] = True
+        for _, Vt, rt, delta in samples.pairs(groups):
+            hit[samples.pair_hits(Vt, rt, delta, hit)] = True
     return _report(n_samples, int(hit.sum()), seed)
 
 
 def _pair_hit_estimates(robot, trajectory, obstacles, n_samples, seed):
     """Sampled hit probability per (timestep, obstacle) plus the joint
     trajectory-level estimate, all from shared displacement draws."""
-    shapes_per_t = _swept_shapes(robot, trajectory)
-    probs = np.zeros((len(shapes_per_t), len(obstacles)))
+    groups = _swept_shapes(robot, trajectory)
+    T = len(np.atleast_2d(trajectory))
+    probs = np.zeros((T, len(obstacles)))
     any_hit = np.zeros(n_samples, dtype=bool)
     for oi, ob in enumerate(obstacles):
         samples = _ObstacleSamples(ob, n_samples, seed, oi)
-        for t, shapes in enumerate(shapes_per_t):
-            hit_t = np.zeros(n_samples, dtype=bool)
-            for Vt, rt in shapes:
-                hit_t[samples.pair_hits(Vt, rt, hit_t)] = True
-            probs[t, oi] = hit_t.mean()
-            any_hit |= hit_t
+        hit_t = np.zeros((T, n_samples), dtype=bool)
+        for t, Vt, rt, delta in samples.pairs(groups):
+            hit_t[t, samples.pair_hits(Vt, rt, delta, hit_t[t])] = True
+        probs[:, oi] = hit_t.mean(axis=1)
+        any_hit |= hit_t.any(axis=0)
     return probs, float(any_hit.mean())
 
 

@@ -6,16 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
+from scipy.optimize import nnls
+
+from ccplan import geometry
 from ccplan.geometry import (
     Capsule,
     Polytope,
     Pose,
     Sphere,
     SweptHull,
+    _closest_cores,
     _pair_support,
     box,
     convex_hull,
     distance,
+    distances,
     intersects,
     mahalanobis_contact,
     point_body,
@@ -178,13 +185,13 @@ def check_penetration(a, b, res):
     assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(res.witness_a - res.witness_b, -sd * n,
                                atol=1e-9)
-    # Each core witness lies on its own body's core (GJK's roundoff floor,
-    # 1e-14 on |v|^2, resolves distances near zero to about 1e-7).
+    # Each core witness lies on its own body's core, and the translation
+    # leaves the bodies touching, to roundoff (worst seen about 5e-15).
     for body, w in ((a, res.witness_a - a.radius * n),
                     (b, res.witness_b + b.radius * n)):
         core = SweptHull(body.vertices, 0.0)
-        assert distance(point_body(w), core).signed_distance <= 1e-7
-    assert abs(touching_gap(a, b, sd, n)) <= 1e-7
+        assert distance(point_body(w), core).signed_distance <= 1e-12
+    assert abs(touching_gap(a, b, sd, n)) <= 1e-12
 
 
 class TestPenetration:
@@ -214,6 +221,17 @@ class TestPenetration:
         b = Capsule([0.0, -1.0, 0.0], [0.0, 1.0, 0.0], 0.1)
         assert distance(a, b).signed_distance == pytest.approx(-0.2,
                                                                abs=1e-12)
+
+    def test_nearly_parallel_capsules(self):
+        # Axes 6.6e-10 from parallel make the segment-segment solve
+        # ill-conditioned: the closest pair of the translated capsules has
+        # an end of one axis, a zero-length edge of the kernel.
+        r = 0.10238449571623429
+        a = Capsule([-0.6287144415697536, 6.613343872105036e-10],
+                    [0.0, -0.8340979457091384], r)
+        b = Capsule([-0.6287144415697536, 0.0], [0.0, -0.8340979457091384],
+                    r)
+        check_penetration(a, b, distance(a, b))
 
     def test_box_face_split_into_triangles(self):
         # The nearest face of the difference hull is a square that Qhull
@@ -272,7 +290,7 @@ class TestDistanceProperties:
             # Penetration: the reversed normal is a minimal translation
             # too (it may differ where two facets are equally near).
             assert abs(touching_gap(a, b, ab.signed_distance,
-                                    -ba.normal)) <= 1e-7
+                                    -ba.normal)) <= 1e-12
 
     @PROPERTY
     @given(body_pairs())
@@ -295,6 +313,168 @@ def flat_difference(a, b):
     hull: the penetration normal is then a fixed fallback."""
     W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, a.dim)
     return convex_hull(W) is None
+
+
+def in_core(p, V, tol=1e-9):
+    """True when p is a convex combination of the rows of V (to tol)."""
+    big = 1e3
+    A = np.vstack([V.T, np.full(len(V), big)])
+    return nnls(A, np.append(p, big))[1] <= tol
+
+
+@st.composite
+def kernel_bodies(draw, dim):
+    """``bodies`` plus, in 3D, flat polygons: five points of a random
+    plane."""
+    if dim == 2 or draw(st.booleans()):
+        return draw(bodies(dim))
+    vec = st.lists(coordinate, min_size=3, max_size=3).map(np.array)
+    origin, u, v = draw(vec), draw(vec), draw(vec)
+    assume(np.linalg.norm(np.cross(u, v)) > 1e-3)
+    uv = draw(st.lists(st.tuples(coordinate, coordinate), min_size=5,
+                       max_size=5))
+    return SweptHull(np.array([origin + x * u + y * v for x, y in uv]),
+                     draw(st.floats(0.0, 0.3)))
+
+
+@st.composite
+def kernel_pairs(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    a, b = draw(kernel_bodies(dim)), draw(kernel_bodies(dim))
+    shift = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim,
+                          max_size=dim))
+    return a, b.posed(Pose(np.eye(dim), np.array(shift)))
+
+
+class TestBatchedKernel:
+    """The exact distance kernel: candidate features, the supporting-plane
+    certificate and batching."""
+
+    @PROPERTY
+    @given(kernel_pairs())
+    def test_separation_matches_certified_gjk_bound(self, pair):
+        # GJK's supporting-plane bound under the identity metric bounds
+        # the separation from below (to roundoff) and is tight at
+        # convergence.
+        a, b = pair
+        res = distance(a, b)
+        assume(res.signed_distance > 1e-6)
+        low = math.sqrt(mahalanobis_contact(a, b, np.eye(a.dim))[0])
+        assert low - 1e-12 <= res.signed_distance <= low + 1e-9
+        n = res.normal
+        assert in_core(res.witness_a - a.radius * n, a.vertices)
+        assert in_core(res.witness_b + b.radius * n, b.vertices)
+        np.testing.assert_allclose(res.witness_b - res.witness_a,
+                                   res.signed_distance * n, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_equals_single_calls(self, dim, monkeypatch):
+        # One call on n placements gives the n single calls bit for bit,
+        # penetrating placements included, whatever the block size.
+        rng = np.random.default_rng(30 + dim)
+        for local, other in ((box(rng.uniform(0.1, 0.5, size=dim)),
+                              Polytope(rng.normal(size=(6, dim)) * 0.4)),
+                             (Capsule(np.zeros(dim), rng.normal(size=dim),
+                                      0.1), box(np.full(dim, 0.3)))):
+            placed = [local.posed(random_pose(rng, dim)) for _ in range(40)]
+            V = np.stack([p.vertices for p in placed])
+            radii = rng.uniform(0.0, 0.2, size=len(V))
+            batch = distances(V, radii, local.boundary, other)
+            assert (batch.signed_distance < 0).any()
+            assert (batch.signed_distance > 0).any()
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "DISTANCE_BLOCK", 1000)
+                blocks = distances(V, radii, local.boundary, other)
+            for field in ("signed_distance", "witness_a", "witness_b",
+                          "normal"):
+                np.testing.assert_array_equal(getattr(blocks, field),
+                                              getattr(batch, field))
+            for i, p in enumerate(placed):
+                one = distances(V[i:i + 1], radii[i], local.boundary, other)
+                for field in ("signed_distance", "witness_a", "witness_b",
+                              "normal"):
+                    np.testing.assert_array_equal(
+                        getattr(batch, field)[i], getattr(one, field)[0])
+                single = distance(SweptHull(p.vertices, radii[i],
+                                            local.boundary), other)
+                assert single.signed_distance == batch.signed_distance[i]
+
+    @pytest.mark.parametrize("a, b, expect", [
+        # A segment through a box, both ends outside: no vertex is in a
+        # face and the edges miss each other.
+        (Capsule([-1.0, 0.1, 0.2], [1.0, 0.1, 0.2], 0.0),
+         box([0.3, 0.3, 0.3]), -0.1),
+        # A box inside a box.
+        (box([0.1, 0.1, 0.1], center=[0.05, 0.0, 0.0]), box([1.0, 1.0, 1.0]),
+         -1.05),
+        # A point inside a polygon.
+        (point_body([0.1, 0.2]), box([1.0, 0.5]), -0.3),
+    ], ids=["segment-through-box", "box-in-box", "point-in-polygon"])
+    def test_failed_certificate_takes_penetration(self, a, b, expect):
+        # The closest candidate pair is apart, but the supporting planes
+        # along it overlap: the pair is not a separation.
+        _, _, d, _, gap = _closest_cores(a.vertices[None], a.boundary,
+                                         b.vertices, b.boundary)
+        assert d[0] > 1e-3 and gap[0] <= 0.0
+        res = distance(a, b)
+        assert res.signed_distance == pytest.approx(expect, abs=1e-12)
+        check_penetration(a, b, res)
+
+
+def random_pose(rng, dim):
+    Q, R = np.linalg.qr(rng.normal(size=(dim, dim)))
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Pose(Q, rng.normal(size=dim) * 0.5)
+
+
+# A box tilted by about 1e-6 rad, and an axis-aligned box 3.49 away.
+TILTED_BOX = [
+    [-0.807819289936692, -0.8385651076983691, -0.3749252688127246],
+    [-0.8078199375045749, -0.8385643816659887, 0.3749269567088341],
+    [-0.8078182008735668, 0.8385653693825799, -0.37492705720840186],
+    [-0.8078188484414497, 0.8385660954149603, 0.3749251683131568],
+    [0.8078188484414497, -0.8385660954149603, -0.3749251683131568],
+    [0.8078182008735668, -0.8385653693825799, 0.37492705720840186],
+    [0.8078199375045749, 0.8385643816659887, -0.3749269567088341],
+    [0.807819289936692, 0.8385651076983691, 0.3749252688127246],
+]
+FAR_BOX = [[x, y, z] for x in (0.46009252669472245, 2.1801942732044326)
+           for y in (4.3310340269962175, 5.793127693155073)
+           for z in (-0.19670412079944966, 0.28647309108822683)]
+
+
+class TestDistanceRegressions:
+    """Pairs that GJK's distance got wrong."""
+
+    def test_point_at_a_hull_vertex_touches(self):
+        # GJK stopped at an absolute 1e-14 gap in |v|^2, so it reported
+        # +5.96e-8 for a point that is a vertex of the hull.
+        a = point_body([-5.96046448e-08, 0.0])
+        b = Polytope([[0, 0], [0, 0.5], [0, -1], [1, 0],
+                      [-5.96046448e-08, 0]])
+        assert distance(a, b).signed_distance <= 1e-9
+        assert intersects(a, b)
+
+    def test_separation_is_attained_by_the_witnesses(self):
+        # GJK reported |v|, the norm of its closest-point estimate, which
+        # roundoff can put below the true distance: here 3.4924687923559494,
+        # under the supporting-plane bound along the normal. The separation
+        # is now the distance of its witness pair, points of the bodies.
+        a, b = Polytope(TILTED_BOX), Polytope(FAR_BOX)
+        res = distance(a, b)
+        wa, wb, n = res.witness_a, res.witness_b, res.normal
+        assert in_core(wa, a.vertices) and in_core(wb, b.vertices)
+        assert res.signed_distance == pytest.approx(
+            float(np.linalg.norm(wb - wa)), rel=1e-15)
+        # Exact rational arithmetic: no point pair is closer than the
+        # supporting planes normal to n are apart.
+        def along(V):
+            return [sum(Fraction(x) * Fraction(y) for x, y in zip(v, n))
+                    for v in V]
+        lower = min(along(b.vertices)) - max(along(a.vertices))
+        assert Fraction(res.signed_distance) >= lower
 
 
 class TestIntersects:
@@ -483,7 +663,8 @@ class TestGJKTermination:
         ball = Sphere([3.0, 1.0, -2.0], 1.0)
 
         def sp(v):
-            return ball.support(v), None, None
+            p = ball.support(v)
+            return p, p, p
 
         assert _gjk(sp, 3, tol=1e-12)[0] == pytest.approx(
             math.sqrt(14.0) - 1.0, abs=1e-9)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ccplan.geometry import Pose, Sphere, point_body
+from ccplan.geometry import Capsule, Pose, Sphere, box, point_body
 from ccplan.kinematics import (
     Joint,
     RobotModel,
@@ -11,7 +11,9 @@ from ccplan.kinematics import (
     forward_kinematics,
     planar_point_robot,
     point_jacobian,
+    posed_link_groups,
     posed_link_shapes,
+    trajectory_frames,
 )
 
 
@@ -61,6 +63,22 @@ def fk_oracle(robot, theta):
     return out
 
 
+def mixed_chain(dim):
+    """Revolute and prismatic joints with capsule, box and sphere links."""
+    axis = (lambda v: np.array(v, dtype=float)) if dim == 3 else (
+        lambda v: None)
+    joints = [Joint("revolute", Pose.identity(dim), axis([0, 0, 1])),
+              Joint("prismatic", offset_x(0.4, dim),
+                    np.array([0.0, 1.0, 1.0][:dim])),
+              Joint("revolute", offset_x(0.3, dim), axis([1, 1, 0]))]
+    zero = np.zeros(dim)
+    tip = offset_x(0.3, dim).translation
+    shapes = [[Capsule(zero, tip, 0.05), box(np.full(dim, 0.1))],
+              [Capsule(zero, 2 * tip, 0.02)],
+              [box(np.full(dim, 0.05), center=tip), Sphere(tip, 0.1)]]
+    return RobotModel(joints, shapes, Pose.identity(dim))
+
+
 class TestForwardKinematics:
     def test_zero_configuration_two_link(self):
         robot = make_chain(2)
@@ -90,6 +108,49 @@ class TestForwardKinematics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             forward_kinematics(make_chain(2), [0.0])
+        with pytest.raises(ValueError):
+            trajectory_frames(make_chain(2), np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            trajectory_frames(make_chain(2), [[0.0, np.nan]])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trajectory_walk_matches_oracle_per_step(self, dim):
+        # One stacked walk over T states gives every state's frames: the
+        # link poses of the transform-chain oracle, and per step the same
+        # frames as a walk of that state alone.
+        rng = np.random.default_rng(dim)
+        robot = mixed_chain(dim)
+        th = rng.uniform(-1.5, 1.5, size=(9, robot.dof))
+        frames = trajectory_frames(robot, th)
+        for t in range(len(th)):
+            for i, T in enumerate(fk_oracle(robot, th[t])):
+                np.testing.assert_allclose(frames.rotations[t, i],
+                                           T[:dim, :dim], atol=1e-12)
+                np.testing.assert_allclose(frames.translations[t, i],
+                                           T[:dim, dim], atol=1e-12)
+            one = chain_frames(robot, th[t])
+            step = frames.step(t)
+            for field in ("rotations", "translations", "origins", "axes"):
+                np.testing.assert_array_equal(getattr(step, field),
+                                              getattr(one, field))
+
+    def test_link_groups_place_every_shape(self):
+        # Shapes group by boundary topology (the capsules, the boxes) and
+        # each group holds the vertices posed_link_shapes places.
+        robot = mixed_chain(3)
+        th = np.random.default_rng(4).uniform(-1, 1, size=(5, robot.dof))
+        groups = posed_link_groups(robot, trajectory_frames(robot, th))
+        assert sorted(len(g.bodies) for g in groups) == [1, 2, 2]
+        for t in range(len(th)):
+            shapes = posed_link_shapes(robot, forward_kinematics(robot,
+                                                                 th[t]))
+            for g in groups:
+                for j, (k, li) in enumerate(zip(g.bodies, g.links)):
+                    assert shapes[k][0] == li
+                    assert shapes[k][1].radius == g.radii[j]
+                    np.testing.assert_array_equal(g.vertices[t, j],
+                                                  shapes[k][1].vertices)
+
 
     def test_planar_point_robot(self):
         robot = planar_point_robot()

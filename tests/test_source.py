@@ -45,3 +45,18 @@ def test_no_module_level_scipy_spatial_import():
                    for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"module-level scipy.spatial imports: {found}"
+
+
+def test_gjk_only_in_whitened_searches():
+    # Euclidean distances come from the exact batched kernel; GJK stays
+    # only where whitening turns a sphere into an ellipsoid.
+    package = Path(ccplan.__file__).parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if any(isinstance(n, ast.Name) and n.id == "_gjk"
+                   for n in ast.walk(node)):
+                found.add(f"{path.stem}."
+                          f"{getattr(node, 'name', node.lineno)}")
+    assert found == {"geometry.mahalanobis_contact", "risk._rim_contact"}

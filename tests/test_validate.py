@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import solve_triangular
 
-from ccplan import validate
+from ccplan import geometry, validate
 from ccplan.chi2 import chi2_inv_cdf
 from ccplan.geometry import (
     Capsule,
@@ -34,7 +34,7 @@ from ccplan.sceneio import parse_robot, parse_scene
 from ccplan.validate import (
     MonteCarloReport,
     _displacements,
-    _hull_distance_lower_bound,
+    _cull_bounds,
     _ObstacleSamples,
     _pair_hit_estimates,
     _point_polytope_hits,
@@ -164,6 +164,16 @@ def unculled_hits(robot, trajectory, obstacles, n, seed):
     return hit
 
 
+def cull_bound(samples, Vt):
+    """The cull bound of one link core against the samples' obstacle."""
+    return _cull_bounds(Vt[None], SweptHull(Vt, 0.0).boundary,
+                        samples.nominal)[0]
+
+
+def culled_pair_hits(samples, Vt, rt, done):
+    return samples.pair_hits(Vt, rt, cull_bound(samples, Vt), done)
+
+
 def unculled_pair_hits(samples, Vt, rt, done):
     W = (Vt[:, None, :] - samples.vertices[None, :, :]).reshape(
         -1, Vt.shape[1])
@@ -247,7 +257,7 @@ class TestCulledPairTest:
                           + offset * rng.normal(size=dim))
                     rt = float(rng.uniform(0.0, 0.1))
                     done = rng.random(n) < 0.3
-                    got = samples.pair_hits(Vt, rt, done)
+                    got = culled_pair_hits(samples, Vt, rt, done)
                     want = unculled_pair_hits(samples, Vt, rt, done)
                     np.testing.assert_array_equal(got, want)
 
@@ -257,10 +267,9 @@ class TestCulledPairTest:
         ob = UncertainObstacle(box([0.1, 0.1, 0.1]), 0.04 * np.eye(3))
         samples = _ObstacleSamples(ob, 5_000, seed=1, obstacle_index=0)
         Vt = box([0.3, 0.05, 0.2]).vertices
-        W = (Vt[:, None, :] - samples.vertices[None]).reshape(-1, 3)
-        assert _hull_distance_lower_bound(W) == 0.0
+        assert cull_bound(samples, Vt) == 0.0
         done = np.zeros(5_000, dtype=bool)
-        got = samples.pair_hits(Vt, 0.0, done)
+        got = culled_pair_hits(samples, Vt, 0.0, done)
         np.testing.assert_array_equal(
             got, unculled_pair_hits(samples, Vt, 0.0, done))
         assert 0 < got.size < 5_000
@@ -292,7 +301,7 @@ class TestCulledPairTest:
         ob = UncertainObstacle(point_body(np.zeros(3)), np.eye(3))
         samples = _ObstacleSamples(ob, len(D), seed=0, obstacle_index=0)
         done = np.zeros(len(D), dtype=bool)
-        got = samples.pair_hits(w[None, :], r, done)
+        got = culled_pair_hits(samples, w[None, :], r, done)
         np.testing.assert_array_equal(
             got, unculled_pair_hits(samples, w[None, :], r, done))
         assert {4, 5, 6} <= set(got.tolist())   # at or inside the radius
@@ -312,14 +321,19 @@ class TestCulledPairTest:
     def test_lower_bound_never_exceeds_hull_distance(self, dim):
         rng = np.random.default_rng(200 + dim)
         for _ in range(150):
-            k = int(rng.integers(1, 9))
-            W = (rng.normal(size=(k, dim)) * rng.uniform(0.01, 1.0)
-                 + rng.normal(size=dim) * rng.uniform(0.0, 2.0))
+            # A link core of 1 to 4 points against an obstacle core of 1
+            # or 2, so that W has at most 8 points.
+            Vt = (rng.normal(size=(int(rng.integers(1, 5)), dim))
+                  * rng.uniform(0.01, 1.0)
+                  + rng.normal(size=dim) * rng.uniform(0.0, 2.0))
+            Vn = rng.normal(size=(int(rng.integers(1, 3)), dim)) * 0.3
+            W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, dim)
             exact = hull_distance(W)
-            delta = _hull_distance_lower_bound(W)
+            delta = _cull_bounds(Vt[None], SweptHull(Vt, 0.0).boundary,
+                                 SweptHull(Vn, 0.0))[0]
             assert 0.0 <= delta <= exact + 1e-12
-            # Tight enough to cull: within GJK's tolerance of the distance.
-            assert delta >= exact - 1e-6 * max(1.0, exact)
+            # Tight: the kernel's gap is exact for separated cores.
+            assert delta >= exact - 1e-9 * max(1.0, exact)
 
 
 def planted_samples(W, radius):
@@ -405,7 +419,10 @@ def oracle_hits(Vt, Vn, radius, D):
     """Per-sample ``intersects`` of the link conv(Vt) swept by ``radius``
     with the obstacle hull conv(Vn) displaced by each row of D."""
     link = SweptHull(Vt, radius)
-    return np.array([intersects(link, SweptHull(Vn + d, 0.0)) for d in D])
+    # Translated copies share the obstacle's boundary complex.
+    boundary = SweptHull(Vn, 0.0).boundary
+    return np.array([intersects(link, SweptHull(Vn + d, 0.0, boundary))
+                     for d in D])
 
 
 class TestHullBandKernel:
@@ -428,7 +445,7 @@ class TestHullBandKernel:
                                 rng.normal(size=(200, dim)) * 0.4])
             want = oracle_hits(Vt, Vn, radius, D)
             with monkeypatch.context() as m:
-                m.setattr(validate, "_gjk", no_gjk)
+                m.setattr(geometry, "_gjk", no_gjk)
                 got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
             np.testing.assert_array_equal(got, want)
             assert 0 < want.sum() < len(D)
@@ -451,7 +468,7 @@ class TestHullBandKernel:
             12).normal(size=(300, dim)) * 0.2])
         want = oracle_hits(Vt, Vn, radius, D)
         np.testing.assert_array_equal(want[:len(rim)], inside)
-        monkeypatch.setattr(validate, "_gjk", no_gjk)
+        monkeypatch.setattr(geometry, "_gjk", no_gjk)
         got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
         np.testing.assert_array_equal(got, want)
         assert 0 < got.sum() < len(D)
