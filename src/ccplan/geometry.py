@@ -4,16 +4,19 @@ penetration, and Mahalanobis contact.
 Every body is a convex hull of vertices swept by a ball (a point, sphere,
 capsule, box or hull), so one support mapping and one distance kernel
 serve every shape. Each core (the hull before the radius is added) carries
-its boundary complex: vertex index pairs (edges) and, in 3D, triples
-(triangles) that cover its boundary, built on first use and shared by
-every rigid placement. The distance kernel takes the closest pair over
-the candidate features of two cores, clamped segment-segment for every
-edge pair and vertex-triangle for every vertex against every triangle
-interior, vectorized over a stack of placements. The pair is a separation
-only when the supporting planes normal to it are apart, which proves the
-cores disjoint; otherwise (touching, containment, or an edge piercing a
-face) penetration depth, normal and witnesses come exactly from the facet
-planes of the difference hull. The Mahalanobis query runs GJK in whitened
+its boundary complex (``Boundary``): vertex index pairs (edges) and, in
+3D, triples (triangles) that cover its boundary, built on first use and
+shared by every rigid placement. ``Boundary`` is also the one place Qhull
+runs, for cores and for difference hulls alike. The distance kernel takes
+the closest pair over the candidate features of two cores, clamped
+segment-segment for every edge pair and vertex-triangle for every vertex
+against every triangle interior, vectorized over a stack of placements.
+The pair is a separation only when the supporting planes normal to it are
+apart, which proves the cores disjoint; otherwise (touching, containment,
+or an edge piercing a face) penetration depth, normal and witnesses come
+exactly from the facet planes of the difference hull. ``point_distances``
+takes the same edge and triangle features from a stack of points, for the
+Monte Carlo hit test. The Mahalanobis query runs GJK in whitened
 coordinates, where a sphere becomes an ellipsoid, and returns a certified
 lower bound.
 
@@ -150,13 +153,13 @@ class SweptHull:
 
 
 class Boundary:
-    """The boundary complex of a core conv(V): ``edges``, (E, 2) vertex
-    index pairs, and ``triangles``, (F, 3) index triples (none in 2D),
-    whose segments and triangles cover the boundary and lie in the core.
-    Every vertex is also a zero-length edge (i, i).
+    """The boundary complex of a point set conv(V): ``edges``, (E, 2)
+    vertex index pairs, and ``triangles``, (F, 3) index triples (none in
+    2D), whose segments and triangles cover the boundary and lie in the
+    hull. Every vertex is also a zero-length edge (i, i).
 
-    A full-dimensional core takes Qhull's facet simplices (in 3D, the
-    triangles and the edges between facets). A flat one (at most dim
+    A full-dimensional hull takes Qhull's facet simplices (in 3D, the
+    triangles and every edge of them, once). A flat one (at most dim
     points, or Qhull finds no volume) takes every vertex pair and, in 3D,
     the fan triangles (V[0], V[i], V[j]); conv(V) is star-shaped about
     V[0], so by Caratheodory they cover it. Built on first use, since
@@ -167,23 +170,40 @@ class Boundary:
         self._vertices = vertices
 
     @cached_property
+    def hull(self):
+        """Qhull's convex hull of the vertices, or None when they are flat
+        (fewer than dim + 1 affinely independent points): the only Qhull
+        call of ccplan.
+
+        ``equations`` rows are [n, offset] with n the unit outward normal
+        and n.x + offset <= 0 on the hull; ``simplices`` triangulate its
+        facets. SciPy's spatial module is imported here, on first use,
+        because importing it costs more than importing the rest of ccplan.
+        """
+        V = self._vertices
+        if len(V) <= V.shape[1]:
+            return None
+        from scipy.spatial import ConvexHull, QhullError
+        try:
+            return ConvexHull(V)
+        except QhullError:
+            return None
+
+    @cached_property
     def _faces(self):
         V = self._vertices
         m, dim = V.shape
         none = np.zeros((0, 3), dtype=int)
         if m == 1:
             return np.zeros((0, 2), dtype=int), none
-        hull = convex_hull(V) if m > dim else None
+        hull = self.hull
         if hull is not None and dim == 2:
             return hull.simplices, none
         if hull is not None:
-            # Each edge is shared by two triangles: keep it once, and not
-            # at all between the triangles of one facet (a box face's
-            # diagonal), whose points the triangles hold.
-            S, nbr, eq = hull.simplices, hull.neighbors, hull.equations
-            edges = [np.delete(S, k, axis=1)[
-                (np.arange(len(S)) < nbr[:, k])
-                & np.any(eq != eq[nbr[:, k]], axis=1)] for k in range(3)]
+            # Each edge is shared by two triangles: keep it once.
+            S, nbr = hull.simplices, hull.neighbors
+            edges = [np.delete(S, k, axis=1)[np.arange(len(S)) < nbr[:, k]]
+                     for k in range(3)]
             return np.sort(np.concatenate(edges), axis=1), S
         edges = np.stack(np.triu_indices(m, 1), axis=1)
         if dim == 2:
@@ -455,22 +475,6 @@ def _pair_support(body_a, body_b, M):
     return sp
 
 
-def convex_hull(points):
-    """Qhull's convex hull of the rows of ``points``, or None when they are
-    flat (fewer than dim + 1 affinely independent points).
-
-    ``equations`` rows are [n, offset] with n the unit outward normal and
-    n.x + offset <= 0 on the hull; ``simplices`` triangulate its facets.
-    SciPy's spatial module is imported here, on first use, because
-    importing it costs more than importing the rest of ccplan.
-    """
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return ConvexHull(points)
-    except QhullError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Exact batched distance kernel
 # ---------------------------------------------------------------------------
@@ -481,6 +485,10 @@ SEPARATION_RTOL = 1e-12
 # Elements of the kernel's largest (placements x features x features x dim)
 # temporaries per block of placements: a few megabytes.
 DISTANCE_BLOCK = 1 << 16
+# ``point_distances`` keeps its (rows x features x dim) temporaries within
+# HIT_BLOCK x vertices x dim elements, a few megabytes; the Monte Carlo hit
+# test takes its candidates this many at a time.
+HIT_BLOCK = 4096
 
 
 def _dots(u, v):
@@ -658,7 +666,7 @@ def _penetration(Va, Vb, wa, wb, n, tolerance):
     ``tolerance``); a flat W keeps them."""
     dim, nb = Va.shape[1], Vb.shape[0]
     W = (Va[:, None, :] - Vb[None, :, :]).reshape(-1, dim)
-    hull = convex_hull(W)
+    hull = Boundary(W).hull
     if hull is None:
         # Flat core difference (e.g. coincident sphere centres): zero core
         # penetration, with a deterministic normal.
@@ -669,6 +677,43 @@ def _penetration(Va, Vb, wa, wb, n, tolerance):
     depth, n, s, lam = _nearest_facet_point(hull, W, tolerance)
     # Translating A by -depth * n separates the cores, so n points A -> B.
     return -depth, lam @ Va[s // nb], lam @ Vb[s % nb], n
+
+
+def point_distances(points, vertices, boundary):
+    """Distances from the rows of ``points`` (n, dim) to the features of
+    ``boundary``, the boundary complex of conv(vertices): the distances to
+    conv(vertices) of the points outside it, and of every point when it is
+    flat, since its complex then covers it.
+
+    Each is the least over the complex's edges, by clamped projection on
+    the segment, and, in 3D, over the triangles whose interior holds the
+    point's foot on their plane (``_onto_triangles``). Rows go in blocks
+    whose (rows x features x dim) temporaries stay within HIT_BLOCK x
+    vertices x dim elements; a flat point set has every vertex pair as an
+    edge.
+    """
+    edges, triangles = boundary._faces
+    if not len(edges):
+        edges = boundary.edges      # one point: its zero-length edge
+    V = vertices.T[:, None, :]
+    a0 = V[:, :, edges[:, 0]]
+    e = V[:, :, edges[:, 1]] - a0
+    ee = _dots(e, e)
+    corners = [V[:, :, triangles[:, i]] for i in range(3)]
+    step = max(1, HIT_BLOCK * len(vertices) // (len(edges) + len(triangles)))
+    out = np.empty(len(points))
+    for s in range(0, len(points), step):
+        X = points[s:s + step].T[:, :, None]
+        w = X - a0
+        w -= _unit_ratio(_dots(w, e), ee) * e
+        sq = _dots(w, w).min(axis=1)
+        if len(triangles):
+            y, inside = _onto_triangles(X, *corners)
+            w = X - y
+            sq = np.minimum(sq, np.where(inside, _dots(w, w), np.inf)
+                            .min(axis=1))
+        out[s:s + step] = np.sqrt(sq)
+    return out
 
 
 # ---------------------------------------------------------------------------

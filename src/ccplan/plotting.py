@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .geometry import convex_hull
+from .geometry import Boundary
 from .kinematics import forward_kinematics, posed_link_shapes
 
 PLOT_SIZE = 640          # pixel width and height of the square canvas
@@ -35,7 +35,7 @@ def _hull_order(points):
     """Boundary vertices of the 2D point cloud in drawing order."""
     if len(points) <= 2:
         return points
-    hull = convex_hull(points)
+    hull = Boundary(points).hull
     if hull is not None:
         return points[hull.vertices]
     # Degenerate (collinear) cloud: order along the spread direction.

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from scipy.optimize import nnls
+from scipy.spatial.transform import Rotation
 
 from ccplan import geometry
 from ccplan.geometry import (
+    Boundary,
     Capsule,
     Polytope,
     Pose,
@@ -20,7 +22,6 @@ from ccplan.geometry import (
     _closest_cores,
     _pair_support,
     box,
-    convex_hull,
     distance,
     distances,
     intersects,
@@ -248,8 +249,20 @@ coordinate = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
+def rotations(draw, dim):
+    """A rotation matrix: by an angle in 2D, by a rotation vector in 3D."""
+    if dim == 2:
+        return Pose.planar(draw(st.floats(-math.pi, math.pi)),
+                           np.zeros(2)).rotation
+    v = draw(st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
+    return Rotation.from_rotvec(v).as_matrix()
+
+
+@st.composite
 def bodies(draw, dim):
-    """A point, sphere, capsule, box or 7-vertex hull."""
+    """A point, sphere, capsule, box or 7-vertex hull. Boxes and hulls are
+    rotated copies (``posed``), which share the boundary complex of the
+    unrotated core."""
     vec = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
     radius = draw(st.floats(0.0, 0.3))
     kind = draw(st.sampled_from(["point", "sphere", "capsule", "box",
@@ -260,10 +273,12 @@ def bodies(draw, dim):
         return Sphere(draw(vec), radius)
     if kind == "capsule":
         return Capsule(draw(vec), draw(vec), radius)
+    R = draw(rotations(dim))
     if kind == "box":
         half = st.lists(st.floats(0.05, 0.8), min_size=dim, max_size=dim)
-        return box(draw(half), center=draw(vec))
-    return Polytope(np.array(draw(st.lists(vec, min_size=7, max_size=7))))
+        return box(draw(half)).posed(Pose(R, draw(vec)))
+    V = np.array(draw(st.lists(vec, min_size=7, max_size=7)))
+    return Polytope(V).posed(Pose(R, np.zeros(dim)))
 
 
 @st.composite
@@ -312,7 +327,7 @@ def flat_difference(a, b):
     """True when the core difference vertices span no full-dimensional
     hull: the penetration normal is then a fixed fallback."""
     W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, a.dim)
-    return convex_hull(W) is None
+    return Boundary(W).hull is None
 
 
 def in_core(p, V, tol=1e-9):
@@ -475,6 +490,36 @@ class TestDistanceRegressions:
                     for v in V]
         lower = min(along(b.vertices)) - max(along(a.vertices))
         assert Fraction(res.signed_distance) >= lower
+
+    def test_point_above_a_posed_box_face_diagonal(self):
+        # A posed box shares the axis-aligned box's boundary complex,
+        # whose face triangles have bit-equal Qhull planes. The complex
+        # dropped the diagonal between them, and on a rotated copy a point
+        # above it could fail both triangles' inside test by roundoff: the
+        # kernel then certified a far edge as the separation.
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            h = rng.uniform(0.1, 1.0, size=3)
+            pose = random_pose(rng, 3)
+            body = box(h).posed(pose)
+            for p, gap in face_diagonal_points(h, rng):
+                res = distance(body, point_body(pose.apply(p)))
+                assert res.signed_distance == pytest.approx(gap, abs=1e-12)
+
+
+def face_diagonal_points(h, rng):
+    """(point, distance) pairs above the face diagonals of box(h): on every
+    face and diagonal, a point of the diagonal raised along the face's
+    outward normal by a distance in [1e-3, 0.3]."""
+    out = []
+    for axis, side, slope in itertools.product(range(3), (-1, 1), (-1, 1)):
+        i, j = (k for k in range(3) if k != axis)
+        u, gap = rng.uniform(-0.95, 0.95), rng.uniform(1e-3, 0.3)
+        p = np.empty(3)
+        p[axis] = side * (h[axis] + gap)
+        p[i], p[j] = u * h[i], slope * u * h[j]
+        out.append((p, gap))
+    return out
 
 
 class TestIntersects:

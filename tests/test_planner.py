@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ccplan.geometry import Sphere, point_body
-from ccplan.kinematics import planar_point_robot
+from ccplan.geometry import Pose, Sphere, box, point_body
+from ccplan.kinematics import Joint, RobotModel, planar_point_robot
 from ccplan.planner import (
     CONVERGED,
     PLAN_INFEASIBLE,
@@ -14,7 +16,7 @@ from ccplan.planner import (
     solve,
 )
 from ccplan.qp import solve_qp
-from ccplan.risk import UncertainObstacle
+from ccplan.risk import UncertainObstacle, certify_risk
 
 
 def point_problem(obstacles, T=10, budget=0.01, margin=0.02,
@@ -182,3 +184,44 @@ class TestSolve:
         alloc = np.full(4, 1.5 * 0.01 / 4)
         rep = evaluate_constraints(p, traj, alloc)
         assert rep.allocation_residual == pytest.approx(0.5 * 0.01)
+
+
+def point_robot_3d():
+    """3D point robot driven by three prismatic joints (x, y, z)."""
+    joints = [Joint("prismatic", Pose.identity(3), axis, -5.0, 5.0)
+              for axis in np.eye(3)]
+    return RobotModel(joints, [[], [], [point_body(np.zeros(3))]],
+                      Pose.identity(3))
+
+
+class TestEvaluate:
+    def test_far_pair_shortcut_above_posed_box_diagonals(self):
+        # The far-pair shortcut floors a risk from the signed distance
+        # alone. Above a posed box's face diagonals that distance was
+        # once a far edge's: a point 0.02 above the box, with sigma =
+        # 0.02, got risk 1e-6 where a cold certificate gives 0.4.
+        robot = point_robot_3d()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            pose = Pose(Q * np.linalg.det(Q), rng.normal(size=3))
+            h = rng.uniform(0.1, 1.0, size=3)
+            ob = UncertainObstacle(box(h).posed(pose), 0.02 ** 2 * np.eye(3))
+            waypoints = []
+            for axis, side, slope in itertools.product(range(3), (-1, 1),
+                                                       (-1, 1)):
+                i, j = (k for k in range(3) if k != axis)
+                for u in (-0.3, -0.1, 0.1, 0.2):
+                    p = np.empty(3)
+                    p[axis] = side * (h[axis] + 0.02)
+                    p[i], p[j] = u * h[i], slope * u * h[j]
+                    waypoints.append(pose.apply(p))
+            traj = np.array(waypoints)
+            T = len(traj)
+            problem = TrajectoryProblem(robot, [ob], T, traj[0], traj[-1],
+                                        0.5, 0.0)
+            rep = evaluate_constraints(problem, traj, np.full(T, 0.5 / T))
+            for t, theta in enumerate(traj):
+                cold = certify_risk(robot, theta, ob)
+                assert rep.certificates[t][0].eps_prime == pytest.approx(
+                    cold.eps_prime, rel=1e-9)

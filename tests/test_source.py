@@ -47,16 +47,35 @@ def test_no_module_level_scipy_spatial_import():
     assert not found, f"module-level scipy.spatial imports: {found}"
 
 
-def test_gjk_only_in_whitened_searches():
-    # Euclidean distances come from the exact batched kernel; GJK stays
-    # only where whitening turns a sphere into an ellipsoid.
+def top_level_users(uses):
+    """The package's top-level definitions, as module.name (a statement
+    without a name as module.line), that hold a node for which ``uses``
+    holds."""
     package = Path(ccplan.__file__).parent
     found = set()
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
-            if any(isinstance(n, ast.Name) and n.id == "_gjk"
-                   for n in ast.walk(node)):
+            if any(uses(n) for n in ast.walk(node)):
                 found.add(f"{path.stem}."
                           f"{getattr(node, 'name', node.lineno)}")
+    return found
+
+
+def test_gjk_only_in_whitened_searches():
+    # Euclidean distances come from the exact batched kernel; GJK stays
+    # only where whitening turns a sphere into an ellipsoid.
+    found = top_level_users(
+        lambda n: isinstance(n, ast.Name) and n.id == "_gjk")
     assert found == {"geometry.mahalanobis_contact", "risk._rim_contact"}
+
+
+def test_convex_hull_only_in_boundary():
+    # Qhull runs in one place, so that the distance kernel, penetration,
+    # the Monte Carlo hit test and plotting share one boundary complex.
+    def uses(n):
+        name = (n.id if isinstance(n, ast.Name)
+                else n.attr if isinstance(n, ast.Attribute)
+                else n.name if isinstance(n, ast.alias) else None)
+        return name == "ConvexHull"
+    assert top_level_users(uses) == {"geometry.Boundary"}

@@ -11,13 +11,13 @@ from scipy.linalg import solve_triangular
 from ccplan import geometry, validate
 from ccplan.chi2 import chi2_inv_cdf
 from ccplan.geometry import (
+    Boundary,
     Capsule,
     Polytope,
     Pose,
     Sphere,
     SweptHull,
     box,
-    convex_hull,
     intersects,
     point_body,
 )
@@ -342,7 +342,7 @@ def planted_samples(W, radius):
     moved +-1e-7 along an outward normal there (a facet's normal, or the
     mean of the normals of the facets that meet there) and, for radius > 0,
     by radius +- 1e-7 along it."""
-    hull = convex_hull(W)
+    hull = Boundary(W).hull
     normals = hull.equations[:, :-1]
     points, outward = [], []
     for v in hull.vertices:
@@ -462,7 +462,7 @@ class TestHullBandKernel:
         Vt, Vn = np.array(Vt, dtype=float), np.array(Vn, dtype=float)
         dim = Vt.shape[1]
         W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, dim)
-        assert len(W) <= dim or convex_hull(W) is None
+        assert Boundary(W).hull is None
         rim, inside = rim_samples(W, radius, np.random.default_rng(11))
         D = np.concatenate([rim, W.mean(axis=0) + np.random.default_rng(
             12).normal(size=(300, dim)) * 0.2])
