@@ -18,7 +18,8 @@ import numpy as np
 from .geometry import DistanceResult, SweptHull, distances
 from .kinematics import point_jacobian, posed_link_groups, trajectory_frames
 from .chi2 import chi2_sf
-from .qp import INFEASIBLE, HessianFactors, QuadraticProgram, solve_qp
+from .qp import (OPTIMAL, ActiveSet, HessianFactors, QuadraticProgram,
+                 solve_qp)
 from .risk import RiskCertificate, certify_risk, risk_gradient
 
 CONVERGED = "converged"
@@ -401,10 +402,10 @@ def solve(problem, config=None, include_risk=True, margins=None):
                                   cfg.eps_tol, include_risk, margins)
     mu = MU_INITIAL
     # Every QP of a solve has the same rows and, per penalty weight, the
-    # same Hessian: factor each Hessian once and start each active-set
-    # search from the previous QP's active set.
+    # same Hessian: factor each Hessian once and start each QP from the
+    # previous QP's active set.
     factors = HessianFactors()
-    warm_rows = None
+    warm = None
     status = PLAN_INFEASIBLE
     outer = 0
     while True:
@@ -417,10 +418,18 @@ def solve(problem, config=None, include_risk=True, margins=None):
         for inner in range(MAX_INNER):
             qp = convexify(problem, trajectory, allocation, report, mu,
                            radius, include_risk, margins)
-            sol = solve_qp(qp, warm_rows=warm_rows, factors=factors)
-            warm_rows = sol.active_rows
-            if sol.status == INFEASIBLE:  # cannot happen with slacks; guard
+            if warm is None:
+                # The first QP starts with every allocation and slack fixed
+                # at zero, the state in which no constraint needs slack.
+                warm = ActiveSet(lower=tuple(range(n_th, qp.n)))
+            sol = solve_qp(qp, warm_start=warm, factors=factors)
+            if sol.status != OPTIMAL:
+                # The slacks make every subproblem feasible, yet the solver
+                # can stop short of the optimum (its iteration limit, or
+                # roundoff read as infeasibility); that z need not satisfy
+                # the model's constraints, so it is no step to try.
                 break
+            warm = sol.active_set
             cand_traj = sol.z[:n_th].reshape(T, dof).copy()
             cand_traj[0] = problem.start
             cand_traj[-1] = problem.goal
@@ -445,6 +454,10 @@ def solve(problem, config=None, include_risk=True, margins=None):
                 "ratio": ratio, "accepted": bool(accepted),
                 "max_violation": cand_report.max_violation,
                 "allocation_total": float(cand_alloc.sum()),
+                "qp_steps": sol.iterations,
+                "qp_active_rows": len(sol.active_set.rows),
+                "qp_fixed_variables": len(sol.active_set.lower)
+                + len(sol.active_set.upper),
             })
             if accepted:
                 trajectory, allocation = cand_traj, cand_alloc

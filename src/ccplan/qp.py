@@ -1,19 +1,44 @@
-"""Dense convex quadratic programming via a dual active-set method.
+"""Dense convex quadratic programming by a warm-started dual active-set method.
 
 Solves  min 0.5 z^T H z + f^T z + const
         s.t. A_ineq z <= b_ineq,  A_eq z = d_eq,  lo <= z <= hi
 
 with H symmetric positive definite (PSD inputs are lightly regularized).
-The dual active-set scheme (Goldfarb-Idnani) starts from the unconstrained
-minimizer, needs no feasibility phase, and reports infeasibility exactly when
-no primal/dual step exists for a violated constraint.
+
+The method is Goldfarb and Idnani's (Math. Programming 27, 1983). Its
+iterate is always the minimizer of the objective with an active set W of
+constraints held as equalities, and its multipliers on the inequalities of W
+are nonnegative: the iterate is dual feasible. Each step works on the most
+violated constraint, and drops members whose multipliers reach zero, until
+nothing is violated (optimal) or a violated constraint admits no primal or
+dual step (infeasible). No feasibility phase is needed.
+
+Warm start. Related QPs, such as those of one SCO solve, share most of their
+active sets. ``solve_qp`` takes the previous solution's ``ActiveSet`` and
+factors it at once: one pivoted Cholesky factorization of N_W^T G^-1 N_W,
+stopped at the members that depend on the others, and one pair of
+triangular solves give the minimizer over W. It then drops members
+with negative multipliers at the new data until the start is dual feasible,
+which Goldfarb-Idnani requires. The steps that follow only correct the
+difference between the hint and the optimal set, in the spirit of the hot
+start of qpOASES (Ferreau et al., Math. Prog. Comp. 2014). A cold solve is
+the warm start from an empty hint, with W the equality rows.
+
+Bounds are fixed variables, not rows. A variable at an active bound is held
+exactly at the bound, every step leaves it there, and its multiplier is its
+entry of the gradient. It enters N_W^T G^-1 N_W through its column of G^-1.
+This is the range-space form of eliminating the variable from G: with
+P = G^-1, the free block's inverse (G_RR)^-1 is the Schur complement
+P_RR - P_RF P_FF^-1 P_FR. G^-1 is formed once per distinct Hessian
+(``HessianFactors``), so a sequence of QPs that repeats one Hessian factors
+it once.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgeqrf, dpstrf, dtrtrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -80,6 +105,21 @@ class QuadraticProgram:
         return self.linear.shape[0]
 
 
+@dataclass(frozen=True)
+class ActiveSet:
+    """The constraints a QP solution holds with equality: the warm start of
+    the next QP of a sequence with the same rows.
+
+    ``rows`` index the general rows stacked as [a_eq; a_ineq], equality rows
+    first; ``lower`` and ``upper`` list the variables fixed at ``lo`` and
+    ``hi``.
+    """
+
+    rows: tuple = ()
+    lower: tuple = ()
+    upper: tuple = ()
+
+
 @dataclass
 class QPSolution:
     z: np.ndarray
@@ -89,53 +129,14 @@ class QPSolution:
     duals_eq: np.ndarray
     duals_lo: np.ndarray
     duals_hi: np.ndarray
+    # Goldfarb-Idnani steps taken after the warm start.
     iterations: int
     regularized: bool = False
-    # Internal constraint-row indices of the final active set: the
-    # ``warm_rows`` hint for the next QP of a sequence with the same rows.
-    active_rows: list = field(default_factory=list)
-
-
-class _Rows:
-    """Stacked constraint rows c^T z >= b with bookkeeping to original slots."""
-
-    def __init__(self, qp):
-        n = qp.n
-        C, b, kinds = [], [], []
-        if qp.a_eq is not None:
-            for i in range(qp.a_eq.shape[0]):
-                C.append(qp.a_eq[i])
-                b.append(qp.b_eq[i])
-                kinds.append(("eq", i))
-        if qp.a_ineq is not None:
-            for i in range(qp.a_ineq.shape[0]):
-                C.append(-qp.a_ineq[i])
-                b.append(-qp.b_ineq[i])
-                kinds.append(("ineq", i))
-        if qp.lo is not None:
-            for i in range(n):
-                if np.isfinite(qp.lo[i]):
-                    e = np.zeros(n)
-                    e[i] = 1.0
-                    C.append(e)
-                    b.append(qp.lo[i])
-                    kinds.append(("lo", i))
-        if qp.hi is not None:
-            for i in range(n):
-                if np.isfinite(qp.hi[i]):
-                    e = np.zeros(n)
-                    e[i] = -1.0
-                    C.append(e)
-                    b.append(-qp.hi[i])
-                    kinds.append(("hi", i))
-        self.C = np.array(C) if C else np.zeros((0, n))
-        self.b = np.array(b) if b else np.zeros(0)
-        self.kinds = kinds
-        self.n_eq = qp.a_eq.shape[0] if qp.a_eq is not None else 0
+    active_set: ActiveSet = field(default_factory=ActiveSet)
 
 
 class HessianFactors:
-    """Cholesky factors of the QP Hessians solved so far.
+    """G^-1 for each QP Hessian G solved so far.
 
     A sequence of related QPs often repeats one Hessian (the SCO planner's
     changes only with its penalty weight); passing one instance to each
@@ -143,65 +144,67 @@ class HessianFactors:
     """
 
     def __init__(self):
-        self._entries = []   # (G, chol, regularized)
+        self._inverses = []   # (G, G^-1, regularized)
 
     def get(self, G):
-        """(lower Cholesky factor of G, regularized flag)."""
-        for H, chol, regularized in self._entries:
+        """(G^-1, regularized flag)."""
+        for H, P, regularized in self._inverses:
             if np.array_equal(H, G):
-                return chol, regularized
-        chol, regularized = _factor(G)
-        self._entries.append((G, chol, regularized))
-        return chol, regularized
+                return P, regularized
+        chol, kept, regularized = _factor(G)
+        Linv = _tri_solve(chol, np.eye(G.shape[0]), transpose=False)
+        P = np.empty_like(G)
+        P[np.ix_(kept, kept)] = Linv.T @ Linv
+        P = 0.5 * (P + P.T)
+        self._inverses.append((G, P, regularized))
+        return P, regularized
 
 
 def _factor(G):
-    """Lower Cholesky factor of G, lightly regularized if G is only PSD."""
-    try:
-        return _cholesky(G), False
-    except np.linalg.LinAlgError:
-        pass
-    scale = max(1.0, float(np.trace(np.abs(G))) / G.shape[0])
-    try:
-        return _cholesky(G + 1e-10 * scale * np.eye(G.shape[0])), True
-    except np.linalg.LinAlgError:
-        raise ValueError("hessian is not positive semidefinite")
-
-
-def _cholesky(G):
-    """Lower Cholesky factor of SPD G, one column at a time.
-
-    Each BLAS call is a matrix-vector product, which OpenBLAS runs on one
-    thread at planner sizes. Its potrf runs on several threads from n = 100
-    on, and on a loaded machine each call can wait for the scheduler: at
-    n = 136 (the pickplace QP) one potrf took from 0.2 ms to 220 ms on a
-    2-core host with two BLAS threads, this loop about 1 ms.
-    """
+    """Pivoted lower Cholesky factor L of G, G[kept][:, kept] = L L^T,
+    lightly regularized if G is only PSD. Returns (L, kept, regularized)."""
     n = G.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        row = L[j, :j]
-        d = G[j, j] - row @ row
-        if not d > 0.0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        L[j, j] = math.sqrt(d)
-        L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ row) / L[j, j]
-    return L
+    L, kept = _cholesky(G)
+    if len(kept) == n:
+        return L, kept, False
+    scale = max(1.0, float(np.trace(np.abs(G))) / n)
+    L, kept = _cholesky(G + 1e-10 * scale * np.eye(n))
+    if len(kept) < n:
+        raise ValueError("hessian is not positive semidefinite")
+    return L, kept, True
 
 
-# The solver calls LAPACK's triangular solve directly: its inputs are finite
-# (validated by QuadraticProgram) and the SciPy wrappers cost more than
-# these small solves.
+def _cholesky(M, rtol=0.0):
+    """LAPACK's pivoted Cholesky factor of the symmetric PSD M, stopped at
+    the dependent rows. Returns (L, kept) with M[kept][:, kept] = L L^T.
+
+    M is first scaled to a unit diagonal, so a squared pivot is the squared
+    sine between a row and the span of the rows kept before it; the
+    factorization stops once none left exceeds ``rtol``.
+
+    OpenBLAS's unpivoted potrf runs on several threads from n = 100 on, and
+    on a loaded machine each call can wait for the scheduler: at n = 136 (the
+    pickplace QP) one potrf took from 0.2 ms to 220 ms on a 2-core host with
+    two BLAS threads. On that host with both cores busy and two BLAS
+    threads, pstrf took 0.14 ms (median) and 0.37 ms (99th percentile) at
+    n = 136, potrf 0.18 and 4.3 ms, and a column-by-column NumPy loop 1.5
+    and 5.9 ms.
+    """
+    diag = np.diag(M)
+    d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    c, piv, rank, _ = dpstrf(M / np.outer(d, d), tol=rtol, lower=1)
+    kept = piv[:rank] - 1
+    return np.tril(c[:rank, :rank]) * d[kept, None], kept
+
+
+# The solver calls LAPACK's triangular solve and QR directly: its inputs are
+# finite (validated by QuadraticProgram) and the NumPy and SciPy wrappers
+# cost more than these small factorizations.
 
 def _tri_solve(L, b, transpose):
     """Solve L y = b (or L^T y = b) for C-ordered lower-triangular L."""
     # L.T is upper triangular and Fortran-ordered: LAPACK takes it as is.
     return dtrtrs(L.T, b, lower=0, trans=0 if transpose else 1)[0]
-
-
-def _chol_solve(L, b):
-    """G^{-1} b from the lower Cholesky factor L of G."""
-    return _tri_solve(L, _tri_solve(L, b, transpose=False), transpose=True)
 
 
 def _chol_delete(Lm, k):
@@ -214,184 +217,299 @@ def _chol_delete(Lm, k):
     not a refactorization of M' from the active constraints.
     """
     L = np.delete(Lm, k, axis=0)
-    if k < L.shape[0]:
-        R = np.linalg.qr(L[k:, k:].T, mode="r")
+    q = L.shape[0]
+    if k < q:
+        R = np.triu(dgeqrf(L[k:, k:].T)[0][:q - k])
         sign = np.where(np.diag(R) < 0.0, -1.0, 1.0)
         L[k:, k:-1] = (R * sign[:, None]).T
     return np.ascontiguousarray(L[:, :-1])
 
 
-def solve_qp(qp, feas_tol=1e-9, max_iter=None, warm_rows=None, factors=None):
+def solve_qp(qp, feas_tol=1e-9, max_iter=None, warm_start=None,
+             factors=None):
     """Solve a convex QP; returns a QPSolution with per-row dual multipliers.
 
-    ``warm_rows`` optionally lists internal constraint-row indices to try
-    first (e.g. the previous active set from a sequence of similar QPs).
-    ``factors`` is a HessianFactors shared by a sequence of QPs.
+    ``warm_start`` is an ActiveSet to start from, usually the previous
+    solution's ``active_set`` in a sequence of QPs with the same rows. Any
+    hint is safe: out-of-range, duplicated, dependent and wrongly signed
+    members are dropped. ``max_iter`` bounds the Goldfarb-Idnani steps after
+    the warm start. ``factors`` is a HessianFactors shared by a sequence of
+    QPs.
     """
-    n = qp.n
-    G = 0.5 * (qp.hessian + qp.hessian.T)
-    scale = max(1.0, float(np.trace(np.abs(G))) / n)
-    if factors is None:
-        factors = HessianFactors()
-    chol, regularized = factors.get(G)
+    return _DualActiveSet(qp, feas_tol, max_iter, factors).solve(warm_start)
 
-    rows = _Rows(qp)
-    m = rows.C.shape[0]
-    if max_iter is None:
-        max_iter = 50 * (m + n) + 100
 
-    x = _chol_solve(chol, -qp.linear)
-    active = []          # row indices
-    is_eq = []           # parallel flags
-    signs = []           # +1/-1 applied to eq rows during addition
-    # Columns [:q] hold the q active constraint normals and G^{-1} times
-    # them; Lm is the lower Cholesky factor of N^T G^{-1} N.
-    N = np.empty((n, n))
-    GinvN = np.empty((n, n))
-    Lm = np.zeros((0, 0))
-    u = np.zeros(0)
+class _DualActiveSet:
+    """Goldfarb-Idnani state: the iterate x, the active set and its
+    multipliers u, and the factors of the active set's Schur complement.
 
-    def drop(pos):
-        nonlocal Lm, u
-        q = len(active)
-        for lst in (active, is_eq, signs):
+    A member is constraint k of the stack [general rows; x >= lo; -x >= -hi]
+    (k < m, m <= k < m + n, k >= m + n), with normal n_k. The columns [:q]
+    of GinvN hold G^-1 n_k of the q members, and Lm is the lower Cholesky
+    factor of N^T G^-1 N.
+    """
+
+    def __init__(self, qp, feas_tol, max_iter, factors):
+        self.qp = qp
+        n = self.n = qp.n
+        G = 0.5 * (qp.hessian + qp.hessian.T)
+        self.scale = max(1.0, float(np.trace(np.abs(G))) / n)
+        self.P, self.regularized = (factors or HessianFactors()).get(G)
+        # The general rows as c^T z >= b: [a_eq; -a_ineq]. Bounds are not
+        # rows.
+        C, b = [np.zeros((0, n))], [np.zeros(0)]
+        if qp.a_eq is not None:
+            C.append(qp.a_eq)
+            b.append(qp.b_eq)
+        if qp.a_ineq is not None:
+            C.append(-qp.a_ineq)
+            b.append(-qp.b_ineq)
+        self.C = np.vstack(C)
+        self.n_eq = qp.a_eq.shape[0] if qp.a_eq is not None else 0
+        self.m = self.C.shape[0]
+        lo = qp.lo if qp.lo is not None else np.full(n, -np.inf)
+        hi = qp.hi if qp.hi is not None else np.full(n, np.inf)
+        self.lo, self.hi = lo, hi
+        # Right-hand side of every constraint n_k^T x >= b_k.
+        self.b = np.concatenate(b + [lo, -hi])
+        if max_iter is None:
+            bounds = int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
+            max_iter = 50 * (self.m + bounds + n) + 100
+        self.feas_tol = feas_tol
+        self.max_iter = max_iter
+        self.iters = 0
+        self.members = []    # constraint indices; equality rows never drop
+        self.signs = []      # +1/-1 applied to equality rows
+        self.fixed = np.zeros(n, dtype=bool)
+        self.GinvN = np.empty((n, n))
+        self.Lm = np.zeros((0, 0))
+        self.u = np.zeros(0)
+        self.x = None
+
+    # -- one constraint: n_k^T v and G^-1 n_k, with no dense unit rows ----
+
+    def _dot(self, k, V):
+        """n_k^T V for a vector or an n x q matrix V."""
+        m, n = self.m, self.n
+        if k < m:
+            return self.C[k] @ V
+        return V[k - m] if k < m + n else -V[k - m - n]
+
+    def _ginv(self, k):
+        m, n = self.m, self.n
+        if k < m:
+            return self.P @ self.C[k]
+        # P is symmetric: its row i is the column G^-1 e_i.
+        return self.P[k - m] if k < m + n else -self.P[k - m - n]
+
+    def _var(self, k):
+        """The variable a bound constraint fixes, or None for a row."""
+        return None if k < self.m else (k - self.m) % self.n
+
+    # -- the warm start ----------------------------------------------------
+
+    def _start(self, hint):
+        """Factor the hinted set once and move to its dual-feasible
+        minimizer: the hinted fixed variables, every equality row and the
+        hinted inequality rows, less the dependent members and, repeatedly,
+        the inequalities with negative multipliers."""
+        m, n, n_eq = self.m, self.n, self.n_eq
+        hint = hint or ActiveSet()
+
+        def valid(indices, lo, hi):
+            k = np.unique(np.asarray(indices, dtype=int))
+            return k[(k >= lo) & (k < hi)]
+
+        lower = valid(hint.lower, 0, n)
+        upper = valid(hint.upper, 0, n)
+        fixed = np.concatenate([m + lower[np.isfinite(self.lo[lower])],
+                                m + n + upper[np.isfinite(self.hi[upper])]])
+        cand = np.concatenate([fixed, np.arange(n_eq),
+                               valid(hint.rows, n_eq, m)])
+        general = cand < m
+        var = (cand - m) % n
+        sign = np.where(cand < m + n, 1.0, -1.0)
+        V = np.empty((n, cand.size))
+        V[:, general] = self.P @ self.C[cand[general]].T
+        V[:, ~general] = self.P[var[~general]].T * sign[~general]
+        S = np.empty((cand.size, cand.size))
+        S[general] = self.C[cand[general]] @ V
+        S[~general] = V[var[~general]] * sign[~general, None]
+        # A dependent member's squared sine to the span of those kept is
+        # roundoff: under 1e-12 on the test sequences.
+        L, kept = _cholesky(S, 1e-10)
+        kept = kept[:n]
+        q = len(kept)
+        self.Lm = np.ascontiguousarray(L[:q, :q])
+        self.members = cand[kept].tolist()
+        self.signs = [1.0] * q
+        self.GinvN[:, :q] = V[:, kept]
+        self.fixed[var[kept][~general[kept]]] = True
+        x0 = -self.P @ self.qp.linear
+        slack0 = self._slacks(x0)
+        while True:
+            if self.members:
+                self.u = _tri_solve(self.Lm, _tri_solve(
+                    self.Lm, -slack0[self.members], transpose=False),
+                    transpose=True)
+            negative = np.flatnonzero(
+                (self.u < 0.0) & (np.array(self.members, dtype=int) >= n_eq))
+            if not negative.size:
+                break
+            for pos in negative[::-1]:
+                self._drop(pos)
+        self.x = x0 + self.GinvN[:, :len(self.members)] @ self.u
+        self._pin(self.members)
+
+    def _slacks(self, x):
+        """n_k^T x - b_k for every constraint k."""
+        return np.concatenate([self.C @ x, x, -x]) - self.b
+
+    def _pin(self, ks):
+        """Hold the variables that bound constraints ``ks`` fix exactly at
+        their bounds."""
+        m, n = self.m, self.n
+        ks = np.asarray(ks, dtype=int)
+        lower = ks[(ks >= m) & (ks < m + n)] - m
+        upper = ks[ks >= m + n] - m - n
+        self.x[lower] = self.lo[lower]
+        self.x[upper] = self.hi[upper]
+
+    # -- active-set updates ------------------------------------------------
+
+    def _drop(self, pos):
+        q = len(self.members)
+        i = self._var(self.members[pos])
+        if i is not None:
+            self.fixed[i] = False
+        for lst in (self.members, self.signs):
             del lst[pos]
-        N[:, pos:q - 1] = N[:, pos + 1:q]
-        GinvN[:, pos:q - 1] = GinvN[:, pos + 1:q]
-        u = np.delete(u, pos)
-        Lm = _chol_delete(Lm, pos)
+        self.GinvN[:, pos:q - 1] = self.GinvN[:, pos + 1:q]
+        self.u = np.delete(self.u, pos)
+        self.Lm = _chol_delete(self.Lm, pos)
 
-    def add(c, gi, ell, dd):
-        nonlocal Lm, u
-        q = len(active)
-        N[:, q] = c
-        GinvN[:, q] = gi
+    def _append(self, k, sign, gi, ell, dd, u_k):
+        q = len(self.members)
+        self.GinvN[:, q] = gi
         new = np.zeros((q + 1, q + 1))
-        new[:q, :q] = Lm
+        new[:q, :q] = self.Lm
         new[q, :q] = ell
         new[q, q] = dd
-        Lm = new
-        u = np.append(u, 0.0)
+        self.Lm = new
+        self.u = np.append(self.u, u_k)
+        self.members.append(k)
+        self.signs.append(sign)
+        i = self._var(k)
+        if i is not None:
+            self.fixed[i] = True
+            self._pin([k])
 
-    iters = 0
+    # -- Goldfarb-Idnani steps ---------------------------------------------
 
-    def work_on(p_row, sign, as_eq):
+    def _work_on(self, k, sign):
         """Drive one violated constraint to satisfaction. Returns status."""
-        nonlocal x, u, iters
-        c = sign * rows.C[p_row]
-        bnd = sign * rows.b[p_row]
-        gi = _chol_solve(chol, c)
+        scale = self.scale
+        as_eq = k < self.n_eq
+        gi = sign * self._ginv(k)
+        bnd = sign * self.b[k]
         u_plus = 0.0
         while True:
-            iters += 1
-            if iters > max_iter:
+            self.iters += 1
+            if self.iters > self.max_iter:
                 return ITERATION_LIMIT
-            s = float(c @ x) - bnd
-            if not as_eq and s >= -feas_tol:
+            s = sign * float(self._dot(k, self.x)) - bnd
+            if not as_eq and s >= -self.feas_tol and u_plus == 0.0:
                 # satisfied without entering the active set
                 return None
-            q = len(active)
+            q = len(self.members)
             if q:
-                w = N[:, :q].T @ gi
-                ell = _tri_solve(Lm, w, transpose=False)
-                r = _tri_solve(Lm, ell, transpose=True)
-                z = gi - GinvN[:, :q] @ r
+                V = self.GinvN[:, :q]
+                ell = _tri_solve(self.Lm, sign * self._dot(k, V),
+                                 transpose=False)
+                r = _tri_solve(self.Lm, ell, transpose=True)
+                z = gi - V @ r
+                z[self.fixed] = 0.0
             else:
                 ell = np.zeros(0)
                 r = np.zeros(0)
                 z = gi
-            zn = float(z @ c)
-            if as_eq and abs(s) <= feas_tol and zn <= 1e-13 * scale:
-                break  # dependent equality already satisfied
-            t2 = -s / zn if zn > 1e-13 * scale else np.inf
+            zn = sign * float(self._dot(k, z))
+            if as_eq and abs(s) <= self.feas_tol and zn <= 1e-13 * scale:
+                return None  # dependent equality already satisfied
+            # After a partial step the constraint carries the multiplier
+            # u_plus, so it enters even when roundoff has satisfied it.
+            t2 = max(-s / zn, 0.0) if zn > 1e-13 * scale else np.inf
             t1 = np.inf
             k1 = -1
             if q:
                 # Ratio test over the inequality multipliers that decrease.
                 ratio = np.full(q, np.inf)
-                blocking = (r > 1e-13) & ~np.array(is_eq)
-                ratio[blocking] = u[blocking] / r[blocking]
+                blocking = (r > 1e-13) & (np.array(self.members) >= self.n_eq)
+                ratio[blocking] = self.u[blocking] / r[blocking]
                 k1 = int(np.argmin(ratio))
                 t1 = float(ratio[k1])
             t = min(t1, t2)
             if not np.isfinite(t):
                 return INFEASIBLE
             if q:
-                u[:q] -= t * r
+                self.u = self.u - t * r
             u_plus += t
             if t2 <= t1:
                 # Full primal step: the constraint becomes satisfied and active.
-                x = x + t2 * z
-                dd2 = float(c @ gi) - float(ell @ ell)
+                self.x = self.x + t2 * z
+                dd2 = sign * float(self._dot(k, gi)) - float(ell @ ell)
                 if dd2 <= 1e-14 * scale:
                     # numerically dependent; accept if satisfied
-                    if abs(float(c @ x) - bnd) <= 1e-7:
-                        break
+                    if abs(sign * float(self._dot(k, self.x)) - bnd) <= 1e-7:
+                        return None
                     return INFEASIBLE
-                add(c, gi, ell, np.sqrt(dd2))
-                active.append(p_row)
-                is_eq.append(as_eq)
-                signs.append(sign)
-                u[-1] = u_plus
-                break
+                self._append(k, sign, gi, ell, math.sqrt(dd2), u_plus)
+                return None
             # Partial (or pure dual) step: a blocking multiplier hit zero.
             if np.isfinite(t2):
-                x = x + t1 * z
-            drop(k1)
-        return None
+                self.x = self.x + t1 * z
+            self._drop(k1)
 
-    # Equalities first.
-    for p in range(rows.n_eq):
-        s = float(rows.C[p] @ x) - rows.b[p]
-        sign = -1.0 if s > 0 else 1.0
-        st = work_on(p, sign, True)
-        if st is not None:
-            return _finish(qp, rows, x, active, signs, u, st, iters, regularized)
+    def solve(self, hint):
+        self._start(hint)
+        # Equality rows the start left out as dependent.
+        for p in range(self.n_eq):
+            if p in self.members:
+                continue
+            s = float(self.C[p] @ self.x) - self.b[p]
+            st = self._work_on(p, -1.0 if s > 0 else 1.0)
+            if st is not None:
+                return self._finish(st)
+        # Inequalities: repeatedly fix the most violated constraint.
+        while True:
+            s = self._slacks(self.x)
+            s[:self.n_eq] = 0.0
+            s[self.members] = 0.0
+            p = int(np.argmin(s))
+            if s[p] >= -self.feas_tol:
+                return self._finish(OPTIMAL)
+            st = self._work_on(p, 1.0)
+            if st is not None:
+                return self._finish(st)
+            if self.iters > self.max_iter:
+                return self._finish(ITERATION_LIMIT)
 
-    # Inequalities: repeatedly fix the most violated row.
-    hint = np.array([h for h in warm_rows or () if rows.n_eq <= h < m],
-                    dtype=int)
-    while True:
-        s_all = rows.C @ x - rows.b
-        s_all[:rows.n_eq] = 0.0
-        s_all[active] = 0.0
-        # The first violated hinted row, else the most violated row.
-        hinted = np.flatnonzero(s_all[hint] < -feas_tol)
-        if hinted.size:
-            p = int(hint[hinted[0]])
-        else:
-            p = int(np.argmin(s_all)) if m else 0
-            if m == 0 or s_all[p] >= -feas_tol:
-                break
-        st = work_on(p, 1.0, False)
-        if st is not None:
-            return _finish(qp, rows, x, active, signs, u, st, iters, regularized)
-        if iters > max_iter:
-            return _finish(qp, rows, x, active, signs, u, ITERATION_LIMIT,
-                           iters, regularized)
-    return _finish(qp, rows, x, active, signs, u, OPTIMAL, iters, regularized)
-
-
-def _finish(qp, rows, x, active, signs, u, status, iters, regularized):
-    n = qp.n
-    duals_ineq = np.zeros(qp.a_ineq.shape[0] if qp.a_ineq is not None else 0)
-    duals_eq = np.zeros(qp.a_eq.shape[0] if qp.a_eq is not None else 0)
-    duals_lo = np.zeros(n)
-    duals_hi = np.zeros(n)
-    for pos, row in enumerate(active):
-        kind, idx = rows.kinds[row]
-        val = float(u[pos])
-        if kind == "eq":
-            duals_eq[idx] = -signs[pos] * val
-        elif kind == "ineq":
-            duals_ineq[idx] = val
-        elif kind == "lo":
-            duals_lo[idx] = val
-        else:
-            duals_hi[idx] = val
-    obj = float(0.5 * x @ qp.hessian @ x + qp.linear @ x + qp.constant)
-    return QPSolution(x, obj, status, duals_ineq, duals_eq, duals_lo,
-                      duals_hi, iters, regularized, list(active))
+    def _finish(self, status):
+        qp, m, n, n_eq = self.qp, self.m, self.n, self.n_eq
+        # Multipliers by constraint index; an equality row's carries the
+        # sign it was added with.
+        K = np.array(self.members, dtype=int)
+        duals = np.zeros(m + 2 * n)
+        duals[K] = self.u * np.where(K < n_eq, -np.array(self.signs), 1.0)
+        K.sort()
+        active = ActiveSet(tuple(K[K < m].tolist()),
+                           tuple((K[(K >= m) & (K < m + n)] - m).tolist()),
+                           tuple((K[K >= m + n] - m - n).tolist()))
+        x = self.x
+        obj = float(0.5 * x @ qp.hessian @ x + qp.linear @ x + qp.constant)
+        return QPSolution(x, obj, status, duals[n_eq:m], duals[:n_eq],
+                          duals[m:m + n], duals[m + n:], self.iters,
+                          self.regularized, active)
 
 
 def kkt_residuals(qp, sol):

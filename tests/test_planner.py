@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import ccplan.planner as planner_module
 from ccplan.geometry import Pose, Sphere, box, point_body
 from ccplan.kinematics import Joint, RobotModel, planar_point_robot
 from ccplan.planner import (
@@ -15,8 +17,9 @@ from ccplan.planner import (
     seed_trajectory,
     solve,
 )
-from ccplan.qp import solve_qp
+from ccplan.qp import ITERATION_LIMIT, OPTIMAL, kkt_residuals, solve_qp
 from ccplan.risk import UncertainObstacle, certify_risk
+from test_acceptance import corridor_problem
 
 
 def point_problem(obstacles, T=10, budget=0.01, margin=0.02,
@@ -126,7 +129,9 @@ class TestSolve:
         p = point_problem([offset_obstacle()])
         res = solve(p)
         dists = [np.linalg.norm(th - [0.0, 0.15]) for th in res.trajectory]
-        assert np.argmax(res.allocation) == np.argmin(dists)
+        # The two middle waypoints are equally close up to roundoff, so the
+        # peak may sit at either of them.
+        assert dists[np.argmax(res.allocation)] <= min(dists) + 1e-12
 
     def test_risk_constraint_lengthens_path(self):
         ob = offset_obstacle()
@@ -184,6 +189,74 @@ class TestSolve:
         alloc = np.full(4, 1.5 * 0.01 / 4)
         rep = evaluate_constraints(p, traj, alloc)
         assert rep.allocation_residual == pytest.approx(0.5 * 0.01)
+
+
+class TestQPSequence:
+    def test_qp_stopped_at_its_iteration_limit_is_no_step(self, monkeypatch):
+        # Such a z is dual feasible but need not satisfy the model's
+        # constraints, so it must not become a candidate trajectory.
+        def stopped(qp, **kwargs):
+            return dataclasses.replace(solve_qp(qp, **kwargs),
+                                       status=ITERATION_LIMIT)
+
+        monkeypatch.setattr(planner_module, "solve_qp", stopped)
+        p = point_problem([offset_obstacle()])
+        res = solve(p)
+        traj, alloc = seed_trajectory(p)
+        assert res.iterations == []
+        np.testing.assert_array_equal(res.trajectory, traj)
+        np.testing.assert_array_equal(res.allocation, alloc)
+        assert res.status != CONVERGED
+
+    def test_warm_qps_take_few_steps(self, monkeypatch):
+        # Step counts are deterministic, so this is a hard gate: each QP
+        # starts from the previous QP's active set and corrects only the
+        # rows and fixed variables that changed.
+        steps = []
+
+        def counting(qp, **kwargs):
+            sol = solve_qp(qp, **kwargs)
+            steps.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(planner_module, "solve_qp", counting)
+        _, p = corridor_problem()
+        assert solve(p).status == CONVERGED
+        assert len(steps) > 5
+        assert np.median(steps[1:]) <= 10
+
+    def test_every_qp_of_a_solve_is_optimal_cold_and_warm(self, monkeypatch):
+        # A cold solve of three of these QPs once ended a partial step on
+        # an allocation's upper bound with the bound satisfied by roundoff,
+        # and dropped the multiplier the bound had gained: stationarity was
+        # off by up to 8.3.
+        seen = []
+
+        def recording(qp, **kwargs):
+            seen.append((qp, kwargs["warm_start"]))
+            return solve_qp(qp, **kwargs)
+
+        monkeypatch.setattr(planner_module, "solve_qp", recording)
+        _, p = corridor_problem()
+        solve(p)
+        for qp, hint in seen:
+            for sol in (solve_qp(qp), solve_qp(qp, warm_start=hint)):
+                assert sol.status == OPTIMAL
+                stat, primal, dual, comp = kkt_residuals(qp, sol)
+                assert stat <= 1e-6
+                assert primal <= 1e-8
+                assert dual <= 1e-8
+                assert comp <= 1e-6
+
+    def test_log_reports_qp_counters(self):
+        p = point_problem([offset_obstacle()])
+        res = solve(p)
+        assert res.iterations
+        for entry in res.iterations:
+            assert entry["qp_steps"] >= 0
+            # The endpoint equalities are always active.
+            assert entry["qp_active_rows"] >= 2 * p.robot.dof
+            assert entry["qp_fixed_variables"] >= 0
 
 
 def point_robot_3d():

@@ -3,7 +3,9 @@ import pytest
 
 from ccplan.qp import (
     INFEASIBLE,
+    ITERATION_LIMIT,
     OPTIMAL,
+    ActiveSet,
     HessianFactors,
     QuadraticProgram,
     _chol_delete,
@@ -153,6 +155,26 @@ class TestBasics:
         assert sol.regularized
         assert sol.z[1] == pytest.approx(0.0, abs=1e-6)
 
+    def test_psd_singular_coupled_block_cold_and_warm(self):
+        # z0 and z1 are coupled by a rank-one block; the flat direction
+        # (1, -1, 0) ends at z0's upper bound: the optimum is (1, -0.75, -0.5).
+        H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        qp = QuadraticProgram(H, np.array([-1.0, -0.25, 1.0]),
+                              a_ineq=np.ones((1, 3)), b_ineq=np.array([0.5]),
+                              lo=-np.ones(3), hi=np.ones(3))
+        cold = solve_qp(qp)
+        warm = solve_qp(qp, warm_start=cold.active_set)
+        for sol in (cold, warm):
+            assert sol.status == OPTIMAL
+            assert sol.regularized
+            np.testing.assert_allclose(sol.z, [1.0, -0.75, -0.5], atol=1e-6)
+            stat, primal, dual, comp = kkt_residuals(qp, sol)
+            assert stat <= 1e-6
+            assert primal <= 1e-8
+            assert dual <= 1e-8
+            assert comp <= 1e-6
+        assert cold.active_set.upper == (0,)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             QuadraticProgram(np.eye(2), np.zeros(3))
@@ -235,9 +257,181 @@ class TestRandomized:
         cold = solve_qp(qp)
         hint = [i for i, d in enumerate(cold.duals_ineq) if d > 0]
         # internal row index for ineq i is n_eq + i = i here
-        warm = solve_qp(qp, warm_rows=hint)
+        warm = solve_qp(qp, warm_start=ActiveSet(rows=hint))
         assert warm.status == OPTIMAL
         np.testing.assert_allclose(warm.z, cold.z, atol=1e-8)
+
+
+def sco_sequence(rng, length=6, with_eq=False):
+    """QPs with the same rows, as sequential convex optimization makes them:
+    the linear term, the right-hand sides and the bounds move a little from
+    one QP to the next, about a feasible anchor that moves too."""
+    n = int(rng.integers(4, 21))
+    A = rng.normal(size=(n, n))
+    H = A @ A.T + n * np.eye(n)
+    f = rng.normal(size=n) * 10
+    m = int(rng.integers(n // 2, 2 * n))
+    Ai = rng.normal(size=(m, n))
+    Ae = rng.normal(size=(2, n)) if with_eq else None
+    z0 = rng.normal(size=n)
+    margin = rng.uniform(0.1, 2.0, size=m)
+    width = rng.uniform(0.05, 1.5, size=(2, n))
+    # Some variables have no upper bound, as the planner's slacks have not.
+    width[1, rng.random(n) < 0.3] = np.inf
+    for _ in range(length):
+        z0 = z0 + 0.05 * rng.normal(size=n)
+        f = f + 0.5 * rng.normal(size=n)
+        margin = np.abs(margin + 0.05 * rng.normal(size=m)) + 0.01
+        kw = dict(a_eq=Ae, b_eq=Ae @ z0) if with_eq else {}
+        yield QuadraticProgram(H, f, a_ineq=Ai, b_ineq=Ai @ z0 + margin,
+                               lo=z0 - width[0], hi=z0 + width[1], **kw)
+
+
+def assert_same_optimum(qp, warm, cold):
+    """A warm solve is optimal, carries its own KKT and duality-gap
+    certificates, and lands on the cold solve's optimum."""
+    assert warm.status == OPTIMAL
+    stat, primal, dual, comp = kkt_residuals(qp, warm)
+    assert stat <= 1e-6
+    assert primal <= 1e-8
+    assert dual <= 1e-8
+    assert comp <= 1e-6
+    assert_duality_gap(qp, warm)
+    np.testing.assert_allclose(warm.z, cold.z, rtol=0, atol=1e-9)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                           abs=1e-9)
+
+
+HINT_KINDS = ("stale", "out of range", "duplicated",
+              "both bounds of a variable", "every row", "equality rows")
+
+
+def stale_hints(qp, sol):
+    """Hints that are wrong for ``qp`` in every way a caller can get them
+    wrong, built from an optimal active set ``sol`` of a related QP; keyed
+    by HINT_KINDS."""
+    n, m_ineq = qp.n, qp.a_ineq.shape[0]
+    n_eq = qp.a_eq.shape[0] if qp.a_eq is not None else 0
+    act = sol.active_set
+    return {
+        "stale": act,
+        "out of range": ActiveSet(
+            act.rows + (-1, n_eq + m_ineq, 10 ** 6),
+            act.lower + (-1, n, 10 ** 6), act.upper + (-3, n + 2)),
+        "duplicated": ActiveSet(act.rows * 2, act.lower * 3,
+                                act.upper * 2),
+        "both bounds of a variable": ActiveSet(
+            act.rows, tuple(range(n)), tuple(range(n))),
+        "every row": ActiveSet(tuple(range(n_eq + m_ineq)), act.lower,
+                               act.upper),
+        "equality rows": ActiveSet(tuple(range(n_eq)) + act.rows,
+                                   act.lower, act.upper),
+    }
+
+
+class TestWarmStart:
+    def test_sco_sequences_match_cold_solves(self):
+        rng = np.random.default_rng(50)
+        steps = []
+        for seq in range(20):
+            factors = HessianFactors()
+            prev = None
+            for qp in sco_sequence(rng, with_eq=seq % 2 == 1):
+                cold = solve_qp(qp)
+                warm = solve_qp(qp, warm_start=prev, factors=factors)
+                assert_same_optimum(qp, warm, cold)
+                if prev is not None:
+                    steps.append(warm.iterations)
+                prev = warm.active_set
+        # The warm start saves most of the cold solve's steps.
+        assert np.median(steps) <= 3
+
+    @pytest.mark.parametrize("kind", HINT_KINDS)
+    def test_bad_hints_still_reach_the_optimum(self, kind):
+        rng = np.random.default_rng(51)
+        for seq in range(10):
+            qps = list(sco_sequence(rng, length=4, with_eq=seq % 2 == 1))
+            first = solve_qp(qps[0])
+            for qp in qps[2:]:
+                hint = stale_hints(qp, first)[kind]
+                assert_same_optimum(qp, solve_qp(qp, warm_start=hint),
+                                    solve_qp(qp))
+
+    def test_hint_with_negative_multipliers(self):
+        # Flipping the linear term turns the multipliers of the previous
+        # optimum's active set negative at the new data.
+        rng = np.random.default_rng(52)
+        for seq in range(10):
+            qp = next(sco_sequence(rng, 1, with_eq=seq % 2 == 1))
+            sol = solve_qp(qp)
+            flipped = QuadraticProgram(qp.hessian, -qp.linear, qp.a_ineq,
+                                       qp.b_ineq, qp.a_eq, qp.b_eq, qp.lo,
+                                       qp.hi)
+            assert_same_optimum(
+                flipped, solve_qp(flipped, warm_start=sol.active_set),
+                solve_qp(flipped))
+
+    def test_linearly_dependent_rows(self):
+        # Rows repeated and a row that sums two others, all hinted: the
+        # start factors an independent subset.
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            base = next(sco_sequence(rng, 1))
+            A = base.a_ineq
+            A2 = np.vstack([A, A[:3], A[0] + A[1]])
+            b2 = np.concatenate([base.b_ineq, base.b_ineq[:3],
+                                 [base.b_ineq[0] + base.b_ineq[1]]])
+            qp = QuadraticProgram(base.hessian, base.linear, A2, b2,
+                                  lo=base.lo, hi=base.hi)
+            hint = ActiveSet(tuple(range(len(b2))),
+                             solve_qp(base).active_set.lower)
+            assert_same_optimum(qp, solve_qp(qp, warm_start=hint),
+                                solve_qp(qp))
+
+    def test_own_active_set_resolves_in_two_steps(self):
+        rng = np.random.default_rng(54)
+        for seq in range(20):
+            for qp in sco_sequence(rng, length=2, with_eq=seq % 2 == 1):
+                cold = solve_qp(qp)
+                again = solve_qp(qp, warm_start=cold.active_set)
+                assert again.iterations <= 2
+                assert_same_optimum(qp, again, cold)
+
+    def test_infeasible_under_warm_hint(self):
+        rng = np.random.default_rng(55)
+        for seq in range(10):
+            base = next(sco_sequence(rng, 1, with_eq=seq % 2 == 1))
+            hint = solve_qp(base).active_set
+            a = base.a_ineq[0]
+            t = float(a @ solve_qp(base).z)
+            # a z <= t and a z >= t + 1 cannot both hold.
+            qp = QuadraticProgram(
+                base.hessian, base.linear, np.vstack([base.a_ineq, a, -a]),
+                np.concatenate([base.b_ineq, [t, -t - 1.0]]), base.a_eq,
+                base.b_eq, base.lo, base.hi)
+            assert solve_qp(qp).status == INFEASIBLE
+            assert solve_qp(qp, warm_start=hint).status == INFEASIBLE
+
+    def test_iteration_limit_under_warm_hint(self):
+        rng = np.random.default_rng(56)
+        limited = 0
+        for seq in range(10):
+            qp = next(sco_sequence(rng, 1, with_eq=seq % 2 == 1))
+            # The optimal active set of the QP with the opposite linear
+            # term: far from this QP's, so many steps remain.
+            hint = solve_qp(QuadraticProgram(
+                qp.hessian, -qp.linear, qp.a_ineq, qp.b_ineq, qp.a_eq,
+                qp.b_eq, qp.lo, qp.hi)).active_set
+            full = solve_qp(qp, warm_start=hint)
+            assert full.status == OPTIMAL
+            if full.iterations == 0:
+                continue
+            short = solve_qp(qp, warm_start=hint,
+                             max_iter=full.iterations - 1)
+            assert short.status == ITERATION_LIMIT
+            assert short.iterations == full.iterations
+            limited += 1
+        assert limited >= 5
 
 
 class TestFactorUpdates:
