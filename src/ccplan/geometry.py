@@ -18,7 +18,8 @@ exactly from the facet planes of the difference hull. ``point_distances``
 takes the same edge and triangle features from a stack of points, for the
 Monte Carlo hit test. The Mahalanobis query runs GJK in whitened
 coordinates, where a sphere becomes an ellipsoid, and returns a certified
-lower bound.
+lower bound; ``mahalanobis_contacts`` takes GJK's first iteration for a
+stack of placements at once, from their Euclidean witness pairs.
 
 Workspace dimension is 2 or 3 and is carried by each body.
 """
@@ -31,6 +32,10 @@ from functools import cached_property
 import numpy as np
 
 GJK_MAX_ITER = 128
+# Relative duality gap at which the whitened (Mahalanobis) searches stop;
+# ``mahalanobis_contact`` and ``mahalanobis_contacts`` share it, so a batched
+# lane and the cold search of the same pair close the same gap.
+WHITENED_GAP_TOL = 1e-12
 
 
 class GeometryError(RuntimeError):
@@ -778,15 +783,13 @@ def intersects(body_a, body_b, tolerance=1e-9):
     return distance(body_a, body_b, tolerance).signed_distance <= tolerance
 
 
-def mahalanobis_contact(body_a, body_b, chol_sigma, tolerance=1e-12,
-                        chol_inv=None, guess=None):
+def mahalanobis_contact(body_a, body_b, chol_sigma,
+                        tolerance=WHITENED_GAP_TOL, chol_inv=None):
     """Certified minimum squared Mahalanobis norm of (a - b), a in A, b in B.
 
     ``chol_sigma`` is the lower Cholesky factor of the metric covariance;
     callers that query one covariance many times pass its inverse as
-    ``chol_inv``. ``guess`` optionally gives points a in A and b in B near
-    the minimizing pair (the Euclidean witness pair is exact for an
-    isotropic covariance); the search starts there.
+    ``chol_inv``. The search is seeded by the difference of the centres.
     Returns (c, witness_a, witness_b). c is the square of GJK's supporting-
     plane lower bound, so it never exceeds the true minimum
     c* = min (a-b)^T Sigma^{-1} (a-b); the witness pair's value exceeds c
@@ -795,12 +798,60 @@ def mahalanobis_contact(body_a, body_b, chol_sigma, tolerance=1e-12,
     """
     L_inv = np.linalg.inv(chol_sigma) if chol_inv is None else chol_inv
     sp = _pair_support(body_a, body_b, L_inv)
-    start = seed = None
-    if guess is None:
-        seed = L_inv @ (body_a.center() - body_b.center())
-    else:
-        a, b = guess
-        start = (L_inv @ (a - b), a, b)
+    seed = L_inv @ (body_a.center() - body_b.center())
     _, _, wa, wb, lb = _gjk(sp, body_a.dim, tol=tolerance,
-                            seed_direction=seed, start=start)
+                            seed_direction=seed)
     return lb * lb, wa, wb
+
+
+def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
+                         witness_b):
+    """``mahalanobis_contact`` for a stack of placements of one core against
+    ``body_b``, each lane started from a pair of points near its minimizer
+    (the Euclidean witness pair, exact for an isotropic covariance).
+
+    vertices (N, k, dim), radii (N,), witness_a and witness_b (N, dim);
+    ``chol_inv`` is the inverse lower Cholesky factor L^-1 of the metric
+    covariance. GJK's first iteration runs on every lane at once: from
+    y = L^-1 (witness_a - witness_b), a point of Y = L^-1 (A - B), one
+    closed-form support of Y along -y gives the supporting-plane lower
+    bound. A lane whose duality gap closes there, to ``WHITENED_GAP_TOL``
+    as in the cold search, is done, with c the square of that bound and
+    its start pair as witnesses. Every other lane continues in ``_gjk``
+    from that support, a support point of Y (a start inside a face can
+    stall GJK's no-progress test), and keeps the larger of its two
+    certified lower bounds. Returns (c, witness_a, witness_b) as arrays
+    over the stack.
+    """
+    N, _, dim = vertices.shape
+    tol = WHITENED_GAP_TOL
+    c = np.zeros(N)
+    wa, wb = witness_a.copy(), witness_b.copy()
+    y = (witness_a - witness_b) @ chol_inv.T
+    nv2 = _dots(y.T, y.T)
+    # A start within the tolerance of the origin: the bodies intersect.
+    lanes = np.flatnonzero(nv2 > tol * tol)
+    y, nv2 = y[lanes], nv2[lanes]
+    # The support of Y along -y is L^-1 (a - b), a the support of A and b
+    # that of B along +-u, u = L^-T (-y).
+    u = -y @ chol_inv
+    V = vertices[lanes]
+    top = np.argmax(np.einsum("nkd,nd->nk", V, u), axis=1)
+    norm = np.sqrt(_dots(u.T, u.T))
+    a = V[np.arange(len(lanes)), top] + (radii[lanes] / norm)[:, None] * u
+    Vb = body_b.vertices
+    b = Vb[np.argmin(u @ Vb.T, axis=1)] - (body_b.radius / norm)[:, None] * u
+    p = (a - b) @ chol_inv.T
+    vp = _dots(y.T, p.T)
+    lb = np.maximum(vp, 0.0) / np.sqrt(nv2)
+    c[lanes] = lb * lb
+    # GJK's relative duality-gap test, as in ``_gjk``.
+    for i in np.flatnonzero(nv2 - vp > tol * nv2 + 1e-14):
+        n = lanes[i]
+        body = SweptHull(vertices[n], float(radii[n]))
+        _, _, wa[n], wb[n], lb2 = _gjk(
+            _pair_support(body, body_b, chol_inv), dim, tol=tol,
+            start=(p[i], a[i], b[i]))
+        c[n] = max(lb[i], lb2) ** 2
+    return c, wa, wb
+

@@ -56,9 +56,13 @@ class RobotModel:
     link_shapes: list           # per-link list of SweptHull in link frame
     base: Pose
     dim: int = field(init=False)
+    # Which joints are revolute, for the stacked Jacobians.
+    revolute: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dim = self.base.dim
+        self.revolute = np.array([j.kind == "revolute" for j in self.joints],
+                                 dtype=bool)
         if self.joints:
             if len(self.link_shapes) != len(self.joints):
                 raise ValueError("need one link shape list per joint")
@@ -224,6 +228,8 @@ def point_jacobian(robot, theta, link_index, world_point, frames=None):
         return J
     if frames is None:
         frames = chain_frames(robot, th)
+    # One point: a loop over the joints costs less than the fixed NumPy
+    # overhead of ``point_jacobians``, which computes the same columns.
     for i, joint in enumerate(robot.joints[:link_index + 1]):
         a = frames.axes[0, i]
         if joint.kind == "prismatic":
@@ -238,6 +244,34 @@ def point_jacobian(robot, theta, link_index, world_point, frames=None):
                        a[2] * r[0] - a[0] * r[2],
                        a[0] * r[1] - a[1] * r[0])
     return J
+
+
+# Coordinate orders of ``point_jacobians``' written-out cross products:
+# (a x r)_i = a_{i+1} r_{i+2} - a_{i+2} r_{i+1}, and (-r_1, r_0) in 2D.
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+_SWAP, _TURN = np.array([1, 0]), np.array([-1.0, 1.0])
+
+
+def point_jacobians(robot, frames, steps, links, points):
+    """Position Jacobians (N, dim, dof) of points rigidly attached to
+    links: entry i is for row i of the (N, dim) array ``points``, on link
+    ``links[i]`` at step ``steps[i]`` of ``frames``, a trajectory's
+    ChainFrames. Columns for joints distal to a point's link are zero. The
+    arguments are trusted: the frames come from a validated trajectory.
+    """
+    steps = np.asarray(steps, dtype=int)
+    a = frames.axes[steps]                                  # (N, dof, dim)
+    r = points[:, None, :] - frames.origins[steps]
+    # Revolute columns are a x r, written out over rolled coordinates (in
+    # 2D the axis is out of the plane); prismatic columns are the axis.
+    if robot.dim == 2:
+        turn = r.take(_SWAP, axis=-1) * _TURN
+    else:
+        turn = (a.take(_NEXT, axis=-1) * r.take(_LAST, axis=-1)
+                - a.take(_LAST, axis=-1) * r.take(_NEXT, axis=-1))
+    proximal = np.arange(robot.dof) <= np.asarray(links)[:, None]
+    J = np.where(robot.revolute[:, None], turn, a)
+    return np.where(proximal[:, :, None], J, 0.0).transpose(0, 2, 1)
 
 
 def planar_point_robot(limits=5.0):

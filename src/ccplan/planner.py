@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DistanceResult, SweptHull, distances
-from .kinematics import point_jacobian, posed_link_groups, trajectory_frames
-from .chi2 import chi2_sf
+from .geometry import (DistanceResult, SweptHull, distances,
+                       mahalanobis_contacts)
+from .kinematics import point_jacobians, posed_link_groups, trajectory_frames
+from .chi2 import chi2_inv_cdf, chi2_sf
 from .qp import (OPTIMAL, ActiveSet, HessianFactors, QuadraticProgram,
                  solve_qp)
-from .risk import RiskCertificate, certify_risk, risk_gradient
+from .risk import RiskCertificate, certify_risk, risk_weights
 
 CONVERGED = "converged"
 ITERATION_LIMIT = "iteration-limit"
@@ -154,22 +155,49 @@ def _body_distances(groups, n_bodies, obstacle):
     return DistanceResult(sd, wa, wb, n)
 
 
-def _certify_pair(robot, theta, obstacle, sd, eps_tol, shapes=None,
-                  body_contacts=None):
-    """Certification with a cheap far-pair shortcut.
+def _first_contacts(groups, res, obstacle, eps_tol):
+    """The first (full-shadow) searches of a pass against one obstacle, from
+    the bodies' Euclidean distances and witness pairs ``res`` (from
+    ``_body_distances``).
 
     Touching the obstacle requires a displacement of Euclidean length at
-    least ``sd``, so sd^2 / lambda_max(Sigma) bounds the squared Mahalanobis
-    distance from below; when even that survival probability is under the
-    floor, the full search is skipped.
+    least the signed distance sd, so sd^2 / lambda_max(Sigma) bounds the
+    squared Mahalanobis distance from below. Where that bound's survival
+    probability, from the closest body, is under the floor, the timestep
+    takes the far-pair shortcut: its risk is floored without a search.
+    Elsewhere a body whose bound exceeds the eps_tol shadow's squared
+    radius gets c = inf, and every other body is searched: one
+    ``mahalanobis_contacts`` call per link group, each lane started from
+    its Euclidean witness pair. Returns far (T,) and (c, witness_a,
+    witness_b) as (T, n_bodies) arrays.
     """
-    if sd > 0.0:
-        c_low = (sd / obstacle.sigma_max) ** 2
-        if chi2_sf(c_low, obstacle.dim) < eps_tol:
-            return RiskCertificate(eps_tol, eps_tol, eps_tol, False,
-                                   floored=True, floored2=True)
-    return certify_risk(robot, theta, obstacle, eps_tol=eps_tol,
-                        shapes=shapes, body_contacts=body_contacts)
+    sd = res.signed_distance
+    bound = (sd / obstacle.sigma_max) ** 2
+    far = np.array([s > 0.0 and chi2_sf(b, obstacle.dim) < eps_tol
+                    for s, b in zip(sd.min(axis=1).tolist(),
+                                    bound.min(axis=1).tolist())])
+    c_max = chi2_inv_cdf(1.0 - eps_tol, obstacle.dim)
+    search = ~far[:, None] & ~((sd > 0.0) & (bound > c_max))
+    c = np.full(sd.shape, np.inf)
+    wa, wb = res.witness_a.copy(), res.witness_b.copy()
+    for g in groups:
+        t, j = np.nonzero(search[:, g.bodies])
+        if len(t):
+            k = np.asarray(g.bodies)[j]
+            c[t, k], wa[t, k], wb[t, k] = mahalanobis_contacts(
+                g.vertices[t, j], g.radii[j], obstacle.nominal,
+                obstacle.chol_inv, wa[t, k], wb[t, k])
+    return far, c, wa, wb
+
+
+def _step_shapes(groups, n_bodies, t):
+    """``posed_link_shapes`` at step ``t`` of a trajectory's link groups."""
+    shapes = [None] * n_bodies
+    for g in groups:
+        for j, b in enumerate(g.bodies):
+            shapes[b] = (g.links[j], SweptHull(g.vertices[t, j], g.radii[j],
+                                               g.boundary))
+    return shapes
 
 
 def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
@@ -179,6 +207,11 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     ``include_risk=False`` skips certification (risk-blind solves constrain
     signed distance only); ``margins`` optionally overrides the problem's
     scalar margin with a per-(timestep, obstacle) array.
+
+    Every layer but the per-pair tail runs over arrays of (timestep, body)
+    lanes: one kinematics walk, one distance call and one first search per
+    (obstacle, link group). ``certify_risk`` then takes each pair the
+    far-pair shortcut leaves from its bodies' first searches.
     """
     T = problem.timesteps
     robot = problem.robot
@@ -196,7 +229,7 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     normals = np.zeros((T, n_obs, robot.dim))
     witnesses = np.zeros((T, n_obs, robot.dim))
     nearest = np.zeros((T, n_obs), dtype=int)
-    contacts = []
+    firsts = []
     for o, ob in enumerate(problem.obstacles):
         res = _body_distances(groups, n_bodies, ob)
         k = np.argmin(res.signed_distance, axis=1)
@@ -206,28 +239,24 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
         normals[:, o] = -res.normal[steps, k]
         witnesses[:, o] = res.witness_a[steps, k]
         nearest[:, o] = links[k]
-        contacts.append(res)
-    certs = []
+        if include_risk:
+            firsts.append(_first_contacts(groups, res, ob, eps_tol))
+    certs = [[] for _ in range(T)]
     risk_totals = np.zeros(T)
     for t in range(T):
-        if not include_risk:
-            certs.append([])
-            continue
-        shapes = [None] * n_bodies
-        for g in groups:
-            for j, b in enumerate(g.bodies):
-                shapes[b] = (g.links[j], SweptHull(g.vertices[t, j],
-                                                   g.radii[j], g.boundary))
-        row = []
-        for o, ob in enumerate(problem.obstacles):
-            res = contacts[o]
-            cert = _certify_pair(
-                robot, trajectory[t], ob, sds[t, o], eps_tol, shapes,
-                DistanceResult(res.signed_distance[t], res.witness_a[t],
-                               res.witness_b[t], res.normal[t]))
-            row.append(cert)
+        shapes = None
+        for ob, (far, c, wa, wb) in zip(problem.obstacles, firsts):
+            if far[t]:
+                cert = RiskCertificate(eps_tol, eps_tol, eps_tol, False,
+                                       floored=True, floored2=True)
+            else:
+                if shapes is None:
+                    shapes = _step_shapes(groups, n_bodies, t)
+                cert = certify_risk(robot, trajectory[t], ob, eps_tol,
+                                    shapes, list(zip(c[t].tolist(), wa[t],
+                                                     wb[t])))
+            certs[t].append(cert)
             risk_totals[t] += cert.eps_prime
-        certs.append(row)
     sd_res = np.maximum(0.0, margins - sds)
     if include_risk:
         risk_res = np.maximum(0.0, risk_totals - allocation)
@@ -243,6 +272,29 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
                             nearest, frames)
 
 
+def _risk_terms(problem, report):
+    """The risk rows' terms, (T, dof) gradients and (T,) values: per
+    timestep, the sum of eps_prime over the unsaturated certificates and
+    of its gradient, sum w . J over their ``risk_weights``. The Jacobians
+    of every shadow's contact come from one ``point_jacobians`` call."""
+    robot = problem.robot
+    T = problem.timesteps
+    eps = np.zeros(T)
+    terms = []      # (t, w, link, point)
+    for t, row in enumerate(report.certificates):
+        for cert, ob in zip(row, problem.obstacles):
+            if not cert.saturated:
+                eps[t] += cert.eps_prime
+                terms += [(t, *term[1:]) for term in risk_weights(cert, ob)]
+    grad = np.zeros((T, robot.dof))
+    if terms:
+        steps, w, links, points = zip(*terms)
+        J = point_jacobians(robot, report.frames, steps, links,
+                            np.array(points))
+        np.add.at(grad, list(steps), np.einsum("md,mdk->mk", np.array(w), J))
+    return grad, eps
+
+
 def convexify(problem, trajectory, allocation, report, mu, radius,
               include_risk=True, margins=None):
     """Build the convex subproblem around the current iterate.
@@ -253,6 +305,13 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     With ``include_risk=False`` the risk and allocation rows are dropped
     (the variables remain, pinned harmlessly by their regularizer), and
     ``margins`` overrides the scalar margin per (timestep, obstacle).
+    ``allocation`` enters no row: the risk row is linear in delta.
+
+    Rows, per timestep t: a signed-distance row per obstacle,
+    sd0 + n.J (theta_t - th) + s >= margin, then (with risk) the risk row
+    sum_O [eps0 + grad.(theta_t - th)] <= delta_t + s; the allocation budget
+    row comes last. Saturated pairs are left out of the risk row (escape is
+    driven by the distance row). Every row block is filled from arrays.
     """
     robot = problem.robot
     T = problem.timesteps
@@ -260,111 +319,76 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     n_obs = len(problem.obstacles)
     n_th = T * dof
     n_sd = T * n_obs
-    n_risk = T
-    n = n_th + T + n_sd + n_risk
-
-    def th_slice(t):
-        return slice(t * dof, (t + 1) * dof)
-
-    def delta_idx(t):
-        return n_th + t
-
-    def sd_slack(t, o):
-        return n_th + T + t * n_obs + o
-
-    def risk_slack(t):
-        return n_th + T + n_sd + t
+    n = n_th + T + n_sd + T
+    if margins is None:
+        margins = np.full((T, n_obs), problem.margin)
 
     # Objective: sum of squared steps + mu * slacks (+ small curvature).
+    # The path block is 2 (K + E) (x) I_dof: K = D^T D for the step
+    # difference operator D, and E puts 1 at both endpoints, so K + E is
+    # tridiagonal with 2 on and -1 beside the diagonal. E anchors the
+    # endpoint blocks so the path Hessian is positive definite (K alone is
+    # blind to a constant shift). The added terms |theta_0 - start|^2 +
+    # |theta_{T-1} - goal|^2 vanish on the equality rows, so the optimum
+    # is unchanged.
     H = np.zeros((n, n))
-    D = np.zeros((T - 1, T))
-    for t in range(T - 1):
-        D[t, t] = -1.0
-        D[t, t + 1] = 1.0
-    K = D.T @ D
-    # Anchor the endpoint blocks so the path Hessian is positive definite
-    # (K alone is blind to a constant shift). The added terms
-    # |theta_0 - start|^2 + |theta_{T-1} - goal|^2 vanish on the equality
-    # rows, so the optimum is unchanged.
-    K[0, 0] += 1.0
-    K[T - 1, T - 1] += 1.0
-    H[:n_th, :n_th] = 2.0 * np.kron(K, np.eye(dof))
-    for t in range(T):
-        H[delta_idx(t), delta_idx(t)] = 2.0 * DELTA_REG
-    sq = 2.0 * SLACK_CURVATURE * mu
-    for i in range(n_th + T, n):
-        H[i, i] = sq
+    diag = np.arange(n)
+    H[diag, diag] = np.select([diag < n_th, diag < n_th + T],
+                              [4.0, 2.0 * DELTA_REG],
+                              2.0 * SLACK_CURVATURE * mu)
+    off = np.arange(n_th - dof)
+    H[off, off + dof] = H[off + dof, off] = -2.0
     f = np.zeros(n)
-    f[th_slice(0)] = -2.0 * problem.start
-    f[th_slice(T - 1)] = -2.0 * problem.goal
+    f[:dof] = -2.0 * problem.start
+    f[n_th - dof:n_th] = -2.0 * problem.goal
     f[n_th + T:] = mu
 
     # Endpoint equalities.
     a_eq = np.zeros((2 * dof, n))
+    a_eq[:dof, :dof] = np.eye(dof)
+    a_eq[dof:, n_th - dof:n_th] = np.eye(dof)
     b_eq = np.concatenate([problem.start, problem.goal])
-    a_eq[:dof, th_slice(0)] = np.eye(dof)
-    a_eq[dof:, th_slice(T - 1)] = np.eye(dof)
 
-    if margins is None:
-        margins = np.full((T, n_obs), problem.margin)
-    rows = []
-    rhs = []
-    for t in range(T):
-        th = trajectory[t]
-        frames = report.frames.step(t)
-        # Signed-distance rows: sd0 + n.J (theta - th) + s >= margin.
-        for o, ob in enumerate(problem.obstacles):
-            sd0 = report.signed_distances[t, o]
-            J = point_jacobian(robot, th, report.links[t, o],
-                               report.witnesses[t, o], frames)
-            g = report.normals[t, o] @ J
-            row = np.zeros(n)
-            row[th_slice(t)] = -g
-            row[sd_slack(t, o)] = -1.0
-            rows.append(row)
-            rhs.append(sd0 - margins[t, o] - float(g @ th))
-        if not include_risk:
-            continue
-        # Risk row: sum_O [eps0 + grad.(theta - th)] <= delta_t + s.
-        # Saturated pairs are omitted (escape is driven by the distance row).
-        eps_sum = 0.0
-        grad_sum = np.zeros(dof)
-        for o, ob in enumerate(problem.obstacles):
-            cert = report.certificates[t][o]
-            if cert.saturated:
-                continue
-            eps_sum += cert.eps_prime
-            grad_sum += risk_gradient(cert, robot, th, ob, frames)
-        row = np.zeros(n)
-        row[th_slice(t)] = grad_sum
-        row[delta_idx(t)] = -1.0
-        row[risk_slack(t)] = -1.0
-        rows.append(row)
-        rhs.append(float(grad_sum @ th) - eps_sum)
+    per = n_obs + include_risk
+    theta_cols = np.arange(n_th).reshape(T, dof)
+    A = np.zeros((per * T + include_risk, n))
+    b = np.empty(len(A))
+    # Signed-distance rows, from the closest link of every pair.
+    sd_rows = (per * np.arange(T)[:, None] + np.arange(n_obs)).ravel()
+    steps = np.repeat(np.arange(T), n_obs)
+    J = point_jacobians(robot, report.frames, steps, report.links.ravel(),
+                        report.witnesses.reshape(-1, robot.dim))
+    g = np.einsum("nd,ndk->nk", report.normals.reshape(-1, robot.dim), J)
+    A[sd_rows[:, None], theta_cols[steps]] = -g
+    A[sd_rows, n_th + T + np.arange(n_sd)] = -1.0
+    b[sd_rows] = (report.signed_distances.ravel() - margins.ravel()
+                  - np.einsum("nk,nk->n", g, trajectory[steps]))
     if include_risk:
+        risk_rows = per * np.arange(T) + n_obs
+        grad, eps = _risk_terms(problem, report)
+        A[risk_rows[:, None], theta_cols] = grad
+        A[risk_rows, n_th + np.arange(T)] = -1.0
+        A[risk_rows, n_th + T + n_sd + np.arange(T)] = -1.0
+        b[risk_rows] = np.einsum("tk,tk->t", grad, trajectory) - eps
         # Allocation budget.
-        row = np.zeros(n)
-        row[n_th:n_th + T] = 1.0
-        rows.append(row)
-        rhs.append(problem.risk_budget)
+        A[-1, n_th:n_th + T] = 1.0
+        b[-1] = problem.risk_budget
 
+    th = trajectory.ravel()
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
-    limits_lo = np.array([j.lower for j in robot.joints])
-    limits_hi = np.array([j.upper for j in robot.joints])
-    for t in range(T):
-        lo[th_slice(t)] = np.maximum(trajectory[t] - radius, limits_lo)
-        hi[th_slice(t)] = np.minimum(trajectory[t] + radius, limits_hi)
-    lo[n_th:n_th + T] = 0.0
+    lo[:n_th] = np.maximum(th - radius,
+                           np.tile([j.lower for j in robot.joints], T))
+    hi[:n_th] = np.minimum(th + radius,
+                           np.tile([j.upper for j in robot.joints], T))
+    lo[n_th:] = 0.0
     hi[n_th:n_th + T] = problem.risk_budget
-    lo[n_th + T:] = 0.0
 
     const = float(problem.start @ problem.start + problem.goal @ problem.goal)
-    a_ineq = np.array(rows) if rows else None
-    b_ineq = np.array(rhs) if rhs else None
-    return QuadraticProgram(H, f, a_ineq=a_ineq, b_ineq=b_ineq,
-                            a_eq=a_eq, b_eq=b_eq, lo=lo, hi=hi,
-                            constant=const)
+    if not len(A):
+        A = b = None
+    return QuadraticProgram(H, f, a_ineq=A, b_ineq=b, a_eq=a_eq, b_eq=b_eq,
+                            lo=lo, hi=hi, constant=const)
 
 
 def _merit(problem, trajectory, allocation, mu, eps_tol, include_risk=True,

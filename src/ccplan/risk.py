@@ -32,7 +32,8 @@ from .geometry import (
     _pair_support,
     mahalanobis_contact,
 )
-from .kinematics import forward_kinematics, point_jacobian, posed_link_shapes
+from .kinematics import (chain_frames, forward_kinematics, point_jacobian,
+                         posed_link_shapes)
 
 # Squared Mahalanobis distances below this are treated as contact with the
 # nominal geometry (risk saturates at 1).
@@ -101,7 +102,7 @@ class RiskCertificate:
 
 
 def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
-                 body_contacts=None):
+                 first=None):
     """Certify an upper bound on the collision risk of one configuration.
 
     Returns a RiskCertificate with eps_prime = (eps1 + eps2)/2. If the robot
@@ -115,37 +116,35 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
 
     ``shapes`` optionally supplies precomputed posed link shapes for this
     configuration (callers evaluating many obstacles share one kinematics
-    pass). ``body_contacts``, a DistanceResult of arrays aligned with
-    ``shapes``, gives each body's Euclidean distance and witness pair
-    against the nominal geometry: bodies provably outside the largest
-    shadow considered (distance^2 / lambda_max(Sigma) beyond the eps_tol
-    radius) are skipped, and the witness pair seeds the Mahalanobis search
-    of the others.
+    pass). ``first`` optionally supplies each body's first search, aligned
+    with ``shapes``: (c, witness on the body, witness on the nominal
+    geometry), as from ``mahalanobis_contact``, with c = inf for a body
+    provably outside the largest shadow considered. Such a caller has
+    validated ``theta`` and must pass ``shapes`` too.
     """
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
     n = obstacle.dim
-    theta = robot.check_state(theta)
-    if shapes is None:
-        poses = forward_kinematics(robot, theta)
-        shapes = posed_link_shapes(robot, poses)
+    if first is None:
+        theta = robot.check_state(theta)
+        if shapes is None:
+            poses = forward_kinematics(robot, theta)
+            shapes = posed_link_shapes(robot, poses)
+    elif shapes is None or len(first) != len(shapes):
+        raise ValueError("first needs shapes, one search per shape")
     if not shapes:
         raise ValueError("robot has no collision shapes")
+    if first is None:
+        first = [mahalanobis_contact(body, obstacle.nominal, obstacle.chol,
+                                     chol_inv=obstacle.chol_inv)
+                 for _, body in shapes]
 
     c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
     per_shape = []
     best = None
-    for k, (li, body) in enumerate(shapes):
-        guess = None
-        if body_contacts is not None:
-            sd = float(body_contacts.signed_distance[k])
-            # Cheap lower bound on this body's Mahalanobis minimum.
-            if sd > 0.0 and (sd / obstacle.sigma_max) ** 2 > c_max:
-                continue
-            guess = (body_contacts.witness_a[k], body_contacts.witness_b[k])
-        c, wa, wb = mahalanobis_contact(body, obstacle.nominal, obstacle.chol,
-                                        chol_inv=obstacle.chol_inv,
-                                        guess=guess)
+    for (li, body), (c, wa, wb) in zip(shapes, first):
+        if c == math.inf:
+            continue
         per_shape.append((c, li, body, wa, wb))
         if best is None or c < best[0] - 1e-15:
             best = (c, li, body, wa, wb)
@@ -295,33 +294,51 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
                         f"{HALF_DUAL_MAX_ITER} steps")
 
 
-def shadow_gradients(cert, robot, theta, obstacle, frames=None):
-    """Per-shadow risk gradients (full ellipsoid, half ellipsoid).
+def risk_weights(cert, obstacle):
+    """(slot, w, link index, robot point) for each shadow of ``cert`` whose
+    bound has a gradient, one neither floored nor without a contact: slot 0
+    is the full shadow (eps1), slot 1 the half shadow (eps2). w is the
+    gradient of eps_prime = (eps1 + eps2)/2 with respect to the shadow's
+    robot contact point: half that of its eps = sf(c), c = x^T Sigma^-1 x,
+    so w = -pdf(c) Sigma^-1 x."""
+    for slot, (c, x, link, point, floored) in enumerate((
+            (cert.c1, cert.x1, cert.link_index, cert.contact_point,
+             cert.floored),
+            (cert.c2, cert.x2, cert.link_index2, cert.contact_point2,
+             cert.floored2))):
+        if not (floored or x is None or c is None):
+            w = -chi2.chi2_pdf(c, obstacle.dim) * (obstacle.sigma_inv @ x)
+            yield slot, w, link, point
 
-    ``frames`` is ``chain_frames(robot, theta)`` when the caller has it.
-    """
+
+def _weighted_gradients(cert, robot, theta, obstacle, frames):
+    """(w . J for the full shadow, w . J for the half shadow), over the
+    ``risk_weights`` of ``cert``, J the Jacobian of the contact point."""
     if cert.saturated:
         raise ValueError("saturated certificate has no usable gradient; "
                          "use the signed-distance constraint instead")
-    n = obstacle.dim
-    dof = robot.dof
     theta = robot.check_state(theta)
+    grads = [np.zeros(robot.dof), np.zeros(robot.dof)]
+    for slot, w, link, point in risk_weights(cert, obstacle):
+        if frames is None:
+            # One kinematics pass serves both shadows.
+            frames = chain_frames(robot, theta)
+        grads[slot] = w @ point_jacobian(robot, theta, link, point, frames)
+    return grads
 
-    def term(c, x, link_idx, point, floored):
-        if floored or x is None or c is None:
-            return np.zeros(dof)
-        J = point_jacobian(robot, theta, link_idx, point, frames)
-        row = 2.0 * (obstacle.sigma_inv @ x)
-        return -chi2.chi2_pdf(c, n) * (row @ J)
 
-    g1 = term(cert.c1, cert.x1, cert.link_index, cert.contact_point,
-              cert.floored)
-    g2 = term(cert.c2, cert.x2, cert.link_index2, cert.contact_point2,
-              cert.floored2)
-    return g1, g2
+def shadow_gradients(cert, robot, theta, obstacle, frames=None):
+    """Per-shadow risk gradients (full ellipsoid, half ellipsoid). eps_prime
+    is their mean, so each is twice w . J, w its ``risk_weights`` entry and
+    J the Jacobian of its robot contact point.
+
+    ``frames`` is ``chain_frames(robot, theta)`` when the caller has it.
+    """
+    g1, g2 = _weighted_gradients(cert, robot, theta, obstacle, frames)
+    return 2.0 * g1, 2.0 * g2
 
 
 def risk_gradient(cert, robot, theta, obstacle, frames=None):
     """Gradient of the certified bound eps_prime with respect to theta."""
-    g1, g2 = shadow_gradients(cert, robot, theta, obstacle, frames)
-    return 0.5 * (g1 + g2)
+    g1, g2 = _weighted_gradients(cert, robot, theta, obstacle, frames)
+    return g1 + g2

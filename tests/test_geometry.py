@@ -26,6 +26,7 @@ from ccplan.geometry import (
     distances,
     intersects,
     mahalanobis_contact,
+    mahalanobis_contacts,
     point_body,
 )
 
@@ -33,6 +34,16 @@ from ccplan.geometry import (
 def rand_spd(rng, dim, scale=1.0):
     A = rng.normal(size=(dim, dim))
     return scale * (A @ A.T + dim * np.eye(dim))
+
+
+def witness_started(a, b, L):
+    """``mahalanobis_contacts`` on a stack of one, started from the
+    Euclidean witness pair as the planner starts it."""
+    res = distance(a, b)
+    c, wa, wb = mahalanobis_contacts(
+        a.vertices[None], np.array([a.radius]), b, np.linalg.inv(L),
+        res.witness_a[None], res.witness_b[None])
+    return float(c[0]), wa[0], wb[0]
 
 
 class TestSupport:
@@ -589,9 +600,8 @@ class TestMahalanobisContact:
             L = np.linalg.cholesky(rand_spd(rng, dim, 0.1))
             W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, dim)
             exact = enumerated_minimum(np.linalg.solve(L, W.T).T)
-            res = distance(a, b)
-            for guess in (None, (res.witness_a, res.witness_b)):
-                c = mahalanobis_contact(a, b, L, guess=guess)[0]
+            for c in (mahalanobis_contact(a, b, L)[0],
+                      witness_started(a, b, L)[0]):
                 assert c <= exact * (1.0 + 1e-14)
                 if c > 0.0:
                     assert c >= exact * (1.0 - 1e-9)
@@ -723,12 +733,80 @@ class TestGJKTermination:
             L = np.linalg.cholesky(S)
             a = Capsule(rng.normal(size=3), rng.normal(size=3), 0.1)
             b = box(rng.uniform(0.1, 0.5, size=3), center=rng.normal(size=3) * 2)
-            res = distance(a, b)
             c0, _, _ = mahalanobis_contact(a, b, L)
-            c1, wa, wb = mahalanobis_contact(
-                a, b, L, chol_inv=np.linalg.inv(L),
-                guess=(res.witness_a, res.witness_b))
+            c1, wa, wb = witness_started(a, b, L)
             assert c1 == pytest.approx(c0, rel=1e-9, abs=1e-12)
             d = wa - wb
             assert float(d @ np.linalg.solve(S, d)) == pytest.approx(
                 c1, rel=1e-9, abs=1e-12)
+
+
+class TestBatchedFirstSearch:
+    @staticmethod
+    def lanes(rng, dim, n):
+        """Capsule placements around a box, some through it."""
+        ob = box(rng.uniform(0.1, 0.4, size=dim))
+        p0 = rng.normal(size=(n, dim)) * 0.8
+        p1 = p0 + rng.normal(size=(n, dim)) * 0.3
+        p0[:3] = 0.0        # through the box's centre: intersecting lanes
+        return np.stack([p0, p1], axis=1), np.full(n, 0.05), ob
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("isotropic", [True, False])
+    def test_lanes_match_cold_search(self, dim, isotropic, monkeypatch):
+        rng = np.random.default_rng(30 + dim + 2 * isotropic)
+        continued = []
+        gjk = geometry._gjk
+
+        def counted(*args, **kwargs):
+            continued.append(1)
+            return gjk(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_gjk", counted)
+        closed = intersecting = 0
+        for _ in range(6):
+            S = (0.05 * np.eye(dim) if isotropic
+                 else rand_spd(rng, dim, 0.02))
+            L = np.linalg.cholesky(S)
+            V, r, ob = self.lanes(rng, dim, 25)
+            res = distances(V, r, SweptHull(V[0], 0.05).boundary, ob)
+            before = len(continued)
+            c, wa, wb = mahalanobis_contacts(V, r, ob, np.linalg.inv(L),
+                                             res.witness_a, res.witness_b)
+            closed += len(V) - (len(continued) - before)
+            for i in range(len(V)):
+                cold = mahalanobis_contact(SweptHull(V[i], r[i]), ob, L)[0]
+                if cold == 0.0:
+                    intersecting += 1
+                    assert c[i] == 0.0
+                    continue
+                assert c[i] == pytest.approx(cold, rel=1e-9)
+                d = wa[i] - wb[i]
+                assert float(d @ np.linalg.solve(S, d)) == pytest.approx(
+                    c[i], rel=1e-9)
+        # Both paths ran. Intersecting lanes, whose Euclidean witnesses are
+        # apart by the depth, continue in GJK; under an isotropic
+        # covariance the witness pair of a separated lane is the minimizer,
+        # so its duality gap closes at the first support.
+        assert intersecting >= 6 and continued
+        if isotropic:
+            assert closed == 6 * 25 - intersecting
+
+    def test_witness_inside_a_face(self):
+        # A point above a large box face, under a covariance tilted by
+        # 1e-9 to 1e-8: the Euclidean witness pair lies inside the face,
+        # within about 1e-8 of the Mahalanobis minimizer. GJK started at
+        # that pair once stopped on its no-progress test after one support
+        # and returned c up to 2.3e-7 too low.
+        ob = box([10.0, 10.0, 1.0])
+        for tilt in (1e-9, 3e-9, 1e-8):
+            S = np.eye(3)
+            S[0, 2] = S[2, 0] = tilt
+            L = np.linalg.cholesky(S)
+            for x in (0.0, 1.3, -4.0):
+                a = point_body([x, 0.5, 2.0])
+                c = witness_started(a, ob, L)[0]
+                assert c == pytest.approx(mahalanobis_contact(a, ob, L)[0],
+                                          rel=1e-9)
+                # The exact minimum over the face's plane z = 1.
+                assert c <= (1.0 / S[2, 2]) * (1.0 + 1e-14)

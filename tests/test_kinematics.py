@@ -1,4 +1,6 @@
+import json
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from ccplan.kinematics import (
     forward_kinematics,
     planar_point_robot,
     point_jacobian,
+    point_jacobians,
     posed_link_groups,
     posed_link_shapes,
     trajectory_frames,
 )
+from ccplan.sceneio import parse_robot
 
 
 def offset_x(d, dim=3):
@@ -272,3 +276,57 @@ class TestPointJacobian:
         pp = forward_kinematics(robot, [th + h])[0].apply([1, 0])
         pm = forward_kinematics(robot, [th - h])[0].apply([1, 0])
         np.testing.assert_allclose(J[:, 0], (pp - pm) / (2 * h), atol=1e-6)
+
+
+def bundled_robot(name):
+    return parse_robot(json.loads(
+        (files("ccplan") / "scenes" / name).read_text()))
+
+
+JACOBIAN_ROBOTS = {
+    "arm3link2d": lambda: make_chain(3, dim=2, link_len=0.4),
+    "arm4dof3d": lambda: bundled_robot("arm4dof3d.json"),
+    "pointbot2d": lambda: bundled_robot("pointbot2d.json"),
+    "mixed3d": lambda: mixed_chain(3),
+    "mixed2d": lambda: mixed_chain(2),
+    "jointless": lambda: RobotModel([], [[Sphere([0.2, 0.1, 0.0], 0.1)]],
+                                    Pose(np.eye(3), [0.0, 0.5, 1.0])),
+}
+
+
+class TestPointJacobians:
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_ROBOTS))
+    def test_stack_matches_per_point_and_finite_differences(self, name):
+        # Revolute (planar and spatial) and prismatic joints, a jointless
+        # robot, and points on links proximal to some joints, whose
+        # columns for the distal joints must be zero.
+        robot = JACOBIAN_ROBOTS[name]()
+        rng = np.random.default_rng(sorted(JACOBIAN_ROBOTS).index(name))
+        T, N, h = 5, 30, 1e-6
+        traj = rng.uniform(-1.0, 1.0, size=(T, robot.dof))
+        frames = trajectory_frames(robot, traj)
+        steps = rng.integers(0, T, size=N)
+        links = rng.integers(0, robot.n_links, size=N)
+        local = rng.normal(size=(N, robot.dim)) * 0.3
+        points = (np.einsum("nij,nj->ni", frames.rotations[steps, links],
+                            local) + frames.translations[steps, links])
+        J = point_jacobians(robot, frames, steps, links, points)
+        assert J.shape == (N, robot.dim, robot.dof)
+        for i, (t, link) in enumerate(zip(steps, links)):
+            np.testing.assert_array_equal(
+                J[i], point_jacobian(robot, traj[t], link, points[i]))
+            np.testing.assert_array_equal(J[i][:, link + 1:], 0.0)
+            for k in range(robot.dof):
+                d = np.zeros(robot.dof)
+                d[k] = h
+                moved = trajectory_frames(robot, traj[t] + np.stack([d, -d]))
+                pp, pm = (moved.rotations[j, link] @ local[i]
+                          + moved.translations[j, link] for j in (0, 1))
+                np.testing.assert_allclose(J[i][:, k], (pp - pm) / (2 * h),
+                                           atol=1e-6)
+
+    def test_empty_stack(self):
+        robot = make_chain(3)
+        frames = trajectory_frames(robot, np.zeros((2, 3)))
+        J = point_jacobians(robot, frames, [], [], np.zeros((0, 3)))
+        assert J.shape == (0, 3, 3)

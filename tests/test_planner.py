@@ -6,7 +6,8 @@ import pytest
 
 import ccplan.planner as planner_module
 from ccplan.geometry import Pose, Sphere, box, point_body
-from ccplan.kinematics import Joint, RobotModel, planar_point_robot
+from ccplan.kinematics import (Joint, RobotModel, planar_point_robot,
+                               point_jacobian)
 from ccplan.planner import (
     CONVERGED,
     PLAN_INFEASIBLE,
@@ -18,8 +19,9 @@ from ccplan.planner import (
     solve,
 )
 from ccplan.qp import ITERATION_LIMIT, OPTIMAL, kkt_residuals, solve_qp
-from ccplan.risk import UncertainObstacle, certify_risk
-from test_acceptance import corridor_problem
+from ccplan.risk import UncertainObstacle, certify_risk, risk_gradient
+from test_acceptance import corridor_problem, pickplace_problem
+from test_risk import straddle_robot
 
 
 def point_problem(obstacles, T=10, budget=0.01, margin=0.02,
@@ -298,3 +300,135 @@ class TestEvaluate:
                 cold = certify_risk(robot, theta, ob)
                 assert rep.certificates[t][0].eps_prime == pytest.approx(
                     cold.eps_prime, rel=1e-9)
+
+
+def oracle_rows(problem, trajectory, report, include_risk=True):
+    """``convexify``'s inequality rows and right-hand sides, built pair by
+    pair with ``point_jacobian`` and ``risk_gradient``: per timestep a
+    signed-distance row per obstacle, then the risk row; the allocation
+    row last."""
+    robot = problem.robot
+    T, dof = trajectory.shape
+    n_obs = len(problem.obstacles)
+    n_th, n_sd = T * dof, T * n_obs
+    n = n_th + 2 * T + n_sd
+    rows, rhs = [], []
+    for t, th in enumerate(trajectory):
+        frames = report.frames.step(t)
+        cols = slice(t * dof, (t + 1) * dof)
+        for o in range(n_obs):
+            J = point_jacobian(robot, th, report.links[t, o],
+                               report.witnesses[t, o], frames)
+            g = report.normals[t, o] @ J
+            row = np.zeros(n)
+            row[cols] = -g
+            row[n_th + T + t * n_obs + o] = -1.0
+            rows.append(row)
+            rhs.append(report.signed_distances[t, o] - problem.margin
+                       - float(g @ th))
+        if not include_risk:
+            continue
+        eps, grad = 0.0, np.zeros(dof)
+        for o, ob in enumerate(problem.obstacles):
+            cert = report.certificates[t][o]
+            if not cert.saturated:
+                eps += cert.eps_prime
+                grad += risk_gradient(cert, robot, th, ob, frames)
+        row = np.zeros(n)
+        row[cols] = grad
+        row[n_th + t] = -1.0
+        row[n_th + T + n_sd + t] = -1.0
+        rows.append(row)
+        rhs.append(float(grad @ th) - eps)
+    if include_risk:
+        row = np.zeros(n)
+        row[n_th:n_th + T] = 1.0
+        rows.append(row)
+        rhs.append(problem.risk_budget)
+    return np.array(rows), np.array(rhs)
+
+
+def straddle_problem():
+    """Two points on a carriage passing below a sphere: the far point
+    gives its certificates a second (half-shadow) contact."""
+    ob = UncertainObstacle(Sphere(np.array([0.0, 0.0]), 0.1),
+                           0.01 * np.eye(2))
+    return None, TrajectoryProblem(straddle_robot(-0.3, 0.3), [ob], 6,
+                                   np.array([-0.3, -0.35]),
+                                   np.array([0.3, -0.3]), 0.2, 0.0)
+
+
+class TestLinearization:
+    @pytest.mark.parametrize("build", [corridor_problem, pickplace_problem,
+                                       straddle_problem])
+    def test_subproblem_matches_per_pair_oracle(self, build, monkeypatch):
+        # Every QP of a solve, from the seed's to the last iterate's,
+        # against the per-pair oracle, risk-aware and risk-blind. The
+        # straddle problem's certificates have second contacts.
+        seen = []
+
+        def recording(*args, **kwargs):
+            qp = convexify(*args, **kwargs)
+            seen.append((args, qp))
+            return qp
+
+        monkeypatch.setattr(planner_module, "convexify", recording)
+        _, p = build()
+        solve(p)
+        solve(p, include_risk=False)
+        assert len(seen) > 2
+        rng = np.random.default_rng(0)
+        for (_, traj, alloc, rep, mu, radius, include_risk, *_), qp in seen:
+            A, b = oracle_rows(p, traj, rep, include_risk)
+            scale = max(1.0, float(np.abs(A).max()))
+            np.testing.assert_allclose(qp.a_ineq, A, rtol=0,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(qp.b_ineq, b, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(b).max()))
+            T, dof = traj.shape
+            n_th = T * dof
+            limits = np.array([[j.lower, j.upper] for j in p.robot.joints])
+            np.testing.assert_array_equal(
+                qp.lo[:n_th], np.maximum(traj - radius, limits[:, 0]).ravel())
+            np.testing.assert_array_equal(
+                qp.hi[:n_th], np.minimum(traj + radius, limits[:, 1]).ravel())
+            np.testing.assert_array_equal(qp.lo[n_th:], 0.0)
+            np.testing.assert_array_equal(qp.hi[n_th:n_th + T],
+                                          p.risk_budget)
+            assert np.all(qp.hi[n_th + T:] == np.inf)
+            # The objective is the path length plus the endpoint anchors,
+            # the regularizers and the l1 slack penalty.
+            z = rng.normal(size=qp.n)
+            th = z[:n_th].reshape(T, dof)
+            d, sl = z[n_th:n_th + T], z[n_th + T:]
+            expect = (path_objective(th) + np.sum((th[0] - p.start) ** 2)
+                      + np.sum((th[-1] - p.goal) ** 2)
+                      + planner_module.DELTA_REG * d @ d
+                      + planner_module.SLACK_CURVATURE * mu * sl @ sl
+                      + mu * sl.sum())
+            value = 0.5 * z @ qp.hessian @ z + qp.linear @ z + qp.constant
+            assert value == pytest.approx(expect, rel=1e-12)
+            np.testing.assert_array_equal(qp.a_eq @ z,
+                                          np.concatenate([th[0], th[-1]]))
+            np.testing.assert_array_equal(qp.b_eq,
+                                          np.concatenate([p.start, p.goal]))
+
+    @pytest.mark.parametrize("build", [pickplace_problem, corridor_problem])
+    def test_certificates_match_cold_certification(self, build):
+        # The batched first searches and the far-pair and per-body skips
+        # leave every certificate of a pass equal to a cold certify_risk
+        # of its pair: on the plan, its straight-line seed (which
+        # penetrates) and a point between them.
+        _, p = build()
+        res = solve(p)
+        seed, alloc = seed_trajectory(p)
+        for traj in (res.trajectory, seed, 0.5 * (seed + res.trajectory)):
+            rep = evaluate_constraints(p, traj, alloc)
+            for t, theta in enumerate(traj):
+                for o, ob in enumerate(p.obstacles):
+                    cert = rep.certificates[t][o]
+                    cold = certify_risk(p.robot, theta, ob)
+                    assert cert.saturated == cold.saturated
+                    for key in ("eps1", "eps2", "eps_prime"):
+                        assert getattr(cert, key) == pytest.approx(
+                            getattr(cold, key), rel=1e-9)

@@ -15,6 +15,7 @@ from ccplan.geometry import (
     Sphere,
     box,
     distance,
+    mahalanobis_contact,
     point_body,
 )
 from ccplan.kinematics import (
@@ -297,6 +298,20 @@ class TestCertifyClosedForm:
         ob = point_obstacle(np.eye(2))
         with pytest.raises(ValueError):
             certify_risk(robot, [1.0, 0.0], ob, eps_tol=0.7)
+
+    def test_first_searches_need_their_shapes(self):
+        robot = straddle_robot(-1.5, 2.0)
+        ob = point_obstacle(np.array([[1.0, 0.2], [0.2, 0.8]]))
+        theta = [0.1, -0.2]
+        shapes = posed_link_shapes(robot, forward_kinematics(robot, theta))
+        first = [mahalanobis_contact(body, ob.nominal, ob.chol)
+                 for _, body in shapes]
+        given = certify_risk(robot, theta, ob, shapes=shapes, first=first)
+        assert given.eps_prime == certify_risk(robot, theta, ob).eps_prime
+        with pytest.raises(ValueError, match="needs shapes"):
+            certify_risk(robot, theta, ob, first=first)
+        with pytest.raises(ValueError, match="one search per shape"):
+            certify_risk(robot, theta, ob, shapes=shapes, first=first[:1])
 
     def test_eps1_survival_consistency(self):
         # eps1 must equal the survival function at the certified c1.

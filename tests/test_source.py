@@ -67,7 +67,8 @@ def test_gjk_only_in_whitened_searches():
     # only where whitening turns a sphere into an ellipsoid.
     found = top_level_users(
         lambda n: isinstance(n, ast.Name) and n.id == "_gjk")
-    assert found == {"geometry.mahalanobis_contact", "risk._rim_contact"}
+    assert found == {"geometry.mahalanobis_contact",
+                     "geometry.mahalanobis_contacts", "risk._rim_contact"}
 
 
 def test_convex_hull_only_in_boundary():
