@@ -1,4 +1,4 @@
-"""Sphere-swept hulls, an exact batched distance kernel, exact facet-plane
+"""Sphere-swept hulls, an exact batched distance kernel with exact
 penetration, and Mahalanobis contact.
 
 Every body is a convex hull of vertices swept by a ball (a point, sphere,
@@ -6,20 +6,20 @@ capsule, box or hull), so one support mapping and one distance kernel
 serve every shape. Each core (the hull before the radius is added) carries
 its boundary complex (``Boundary``): vertex index pairs (edges) and, in
 3D, triples (triangles) that cover its boundary, built on first use and
-shared by every rigid placement. ``Boundary`` is also the one place Qhull
-runs, for cores and for difference hulls alike. The distance kernel takes
+shared by every rigid placement. ``Boundary`` is the one place Qhull runs
+(cores, Monte Carlo difference hulls, plots). The distance kernel takes
 the closest pair over the candidate features of two cores, clamped
 segment-segment for every edge pair and vertex-triangle for every vertex
 against every triangle interior, vectorized over a stack of placements.
 The pair is a separation only when the supporting planes normal to it are
 apart, which proves the cores disjoint; otherwise (touching, containment,
-or an edge piercing a face) penetration depth, normal and witnesses come
-exactly from the facet planes of the difference hull. ``point_distances``
-takes the same edge and triangle features from a stack of points, for the
-Monte Carlo hit test. The Mahalanobis query runs GJK in whitened
-coordinates, where a sphere becomes an ellipsoid, and returns a certified
-lower bound; ``mahalanobis_contacts`` takes GJK's first iteration for a
-stack of placements at once, from their Euclidean witness pairs.
+or an edge piercing a face) the penetration depth and normal come exactly
+from support values along candidate axes. ``point_distances`` takes the
+same edge and triangle features from a stack of points, for the Monte
+Carlo hit test. The Mahalanobis query runs GJK in whitened coordinates,
+where a sphere becomes an ellipsoid, and returns a certified lower bound;
+``mahalanobis_contacts`` takes GJK's first iteration for a stack of
+placements at once, from their Euclidean witness pairs.
 
 Workspace dimension is 2 or 3 and is carried by each body.
 """
@@ -100,11 +100,6 @@ class Pose:
         object.__setattr__(p, "translation", t)
         return p
 
-    def compose(self, other):
-        return Pose._trusted(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation)
-
     def apply(self, point):
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
@@ -178,7 +173,7 @@ class Boundary:
     def hull(self):
         """Qhull's convex hull of the vertices, or None when they are flat
         (fewer than dim + 1 affinely independent points): the only Qhull
-        call of ccplan.
+        call of ccplan, for cores, Monte Carlo difference sets and plots.
 
         ``equations`` rows are [n, offset] with n the unit outward normal
         and n.x + offset <= 0 on the hull; ``simplices`` triangulate its
@@ -595,12 +590,17 @@ def _onto_triangles(X, A, B, C):
     u, v = g11 * w0 - g01 * w1, g00 * w1 - g01 * w0
     inside = (det > 1e-12 * g00 * g11) & (u >= 0.0) & (v >= 0.0) \
         & (u + v <= det)
-    nrm = np.stack([e0[1] * e1[2] - e0[2] * e1[1],
-                    e0[2] * e1[0] - e0[0] * e1[2],
-                    e0[0] * e1[1] - e0[1] * e1[0]])
+    nrm = _cross(e0, e1)
     h = np.zeros(inside.shape)
     np.divide(_dots(w, nrm), _dots(nrm, nrm), out=h, where=inside)
     return X - h * nrm, inside
+
+
+def _cross(u, v):
+    """Cross products of coordinate-first 3-vectors, broadcast."""
+    return np.stack([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
 def _nearest(x, y, valid=None):
@@ -644,8 +644,8 @@ def distances(vertices, radii, boundary, body_b, tolerance=1e-9):
     gap then proves the cores disjoint, so the candidate pair is the
     closest and its distance exact (the gap matches it up to the roundoff
     of the direction). Any other pair, touching, contained, or with an
-    edge through a face, takes the exact facet-plane penetration of its
-    difference hull.
+    edge through a face, takes the exact depth and normal of ``_depths``,
+    and the witnesses of its cores translated apart by the depth.
     """
     Vb, rb = body_b.vertices, body_b.radius
     wa, wb, d, n, gap = _closest_cores(vertices, boundary, Vb,
@@ -653,35 +653,67 @@ def distances(vertices, radii, boundary, body_b, tolerance=1e-9):
     ra = np.broadcast_to(np.asarray(radii, dtype=float), d.shape)
     scale = np.maximum(np.abs(vertices).max(axis=(1, 2)),
                        max(1.0, float(np.abs(Vb).max())))
-    core = d.copy()
-    for p in np.flatnonzero((d <= tolerance)
-                            | (gap <= SEPARATION_RTOL * scale)):
-        core[p], wa[p], wb[p], n[p] = _penetration(
-            vertices[p], Vb, wa[p], wb[p], n[p] if d[p] > tolerance else None,
-            tolerance)
-    return DistanceResult(core - ra - rb, wa + ra[:, None] * n,
+    pen = np.flatnonzero((d <= tolerance) | (gap <= SEPARATION_RTOL * scale))
+    if len(pen):
+        depth, n[pen] = _depths(vertices[pen], boundary, Vb, body_b.boundary)
+        shift = depth[:, None] * n[pen]
+        wa[pen], wb[pen] = _closest_cores(vertices[pen] - shift[:, None],
+                                          boundary, Vb, body_b.boundary)[:2]
+        wa[pen] += shift
+        d[pen] = -depth
+    return DistanceResult(d - ra - rb, wa + ra[:, None] * n,
                           wb - rb * n, n)
 
 
-def _penetration(Va, Vb, wa, wb, n, tolerance):
-    """(minus the core penetration depth, core witnesses, unit normal
-    A -> B) of cores that touch or overlap, exact from the facet planes of
-    conv(W), W = {a_i - b_j}. ``wa``, ``wb`` and ``n`` are the kernel's
-    closest candidate pair and its direction (None when the pair is within
-    ``tolerance``); a flat W keeps them."""
-    dim, nb = Va.shape[1], Vb.shape[0]
-    W = (Va[:, None, :] - Vb[None, :, :]).reshape(-1, dim)
-    hull = Boundary(W).hull
-    if hull is None:
-        # Flat core difference (e.g. coincident sphere centres): zero core
-        # penetration, with a deterministic normal.
-        if n is None:
-            n = np.zeros(dim)
-            n[0] = 1.0
-        return 0.0, wa, wb, n
-    depth, n, s, lam = _nearest_facet_point(hull, W, tolerance)
-    # Translating A by -depth * n separates the cores, so n points A -> B.
-    return -depth, lam @ Va[s // nb], lam @ Vb[s % nb], n
+def _depths(Va, boundary_a, Vb, boundary_b):
+    """Penetration depth and unit normal from A into B of touching or
+    overlapping cores, Va (P, ka, dim) against Vb (kb, dim).
+
+    The depth is min over unit u of max u.a - min u.b, the least support
+    value of W = A - B, and the normal the minimizing u. No unit u gives
+    less, and a facet normal of W attains it: a face normal of A or B or,
+    in 3D, the cross product of an edge of each (Cameron & Culley, ICRA
+    1986; Ericson, Real-Time Collision Detection, 2005, 5.2.1). The
+    candidates are these, with both signs, the coordinate axes and, in 3D,
+    every edge crossed with them (normals of W's affine hull when W is a
+    point or a segment); axes of zero length are masked. Blocks keep the
+    (dim x placements x axes x vertices) temporaries within DISTANCE_BLOCK
+    elements.
+    """
+    P, ka, dim = Va.shape
+    (ea, fa), (eb, fb) = boundary_a._faces, boundary_b._faces
+    edges = np.concatenate([ea, eb + ka])
+    triangles = np.concatenate([fa, fb + ka])
+    m = 2 * (len(triangles) + len(ea) * len(eb) + 3 * len(edges) + 3
+             if dim == 3 else len(edges) + 2)
+    step = max(1, DISTANCE_BLOCK // (m * (ka + len(Vb)) * dim))
+    Y = np.concatenate([Va, np.broadcast_to(Vb, (P,) + Vb.shape)],
+                       axis=1).transpose(2, 0, 1)
+    depth, n = np.empty(P), np.empty((P, dim))
+    for s in range(0, P, step):
+        X = Y[:, s:s + step]
+        p = X.shape[1]
+        d = X[..., edges[:, 1]] - X[..., edges[:, 0]]
+        eye = np.broadcast_to(np.eye(dim)[:, None], (dim, p, dim))
+        if dim == 2:
+            u = [np.stack([-d[1], d[0]]), eye]
+        else:
+            t0 = X[..., triangles[:, 0]]
+            u = [_cross(X[..., triangles[:, 1]] - t0,
+                        X[..., triangles[:, 2]] - t0),
+                 _cross(d[..., :len(ea), None], d[..., None, len(ea):]),
+                 _cross(d[..., None], eye[:, :, None]), eye]
+            u = [x.reshape(3, p, -1) for x in u]
+        u = np.concatenate(u + [-x for x in u], axis=2)
+        length = np.sqrt(_dots(u, u))
+        u = np.divide(u, length, out=np.zeros_like(u), where=length > 0.0)
+        proj = _dots(u[..., None], X[:, :, None])
+        h = np.where(length > 0.0, proj[..., :ka].max(axis=2)
+                     - proj[..., ka:].min(axis=2), np.inf)
+        k = np.argmin(h, axis=1)
+        rows = np.arange(p)
+        depth[s:s + step], n[s:s + step] = h[rows, k], u[:, rows, k].T
+    return depth, n
 
 
 def point_distances(points, vertices, boundary):
@@ -730,8 +762,8 @@ def distance(body_a, body_b, tolerance=1e-9):
 
     Positive: separation distance, exact over the cores' boundary features
     (the hulls before the radii are added). Non-positive: minus the
-    penetration depth, exact from the facet planes of the core difference
-    hull. The normal is the unit direction from A into B; translating A by
+    penetration depth, exact from support values along candidate axes.
+    The normal is the unit direction from A into B; translating A by
     ``signed_distance * normal`` brings the bodies into touching contact,
     and witness_a - witness_b = -signed_distance * normal.
     """
@@ -743,39 +775,6 @@ def distance(body_a, body_b, tolerance=1e-9):
                     body_b, tolerance)
     return DistanceResult(float(res.signed_distance[0]), res.witness_a[0],
                           res.witness_b[0], res.normal[0])
-
-
-def _nearest_facet_point(hull, W, tolerance):
-    """The facet plane of conv(W) nearest the origin (which lies within
-    ``tolerance`` of the hull): (depth, unit outward normal n, indices,
-    weights), with depth * n, the origin's projection on that plane, the
-    combination sum(weights * W[indices]) over one facet simplex.
-
-    Qhull splits a facet into simplices (a box face into two triangles),
-    each carrying the facet's plane, so the simplex is chosen among all on
-    the nearest plane: the one whose barycentric coordinates of depth * n
-    have the largest minimum.
-    """
-    eq = hull.equations
-    j = int(np.argmax(eq[:, -1]))
-    n, depth = eq[j, :-1], -float(eq[j, -1])
-    p = depth * n
-    slack = tolerance * max(1.0, abs(depth))
-    best = None
-    for k in np.flatnonzero((eq[:, -1] >= eq[j, -1] - slack)
-                            & (eq[:, :-1] @ n >= 1.0 - tolerance)):
-        s = hull.simplices[k]
-        P = W[s]
-        # Affine coordinates within the simplex; the normal column takes
-        # up the plane's roundoff.
-        A = np.column_stack([*(P[1:] - P[0]), n])
-        mu = np.linalg.lstsq(A, p - P[0], rcond=None)[0][:-1]
-        lam = np.concatenate([[1.0 - mu.sum()], mu])
-        if best is None or lam.min() > best[1].min():
-            best = (s, lam)
-    s, lam = best
-    lam = np.maximum(lam, 0.0)
-    return depth, n, s, lam / lam.sum()
 
 
 def intersects(body_a, body_b, tolerance=1e-9):

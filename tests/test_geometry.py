@@ -207,8 +207,10 @@ def check_penetration(a, b, res):
 
 
 class TestPenetration:
-    """Depth, normal and witnesses from the facet planes of the difference
-    hull, with regressions the iterative search (EPA) got wrong."""
+    """Depth and normal from the least support value of the core difference
+    over candidate axes, witnesses from the cores translated apart, with
+    regressions the iterative search (EPA) and the difference-hull facet
+    planes got wrong."""
 
     def test_crossing_capsules_2d_depth(self):
         # The former search reported zero core depth (sd = -0.1).
@@ -228,11 +230,13 @@ class TestPenetration:
 
     def test_flat_difference_has_zero_core_depth(self):
         # Crossing 3D segments: the difference vertices are coplanar, no
-        # hull exists, and the cores need no translation to separate.
+        # hull exists, and the cores need no translation to separate
+        # along the normal of their plane.
         a = Capsule([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.1)
         b = Capsule([0.0, -1.0, 0.0], [0.0, 1.0, 0.0], 0.1)
-        assert distance(a, b).signed_distance == pytest.approx(-0.2,
-                                                               abs=1e-12)
+        res = distance(a, b)
+        assert res.signed_distance == pytest.approx(-0.2, abs=1e-12)
+        check_penetration(a, b, res)
 
     def test_nearly_parallel_capsules(self):
         # Axes 6.6e-10 from parallel make the segment-segment solve
@@ -246,14 +250,32 @@ class TestPenetration:
         check_penetration(a, b, distance(a, b))
 
     def test_box_face_split_into_triangles(self):
-        # The nearest face of the difference hull is a square that Qhull
-        # splits into two triangles; the witness is found on either.
+        # The nearest face of the difference hull is a square, the normal
+        # of two equally near triangles of the boxes' faces; the witness
+        # may come from either.
         a = box([1.0, 1.0, 1.0])
         for y, z in ((0.3, 0.2), (-0.3, -0.2), (0.3, -0.2), (-0.3, 0.2)):
             b = box([0.5, 0.5, 0.5], center=[1.2, y, z])
             res = distance(a, b)
             assert res.signed_distance == pytest.approx(-0.3, abs=1e-12)
             check_penetration(a, b, res)
+
+    @pytest.mark.parametrize("a, b, expect", [
+        (point_body([0.3, 0.0, 0.0]), Capsule([-1, 0, 0], [1, 0, 0], 0.1),
+         -0.1),
+        (Capsule([-1, -1, -1], [1, 1, 1], 0.1),
+         Capsule([0.5, 0.5, 0.5], [2, 2, 2], 0.2), -0.3),
+        (point_body([0.3, 0.0]), Capsule([-1, 0], [1, 0], 0.1), -0.1),
+        (Sphere([0.0, 0.0, 0.0], 1.0), Sphere([0.0, 0.0, 0.0], 0.5), -1.5),
+    ], ids=["point-on-capsule-axis", "coaxial-capsules",
+            "point-on-capsule-axis-2d", "coincident-spheres"])
+    def test_flat_difference_normal(self, a, b, expect):
+        # The core difference is a point or a segment: the normal must be
+        # one along which the translated bodies touch. A fixed fallback
+        # normal along the segment left them overlapping.
+        res = distance(a, b)
+        assert res.signed_distance == pytest.approx(expect, abs=1e-12)
+        check_penetration(a, b, res)
 
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)
@@ -312,7 +334,7 @@ class TestDistanceProperties:
                                                    abs=1e-9)
         if ab.signed_distance > 1e-6:
             np.testing.assert_allclose(ab.normal, -ba.normal, atol=1e-6)
-        elif ab.signed_distance < -1e-6 and not flat_difference(a, b):
+        elif ab.signed_distance < -1e-6:
             # Penetration: the reversed normal is a minimal translation
             # too (it may differ where two facets are equally near).
             assert abs(touching_gap(a, b, ab.signed_distance,
@@ -330,15 +352,21 @@ class TestDistanceProperties:
     def test_penetration_witnesses(self, pair):
         a, b = pair
         res = distance(a, b)
-        assume(res.signed_distance < -1e-6 and not flat_difference(a, b))
+        assume(res.signed_distance < -1e-6)
         check_penetration(a, b, res)
 
-
-def flat_difference(a, b):
-    """True when the core difference vertices span no full-dimensional
-    hull: the penetration normal is then a fixed fallback."""
-    W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, a.dim)
-    return Boundary(W).hull is None
+    @PROPERTY
+    @given(body_pairs())
+    def test_depth_is_the_nearest_difference_facet(self, pair):
+        # Reference: the facet plane of the core difference hull nearest
+        # the origin, from Qhull, where the cores overlap and the
+        # difference is full-dimensional.
+        a, b = pair
+        core = distance(a, b).signed_distance + a.radius + b.radius
+        W = (a.vertices[:, None] - b.vertices[None]).reshape(-1, a.dim)
+        hull = Boundary(W).hull
+        assume(core < -1e-9 and hull is not None)
+        assert core == pytest.approx(hull.equations[:, -1].max(), abs=1e-12)
 
 
 def in_core(p, V, tol=1e-9):

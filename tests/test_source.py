@@ -72,11 +72,22 @@ def test_gjk_only_in_whitened_searches():
 
 
 def test_convex_hull_only_in_boundary():
-    # Qhull runs in one place, so that the distance kernel, penetration,
-    # the Monte Carlo hit test and plotting share one boundary complex.
+    # Qhull runs in one place, so that the distance kernel, the Monte Carlo
+    # hit test and plotting share one boundary complex.
     def uses(n):
         name = (n.id if isinstance(n, ast.Name)
                 else n.attr if isinstance(n, ast.Attribute)
                 else n.name if isinstance(n, ast.alias) else None)
         return name == "ConvexHull"
     assert top_level_users(uses) == {"geometry.Boundary"}
+
+
+def test_boundary_built_only_for_cores_and_hit_hulls():
+    # Boundary complexes are built for body cores, Monte Carlo difference
+    # sets and plots; penetration comes from candidate axes, so the
+    # distance kernel never hulls a difference set.
+    found = top_level_users(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "Boundary")
+    assert found == {"geometry.SweptHull", "validate._point_polytope_hits",
+                     "plotting._hull_order"}
