@@ -18,6 +18,7 @@ from support values along candidate axes. ``point_distances`` takes the
 same edge and triangle features from a stack of points, for the Monte
 Carlo hit test. The Mahalanobis query runs GJK in whitened coordinates,
 where a sphere becomes an ellipsoid, and returns a certified lower bound;
+a cold query solves the cores first, then adds the radii.
 ``mahalanobis_contacts`` takes GJK's first iteration for a stack of
 placements at once, from their Euclidean witness pairs.
 
@@ -137,14 +138,14 @@ class SweptHull:
     def _support(self, v):
         """``support`` for a trusted nonzero float vector ``v``."""
         V = self.vertices
-        p = V[int(np.argmax(V @ v))]
+        p = V[(V @ v).argmax()]
         if self.radius == 0.0:
             return p
         return p + (self.radius / math.sqrt(float(v @ v))) * v
 
     def center(self):
         """The vertex centroid, an interior point; seeds iterative queries."""
-        return self.vertices.mean(axis=0)
+        return self.vertices.sum(axis=0) / len(self.vertices)
 
     def posed(self, pose):
         """The body placed in the workspace by ``pose`` (of the same dim)."""
@@ -354,7 +355,11 @@ def _closest_on_triangle(P, i, j, k):
              (ox - px) * (ry - py) - (oy - py) * (rx - px),    # (a, o, c)
              (qx - px) * (oy - py) - (qy - py) * (ox - px))    # (a, b, o)
         if all(_same_sign(mu, cr) for cr in C):
-            return o, [cr / mu for cr in C], [i, j, k]
+            # Normalized by their own sum, not by mu, which cancellation
+            # on a thin triangle sets apart from it: the coordinates stay
+            # convex, so the witness payloads stay in their bodies.
+            total = C[0] + C[1] + C[2]
+            return o, [cr / total for cr in C], [i, j, k]
     best = None
     for cr, edge in zip(C, ((j, k), (i, k), (i, j))):
         if not _same_sign(mu, cr):
@@ -402,21 +407,34 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
     entry (p, a, b) with p a point of the set near the closest one, replaces
     that first support.
 
+    A search without ``start`` on a rounded whitened difference (a
+    ``_PairSupport`` with a radius) solves the cores first, in the same
+    loop: their difference is a polytope, on which GJK terminates finitely.
+    The final simplex is then shifted by the ball term's support along -v,
+    which makes each of its points a support point of the whole set along
+    -v, and the loop goes on with full supports. Under an isotropic metric
+    the ball term is a ball, the shifted simplex holds the closest point,
+    and the first full support closes the gap.
+
     Returns (distance, closest_point, witness_a, witness_b, lower_bound).
-    Distance 0 means the origin is inside (or within tolerance of) the set.
-    The distance |v| of the closest-point estimate v bounds the true one
-    from above; ``lower_bound`` = max(0, v.s(-v)) / |v|, with s(-v) the
-    last support, bounds it from below (every point x of the set has
+    Distance 0 means the origin is inside (or within tolerance of) the set;
+    cores that intersect give 0 from the first phase. The distance |v| of
+    the closest-point estimate v bounds the true one from above;
+    ``lower_bound`` = max(0, v.s(-v)) / |v|, with s(-v) the last support,
+    always a full one, bounds it from below (every point x of the set has
     |x| >= u.x >= u.s(-u) for the unit u along v), and the two meet at
-    convergence. The estimate also stops where |v|^2 no longer decreases
-    (the roundoff floor); reaching ``max_iter`` raises GeometryError.
+    convergence. A phase also ends where |v|^2 no longer decreases (the
+    roundoff floor); reaching ``max_iter`` raises GeometryError.
     """
+    support = support_pair
     if start is None:
+        if getattr(support_pair, "rounded", False):
+            support = support_pair.core
         d0 = seed_direction
         if d0 is None or float(np.dot(d0, d0)) < 1e-18:
             d0 = np.zeros(dim)
             d0[0] = 1.0
-        start = support_pair(-d0)
+        start = support(-d0)
     pad = [0.0] * (3 - dim)     # a 2D problem runs in the z = 0 plane
     entries = [start]
     simplex = [entries[0][0].tolist() + pad]
@@ -425,26 +443,45 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
     for _ in range(max_iter):
         if nv2 <= tol * tol:
             break
-        entry = support_pair(np.array([-v[0], -v[1], -v[2]][:dim]))
+        d = np.array([-v[0], -v[1], -v[2]][:dim])
+        entry = support(d)
         p = entry[0].tolist() + pad
         vp = _dot(v, p)
         # Relative duality-gap test (an absolute test loses accuracy near
         # tangency, where nv2 itself is tiny), with a floor at roundoff.
-        if nv2 - vp <= tol * nv2 + 1e-14:
-            break
-        simplex.append(p)
-        entries.append(entry)
-        w, lam_w, keep = _closest_on_simplex(simplex)
-        nw2 = _dot(w, w)
-        if nw2 >= nv2:
-            # No progress (roundoff on a thin simplex): keep the estimate,
-            # whose last support still gives the lower bound.
+        if nv2 - vp > tol * nv2 + 1e-14:
+            simplex.append(p)
+            entries.append(entry)
+            w, lam_w, keep = _closest_on_simplex(simplex)
+            nw2 = _dot(w, w)
+            if nw2 >= nv2:
+                # Roundoff on a thin simplex can drop the new point, along
+                # which the estimate improves in exact arithmetic: take the
+                # best face through it instead.
+                nw2, w, lam_w, keep = _closest_through_last(simplex)
+            if nw2 < nv2:
+                entries = [entries[i] for i in keep]
+                simplex = [simplex[i] for i in keep]
+                v, lam, nv2 = w, lam_w, nw2
+                continue
+            # No progress even so (the improvement is below the roundoff
+            # of |v|^2) ends the phase as a closed gap does: the estimate
+            # stays, and its last support still gives the lower bound.
             simplex.pop()
             entries.pop()
+        if support is support_pair:
             break
+        # The cores are solved. The ball term's support along -v is one
+        # point for the whole simplex, so the shifted points are supports
+        # of the set along -v.
+        support = support_pair
+        e, ea, eb = support_pair.ball(d)
+        entries = [(x + e, a + ea, b + eb) for x, a, b in entries]
+        simplex = [x.tolist() + pad for x, _, _ in entries]
+        v, lam, keep = _closest_on_simplex(simplex)
         entries = [entries[i] for i in keep]
         simplex = [simplex[i] for i in keep]
-        v, lam, nv2 = w, lam_w, nw2
+        nv2 = _dot(v, v)
     else:
         raise GeometryError(
             f"GJK did not converge within {max_iter} iterations")
@@ -455,6 +492,20 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
     return dist, np.array(v[:dim]), wa, wb, max(0.0, vp) / dist
 
 
+def _closest_through_last(points):
+    """The nearest of the faces of ``points`` that hold the last point, each
+    without one of the others, by ``_closest_on_simplex``: (|w|^2, w,
+    lambdas, keep), keep indexing ``points``."""
+    best = None
+    for drop in range(len(points) - 1):
+        sub = [i for i in range(len(points)) if i != drop]
+        w, lam, keep = _closest_on_simplex([points[i] for i in sub])
+        w2 = _dot(w, w)
+        if best is None or w2 < best[0]:
+            best = (w2, w, lam, [sub[i] for i in keep])
+    return best
+
+
 def _combine(entries, lam, slot):
     out = None
     for w, e in zip(lam, entries):
@@ -463,16 +514,42 @@ def _combine(entries, lam, slot):
     return out
 
 
-def _pair_support(body_a, body_b, M):
-    """Support-pair function for M @ (A - B) with witness tracking."""
-    MT = M.T
+class _PairSupport:
+    """Supports of the whitened swept difference Y = M (A - B) - q, with
+    witness tracking: called on a direction v, it returns (p, a, b), p the
+    support point of Y along v and a, b the points of A and B with
+    p = M (a - b) - q.
 
-    def sp(v):
-        w = MT @ v
-        a = body_a._support(w)
-        b = body_b._support(-w)
-        return M @ (a - b), a, b
-    return sp
+    Y is the core difference M (core A - core B) - q plus the ball term
+    M B(r_A + r_B), an ellipsoid, and a support of Y is the sum of theirs:
+    ``core(v)`` gives the cores' (p, a, b) and ``ball(v)`` the ball term's
+    (its p without q).
+    """
+
+    def __init__(self, body_a, body_b, M, q=0.0):
+        self._a, self._b = body_a, body_b
+        self._M, self._MT = M, M.T
+        self._q = q
+        self.rounded = body_a.radius + body_b.radius > 0.0
+
+    def __call__(self, v):
+        w = self._MT @ v
+        a = self._a._support(w)
+        b = self._b._support(-w)
+        return self._M @ (a - b) - self._q, a, b
+
+    def core(self, v):
+        w = self._MT @ v
+        Va, Vb = self._a.vertices, self._b.vertices
+        a = Va[(Va @ w).argmax()]
+        b = Vb[(Vb @ w).argmin()]
+        return self._M @ (a - b) - self._q, a, b
+
+    def ball(self, v):
+        w = self._MT @ v
+        u = w / math.sqrt(float(w @ w))
+        a, b = self._a.radius * u, -self._b.radius * u
+        return self._M @ (a - b), a, b
 
 
 # ---------------------------------------------------------------------------
@@ -788,15 +865,21 @@ def mahalanobis_contact(body_a, body_b, chol_sigma,
 
     ``chol_sigma`` is the lower Cholesky factor of the metric covariance;
     callers that query one covariance many times pass its inverse as
-    ``chol_inv``. The search is seeded by the difference of the centres.
+    ``chol_inv``. The search is seeded by the difference of the centres
+    and solves the cores first (see ``_gjk``): their whitened difference is
+    a polytope, on which GJK ends after a few supports, and its final
+    simplex, shifted by the ball term's support, starts the search on the
+    swept bodies. Under an isotropic covariance that start holds the
+    minimizer, so one full support closes the gap.
+
     Returns (c, witness_a, witness_b). c is the square of GJK's supporting-
-    plane lower bound, so it never exceeds the true minimum
-    c* = min (a-b)^T Sigma^{-1} (a-b); the witness pair's value exceeds c
-    by at most GJK's duality gap (``tolerance``, relative). c == 0 means
-    the bodies intersect.
+    plane lower bound at a full support, so it never exceeds the true
+    minimum c* = min (a-b)^T Sigma^{-1} (a-b); the witness pair's value
+    exceeds c by at most GJK's duality gap (``tolerance``, relative).
+    c == 0 means the bodies intersect, as when their cores do.
     """
     L_inv = np.linalg.inv(chol_sigma) if chol_inv is None else chol_inv
-    sp = _pair_support(body_a, body_b, L_inv)
+    sp = _PairSupport(body_a, body_b, L_inv)
     seed = L_inv @ (body_a.center() - body_b.center())
     _, _, wa, wb, lb = _gjk(sp, body_a.dim, tol=tolerance,
                             seed_direction=seed)
@@ -849,7 +932,7 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
         n = lanes[i]
         body = SweptHull(vertices[n], float(radii[n]))
         _, _, wa[n], wb[n], lb2 = _gjk(
-            _pair_support(body, body_b, chol_inv), dim, tol=tol,
+            _PairSupport(body, body_b, chol_inv), dim, tol=tol,
             start=(p[i], a[i], b[i]))
         c[n] = max(lb[i], lb2) ** 2
     return c, wa, wb

@@ -95,12 +95,13 @@ class ChainFrames:
     """One kinematics pass over T joint states: everything FK, distances
     and Jacobians need. A single joint state is a trajectory of one.
 
-    ``rotations[t, i]`` and ``translations[t, i]`` place link frame i at
-    step t; ``origins[t, i]`` and ``axes[t, i]`` are joint i's world
-    position and world axis before its own motion (the axis is unused for
-    2D revolute joints).
+    ``states[t]`` is the joint state of step t; ``rotations[t, i]`` and
+    ``translations[t, i]`` place link frame i at step t; ``origins[t, i]``
+    and ``axes[t, i]`` are joint i's world position and world axis before
+    its own motion (the axis is unused for 2D revolute joints).
     """
 
+    states: np.ndarray          # (T, dof), a copy of the walked states
     rotations: np.ndarray       # (T, n_links, dim, dim)
     translations: np.ndarray    # (T, n_links, dim)
     origins: np.ndarray         # (T, dof, dim)
@@ -109,8 +110,9 @@ class ChainFrames:
     def step(self, t):
         """The frames of step ``t`` alone, a trajectory of one."""
         s = slice(t, t + 1)
-        return ChainFrames(self.rotations[s], self.translations[s],
-                           self.origins[s], self.axes[s])
+        return ChainFrames(self.states[s], self.rotations[s],
+                           self.translations[s], self.origins[s],
+                           self.axes[s])
 
     @property
     def poses(self):
@@ -122,7 +124,7 @@ class ChainFrames:
 def trajectory_frames(robot, trajectory):
     """Walk the chain once for every row of ``trajectory`` (T, dof), with
     stacked rotations; see ChainFrames."""
-    th = np.asarray(trajectory, dtype=float)
+    th = np.array(trajectory, dtype=float)
     if th.ndim != 2 or th.shape[1] != robot.dof:
         raise ValueError(f"trajectory shape {th.shape} does not match dof "
                          f"{robot.dof}")
@@ -134,8 +136,8 @@ def trajectory_frames(robot, trajectory):
     # R and p take a leading step axis once a joint's motion moves them.
     R, p = robot.base.rotation, robot.base.translation
     if not robot.joints:
-        return ChainFrames(np.tile(R, (T, 1, 1, 1)), np.tile(p, (T, 1, 1)),
-                           origins, axes)
+        return ChainFrames(th, np.tile(R, (T, 1, 1, 1)),
+                           np.tile(p, (T, 1, 1)), origins, axes)
     rotations = np.empty((T, robot.dof, dim, dim))
     translations = np.empty((T, robot.dof, dim))
     for i, joint in enumerate(robot.joints):
@@ -157,7 +159,7 @@ def trajectory_frames(robot, trajectory):
                      + (1 - np.cos(q))[:, None, None] * KK)
         rotations[:, i] = R
         translations[:, i] = p
-    return ChainFrames(rotations, translations, origins, axes)
+    return ChainFrames(th, rotations, translations, origins, axes)
 
 
 def chain_frames(robot, theta):

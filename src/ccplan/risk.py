@@ -16,6 +16,12 @@ Lagrangian dual is a concave function of one multiplier. Each dual value is
 one whitened GJK query, and is a certified lower bound on c2, so eps2 is
 never under-stated; the search stops when a feasible primal point is within
 HALF_GAP of the best dual value.
+
+A query that starts cold (every first search outside the planner, and
+every dual value) solves the polytope cores first, then adds the radii
+(see ``geometry._gjk``); under an isotropic covariance one support of the
+swept bodies then closes it. A certificate that walks the kinematic chain
+itself keeps that pass for its gradient.
 """
 
 import math
@@ -28,12 +34,11 @@ from . import chi2
 from .geometry import (
     GeometryError,
     SweptHull,
+    _PairSupport,
     _gjk,
-    _pair_support,
     mahalanobis_contact,
 )
-from .kinematics import (chain_frames, forward_kinematics, point_jacobian,
-                         posed_link_shapes)
+from .kinematics import chain_frames, point_jacobian, posed_link_shapes
 
 # Squared Mahalanobis distances below this are treated as contact with the
 # nominal geometry (risk saturates at 1).
@@ -99,6 +104,10 @@ class RiskCertificate:
     c2: float = None
     floored: bool = False                # eps1 hit the resolution floor
     floored2: bool = False               # no second contact below the floor
+    # The kinematics pass of a certificate with a contact whose
+    # ``certify_risk`` walked the chain itself; ``risk_gradient`` reuses it
+    # at the same joint state.
+    frames: object = field(default=None, repr=False, compare=False)
 
 
 def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
@@ -125,11 +134,12 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
     n = obstacle.dim
+    frames = None
     if first is None:
         theta = robot.check_state(theta)
         if shapes is None:
-            poses = forward_kinematics(robot, theta)
-            shapes = posed_link_shapes(robot, poses)
+            frames = chain_frames(robot, theta)
+            shapes = posed_link_shapes(robot, frames.poses)
     elif shapes is None or len(first) != len(shapes):
         raise ValueError("first needs shapes, one search per shape")
     if not shapes:
@@ -182,7 +192,7 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
         eps1, eps2, 0.5 * (eps1 + eps2), False, contact_normal=n_hat, x1=x1,
         link_index=link_idx, contact_point=np.asarray(wit_robot, dtype=float),
         link_index2=link_idx2, contact_point2=wa2, x2=x2, c1=c_min, c2=c2,
-        floored2=found is None)
+        floored2=found is None, frames=frames)
 
 
 def _half_contact(per_shape, obstacle, normal, c_max):
@@ -241,7 +251,6 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
     L_inv = obstacle.chol_inv
     m = obstacle.chol.T @ normal
     mm = float(m @ m)
-    pair = _pair_support(body, obstacle.nominal, L_inv)
     c, wa, wb = first
     scale = max(1.0, c)
 
@@ -249,18 +258,14 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
         # phi from GJK's supporting-plane lower bound on the distance,
         # never from its |v|, which bounds it from above.
         q = 0.5 * lam * m
-
-        def sp(v):
-            p, pa, pb = pair(v)
-            return p - q, pa, pb
-
         # Seeded along the previous projection (starting at the old witness,
         # a combination of supports, can stall on a face). The tolerance,
         # relative to |v|^2, which far exceeds c when the cut is nearly
         # parallel to a face of A - O, keeps the gap ~1e-12 c.
         v = L_inv @ (a - b) - q
         tol = 1e-12 * scale / max(scale, float(v @ v))
-        _, _, a, b, lb = _gjk(sp, body.dim, tol=tol, seed_direction=v)
+        _, _, a, b, lb = _gjk(_PairSupport(body, obstacle.nominal, L_inv, q),
+                              body.dim, tol=tol, seed_direction=v)
         return _DualPoint(lam, lb * lb - 0.25 * lam * lam * mm,
                           float(normal @ (a - b)), a, b)
 
@@ -318,6 +323,9 @@ def _weighted_gradients(cert, robot, theta, obstacle, frames):
         raise ValueError("saturated certificate has no usable gradient; "
                          "use the signed-distance constraint instead")
     theta = robot.check_state(theta)
+    if frames is None and cert.frames is not None \
+            and np.array_equal(cert.frames.states[0], theta):
+        frames = cert.frames
     grads = [np.zeros(robot.dof), np.zeros(robot.dof)]
     for slot, w, link, point in risk_weights(cert, obstacle):
         if frames is None:
@@ -332,13 +340,16 @@ def shadow_gradients(cert, robot, theta, obstacle, frames=None):
     is their mean, so each is twice w . J, w its ``risk_weights`` entry and
     J the Jacobian of its robot contact point.
 
-    ``frames`` is ``chain_frames(robot, theta)`` when the caller has it.
+    ``frames`` is ``chain_frames(robot, theta)`` when the caller has it;
+    without it, a certificate that walked the chain at ``theta`` supplies
+    its own.
     """
     g1, g2 = _weighted_gradients(cert, robot, theta, obstacle, frames)
     return 2.0 * g1, 2.0 * g2
 
 
 def risk_gradient(cert, robot, theta, obstacle, frames=None):
-    """Gradient of the certified bound eps_prime with respect to theta."""
+    """Gradient of the certified bound eps_prime with respect to theta;
+    ``frames`` as for ``shadow_gradients``."""
     g1, g2 = _weighted_gradients(cert, robot, theta, obstacle, frames)
     return g1 + g2

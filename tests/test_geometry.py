@@ -20,7 +20,7 @@ from ccplan.geometry import (
     Sphere,
     SweptHull,
     _closest_cores,
-    _pair_support,
+    _PairSupport,
     box,
     distance,
     distances,
@@ -58,8 +58,8 @@ class TestSupport:
     def test_minkowski_sum_of_spheres(self):
         # The implicit Minkowski sum A + (-B) that the distance kernel
         # searches: two unit balls give a ball of radius 2.
-        sp = _pair_support(Sphere([0, 0, 0], 1.0), Sphere([0, 0, 0], 1.0),
-                           np.eye(3))
+        sp = _PairSupport(Sphere([0, 0, 0], 1.0), Sphere([0, 0, 0], 1.0),
+                          np.eye(3))
         np.testing.assert_allclose(sp(np.array([1.0, 0, 0]))[0], [2, 0, 0])
 
     def test_zero_direction_rejected(self):
@@ -83,7 +83,7 @@ class TestSupport:
             a = Sphere(rng.normal(size=3), rng.uniform(0.1, 1))
             b = Polytope(rng.normal(size=(5, 3)))
             M = rng.normal(size=(3, 3))
-            sp = _pair_support(a, b, M)
+            sp = _PairSupport(a, b, M)
             v = rng.normal(size=3)
             # The support of M (A - B) is M (s_A(M^T v) - s_B(-M^T v)),
             # farthest along v among points M (a - b) of the set.
@@ -635,6 +635,125 @@ class TestMahalanobisContact:
                     assert c >= exact * (1.0 - 1e-9)
 
 
+@st.composite
+def swept_cores(draw, dim):
+    """A point, segment, box or 7-vertex hull core swept by a radius of 0
+    or 0.05, placed within 2 of the origin."""
+    vec = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    kind = draw(st.sampled_from(["point", "segment", "box", "hull"]))
+    centre = 2.0 * draw(vec)
+    if kind == "point":
+        V = centre[None]
+    elif kind == "segment":
+        V = np.stack([centre, centre + draw(vec)])
+    else:
+        if kind == "box":
+            half = st.lists(st.floats(0.05, 0.8), min_size=dim, max_size=dim)
+            core = box(draw(half))
+        else:
+            core = Polytope(np.array(draw(st.lists(vec, min_size=7,
+                                                   max_size=7))))
+        V = core.posed(Pose(draw(rotations(dim)), centre)).vertices
+    return SweptHull(V, draw(st.sampled_from([0.0, 0.05])))
+
+
+@st.composite
+def whitened_cases(draw):
+    """Two swept cores and a covariance: isotropic, or a random SPD one."""
+    dim = draw(st.sampled_from([2, 3]))
+    a, b = draw(swept_cores(dim)), draw(swept_cores(dim))
+    if draw(st.booleans()):
+        S = draw(st.floats(0.05, 1.0)) ** 2 * np.eye(dim)
+    else:
+        S = rand_spd(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                     dim, draw(st.floats(0.01, 0.5)))
+    return a, b, S
+
+
+def count_supports(monkeypatch):
+    """Count the whitened searches' supports from here on: "core" for
+    those of the cores alone, "full" for those of the swept bodies."""
+    calls = {"core": 0, "full": 0}
+    for kind, name in (("core", "core"), ("full", "__call__")):
+        def counted(self, v, kind=kind, method=getattr(_PairSupport, name)):
+            calls[kind] += 1
+            return method(self, v)
+        monkeypatch.setattr(_PairSupport, name, counted)
+    return calls
+
+
+class TestCoreFirstSearch:
+    """Cold whitened searches solve the cores first, then shift the final
+    simplex by the ball term and finish on full supports."""
+
+    @PROPERTY
+    @given(whitened_cases())
+    def test_certified_and_within_the_gap(self, case):
+        a, b, S = case
+        isotropic = not np.any(S - S[0, 0] * np.eye(a.dim))
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_supports(m)
+            c, wa, wb = mahalanobis_contact(a, b, np.linalg.cholesky(S))
+        cores = distance(SweptHull(a.vertices, 0.0),
+                         SweptHull(b.vertices, 0.0)).signed_distance
+        if cores < -1e-9:
+            assert c == 0.0
+            return
+        d = wa - wb
+        value = float(d @ np.linalg.solve(S, d))
+        # c bounds the witness pair's value from below, to roundoff, and
+        # lies within the duality gap of it: nv2 - c <= 2 (nv2 - v.p).
+        assert c <= value * (1.0 + 1e-13)
+        tol = geometry.WHITENED_GAP_TOL
+        assert value - c <= 2.0 * (tol * value + 1e-14) + 1e-13 * value
+        sd = distance(a, b).signed_distance
+        if isotropic and sd > 0.0 and sd * sd > 0.1 * S[0, 0]:
+            # The shifted simplex holds the minimizer, so the first full
+            # support closes the gap (without a radius there is no core
+            # phase: the search is on the polytope itself).
+            assert c == pytest.approx(sd * sd / S[0, 0], rel=1e-12)
+            if a.radius + b.radius > 0.0:
+                assert calls["full"] == 1
+
+    # Links of arm4dof3d against sphere obstacles of the benchmark's
+    # certify-random family, under full covariances: (capsule core, radius,
+    # sphere centre, radius, covariance). The search ends on thin simplices.
+    # On the first, barycentric coordinates off a sum of one gave witnesses
+    # whose value lay below c; on the second, a thin tetrahedron dropped
+    # the new support and the search stopped 1e-9 short of its gap. From
+    # the centres, without the cores first, both ended over 7e-12 short.
+    THIN_SIMPLEX_CASES = [
+        ([[0.0, 0.0, 0.3],
+          [0.23316797350849583, -0.18571549319815633, 0.2661998266852531]],
+         0.04, [0.37862673946095604, 0.191258121912921, 0.5644895260623197],
+         0.22300440198344568,
+         [[0.18320055187841036, 0.07968456894094726, 0.043554894265123885],
+          [0.07968456894094726, 0.1401069467894186, 0.0032091271993952126],
+          [0.043554894265123885, 0.0032091271993952126,
+           0.0790235032201268]]),
+        ([[0.0, 0.0, 0.3],
+          [0.19583036157771827, 0.14466961665673228, 0.47527456033530435]],
+         0.04,
+         [-0.08430705954192762, -0.3051406722251175, -0.32604950998324983],
+         0.13219668392666994,
+         [[0.0036143942692000637, 0.007904427881557523, 0.01529850075740724],
+          [0.007904427881557523, 0.19299176420298245, 0.1448958196651148],
+          [0.01529850075740724, 0.1448958196651148, 0.4357414956566037]]),
+    ]
+
+    @pytest.mark.parametrize("case", THIN_SIMPLEX_CASES)
+    def test_thin_simplices_keep_the_gap(self, case):
+        core, r, centre, r_ob, S = case
+        S = np.array(S)
+        c, wa, wb = mahalanobis_contact(SweptHull(np.array(core), r),
+                                        Sphere(centre, r_ob),
+                                        np.linalg.cholesky(S))
+        d = wa - wb
+        value = float(d @ np.linalg.solve(S, d))
+        assert c <= value * (1.0 + 1e-13)
+        assert value - c <= 2.0 * (geometry.WHITENED_GAP_TOL * value + 1e-14)
+
+
 def enumerated_minimum(Y):
     """min |y|^2 over conv(Y) for the origin outside it: the closest point
     lies on a segment (2D) or triangle (3D) of the points; segments cover
@@ -714,30 +833,25 @@ class TestSimplexReduction:
 
 
 class TestGJKTermination:
-    def test_stalling_support_map_stops(self):
+    def test_stalling_support_map_stops(self, monkeypatch):
         # A capsule link beside a box face under an isotropic covariance
         # (a pickplace certificate): the whitened search used to cycle on
-        # a thin simplex and return unconverged at the iteration cap.
-        from ccplan.geometry import GJK_MAX_ITER
+        # a thin simplex and return unconverged at the iteration cap, and
+        # from the body centres it later took 35 supports. The cores come
+        # first now, and one full support closes the gap.
         link = Capsule([0.24824809667445116, -0.09771704827401971,
                         0.4372015341536866],
                        [0.34940109239432393, -0.13753355562385342,
                         0.7168132599438545], 0.04)
         wall = box([0.05, 0.12, 0.15], center=[0.42, 0.02, 0.7])
         sigma = math.sqrt(0.0012)
-        calls = []
-
-        class Counted(SweptHull):
-            def _support(self, v):
-                calls.append(1)
-                return super()._support(v)
-
-        counted = Counted(link.vertices, link.radius)
-        c, wa, wb = mahalanobis_contact(counted, wall, sigma * np.eye(3))
-        assert len(calls) < GJK_MAX_ITER // 2
+        calls = count_supports(monkeypatch)
+        c, wa, wb = mahalanobis_contact(link, wall, sigma * np.eye(3))
+        assert calls["core"] >= 1 and calls["full"] == 1
+        assert calls["core"] + calls["full"] <= 6
         # Isotropic metric: c is the Euclidean distance over sigma, squared.
         exact = (distance(link, wall).signed_distance / sigma) ** 2
-        assert c == pytest.approx(exact, rel=1e-9)
+        assert c == pytest.approx(exact, rel=1e-12)
 
     def test_iteration_cap_raises(self):
         # A sphere is curved everywhere: GJK approaches it but needs more

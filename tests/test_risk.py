@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccplan.chi2 import chi2_sf
-from ccplan import risk, sceneio
+from ccplan import kinematics, risk, sceneio
 from ccplan.geometry import (
     Capsule,
     GeometryError,
@@ -460,6 +460,40 @@ class TestInvariantErrors:
 
 
 class TestGradient:
+    def test_cold_certificate_walks_the_chain_once(self, monkeypatch):
+        # ``ccplan certify`` takes each gradient without frames: the
+        # certificate's own kinematics pass serves it, but only at the
+        # joint state it was made for.
+        R = TestHalfShadowRegression
+        robot = sceneio.parse_robot(R.ROBOT)
+        ob = sceneio.parse_scene(R.SCENE).obstacles[0]
+        theta = np.array(R.THETA)
+        walk = kinematics.trajectory_frames
+        walks = []
+
+        def counted(*args):
+            walks.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(kinematics, "trajectory_frames", counted)
+        cert = certify_risk(robot, theta, ob)
+        assert not (cert.floored or cert.floored2)     # two Jacobians
+        g = risk_gradient(cert, robot, theta, ob)
+        assert len(walks) == 1
+        np.testing.assert_array_equal(g, risk_gradient(
+            cert, robot, theta, ob, frames=walk(robot, theta[None])))
+
+        def walks_afresh(state):
+            before = len(walks)
+            g = risk_gradient(cert, robot, state, ob)
+            assert len(walks) == before + 1
+            np.testing.assert_array_equal(g, risk_gradient(
+                cert, robot, state, ob, frames=walk(robot, state[None])))
+
+        walks_afresh(theta + 0.1)       # another joint state
+        theta += 0.1                    # the caller's array, changed in place
+        walks_afresh(theta)
+
     def test_slider_closed_form(self):
         # eps1(r) = exp(-r^2/2) so d eps1/dr = -r exp(-r^2/2).
         robot = slider_robot()

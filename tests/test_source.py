@@ -1,6 +1,7 @@
 """Rules on the source of the ccplan package itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import ccplan
@@ -91,3 +92,20 @@ def test_boundary_built_only_for_cores_and_hit_hulls():
         and n.func.id == "Boundary")
     assert found == {"geometry.SweptHull", "validate._point_polytope_hits",
                      "plotting._hull_order"}
+
+
+def test_layer_trace_names_exist():
+    # The benchmark's traced run wraps each (module, function) of
+    # ``LAYER_FUNCTIONS``; a name missing from ccplan makes ``--trace 1``
+    # fail with an AttributeError. The file is parsed, not imported.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(), str(path))
+    listed = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "LAYER_FUNCTIONS"
+                      for t in node.targets)]
+    assert len(listed) == 1 and listed[0]
+    missing = [f"{module}.{name}" for module, name in listed[0]
+               if not hasattr(importlib.import_module(f"ccplan.{module}"),
+                              name)]
+    assert not missing, f"layer functions missing from ccplan: {missing}"
