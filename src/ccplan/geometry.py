@@ -37,6 +37,9 @@ GJK_MAX_ITER = 128
 # ``mahalanobis_contact`` and ``mahalanobis_contacts`` share it, so a batched
 # lane and the cold search of the same pair close the same gap.
 WHITENED_GAP_TOL = 1e-12
+# Core distance at or below which ``distances`` takes the exact penetration
+# path, and signed distance at or below which ``intersects`` reports overlap.
+CONTACT_TOL = 1e-9
 
 
 class GeometryError(RuntimeError):
@@ -709,14 +712,14 @@ def _nearer(p, q):
             np.where(take[:, None], q[2], p[2]))
 
 
-def distances(vertices, radii, boundary, body_b, tolerance=1e-9):
+def distances(vertices, radii, boundary, body_b):
     """Signed distances from a stack of placements of one core to
     ``body_b``, in one kernel call: vertices (P, k, dim), every placement
     sharing the boundary complex ``boundary`` and swept by ``radii`` (a
     scalar or (P,)). Returns a DistanceResult of arrays over the stack.
 
     A pair is separated when its closest candidate pair is more than
-    ``tolerance`` apart and the supporting planes normal to it are apart
+    CONTACT_TOL apart and the supporting planes normal to it are apart
     too, by more than SEPARATION_RTOL of the coordinates' magnitude: the
     gap then proves the cores disjoint, so the candidate pair is the
     closest and its distance exact (the gap matches it up to the roundoff
@@ -730,7 +733,8 @@ def distances(vertices, radii, boundary, body_b, tolerance=1e-9):
     ra = np.broadcast_to(np.asarray(radii, dtype=float), d.shape)
     scale = np.maximum(np.abs(vertices).max(axis=(1, 2)),
                        max(1.0, float(np.abs(Vb).max())))
-    pen = np.flatnonzero((d <= tolerance) | (gap <= SEPARATION_RTOL * scale))
+    pen = np.flatnonzero((d <= CONTACT_TOL)
+                         | (gap <= SEPARATION_RTOL * scale))
     if len(pen):
         depth, n[pen] = _depths(vertices[pen], boundary, Vb, body_b.boundary)
         shift = depth[:, None] * n[pen]
@@ -834,7 +838,7 @@ def point_distances(points, vertices, boundary):
 # Public queries
 # ---------------------------------------------------------------------------
 
-def distance(body_a, body_b, tolerance=1e-9):
+def distance(body_a, body_b):
     """Signed distance between two bodies: ``distances`` for a stack of one.
 
     Positive: separation distance, exact over the cores' boundary features
@@ -844,23 +848,20 @@ def distance(body_a, body_b, tolerance=1e-9):
     ``signed_distance * normal`` brings the bodies into touching contact,
     and witness_a - witness_b = -signed_distance * normal.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     if body_a.dim != body_b.dim:
         raise ValueError("dimension mismatch")
     res = distances(body_a.vertices[None], body_a.radius, body_a.boundary,
-                    body_b, tolerance)
+                    body_b)
     return DistanceResult(float(res.signed_distance[0]), res.witness_a[0],
                           res.witness_b[0], res.normal[0])
 
 
-def intersects(body_a, body_b, tolerance=1e-9):
-    """True iff the bodies overlap (signed distance <= tolerance)."""
-    return distance(body_a, body_b, tolerance).signed_distance <= tolerance
+def intersects(body_a, body_b):
+    """True iff the bodies overlap (signed distance <= CONTACT_TOL)."""
+    return distance(body_a, body_b).signed_distance <= CONTACT_TOL
 
 
-def mahalanobis_contact(body_a, body_b, chol_sigma,
-                        tolerance=WHITENED_GAP_TOL, chol_inv=None):
+def mahalanobis_contact(body_a, body_b, chol_sigma, chol_inv=None):
     """Certified minimum squared Mahalanobis norm of (a - b), a in A, b in B.
 
     ``chol_sigma`` is the lower Cholesky factor of the metric covariance;
@@ -875,13 +876,13 @@ def mahalanobis_contact(body_a, body_b, chol_sigma,
     Returns (c, witness_a, witness_b). c is the square of GJK's supporting-
     plane lower bound at a full support, so it never exceeds the true
     minimum c* = min (a-b)^T Sigma^{-1} (a-b); the witness pair's value
-    exceeds c by at most GJK's duality gap (``tolerance``, relative).
+    exceeds c by at most GJK's relative duality gap, WHITENED_GAP_TOL.
     c == 0 means the bodies intersect, as when their cores do.
     """
     L_inv = np.linalg.inv(chol_sigma) if chol_inv is None else chol_inv
     sp = _PairSupport(body_a, body_b, L_inv)
     seed = L_inv @ (body_a.center() - body_b.center())
-    _, _, wa, wb, lb = _gjk(sp, body_a.dim, tol=tolerance,
+    _, _, wa, wb, lb = _gjk(sp, body_a.dim, tol=WHITENED_GAP_TOL,
                             seed_direction=seed)
     return lb * lb, wa, wb
 

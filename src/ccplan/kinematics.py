@@ -107,13 +107,6 @@ class ChainFrames:
     origins: np.ndarray         # (T, dof, dim)
     axes: np.ndarray            # (T, dof, dim)
 
-    def step(self, t):
-        """The frames of step ``t`` alone, a trajectory of one."""
-        s = slice(t, t + 1)
-        return ChainFrames(self.states[s], self.rotations[s],
-                           self.translations[s], self.origins[s],
-                           self.axes[s])
-
     @property
     def poses(self):
         """World pose of every link frame at the first step."""
@@ -218,8 +211,7 @@ def point_jacobian(robot, theta, link_index, world_point, frames=None):
     """Position Jacobian of a point rigidly attached to a link.
 
     Columns for joints distal to ``link_index`` are zero. ``frames`` is
-    ``chain_frames(robot, theta)`` (or that step of a trajectory's frames)
-    when the caller already has it.
+    ``chain_frames(robot, theta)`` when the caller already has it.
     """
     th = robot.check_state(theta)
     if not 0 <= link_index < robot.n_links:

@@ -275,8 +275,9 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
 def _risk_terms(problem, report):
     """The risk rows' terms, (T, dof) gradients and (T,) values: per
     timestep, the sum of eps_prime over the unsaturated certificates and
-    of its gradient, sum w . J over their ``risk_weights``. The Jacobians
-    of every shadow's contact come from one ``point_jacobians`` call."""
+    of its gradient, sum w . J over their ``risk_weights`` (zero at the
+    fixed endpoints). The Jacobians of every shadow's contact come from one
+    ``point_jacobians`` call."""
     robot = problem.robot
     T = problem.timesteps
     eps = np.zeros(T)
@@ -285,7 +286,9 @@ def _risk_terms(problem, report):
         for cert, ob in zip(row, problem.obstacles):
             if not cert.saturated:
                 eps[t] += cert.eps_prime
-                terms += [(t, *term[1:]) for term in risk_weights(cert, ob)]
+                if 0 < t < T - 1:
+                    terms += [(t, *term[1:])
+                              for term in risk_weights(cert, ob)]
     grad = np.zeros((T, robot.dof))
     if terms:
         steps, w, links, points = zip(*terms)
@@ -299,38 +302,37 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
               include_risk=True, margins=None):
     """Build the convex subproblem around the current iterate.
 
-    Decision variables: [theta_0..theta_{T-1} | delta_0..delta_{T-1} |
-    slack per signed-distance row | slack per risk row]. Endpoints enter as
-    equality rows; the trust region and joint limits as box bounds.
-    With ``include_risk=False`` the risk and allocation rows are dropped
-    (the variables remain, pinned harmlessly by their regularizer), and
-    ``margins`` overrides the scalar margin per (timestep, obstacle).
+    Decision variables: [theta_1..theta_{T-2} | delta_0..delta_{T-1} |
+    slack per signed-distance row | slack per risk row]. The endpoints
+    theta_0 = start and theta_{T-1} = goal are constants; the trust region
+    and joint limits are box bounds. With ``include_risk=False`` the risk
+    and allocation rows are dropped (the variables remain, pinned harmlessly
+    by their regularizer), and ``margins`` overrides the scalar margin per
+    (timestep, obstacle).
     ``allocation`` enters no row: the risk row is linear in delta.
 
     Rows, per timestep t: a signed-distance row per obstacle,
     sd0 + n.J (theta_t - th) + s >= margin, then (with risk) the risk row
     sum_O [eps0 + grad.(theta_t - th)] <= delta_t + s; the allocation budget
     row comes last. Saturated pairs are left out of the risk row (escape is
-    driven by the distance row). Every row block is filled from arrays.
+    driven by the distance row). An endpoint's rows have no theta columns.
+    Every row block is filled from arrays.
     """
     robot = problem.robot
     T = problem.timesteps
     dof = robot.dof
     n_obs = len(problem.obstacles)
-    n_th = T * dof
+    n_th = (T - 2) * dof
     n_sd = T * n_obs
     n = n_th + T + n_sd + T
     if margins is None:
         margins = np.full((T, n_obs), problem.margin)
 
-    # Objective: sum of squared steps + mu * slacks (+ small curvature).
-    # The path block is 2 (K + E) (x) I_dof: K = D^T D for the step
-    # difference operator D, and E puts 1 at both endpoints, so K + E is
-    # tridiagonal with 2 on and -1 beside the diagonal. E anchors the
-    # endpoint blocks so the path Hessian is positive definite (K alone is
-    # blind to a constant shift). The added terms |theta_0 - start|^2 +
-    # |theta_{T-1} - goal|^2 vanish on the equality rows, so the optimum
-    # is unchanged.
+    # Objective: sum of squared steps over [start; theta; goal] + mu *
+    # slacks (+ small curvature). The path block is 2 K (x) I_dof: K, the
+    # interior block of D^T D for the step difference operator D, is
+    # tridiagonal with 2 on and -1 beside the diagonal, and positive
+    # definite. The first and last steps give the linear term and constant.
     H = np.zeros((n, n))
     diag = np.arange(n)
     H[diag, diag] = np.select([diag < n_th, diag < n_th + T],
@@ -339,34 +341,37 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     off = np.arange(n_th - dof)
     H[off, off + dof] = H[off + dof, off] = -2.0
     f = np.zeros(n)
-    f[:dof] = -2.0 * problem.start
-    f[n_th - dof:n_th] = -2.0 * problem.goal
+    if T > 2:
+        f[:dof] -= 2.0 * problem.start
+        f[n_th - dof:n_th] -= 2.0 * problem.goal
+        const = float(problem.start @ problem.start
+                      + problem.goal @ problem.goal)
+    else:
+        const = path_objective(np.array([problem.start, problem.goal]))
     f[n_th + T:] = mu
 
-    # Endpoint equalities.
-    a_eq = np.zeros((2 * dof, n))
-    a_eq[:dof, :dof] = np.eye(dof)
-    a_eq[dof:, n_th - dof:n_th] = np.eye(dof)
-    b_eq = np.concatenate([problem.start, problem.goal])
-
     per = n_obs + include_risk
-    theta_cols = np.arange(n_th).reshape(T, dof)
+    theta_cols = np.arange(n_th).reshape(T - 2, dof)
+    inner = np.arange(1, T - 1)
     A = np.zeros((per * T + include_risk, n))
     b = np.empty(len(A))
     # Signed-distance rows, from the closest link of every pair.
-    sd_rows = (per * np.arange(T)[:, None] + np.arange(n_obs)).ravel()
-    steps = np.repeat(np.arange(T), n_obs)
-    J = point_jacobians(robot, report.frames, steps, report.links.ravel(),
-                        report.witnesses.reshape(-1, robot.dim))
-    g = np.einsum("nd,ndk->nk", report.normals.reshape(-1, robot.dim), J)
-    A[sd_rows[:, None], theta_cols[steps]] = -g
-    A[sd_rows, n_th + T + np.arange(n_sd)] = -1.0
-    b[sd_rows] = (report.signed_distances.ravel() - margins.ravel()
-                  - np.einsum("nk,nk->n", g, trajectory[steps]))
+    sd_rows = per * np.arange(T)[:, None] + np.arange(n_obs)
+    J = point_jacobians(robot, report.frames, np.repeat(inner, n_obs),
+                        report.links[inner].ravel(),
+                        report.witnesses[inner].reshape(-1, robot.dim))
+    g = np.zeros((T, n_obs, dof))
+    g[inner] = np.einsum("nd,ndk->nk",
+                         report.normals[inner].reshape(-1, robot.dim),
+                         J).reshape(T - 2, n_obs, dof)
+    A[sd_rows[inner, :, None], theta_cols[:, None]] = -g[inner]
+    A[sd_rows, n_th + T + np.arange(n_sd).reshape(T, n_obs)] = -1.0
+    b[sd_rows] = (report.signed_distances - margins
+                  - np.einsum("tok,tk->to", g, trajectory))
     if include_risk:
         risk_rows = per * np.arange(T) + n_obs
         grad, eps = _risk_terms(problem, report)
-        A[risk_rows[:, None], theta_cols] = grad
+        A[risk_rows[inner, None], theta_cols] = grad[inner]
         A[risk_rows, n_th + np.arange(T)] = -1.0
         A[risk_rows, n_th + T + n_sd + np.arange(T)] = -1.0
         b[risk_rows] = np.einsum("tk,tk->t", grad, trajectory) - eps
@@ -374,21 +379,18 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
         A[-1, n_th:n_th + T] = 1.0
         b[-1] = problem.risk_budget
 
-    th = trajectory.ravel()
+    limits = np.array([[j.lower, j.upper] for j in robot.joints])
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
-    lo[:n_th] = np.maximum(th - radius,
-                           np.tile([j.lower for j in robot.joints], T))
-    hi[:n_th] = np.minimum(th + radius,
-                           np.tile([j.upper for j in robot.joints], T))
+    lo[:n_th] = np.maximum(trajectory[1:-1] - radius, limits[:, 0]).ravel()
+    hi[:n_th] = np.minimum(trajectory[1:-1] + radius, limits[:, 1]).ravel()
     lo[n_th:] = 0.0
     hi[n_th:n_th + T] = problem.risk_budget
 
-    const = float(problem.start @ problem.start + problem.goal @ problem.goal)
     if not len(A):
         A = b = None
-    return QuadraticProgram(H, f, a_ineq=A, b_ineq=b, a_eq=a_eq, b_eq=b_eq,
-                            lo=lo, hi=hi, constant=const)
+    return QuadraticProgram(H, f, a_ineq=A, b_ineq=b, lo=lo, hi=hi,
+                            constant=const)
 
 
 def _merit(problem, trajectory, allocation, mu, eps_tol, include_risk=True,
@@ -419,7 +421,7 @@ def solve(problem, config=None, include_risk=True, margins=None):
     trajectory, allocation = seed_trajectory(problem)
     T = problem.timesteps
     dof = problem.robot.dof
-    n_th = T * dof
+    n_th = (T - 2) * dof
     log = []
 
     report = evaluate_constraints(problem, trajectory, allocation,
@@ -454,9 +456,8 @@ def solve(problem, config=None, include_risk=True, margins=None):
                 # the model's constraints, so it is no step to try.
                 break
             warm = sol.active_set
-            cand_traj = sol.z[:n_th].reshape(T, dof).copy()
-            cand_traj[0] = problem.start
-            cand_traj[-1] = problem.goal
+            cand_traj = np.concatenate([problem.start, sol.z[:n_th],
+                                        problem.goal]).reshape(T, dof)
             cand_alloc = np.maximum(sol.z[n_th:n_th + T], 0.0)
             model_new = _model_merit(sol, n_th, T, mu)
             predicted = merit_cur - model_new

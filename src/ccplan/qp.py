@@ -1,17 +1,17 @@
 """Dense convex quadratic programming by a warm-started dual active-set method.
 
 Solves  min 0.5 z^T H z + f^T z + const
-        s.t. A_ineq z <= b_ineq,  A_eq z = d_eq,  lo <= z <= hi
+        s.t. A z <= b,  lo <= z <= hi
 
-with H symmetric positive definite (PSD inputs are lightly regularized).
+with H symmetric positive definite.
 
 The method is Goldfarb and Idnani's (Math. Programming 27, 1983). Its
 iterate is always the minimizer of the objective with an active set W of
-constraints held as equalities, and its multipliers on the inequalities of W
-are nonnegative: the iterate is dual feasible. Each step works on the most
-violated constraint, and drops members whose multipliers reach zero, until
-nothing is violated (optimal) or a violated constraint admits no primal or
-dual step (infeasible). No feasibility phase is needed.
+constraints held as equalities, and its multipliers on W are nonnegative:
+the iterate is dual feasible. Each step works on the most violated
+constraint, and drops members whose multipliers reach zero, until nothing
+is violated (optimal) or a violated constraint admits no primal or dual
+step (infeasible). No feasibility phase is needed.
 
 Warm start. Related QPs, such as those of one SCO solve, share most of their
 active sets. ``solve_qp`` takes the previous solution's ``ActiveSet`` and
@@ -22,7 +22,7 @@ with negative multipliers at the new data until the start is dual feasible,
 which Goldfarb-Idnani requires. The steps that follow only correct the
 difference between the hint and the optimal set, in the spirit of the hot
 start of qpOASES (Ferreau et al., Math. Prog. Comp. 2014). A cold solve is
-the warm start from an empty hint, with W the equality rows.
+the warm start from an empty hint.
 
 Bounds are fixed variables, not rows. A variable at an active bound is held
 exactly at the bound, every step leaves it there, and its multiplier is its
@@ -43,6 +43,9 @@ from scipy.linalg.lapack import dgeqrf, dpstrf, dtrtrs
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration-limit"
+# A constraint n_k^T x >= b_k counts as satisfied when n_k^T x - b_k is at
+# least -FEAS_TOL.
+FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -51,8 +54,6 @@ class QuadraticProgram:
     linear: np.ndarray
     a_ineq: np.ndarray = None
     b_ineq: np.ndarray = None
-    a_eq: np.ndarray = None
-    b_eq: np.ndarray = None
     lo: np.ndarray = None
     hi: np.ndarray = None
     constant: float = 0.0
@@ -69,26 +70,18 @@ class QuadraticProgram:
             raise ValueError("hessian and linear term must be finite")
         if not np.allclose(self.hessian, self.hessian.T, atol=1e-9):
             raise ValueError("hessian must be symmetric")
-        for name in ("a_ineq", "a_eq"):
-            A = getattr(self, name)
-            if A is not None:
-                A = np.atleast_2d(np.asarray(A, dtype=float))
-                if A.shape[1] != n:
-                    raise ValueError(f"{name} column count mismatch")
-                if not np.all(np.isfinite(A)):
-                    raise ValueError(f"{name} must be finite")
-                setattr(self, name, A)
-        for aname, bname in (("a_ineq", "b_ineq"), ("a_eq", "b_eq")):
-            A, b = getattr(self, aname), getattr(self, bname)
-            if (A is None) != (b is None):
-                raise ValueError(f"{aname}/{bname} must be given together")
-            if b is not None:
-                b = np.atleast_1d(np.asarray(b, dtype=float))
-                if b.shape[0] != A.shape[0]:
-                    raise ValueError(f"{bname} row count mismatch")
-                if not np.all(np.isfinite(b)):
-                    raise ValueError(f"{bname} must be finite")
-                setattr(self, bname, b)
+        if (self.a_ineq is None) != (self.b_ineq is None):
+            raise ValueError("a_ineq/b_ineq must be given together")
+        if self.a_ineq is not None:
+            A = np.atleast_2d(np.asarray(self.a_ineq, dtype=float))
+            b = np.atleast_1d(np.asarray(self.b_ineq, dtype=float))
+            if A.shape[1] != n:
+                raise ValueError("a_ineq column count mismatch")
+            if b.shape[0] != A.shape[0]:
+                raise ValueError("b_ineq row count mismatch")
+            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+                raise ValueError("a_ineq and b_ineq must be finite")
+            self.a_ineq, self.b_ineq = A, b
         for name, unbounded in (("lo", -np.inf), ("hi", np.inf)):
             v = getattr(self, name)
             if v is not None:
@@ -110,9 +103,8 @@ class ActiveSet:
     """The constraints a QP solution holds with equality: the warm start of
     the next QP of a sequence with the same rows.
 
-    ``rows`` index the general rows stacked as [a_eq; a_ineq], equality rows
-    first; ``lower`` and ``upper`` list the variables fixed at ``lo`` and
-    ``hi``.
+    ``rows`` index the rows of ``a_ineq``; ``lower`` and ``upper`` list the
+    variables fixed at ``lo`` and ``hi``.
     """
 
     rows: tuple = ()
@@ -126,12 +118,10 @@ class QPSolution:
     objective: float
     status: str
     duals_ineq: np.ndarray
-    duals_eq: np.ndarray
     duals_lo: np.ndarray
     duals_hi: np.ndarray
     # Goldfarb-Idnani steps taken after the warm start.
     iterations: int
-    regularized: bool = False
     active_set: ActiveSet = field(default_factory=ActiveSet)
 
 
@@ -144,34 +134,30 @@ class HessianFactors:
     """
 
     def __init__(self):
-        self._inverses = []   # (G, G^-1, regularized)
+        self._inverses = []   # (G, G^-1)
 
     def get(self, G):
-        """(G^-1, regularized flag)."""
-        for H, P, regularized in self._inverses:
+        for H, P in self._inverses:
             if np.array_equal(H, G):
-                return P, regularized
-        chol, kept, regularized = _factor(G)
+                return P
+        chol, kept = _factor(G)
         Linv = _tri_solve(chol, np.eye(G.shape[0]), transpose=False)
         P = np.empty_like(G)
         P[np.ix_(kept, kept)] = Linv.T @ Linv
         P = 0.5 * (P + P.T)
-        self._inverses.append((G, P, regularized))
-        return P, regularized
+        self._inverses.append((G, P))
+        return P
 
 
 def _factor(G):
-    """Pivoted lower Cholesky factor L of G, G[kept][:, kept] = L L^T,
-    lightly regularized if G is only PSD. Returns (L, kept, regularized)."""
-    n = G.shape[0]
-    L, kept = _cholesky(G)
-    if len(kept) == n:
-        return L, kept, False
-    scale = max(1.0, float(np.trace(np.abs(G))) / n)
-    L, kept = _cholesky(G + 1e-10 * scale * np.eye(n))
-    if len(kept) < n:
-        raise ValueError("hessian is not positive semidefinite")
-    return L, kept, True
+    """Pivoted lower Cholesky factor L of G, G[kept][:, kept] = L L^T.
+    Returns (L, kept); raises ValueError unless G is positive definite.
+    A squared pivot of G scaled to a unit diagonal under 1e-12 counts as
+    zero: a singular G formed in floating point leaves roundoff there."""
+    L, kept = _cholesky(G, 1e-12)
+    if len(kept) < G.shape[0]:
+        raise ValueError("hessian is not positive definite")
+    return L, kept
 
 
 def _cholesky(M, rtol=0.0):
@@ -225,9 +211,9 @@ def _chol_delete(Lm, k):
     return np.ascontiguousarray(L[:, :-1])
 
 
-def solve_qp(qp, feas_tol=1e-9, max_iter=None, warm_start=None,
-             factors=None):
-    """Solve a convex QP; returns a QPSolution with per-row dual multipliers.
+def solve_qp(qp, max_iter=None, warm_start=None, factors=None):
+    """Solve a strictly convex QP; returns a QPSolution with per-row dual
+    multipliers. A Hessian that is not positive definite raises ValueError.
 
     ``warm_start`` is an ActiveSet to start from, usually the previous
     solution's ``active_set`` in a sequence of QPs with the same rows. Any
@@ -236,50 +222,42 @@ def solve_qp(qp, feas_tol=1e-9, max_iter=None, warm_start=None,
     the warm start. ``factors`` is a HessianFactors shared by a sequence of
     QPs.
     """
-    return _DualActiveSet(qp, feas_tol, max_iter, factors).solve(warm_start)
+    return _DualActiveSet(qp, max_iter, factors).solve(warm_start)
 
 
 class _DualActiveSet:
     """Goldfarb-Idnani state: the iterate x, the active set and its
     multipliers u, and the factors of the active set's Schur complement.
 
-    A member is constraint k of the stack [general rows; x >= lo; -x >= -hi]
+    A member is constraint k of the stack [rows; x >= lo; -x >= -hi]
     (k < m, m <= k < m + n, k >= m + n), with normal n_k. The columns [:q]
     of GinvN hold G^-1 n_k of the q members, and Lm is the lower Cholesky
     factor of N^T G^-1 N.
     """
 
-    def __init__(self, qp, feas_tol, max_iter, factors):
+    def __init__(self, qp, max_iter, factors):
         self.qp = qp
         n = self.n = qp.n
         G = 0.5 * (qp.hessian + qp.hessian.T)
         self.scale = max(1.0, float(np.trace(np.abs(G))) / n)
-        self.P, self.regularized = (factors or HessianFactors()).get(G)
-        # The general rows as c^T z >= b: [a_eq; -a_ineq]. Bounds are not
-        # rows.
-        C, b = [np.zeros((0, n))], [np.zeros(0)]
-        if qp.a_eq is not None:
-            C.append(qp.a_eq)
-            b.append(qp.b_eq)
-        if qp.a_ineq is not None:
-            C.append(-qp.a_ineq)
-            b.append(-qp.b_ineq)
-        self.C = np.vstack(C)
-        self.n_eq = qp.a_eq.shape[0] if qp.a_eq is not None else 0
+        self.P = (factors or HessianFactors()).get(G)
+        # The rows as c^T z >= b: -a_ineq. Bounds are not rows.
+        if qp.a_ineq is None:
+            self.C, b = np.zeros((0, n)), np.zeros(0)
+        else:
+            self.C, b = -qp.a_ineq, -qp.b_ineq
         self.m = self.C.shape[0]
         lo = qp.lo if qp.lo is not None else np.full(n, -np.inf)
         hi = qp.hi if qp.hi is not None else np.full(n, np.inf)
         self.lo, self.hi = lo, hi
         # Right-hand side of every constraint n_k^T x >= b_k.
-        self.b = np.concatenate(b + [lo, -hi])
+        self.b = np.concatenate([b, lo, -hi])
         if max_iter is None:
             bounds = int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
             max_iter = 50 * (self.m + bounds + n) + 100
-        self.feas_tol = feas_tol
         self.max_iter = max_iter
         self.iters = 0
-        self.members = []    # constraint indices; equality rows never drop
-        self.signs = []      # +1/-1 applied to equality rows
+        self.members = []    # constraint indices
         self.fixed = np.zeros(n, dtype=bool)
         self.GinvN = np.empty((n, n))
         self.Lm = np.zeros((0, 0))
@@ -310,10 +288,9 @@ class _DualActiveSet:
 
     def _start(self, hint):
         """Factor the hinted set once and move to its dual-feasible
-        minimizer: the hinted fixed variables, every equality row and the
-        hinted inequality rows, less the dependent members and, repeatedly,
-        the inequalities with negative multipliers."""
-        m, n, n_eq = self.m, self.n, self.n_eq
+        minimizer: the hinted fixed variables and rows, less the dependent
+        members and, repeatedly, the members with negative multipliers."""
+        m, n = self.m, self.n
         hint = hint or ActiveSet()
 
         def valid(indices, lo, hi):
@@ -324,8 +301,7 @@ class _DualActiveSet:
         upper = valid(hint.upper, 0, n)
         fixed = np.concatenate([m + lower[np.isfinite(self.lo[lower])],
                                 m + n + upper[np.isfinite(self.hi[upper])]])
-        cand = np.concatenate([fixed, np.arange(n_eq),
-                               valid(hint.rows, n_eq, m)])
+        cand = np.concatenate([fixed, valid(hint.rows, 0, m)])
         general = cand < m
         var = (cand - m) % n
         sign = np.where(cand < m + n, 1.0, -1.0)
@@ -342,7 +318,6 @@ class _DualActiveSet:
         q = len(kept)
         self.Lm = np.ascontiguousarray(L[:q, :q])
         self.members = cand[kept].tolist()
-        self.signs = [1.0] * q
         self.GinvN[:, :q] = V[:, kept]
         self.fixed[var[kept][~general[kept]]] = True
         x0 = -self.P @ self.qp.linear
@@ -352,8 +327,7 @@ class _DualActiveSet:
                 self.u = _tri_solve(self.Lm, _tri_solve(
                     self.Lm, -slack0[self.members], transpose=False),
                     transpose=True)
-            negative = np.flatnonzero(
-                (self.u < 0.0) & (np.array(self.members, dtype=int) >= n_eq))
+            negative = np.flatnonzero(self.u < 0.0)
             if not negative.size:
                 break
             for pos in negative[::-1]:
@@ -382,13 +356,12 @@ class _DualActiveSet:
         i = self._var(self.members[pos])
         if i is not None:
             self.fixed[i] = False
-        for lst in (self.members, self.signs):
-            del lst[pos]
+        del self.members[pos]
         self.GinvN[:, pos:q - 1] = self.GinvN[:, pos + 1:q]
         self.u = np.delete(self.u, pos)
         self.Lm = _chol_delete(self.Lm, pos)
 
-    def _append(self, k, sign, gi, ell, dd, u_k):
+    def _append(self, k, gi, ell, dd, u_k):
         q = len(self.members)
         self.GinvN[:, q] = gi
         new = np.zeros((q + 1, q + 1))
@@ -398,7 +371,6 @@ class _DualActiveSet:
         self.Lm = new
         self.u = np.append(self.u, u_k)
         self.members.append(k)
-        self.signs.append(sign)
         i = self._var(k)
         if i is not None:
             self.fixed[i] = True
@@ -406,26 +378,24 @@ class _DualActiveSet:
 
     # -- Goldfarb-Idnani steps ---------------------------------------------
 
-    def _work_on(self, k, sign):
+    def _work_on(self, k):
         """Drive one violated constraint to satisfaction. Returns status."""
         scale = self.scale
-        as_eq = k < self.n_eq
-        gi = sign * self._ginv(k)
-        bnd = sign * self.b[k]
+        gi = self._ginv(k)
+        bnd = self.b[k]
         u_plus = 0.0
         while True:
             self.iters += 1
             if self.iters > self.max_iter:
                 return ITERATION_LIMIT
-            s = sign * float(self._dot(k, self.x)) - bnd
-            if not as_eq and s >= -self.feas_tol and u_plus == 0.0:
+            s = float(self._dot(k, self.x)) - bnd
+            if s >= -FEAS_TOL and u_plus == 0.0:
                 # satisfied without entering the active set
                 return None
             q = len(self.members)
             if q:
                 V = self.GinvN[:, :q]
-                ell = _tri_solve(self.Lm, sign * self._dot(k, V),
-                                 transpose=False)
+                ell = _tri_solve(self.Lm, self._dot(k, V), transpose=False)
                 r = _tri_solve(self.Lm, ell, transpose=True)
                 z = gi - V @ r
                 z[self.fixed] = 0.0
@@ -433,18 +403,16 @@ class _DualActiveSet:
                 ell = np.zeros(0)
                 r = np.zeros(0)
                 z = gi
-            zn = sign * float(self._dot(k, z))
-            if as_eq and abs(s) <= self.feas_tol and zn <= 1e-13 * scale:
-                return None  # dependent equality already satisfied
+            zn = float(self._dot(k, z))
             # After a partial step the constraint carries the multiplier
             # u_plus, so it enters even when roundoff has satisfied it.
             t2 = max(-s / zn, 0.0) if zn > 1e-13 * scale else np.inf
             t1 = np.inf
             k1 = -1
             if q:
-                # Ratio test over the inequality multipliers that decrease.
+                # Ratio test over the multipliers that decrease.
                 ratio = np.full(q, np.inf)
-                blocking = (r > 1e-13) & (np.array(self.members) >= self.n_eq)
+                blocking = r > 1e-13
                 ratio[blocking] = self.u[blocking] / r[blocking]
                 k1 = int(np.argmin(ratio))
                 t1 = float(ratio[k1])
@@ -457,13 +425,13 @@ class _DualActiveSet:
             if t2 <= t1:
                 # Full primal step: the constraint becomes satisfied and active.
                 self.x = self.x + t2 * z
-                dd2 = sign * float(self._dot(k, gi)) - float(ell @ ell)
+                dd2 = float(self._dot(k, gi)) - float(ell @ ell)
                 if dd2 <= 1e-14 * scale:
                     # numerically dependent; accept if satisfied
-                    if abs(sign * float(self._dot(k, self.x)) - bnd) <= 1e-7:
+                    if abs(float(self._dot(k, self.x)) - bnd) <= 1e-7:
                         return None
                     return INFEASIBLE
-                self._append(k, sign, gi, ell, math.sqrt(dd2), u_plus)
+                self._append(k, gi, ell, math.sqrt(dd2), u_plus)
                 return None
             # Partial (or pure dual) step: a blocking multiplier hit zero.
             if np.isfinite(t2):
@@ -472,44 +440,32 @@ class _DualActiveSet:
 
     def solve(self, hint):
         self._start(hint)
-        # Equality rows the start left out as dependent.
-        for p in range(self.n_eq):
-            if p in self.members:
-                continue
-            s = float(self.C[p] @ self.x) - self.b[p]
-            st = self._work_on(p, -1.0 if s > 0 else 1.0)
-            if st is not None:
-                return self._finish(st)
-        # Inequalities: repeatedly fix the most violated constraint.
+        # Repeatedly fix the most violated constraint.
         while True:
             s = self._slacks(self.x)
-            s[:self.n_eq] = 0.0
             s[self.members] = 0.0
             p = int(np.argmin(s))
-            if s[p] >= -self.feas_tol:
+            if s[p] >= -FEAS_TOL:
                 return self._finish(OPTIMAL)
-            st = self._work_on(p, 1.0)
+            st = self._work_on(p)
             if st is not None:
                 return self._finish(st)
             if self.iters > self.max_iter:
                 return self._finish(ITERATION_LIMIT)
 
     def _finish(self, status):
-        qp, m, n, n_eq = self.qp, self.m, self.n, self.n_eq
-        # Multipliers by constraint index; an equality row's carries the
-        # sign it was added with.
+        qp, m, n = self.qp, self.m, self.n
         K = np.array(self.members, dtype=int)
         duals = np.zeros(m + 2 * n)
-        duals[K] = self.u * np.where(K < n_eq, -np.array(self.signs), 1.0)
+        duals[K] = self.u
         K.sort()
         active = ActiveSet(tuple(K[K < m].tolist()),
                            tuple((K[(K >= m) & (K < m + n)] - m).tolist()),
                            tuple((K[K >= m + n] - m - n).tolist()))
         x = self.x
         obj = float(0.5 * x @ qp.hessian @ x + qp.linear @ x + qp.constant)
-        return QPSolution(x, obj, status, duals[n_eq:m], duals[:n_eq],
-                          duals[m:m + n], duals[m + n:], self.iters,
-                          self.regularized, active)
+        return QPSolution(x, obj, status, duals[:m], duals[m:m + n],
+                          duals[m + n:], self.iters, active)
 
 
 def kkt_residuals(qp, sol):
@@ -520,13 +476,9 @@ def kkt_residuals(qp, sol):
     comp = 0.0
     if qp.a_ineq is not None:
         s = qp.a_ineq @ z - qp.b_ineq
-        primal = max(primal, float(np.max(s, initial=0.0)))
+        primal = float(np.max(s, initial=0.0))
         g = g + qp.a_ineq.T @ sol.duals_ineq
-        comp = max(comp, float(np.max(np.abs(sol.duals_ineq * s), initial=0.0)))
-    if qp.a_eq is not None:
-        primal = max(primal, float(np.max(np.abs(qp.a_eq @ z - qp.b_eq),
-                                          initial=0.0)))
-        g = g + qp.a_eq.T @ sol.duals_eq
+        comp = float(np.max(np.abs(sol.duals_ineq * s), initial=0.0))
     if qp.lo is not None:
         lo = np.where(np.isfinite(qp.lo), qp.lo, z)
         primal = max(primal, float(np.max(lo - z, initial=0.0)))
@@ -539,8 +491,6 @@ def kkt_residuals(qp, sol):
         g = g + sol.duals_hi
         comp = max(comp, float(np.max(np.abs(sol.duals_hi * (hi - z)),
                                       initial=0.0)))
-    dual = 0.0
-    for arr in (sol.duals_ineq, sol.duals_lo, sol.duals_hi):
-        if arr.size:
-            dual = max(dual, float(np.max(-arr, initial=0.0)))
+    dual = max(float(np.max(-arr, initial=0.0))
+               for arr in (sol.duals_ineq, sol.duals_lo, sol.duals_hi))
     return float(np.max(np.abs(g))), primal, dual, comp

@@ -207,7 +207,7 @@ def risk_blind_plan(problem, config=None):
     """Baseline planner that ignores obstacle uncertainty entirely.
 
     Runs the same sequential convex optimization with only the
-    signed-distance and endpoint constraints: no risk rows, no allocation.
+    signed-distance constraints: no risk rows, no allocation.
     The returned result's certified risks are zero by construction (nothing
     was certified); validate the trajectory with ``monte_carlo_risk``.
     """

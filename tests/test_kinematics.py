@@ -133,10 +133,10 @@ class TestForwardKinematics:
                 np.testing.assert_allclose(frames.translations[t, i],
                                            T[:dim, dim], atol=1e-12)
             one = chain_frames(robot, th[t])
-            step = frames.step(t)
-            for field in ("rotations", "translations", "origins", "axes"):
-                np.testing.assert_array_equal(getattr(step, field),
-                                              getattr(one, field))
+            for field in ("states", "rotations", "translations", "origins",
+                          "axes"):
+                np.testing.assert_array_equal(getattr(frames, field)[t],
+                                              getattr(one, field)[0])
 
     def test_link_groups_place_every_shape(self):
         # Shapes group by boundary topology (the capsules, the boxes) and

@@ -6,8 +6,8 @@ import pytest
 
 import ccplan.planner as planner_module
 from ccplan.geometry import Pose, Sphere, box, point_body
-from ccplan.kinematics import (Joint, RobotModel, planar_point_robot,
-                               point_jacobian)
+from ccplan.kinematics import (Joint, RobotModel, chain_frames,
+                               planar_point_robot, point_jacobian)
 from ccplan.planner import (
     CONVERGED,
     PLAN_INFEASIBLE,
@@ -69,7 +69,9 @@ class TestConvexify:
         qp = convexify(p, traj, alloc, rep, mu=10.0, radius=0.3)
         sol = solve_qp(qp)
         assert sol.status == "optimal"
-        np.testing.assert_allclose(sol.z[:12].reshape(6, 2), traj, atol=1e-7)
+        # The variables are the four interior waypoints.
+        np.testing.assert_allclose(sol.z[:8].reshape(4, 2), traj[1:-1],
+                                   atol=1e-7)
 
     def test_risk_row_drives_escape(self):
         # Middle waypoint near an off-path obstacle: the QP should move it
@@ -82,7 +84,7 @@ class TestConvexify:
         assert rep.risk_totals[1] > alloc[1]
         qp = convexify(p, traj, alloc, rep, mu=100.0, radius=0.3)
         sol = solve_qp(qp)
-        mid = sol.z[2:4]
+        mid = sol.z[:2]     # the only interior waypoint
         assert mid[1] < -1e-3  # pushed away from the obstacle above
 
     def test_saturated_pair_has_no_risk_term(self):
@@ -94,9 +96,10 @@ class TestConvexify:
         assert rep.certificates[1][0].saturated
         qp = convexify(p, traj, alloc, rep, mu=10.0, radius=0.3)
         # The risk row for t=1 reduces to -delta - slack <= 0: no theta
-        # coefficients. Row order: T sd rows/risk rows interleaved per t.
+        # coefficients (the two columns of the only interior waypoint). Row
+        # order: T sd rows/risk rows interleaved per t.
         risk_row_1 = qp.a_ineq[2 * 1 + 1]  # (sd, risk) per timestep, 1 obst
-        np.testing.assert_allclose(risk_row_1[:6], 0.0)
+        np.testing.assert_allclose(risk_row_1[:2], 0.0)
 
 
 class TestSolve:
@@ -113,6 +116,43 @@ class TestSolve:
         res = solve(point_problem([offset_obstacle()]))
         np.testing.assert_array_equal(res.trajectory[0], [-2.0, 0.0])
         np.testing.assert_array_equal(res.trajectory[-1], [2.0, 0.0])
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_shortest_horizons(self, T, monkeypatch):
+        # T=2 has no interior waypoint, so its subproblems have no waypoint
+        # variables. At T=3 the start's and the goal's linear terms fall on
+        # the one interior waypoint. The obstacle is off the straight line,
+        # with a certified risk at the midpoint inside its allocation, so
+        # the plan and every subproblem's optimum are the straight line.
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(convexify(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(planner_module, "convexify", recording)
+        p = point_problem([offset_obstacle(center=(0.0, 0.4))], T=T)
+        res = solve(p)
+        assert res.status == CONVERGED
+        np.testing.assert_array_equal(res.trajectory[0], p.start)
+        np.testing.assert_array_equal(res.trajectory[-1], p.goal)
+        length = float(np.sum((p.goal - p.start) ** 2)) / (T - 1)
+        assert res.objective == pytest.approx(length, rel=1e-12)
+        if T == 3:
+            assert res.certified_risks[1] > 1e-4
+        n_th = (T - 2) * p.robot.dof
+        line, _ = seed_trajectory(p)
+        assert seen
+        for qp in seen:
+            # Interior waypoints, then per timestep an allocation, a
+            # signed-distance slack (one obstacle) and a risk slack.
+            assert qp.n == n_th + 3 * T
+            sol = solve_qp(qp)
+            assert sol.status == OPTIMAL
+            # The allocation regularizer moves the midpoint by 2e-9.
+            np.testing.assert_allclose(sol.z[:n_th], line[1:-1].ravel(),
+                                       rtol=0, atol=1e-7)
+            assert sol.objective == pytest.approx(length, rel=1e-9)
 
     def test_budget_and_allocation_feasible(self):
         p = point_problem([offset_obstacle()])
@@ -254,11 +294,17 @@ class TestQPSequence:
         p = point_problem([offset_obstacle()])
         res = solve(p)
         assert res.iterations
+        T, dof = p.timesteps, p.robot.dof
+        n = (T - 2) * dof + 3 * T
         for entry in res.iterations:
             assert entry["qp_steps"] >= 0
-            # The endpoint equalities are always active.
-            assert entry["qp_active_rows"] >= 2 * p.robot.dof
+            # An active set holds independent constraints: no more than
+            # the QP's rows (a signed-distance and a risk row per timestep
+            # and the budget row) and, with the fixed variables, no more
+            # than its variables.
+            assert 0 <= entry["qp_active_rows"] <= 2 * T + 1
             assert entry["qp_fixed_variables"] >= 0
+            assert entry["qp_active_rows"] + entry["qp_fixed_variables"] <= n
 
 
 def point_robot_3d():
@@ -306,7 +352,10 @@ def oracle_rows(problem, trajectory, report, include_risk=True):
     """``convexify``'s inequality rows and right-hand sides, built pair by
     pair with ``point_jacobian`` and ``risk_gradient``: per timestep a
     signed-distance row per obstacle, then the risk row; the allocation
-    row last."""
+    row last. The rows are built over every waypoint, and the fixed
+    endpoints, theta_0 = start and theta_{T-1} = goal, are then substituted
+    as constants: their columns times start and goal move to the
+    right-hand side."""
     robot = problem.robot
     T, dof = trajectory.shape
     n_obs = len(problem.obstacles)
@@ -314,7 +363,7 @@ def oracle_rows(problem, trajectory, report, include_risk=True):
     n = n_th + 2 * T + n_sd
     rows, rhs = [], []
     for t, th in enumerate(trajectory):
-        frames = report.frames.step(t)
+        frames = chain_frames(robot, th)
         cols = slice(t * dof, (t + 1) * dof)
         for o in range(n_obs):
             J = point_jacobian(robot, th, report.links[t, o],
@@ -345,7 +394,10 @@ def oracle_rows(problem, trajectory, report, include_risk=True):
         row[n_th:n_th + T] = 1.0
         rows.append(row)
         rhs.append(problem.risk_budget)
-    return np.array(rows), np.array(rhs)
+    A, b = np.array(rows), np.array(rhs)
+    ends = np.r_[0:dof, n_th - dof:n_th]
+    b = b - A[:, ends] @ np.concatenate([problem.start, problem.goal])
+    return np.delete(A, ends, axis=1), b
 
 
 def straddle_problem():
@@ -374,8 +426,10 @@ class TestLinearization:
 
         monkeypatch.setattr(planner_module, "convexify", recording)
         _, p = build()
-        solve(p)
-        solve(p, include_risk=False)
+        for res in (solve(p), solve(p, include_risk=False)):
+            # The endpoints are constants of every subproblem.
+            np.testing.assert_array_equal(res.trajectory[0], p.start)
+            np.testing.assert_array_equal(res.trajectory[-1], p.goal)
         assert len(seen) > 2
         rng = np.random.default_rng(0)
         for (_, traj, alloc, rep, mu, radius, include_risk, *_), qp in seen:
@@ -386,32 +440,30 @@ class TestLinearization:
             np.testing.assert_allclose(qp.b_ineq, b, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(b).max()))
             T, dof = traj.shape
-            n_th = T * dof
+            n_th = (T - 2) * dof
+            inner = traj[1:-1]
             limits = np.array([[j.lower, j.upper] for j in p.robot.joints])
             np.testing.assert_array_equal(
-                qp.lo[:n_th], np.maximum(traj - radius, limits[:, 0]).ravel())
+                qp.lo[:n_th],
+                np.maximum(inner - radius, limits[:, 0]).ravel())
             np.testing.assert_array_equal(
-                qp.hi[:n_th], np.minimum(traj + radius, limits[:, 1]).ravel())
+                qp.hi[:n_th],
+                np.minimum(inner + radius, limits[:, 1]).ravel())
             np.testing.assert_array_equal(qp.lo[n_th:], 0.0)
             np.testing.assert_array_equal(qp.hi[n_th:n_th + T],
                                           p.risk_budget)
             assert np.all(qp.hi[n_th + T:] == np.inf)
-            # The objective is the path length plus the endpoint anchors,
+            # The objective is the path length over [start; theta; goal],
             # the regularizers and the l1 slack penalty.
             z = rng.normal(size=qp.n)
-            th = z[:n_th].reshape(T, dof)
+            th = np.vstack([p.start, z[:n_th].reshape(T - 2, dof), p.goal])
             d, sl = z[n_th:n_th + T], z[n_th + T:]
-            expect = (path_objective(th) + np.sum((th[0] - p.start) ** 2)
-                      + np.sum((th[-1] - p.goal) ** 2)
+            expect = (path_objective(th)
                       + planner_module.DELTA_REG * d @ d
                       + planner_module.SLACK_CURVATURE * mu * sl @ sl
                       + mu * sl.sum())
             value = 0.5 * z @ qp.hessian @ z + qp.linear @ z + qp.constant
             assert value == pytest.approx(expect, rel=1e-12)
-            np.testing.assert_array_equal(qp.a_eq @ z,
-                                          np.concatenate([th[0], th[-1]]))
-            np.testing.assert_array_equal(qp.b_eq,
-                                          np.concatenate([p.start, p.goal]))
 
     @pytest.mark.parametrize("build", [pickplace_problem, corridor_problem])
     def test_certificates_match_cold_certification(self, build):

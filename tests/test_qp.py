@@ -53,10 +53,10 @@ def assert_duality_gap(qp, sol):
     """Certify optimality by weak duality, trusting nothing the solver says.
 
     With every inequality and finite bound stacked as A z <= b, any u >= 0
-    (and free multipliers w on the equalities E z = e) gives the dual value
-    g(u, w) = -1/2 r^T H^-1 r - b^T u - e^T w + const, r = f + A^T u + E^T w,
-    and g <= f* <= f(z) for feasible z. So a feasible z whose objective is
-    within the gap of g(u, w), u = max(0, solver duals), is optimal.
+    gives the dual value g(u) = -1/2 r^T H^-1 r - b^T u + const,
+    r = f + A^T u, and g <= f* <= f(z) for feasible z. So a feasible z whose
+    objective is within the gap of g(u), u = max(0, solver duals), is
+    optimal.
     """
     n, z = qp.n, sol.z
     rows, rhs, mult = [], [], []
@@ -77,10 +77,6 @@ def assert_duality_gap(qp, sol):
     assert np.all(A @ z <= b + 1e-10)
     r = qp.linear + A.T @ u
     dual = -b @ u + qp.constant
-    if qp.a_eq is not None:
-        np.testing.assert_allclose(qp.a_eq @ z, qp.b_eq, atol=1e-10)
-        r = r + qp.a_eq.T @ sol.duals_eq
-        dual -= qp.b_eq @ sol.duals_eq
     dual -= 0.5 * r @ np.linalg.solve(qp.hessian, r)
     primal = 0.5 * z @ qp.hessian @ z + qp.linear @ z + qp.constant
     assert primal - dual <= 1e-9 * max(1.0, abs(primal))
@@ -112,16 +108,6 @@ class TestBasics:
         sol = solve_qp(qp)
         np.testing.assert_allclose(sol.z, [1.0, 1.0], atol=1e-9)
 
-    def test_equality_constraint(self):
-        # min |z|^2 s.t. z1 + z2 = 2 -> (1,1)
-        qp = QuadraticProgram(2 * np.eye(2), np.zeros(2),
-                              a_eq=np.array([[1.0, 1.0]]),
-                              b_eq=np.array([2.0]))
-        sol = solve_qp(qp)
-        assert sol.status == OPTIMAL
-        np.testing.assert_allclose(sol.z, [1.0, 1.0], atol=1e-9)
-        assert sol.duals_eq[0] == pytest.approx(-2.0, abs=1e-8)
-
     def test_box_bounds(self):
         qp = QuadraticProgram(np.eye(2), np.array([-10.0, 10.0]),
                               lo=np.array([-1.0, -1.0]),
@@ -137,43 +123,15 @@ class TestBasics:
         sol = solve_qp(qp)
         assert sol.status == INFEASIBLE
 
-    def test_infeasible_equalities(self):
-        qp = QuadraticProgram(np.eye(2), np.zeros(2),
-                              a_eq=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                              b_eq=np.array([0.0, 1.0]))
-        sol = solve_qp(qp)
-        assert sol.status == INFEASIBLE
-
     def test_indefinite_rejected(self):
-        with pytest.raises(ValueError):
-            solve_qp(QuadraticProgram(np.diag([1.0, -1.0]), np.zeros(2)))
-
-    def test_psd_singular_regularized(self):
-        qp = QuadraticProgram(np.diag([2.0, 0.0]), np.array([0.0, 1.0]),
-                              lo=np.array([-np.inf, 0.0]), hi=None)
-        sol = solve_qp(qp)
-        assert sol.regularized
-        assert sol.z[1] == pytest.approx(0.0, abs=1e-6)
-
-    def test_psd_singular_coupled_block_cold_and_warm(self):
-        # z0 and z1 are coupled by a rank-one block; the flat direction
-        # (1, -1, 0) ends at z0's upper bound: the optimum is (1, -0.75, -0.5).
-        H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        qp = QuadraticProgram(H, np.array([-1.0, -0.25, 1.0]),
-                              a_ineq=np.ones((1, 3)), b_ineq=np.array([0.5]),
-                              lo=-np.ones(3), hi=np.ones(3))
-        cold = solve_qp(qp)
-        warm = solve_qp(qp, warm_start=cold.active_set)
-        for sol in (cold, warm):
-            assert sol.status == OPTIMAL
-            assert sol.regularized
-            np.testing.assert_allclose(sol.z, [1.0, -0.75, -0.5], atol=1e-6)
-            stat, primal, dual, comp = kkt_residuals(qp, sol)
-            assert stat <= 1e-6
-            assert primal <= 1e-8
-            assert dual <= 1e-8
-            assert comp <= 1e-6
-        assert cold.active_set.upper == (0,)
+        # The Hessian must be positive definite. An indefinite one, a
+        # singular positive semidefinite one, and a singular one formed in
+        # floating point (rank 4 of 5, its last pivot roundoff above zero)
+        # are all rejected.
+        A = np.random.default_rng(0).normal(size=(5, 4))
+        for H in (np.diag([1.0, -1.0]), np.diag([2.0, 0.0]), A @ A.T):
+            with pytest.raises(ValueError):
+                solve_qp(QuadraticProgram(H, np.zeros(len(H))))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -197,7 +155,7 @@ class TestBasics:
             QuadraticProgram(**kw)
 
 
-def random_feasible_qp(rng, with_eq=False):
+def random_feasible_qp(rng):
     n = int(rng.integers(2, 21))
     A = rng.normal(size=(n, n))
     H = A @ A.T + n * np.eye(n)
@@ -208,11 +166,7 @@ def random_feasible_qp(rng, with_eq=False):
     bi = Ai @ z0 + rng.uniform(0.1, 2.0, size=m)
     lo = z0 - rng.uniform(0.5, 5.0, size=n)
     hi = z0 + rng.uniform(0.5, 5.0, size=n)
-    kw = {}
-    if with_eq:
-        Ae = rng.normal(size=(1, n))
-        kw = dict(a_eq=Ae, b_eq=Ae @ z0)
-    return QuadraticProgram(H, f, a_ineq=Ai, b_ineq=bi, lo=lo, hi=hi, **kw)
+    return QuadraticProgram(H, f, a_ineq=Ai, b_ineq=bi, lo=lo, hi=hi)
 
 
 class TestRandomized:
@@ -235,7 +189,7 @@ class TestRandomized:
     def test_kkt_residuals(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
-            qp = random_feasible_qp(rng, with_eq=bool(rng.integers(0, 2)))
+            qp = random_feasible_qp(rng)
             sol = solve_qp(qp)
             assert sol.status == OPTIMAL
             stat, primal, dual, comp = kkt_residuals(qp, sol)
@@ -256,13 +210,12 @@ class TestRandomized:
         qp = random_feasible_qp(rng)
         cold = solve_qp(qp)
         hint = [i for i, d in enumerate(cold.duals_ineq) if d > 0]
-        # internal row index for ineq i is n_eq + i = i here
         warm = solve_qp(qp, warm_start=ActiveSet(rows=hint))
         assert warm.status == OPTIMAL
         np.testing.assert_allclose(warm.z, cold.z, atol=1e-8)
 
 
-def sco_sequence(rng, length=6, with_eq=False):
+def sco_sequence(rng, length=6):
     """QPs with the same rows, as sequential convex optimization makes them:
     the linear term, the right-hand sides and the bounds move a little from
     one QP to the next, about a feasible anchor that moves too."""
@@ -272,7 +225,6 @@ def sco_sequence(rng, length=6, with_eq=False):
     f = rng.normal(size=n) * 10
     m = int(rng.integers(n // 2, 2 * n))
     Ai = rng.normal(size=(m, n))
-    Ae = rng.normal(size=(2, n)) if with_eq else None
     z0 = rng.normal(size=n)
     margin = rng.uniform(0.1, 2.0, size=m)
     width = rng.uniform(0.05, 1.5, size=(2, n))
@@ -282,9 +234,8 @@ def sco_sequence(rng, length=6, with_eq=False):
         z0 = z0 + 0.05 * rng.normal(size=n)
         f = f + 0.5 * rng.normal(size=n)
         margin = np.abs(margin + 0.05 * rng.normal(size=m)) + 0.01
-        kw = dict(a_eq=Ae, b_eq=Ae @ z0) if with_eq else {}
         yield QuadraticProgram(H, f, a_ineq=Ai, b_ineq=Ai @ z0 + margin,
-                               lo=z0 - width[0], hi=z0 + width[1], **kw)
+                               lo=z0 - width[0], hi=z0 + width[1])
 
 
 def assert_same_optimum(qp, warm, cold):
@@ -303,29 +254,25 @@ def assert_same_optimum(qp, warm, cold):
 
 
 HINT_KINDS = ("stale", "out of range", "duplicated",
-              "both bounds of a variable", "every row", "equality rows")
+              "both bounds of a variable", "every row")
 
 
 def stale_hints(qp, sol):
     """Hints that are wrong for ``qp`` in every way a caller can get them
     wrong, built from an optimal active set ``sol`` of a related QP; keyed
     by HINT_KINDS."""
-    n, m_ineq = qp.n, qp.a_ineq.shape[0]
-    n_eq = qp.a_eq.shape[0] if qp.a_eq is not None else 0
+    n, m = qp.n, qp.a_ineq.shape[0]
     act = sol.active_set
     return {
         "stale": act,
         "out of range": ActiveSet(
-            act.rows + (-1, n_eq + m_ineq, 10 ** 6),
+            act.rows + (-1, m, 10 ** 6),
             act.lower + (-1, n, 10 ** 6), act.upper + (-3, n + 2)),
         "duplicated": ActiveSet(act.rows * 2, act.lower * 3,
                                 act.upper * 2),
         "both bounds of a variable": ActiveSet(
             act.rows, tuple(range(n)), tuple(range(n))),
-        "every row": ActiveSet(tuple(range(n_eq + m_ineq)), act.lower,
-                               act.upper),
-        "equality rows": ActiveSet(tuple(range(n_eq)) + act.rows,
-                                   act.lower, act.upper),
+        "every row": ActiveSet(tuple(range(m)), act.lower, act.upper),
     }
 
 
@@ -333,10 +280,10 @@ class TestWarmStart:
     def test_sco_sequences_match_cold_solves(self):
         rng = np.random.default_rng(50)
         steps = []
-        for seq in range(20):
+        for _ in range(20):
             factors = HessianFactors()
             prev = None
-            for qp in sco_sequence(rng, with_eq=seq % 2 == 1):
+            for qp in sco_sequence(rng):
                 cold = solve_qp(qp)
                 warm = solve_qp(qp, warm_start=prev, factors=factors)
                 assert_same_optimum(qp, warm, cold)
@@ -349,8 +296,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind", HINT_KINDS)
     def test_bad_hints_still_reach_the_optimum(self, kind):
         rng = np.random.default_rng(51)
-        for seq in range(10):
-            qps = list(sco_sequence(rng, length=4, with_eq=seq % 2 == 1))
+        for _ in range(10):
+            qps = list(sco_sequence(rng, length=4))
             first = solve_qp(qps[0])
             for qp in qps[2:]:
                 hint = stale_hints(qp, first)[kind]
@@ -361,12 +308,11 @@ class TestWarmStart:
         # Flipping the linear term turns the multipliers of the previous
         # optimum's active set negative at the new data.
         rng = np.random.default_rng(52)
-        for seq in range(10):
-            qp = next(sco_sequence(rng, 1, with_eq=seq % 2 == 1))
+        for _ in range(10):
+            qp = next(sco_sequence(rng, 1))
             sol = solve_qp(qp)
             flipped = QuadraticProgram(qp.hessian, -qp.linear, qp.a_ineq,
-                                       qp.b_ineq, qp.a_eq, qp.b_eq, qp.lo,
-                                       qp.hi)
+                                       qp.b_ineq, qp.lo, qp.hi)
             assert_same_optimum(
                 flipped, solve_qp(flipped, warm_start=sol.active_set),
                 solve_qp(flipped))
@@ -390,8 +336,8 @@ class TestWarmStart:
 
     def test_own_active_set_resolves_in_two_steps(self):
         rng = np.random.default_rng(54)
-        for seq in range(20):
-            for qp in sco_sequence(rng, length=2, with_eq=seq % 2 == 1):
+        for _ in range(20):
+            for qp in sco_sequence(rng, length=2):
                 cold = solve_qp(qp)
                 again = solve_qp(qp, warm_start=cold.active_set)
                 assert again.iterations <= 2
@@ -399,29 +345,29 @@ class TestWarmStart:
 
     def test_infeasible_under_warm_hint(self):
         rng = np.random.default_rng(55)
-        for seq in range(10):
-            base = next(sco_sequence(rng, 1, with_eq=seq % 2 == 1))
+        for _ in range(10):
+            base = next(sco_sequence(rng, 1))
             hint = solve_qp(base).active_set
             a = base.a_ineq[0]
             t = float(a @ solve_qp(base).z)
             # a z <= t and a z >= t + 1 cannot both hold.
             qp = QuadraticProgram(
                 base.hessian, base.linear, np.vstack([base.a_ineq, a, -a]),
-                np.concatenate([base.b_ineq, [t, -t - 1.0]]), base.a_eq,
-                base.b_eq, base.lo, base.hi)
+                np.concatenate([base.b_ineq, [t, -t - 1.0]]), base.lo,
+                base.hi)
             assert solve_qp(qp).status == INFEASIBLE
             assert solve_qp(qp, warm_start=hint).status == INFEASIBLE
 
     def test_iteration_limit_under_warm_hint(self):
         rng = np.random.default_rng(56)
         limited = 0
-        for seq in range(10):
-            qp = next(sco_sequence(rng, 1, with_eq=seq % 2 == 1))
+        for _ in range(10):
+            qp = next(sco_sequence(rng, 1))
             # The optimal active set of the QP with the opposite linear
             # term: far from this QP's, so many steps remain.
             hint = solve_qp(QuadraticProgram(
-                qp.hessian, -qp.linear, qp.a_ineq, qp.b_ineq, qp.a_eq,
-                qp.b_eq, qp.lo, qp.hi)).active_set
+                qp.hessian, -qp.linear, qp.a_ineq, qp.b_ineq, qp.lo,
+                qp.hi)).active_set
             full = solve_qp(qp, warm_start=hint)
             assert full.status == OPTIMAL
             if full.iterations == 0:
