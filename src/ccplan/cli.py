@@ -20,7 +20,6 @@ from .planner import (
     CONVERGED,
     SCOConfig,
     TrajectoryProblem,
-    evaluate_constraints,
     solve,
 )
 from .risk import certify_risk, risk_gradient
@@ -56,8 +55,15 @@ def _load_problem(args):
     return scene, robot
 
 
-def _write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _publish(args, name, payload):
+    """Write ``payload`` to ``--out-dir``/``name`` and print it; return the
+    directory."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    (out / name).write_text(text + "\n")
+    print(text)
+    return out
 
 
 def _write_csv(path, header, rows):
@@ -106,19 +112,6 @@ def cmd_plan(args):
     problem = TrajectoryProblem(robot, scene.obstacles, args.timesteps,
                                 start, goal, args.delta, args.margin)
     result = solve(problem, SCOConfig(eps_tol=args.eps_tol))
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trajectory.csv",
-               ["t"] + [f"q{i}" for i in range(robot.dof)],
-               [[t] + [repr(float(v)) for v in row]
-                for t, row in enumerate(result.trajectory)])
-    _write_csv(out / "allocation.csv", ["t", "delta", "certifiedRisk"],
-               [[t, repr(float(d)), repr(float(r))]
-                for t, (d, r) in enumerate(zip(result.allocation,
-                                               result.certified_risks))])
-    (out / "plan.svg").write_text(
-        plan_svg(robot, result.trajectory, scene.obstacles))
     summary = {
         "scene": scene.name,
         "status": result.status,
@@ -131,8 +124,17 @@ def cmd_plan(args):
         "timesteps": problem.timesteps,
         "runtimeSeconds": result.runtime,
     }
-    _write_json(out / "plan.json", summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    out = _publish(args, "plan.json", summary)
+    _write_csv(out / "trajectory.csv",
+               ["t"] + [f"q{i}" for i in range(robot.dof)],
+               [[t] + [repr(float(v)) for v in row]
+                for t, row in enumerate(result.trajectory)])
+    _write_csv(out / "allocation.csv", ["t", "delta", "certifiedRisk"],
+               [[t, repr(float(d)), repr(float(r))]
+                for t, (d, r) in enumerate(zip(result.allocation,
+                                               result.certified_risks))])
+    (out / "plan.svg").write_text(
+        plan_svg(robot, result.trajectory, scene.obstacles))
     return EXIT_OK if result.status == CONVERGED else EXIT_NOT_CONVERGED
 
 
@@ -163,10 +165,7 @@ def cmd_certify(args):
         "obstacles": entries,
         "totalRisk": total,
     }
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "certify.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _publish(args, "certify.json", report)
     return EXIT_OK
 
 
@@ -188,10 +187,7 @@ def cmd_validate(args):
         "estimateWithinCertified":
             rep.estimate <= sum(certified) + 3 * rep.standard_error,
     }
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "validate.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _publish(args, "validate.json", report)
     return EXIT_OK
 
 
@@ -230,14 +226,11 @@ def cmd_compare(args):
             rows.append({"algorithm": name, "status": "error",
                          "error": str(exc), "seed": args.seed})
     report = {"scene": scene.name, "riskBudget": args.delta, "table": rows}
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "compare.json", report)
+    out = _publish(args, "compare.json", report)
     header = ["algorithm", "status", "runtimeSeconds", "pathLength",
               "monteCarloRisk", "seed"]
     _write_csv(out / "compare.csv", header,
                [[row.get(k, "") for k in header] for row in rows])
-    print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -18,9 +18,10 @@ from support values along candidate axes. ``point_distances`` takes the
 same edge and triangle features from a stack of points, for the Monte
 Carlo hit test. The Mahalanobis query runs GJK in whitened coordinates,
 where a sphere becomes an ellipsoid, and returns a certified lower bound;
-a cold query solves the cores first, then adds the radii.
+every search solves the cores first, then adds the radii.
 ``mahalanobis_contacts`` takes GJK's first iteration for a stack of
-placements at once, from their Euclidean witness pairs.
+placements at once, from their Euclidean witness pairs; a lane that the
+first support leaves open runs the same search as a single query.
 
 Workspace dimension is 2 or 3 and is carried by each body.
 """
@@ -397,8 +398,7 @@ def _closest_on_tetrahedron(P):
     return best[1]
 
 
-def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
-         start=None):
+def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     """GJK distance between the origin and a convex set given by supports,
     to the relative duality gap ``tol``.
 
@@ -406,18 +406,16 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
     direction v plus auxiliary witness payloads a, b carried through the
     barycentric combination. ``seed_direction`` estimates the set's position
     relative to the origin (e.g. a difference of centres); the first support
-    is taken in the opposite direction, on the near side. ``start``, an
-    entry (p, a, b) with p a point of the set near the closest one, replaces
-    that first support.
+    is taken in the opposite direction, on the near side.
 
-    A search without ``start`` on a rounded whitened difference (a
-    ``_PairSupport`` with a radius) solves the cores first, in the same
-    loop: their difference is a polytope, on which GJK terminates finitely.
-    The final simplex is then shifted by the ball term's support along -v,
-    which makes each of its points a support point of the whole set along
-    -v, and the loop goes on with full supports. Under an isotropic metric
-    the ball term is a ball, the shifted simplex holds the closest point,
-    and the first full support closes the gap.
+    A search on a rounded whitened difference (a ``_PairSupport`` with a
+    radius) solves the cores first, in the same loop: their difference is
+    a polytope, on which GJK terminates finitely. The final simplex is then
+    shifted by the ball term's support along -v, which makes each of its
+    points a support point of the whole set along -v, and the loop goes on
+    with full supports. Under an isotropic metric the ball term is a ball,
+    the shifted simplex holds the closest point, and the first full
+    support closes the gap.
 
     Returns (distance, closest_point, witness_a, witness_b, lower_bound).
     Distance 0 means the origin is inside (or within tolerance of) the set;
@@ -429,17 +427,14 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None,
     convergence. A phase also ends where |v|^2 no longer decreases (the
     roundoff floor); reaching ``max_iter`` raises GeometryError.
     """
-    support = support_pair
-    if start is None:
-        if getattr(support_pair, "rounded", False):
-            support = support_pair.core
-        d0 = seed_direction
-        if d0 is None or float(np.dot(d0, d0)) < 1e-18:
-            d0 = np.zeros(dim)
-            d0[0] = 1.0
-        start = support(-d0)
+    rounded = getattr(support_pair, "rounded", False)
+    support = support_pair.core if rounded else support_pair
+    d0 = seed_direction
+    if d0 is None or float(np.dot(d0, d0)) < 1e-18:
+        d0 = np.zeros(dim)
+        d0[0] = 1.0
     pad = [0.0] * (3 - dim)     # a 2D problem runs in the z = 0 plane
-    entries = [start]
+    entries = [support(-d0)]
     simplex = [entries[0][0].tolist() + pad]
     v, lam = simplex[0], [1.0]
     nv2 = _dot(v, v)
@@ -900,11 +895,10 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
     closed-form support of Y along -y gives the supporting-plane lower
     bound. A lane whose duality gap closes there, to ``WHITENED_GAP_TOL``
     as in the cold search, is done, with c the square of that bound and
-    its start pair as witnesses. Every other lane continues in ``_gjk``
-    from that support, a support point of Y (a start inside a face can
-    stall GJK's no-progress test), and keeps the larger of its two
-    certified lower bounds. Returns (c, witness_a, witness_b) as arrays
-    over the stack.
+    its start pair as witnesses. Every other lane, an open lane, runs the
+    cold core-first search of ``mahalanobis_contact``, seeded along its y,
+    and keeps the larger of its two certified lower bounds. Returns (c,
+    witness_a, witness_b) as arrays over the stack.
     """
     N, _, dim = vertices.shape
     tol = WHITENED_GAP_TOL
@@ -934,7 +928,7 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
         body = SweptHull(vertices[n], float(radii[n]))
         _, _, wa[n], wb[n], lb2 = _gjk(
             _PairSupport(body, body_b, chol_inv), dim, tol=tol,
-            start=(p[i], a[i], b[i]))
+            seed_direction=y[i])
         c[n] = max(lb[i], lb2) ** 2
     return c, wa, wb
 

@@ -253,9 +253,10 @@ def point_jacobians(robot, frames, steps, links, points):
     ChainFrames. Columns for joints distal to a point's link are zero. The
     arguments are trusted: the frames come from a validated trajectory.
     """
+    # ``take`` costs a fraction of fancy indexing on a cold gradient's stack.
     steps = np.asarray(steps, dtype=int)
-    a = frames.axes[steps]                                  # (N, dof, dim)
-    r = points[:, None, :] - frames.origins[steps]
+    a = frames.axes.take(steps, axis=0)                     # (N, dof, dim)
+    r = points[:, None, :] - frames.origins.take(steps, axis=0)
     # Revolute columns are a x r, written out over rolled coordinates (in
     # 2D the axis is out of the plane); prismatic columns are the axis.
     if robot.dim == 2:

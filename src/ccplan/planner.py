@@ -18,10 +18,11 @@ import numpy as np
 from .geometry import (DistanceResult, SweptHull, distances,
                        mahalanobis_contacts)
 from .kinematics import point_jacobians, posed_link_groups, trajectory_frames
-from .chi2 import chi2_inv_cdf, chi2_sf
+from .chi2 import chi2_inv_cdf
 from .qp import (OPTIMAL, ActiveSet, HessianFactors, QuadraticProgram,
                  solve_qp)
-from .risk import RiskCertificate, certify_risk, risk_weights
+from .risk import (RiskCertificate, certify_risk, risk_weights,
+                   weighted_jacobians)
 
 CONVERGED = "converged"
 ITERATION_LIMIT = "iteration-limit"
@@ -162,22 +163,16 @@ def _first_contacts(groups, res, obstacle, eps_tol):
 
     Touching the obstacle requires a displacement of Euclidean length at
     least the signed distance sd, so sd^2 / lambda_max(Sigma) bounds the
-    squared Mahalanobis distance from below. Where that bound's survival
-    probability, from the closest body, is under the floor, the timestep
-    takes the far-pair shortcut: its risk is floored without a search.
-    Elsewhere a body whose bound exceeds the eps_tol shadow's squared
-    radius gets c = inf, and every other body is searched: one
-    ``mahalanobis_contacts`` call per link group, each lane started from
-    its Euclidean witness pair. Returns far (T,) and (c, witness_a,
+    squared Mahalanobis distance from below. A body whose bound exceeds
+    the eps_tol shadow's squared radius gets c = inf, and every other body
+    is searched: one ``mahalanobis_contacts`` call per link group, each
+    lane started from its Euclidean witness pair. Returns (c, witness_a,
     witness_b) as (T, n_bodies) arrays.
     """
     sd = res.signed_distance
     bound = (sd / obstacle.sigma_max) ** 2
-    far = np.array([s > 0.0 and chi2_sf(b, obstacle.dim) < eps_tol
-                    for s, b in zip(sd.min(axis=1).tolist(),
-                                    bound.min(axis=1).tolist())])
     c_max = chi2_inv_cdf(1.0 - eps_tol, obstacle.dim)
-    search = ~far[:, None] & ~((sd > 0.0) & (bound > c_max))
+    search = ~((sd > 0.0) & (bound > c_max))
     c = np.full(sd.shape, np.inf)
     wa, wb = res.witness_a.copy(), res.witness_b.copy()
     for g in groups:
@@ -187,7 +182,7 @@ def _first_contacts(groups, res, obstacle, eps_tol):
             c[t, k], wa[t, k], wb[t, k] = mahalanobis_contacts(
                 g.vertices[t, j], g.radii[j], obstacle.nominal,
                 obstacle.chol_inv, wa[t, k], wb[t, k])
-    return far, c, wa, wb
+    return c, wa, wb
 
 
 def _step_shapes(groups, n_bodies, t):
@@ -210,8 +205,10 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
 
     Every layer but the per-pair tail runs over arrays of (timestep, body)
     lanes: one kinematics walk, one distance call and one first search per
-    (obstacle, link group). ``certify_risk`` then takes each pair the
-    far-pair shortcut leaves from its bodies' first searches.
+    (obstacle, link group). A pair whose bodies are all outside the eps_tol
+    shadow (every c = inf) takes the floored certificate that
+    ``certify_risk`` would give it; ``certify_risk`` takes every other pair
+    from its bodies' first searches.
     """
     T = problem.timesteps
     robot = problem.robot
@@ -245,16 +242,17 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     risk_totals = np.zeros(T)
     for t in range(T):
         shapes = None
-        for ob, (far, c, wa, wb) in zip(problem.obstacles, firsts):
-            if far[t]:
+        for ob, (c, wa, wb) in zip(problem.obstacles, firsts):
+            ct = c[t].tolist()
+            if min(ct) == np.inf:
                 cert = RiskCertificate(eps_tol, eps_tol, eps_tol, False,
                                        floored=True, floored2=True)
             else:
                 if shapes is None:
                     shapes = _step_shapes(groups, n_bodies, t)
-                cert = certify_risk(robot, trajectory[t], ob, eps_tol,
-                                    shapes, list(zip(c[t].tolist(), wa[t],
-                                                     wb[t])))
+                first = [(li, body, ci, a, b) for (li, body), ci, a, b
+                         in zip(shapes, ct, wa[t], wb[t])]
+                cert = certify_risk(robot, trajectory[t], ob, eps_tol, first)
             certs[t].append(cert)
             risk_totals[t] += cert.eps_prime
     sd_res = np.maximum(0.0, margins - sds)
@@ -276,9 +274,7 @@ def _risk_terms(problem, report):
     """The risk rows' terms, (T, dof) gradients and (T,) values: per
     timestep, the sum of eps_prime over the unsaturated certificates and
     of its gradient, sum w . J over their ``risk_weights`` (zero at the
-    fixed endpoints). The Jacobians of every shadow's contact come from one
-    ``point_jacobians`` call."""
-    robot = problem.robot
+    fixed endpoints), from one ``weighted_jacobians`` call."""
     T = problem.timesteps
     eps = np.zeros(T)
     terms = []      # (t, w, link, point)
@@ -289,13 +285,7 @@ def _risk_terms(problem, report):
                 if 0 < t < T - 1:
                     terms += [(t, *term[1:])
                               for term in risk_weights(cert, ob)]
-    grad = np.zeros((T, robot.dof))
-    if terms:
-        steps, w, links, points = zip(*terms)
-        J = point_jacobians(robot, report.frames, steps, links,
-                            np.array(points))
-        np.add.at(grad, list(steps), np.einsum("md,mdk->mk", np.array(w), J))
-    return grad, eps
+    return weighted_jacobians(problem.robot, report.frames, terms, T), eps
 
 
 def convexify(problem, trajectory, allocation, report, mu, radius,

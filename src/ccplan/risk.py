@@ -17,11 +17,16 @@ one whitened GJK query, and is a certified lower bound on c2, so eps2 is
 never under-stated; the search stops when a feasible primal point is within
 HALF_GAP of the best dual value.
 
-A query that starts cold (every first search outside the planner, and
-every dual value) solves the polytope cores first, then adds the radii
-(see ``geometry._gjk``); under an isotropic covariance one support of the
-swept bodies then closes it. A certificate that walks the kinematic chain
-itself keeps that pass for its gradient.
+Every GJK query (a cold first search, a lane of the planner's batched
+first step that one support leaves open, and every dual value) solves the
+polytope cores first, then adds the radii (see ``geometry._gjk``); under
+an isotropic covariance one support of the swept bodies then closes it.
+
+The gradient of eps_prime is a sum of w . J, one term per shadow with a
+gradient (``risk_weights``), J the Jacobian of its robot contact point;
+``weighted_jacobians`` sums such terms for one joint state or for a
+whole trajectory. A certificate that walks the kinematic chain itself
+keeps that pass for its gradient.
 """
 
 import math
@@ -38,7 +43,7 @@ from .geometry import (
     _gjk,
     mahalanobis_contact,
 )
-from .kinematics import chain_frames, point_jacobian, posed_link_shapes
+from .kinematics import chain_frames, point_jacobians, posed_link_shapes
 
 # Squared Mahalanobis distances below this are treated as contact with the
 # nominal geometry (risk saturates at 1).
@@ -110,8 +115,7 @@ class RiskCertificate:
     frames: object = field(default=None, repr=False, compare=False)
 
 
-def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
-                 first=None):
+def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
     """Certify an upper bound on the collision risk of one configuration.
 
     Returns a RiskCertificate with eps_prime = (eps1 + eps2)/2. If the robot
@@ -123,46 +127,39 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
     contact_point2) is a feasible point whose value exceeds c2 by at most
     HALF_GAP * max(1, c2).
 
-    ``shapes`` optionally supplies precomputed posed link shapes for this
-    configuration (callers evaluating many obstacles share one kinematics
-    pass). ``first`` optionally supplies each body's first search, aligned
-    with ``shapes``: (c, witness on the body, witness on the nominal
+    ``first`` optionally supplies every posed link shape of this
+    configuration with its first search, from a caller that has validated
+    ``theta`` and shares one kinematics pass over many obstacles: entries
+    (link index, body, c, witness on the body, witness on the nominal
     geometry), as from ``mahalanobis_contact``, with c = inf for a body
-    provably outside the largest shadow considered. Such a caller has
-    validated ``theta`` and must pass ``shapes`` too.
+    provably outside the largest shadow considered. Without it the
+    certificate walks the chain and searches every body itself.
     """
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
     n = obstacle.dim
     frames = None
     if first is None:
-        theta = robot.check_state(theta)
-        if shapes is None:
-            frames = chain_frames(robot, theta)
-            shapes = posed_link_shapes(robot, frames.poses)
-    elif shapes is None or len(first) != len(shapes):
-        raise ValueError("first needs shapes, one search per shape")
-    if not shapes:
-        raise ValueError("robot has no collision shapes")
-    if first is None:
-        first = [mahalanobis_contact(body, obstacle.nominal, obstacle.chol,
-                                     chol_inv=obstacle.chol_inv)
-                 for _, body in shapes]
+        frames = chain_frames(robot, theta)     # validates theta
+        shapes = posed_link_shapes(robot, frames.poses)
+        if not shapes:
+            raise ValueError("robot has no collision shapes")
+        first = [(li, body, *mahalanobis_contact(
+                     body, obstacle.nominal, obstacle.chol,
+                     chol_inv=obstacle.chol_inv))
+                 for li, body in shapes]
 
     c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
-    per_shape = []
-    best = None
-    for (li, body), (c, wa, wb) in zip(shapes, first):
-        if c == math.inf:
-            continue
-        per_shape.append((c, li, body, wa, wb))
-        if best is None or c < best[0] - 1e-15:
-            best = (c, li, body, wa, wb)
-    if best is None:
+    per_shape = [e for e in first if e[2] != math.inf]
+    if not per_shape:
         # Every body is beyond the eps_tol shadow radius.
         return RiskCertificate(eps_tol, eps_tol, eps_tol, False,
                                floored=True, floored2=True)
-    c_min, link_idx, link_body, wit_robot, wit_obs = best
+    best = per_shape[0]
+    for e in per_shape[1:]:
+        if e[2] < best[2] - 1e-15:
+            best = e
+    link_idx, _, c_min, wit_robot, wit_obs = best
 
     if c_min <= SATURATION_C:
         return RiskCertificate(1.0, 1.0, 1.0, True)
@@ -198,7 +195,7 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, shapes=None,
 def _half_contact(per_shape, obstacle, normal, c_max):
     """Second (half-shadow) contact over the bodies of ``per_shape``.
 
-    Entries are (c, link index, body, witness on the body, witness on the
+    Entries are (link index, body, c, witness on the body, witness on the
     nominal geometry) from the first search. Bodies are visited in
     increasing c, which bounds their c2 from below, and the search stops
     once that bound reaches the best c2 so far. Returns (c2, link index,
@@ -206,7 +203,7 @@ def _half_contact(per_shape, obstacle, normal, c_max):
     """
     nominal = obstacle.nominal
     best, cap = None, c_max
-    for c, li, body, wa, wb in sorted(per_shape, key=lambda e: e[0]):
+    for li, body, c, wa, wb in sorted(per_shape, key=lambda e: e[2]):
         if c >= cap:
             break
         # The farthest point of A - O along n: if it lies behind the cut,
@@ -316,40 +313,34 @@ def risk_weights(cert, obstacle):
             yield slot, w, link, point
 
 
-def _weighted_gradients(cert, robot, theta, obstacle, frames):
-    """(w . J for the full shadow, w . J for the half shadow), over the
-    ``risk_weights`` of ``cert``, J the Jacobian of the contact point."""
+def weighted_jacobians(robot, frames, terms, n_steps):
+    """Per step of ``frames`` (a ChainFrames of ``n_steps`` joint states),
+    the sum of w . J over ``terms``, (step, w, link index, robot point),
+    J the Jacobian of the point on its link at that step: an
+    (n_steps, dof) array, with the Jacobians from one ``point_jacobians``
+    call. Each step's terms are added in their order in ``terms``."""
+    dof = robot.dof
+    if not terms:
+        return np.zeros((n_steps, dof))
+    steps, w, links, points = zip(*terms)
+    J = point_jacobians(robot, frames, steps, links, np.array(points))
+    wJ = np.einsum("md,mdk->mk", np.array(w), J)
+    cells = np.add.outer(np.array(steps) * dof, np.arange(dof))
+    return np.bincount(cells.ravel(), wJ.ravel(),
+                       n_steps * dof).reshape(n_steps, dof)
+
+
+def risk_gradient(cert, robot, theta, obstacle):
+    """Gradient of the certified bound eps_prime with respect to theta: the
+    sum of w . J over the ``risk_weights`` of ``cert``. A certificate that
+    walked the chain at ``theta`` supplies its own kinematics pass."""
     if cert.saturated:
         raise ValueError("saturated certificate has no usable gradient; "
                          "use the signed-distance constraint instead")
     theta = robot.check_state(theta)
-    if frames is None and cert.frames is not None \
-            and np.array_equal(cert.frames.states[0], theta):
-        frames = cert.frames
-    grads = [np.zeros(robot.dof), np.zeros(robot.dof)]
-    for slot, w, link, point in risk_weights(cert, obstacle):
-        if frames is None:
-            # One kinematics pass serves both shadows.
-            frames = chain_frames(robot, theta)
-        grads[slot] = w @ point_jacobian(robot, theta, link, point, frames)
-    return grads
-
-
-def shadow_gradients(cert, robot, theta, obstacle, frames=None):
-    """Per-shadow risk gradients (full ellipsoid, half ellipsoid). eps_prime
-    is their mean, so each is twice w . J, w its ``risk_weights`` entry and
-    J the Jacobian of its robot contact point.
-
-    ``frames`` is ``chain_frames(robot, theta)`` when the caller has it;
-    without it, a certificate that walked the chain at ``theta`` supplies
-    its own.
-    """
-    g1, g2 = _weighted_gradients(cert, robot, theta, obstacle, frames)
-    return 2.0 * g1, 2.0 * g2
-
-
-def risk_gradient(cert, robot, theta, obstacle, frames=None):
-    """Gradient of the certified bound eps_prime with respect to theta;
-    ``frames`` as for ``shadow_gradients``."""
-    g1, g2 = _weighted_gradients(cert, robot, theta, obstacle, frames)
-    return g1 + g2
+    terms = [(0, *term[1:]) for term in risk_weights(cert, obstacle)]
+    frames = cert.frames
+    if terms and (frames is None
+                  or frames.states[0].tolist() != theta.tolist()):
+        frames = chain_frames(robot, theta)
+    return weighted_jacobians(robot, frames, terms, 1)[0]

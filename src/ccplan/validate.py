@@ -220,10 +220,13 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
     Alternates deterministic solves (signed-distance constraints with
     per-(timestep, obstacle) margins) with sampling-based risk estimation.
     Whenever the estimated trajectory risk exceeds the budget, margins grow
-    by ``IRA_MARGIN_ETA * sigma_max`` on every pair whose sampled risk share
-    exceeds its uniform allocation, and the problem is re-solved. Terminates
-    when the *estimated* risk satisfies the budget (which a larger
-    independent sample may contradict) or after ``max_rounds``.
+    by ``IRA_MARGIN_ETA * sigma_max`` on every interior pair whose sampled
+    risk share exceeds its uniform allocation, and the problem is
+    re-solved. The fixed start and goal keep their margins: no plan can
+    move them, and a margin past their clearance makes every later solve
+    infeasible. Terminates when the *estimated* risk satisfies the budget
+    (which a larger independent sample may contradict), when no margin
+    grows (the next solve would repeat this one), or after ``max_rounds``.
 
     The per-round estimates are appended to the result's iteration log as
     entries with a "round" key.
@@ -251,9 +254,11 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
             sample_count, seed)
         rounds.append({"round": rnd, "estimated_risk": estimate,
                        "margin_max": float(margins.max())})
-        if estimate <= problem.risk_budget:
+        grow = probs > uniform
+        grow[[0, -1]] = False
+        if estimate <= problem.risk_budget or not grow.any():
             break
-        margins += (probs > uniform) * sigma_max[None, :] * IRA_MARGIN_ETA
+        margins += grow * sigma_max[None, :] * IRA_MARGIN_ETA
     satisfied = rounds[-1]["estimated_risk"] <= problem.risk_budget
     if result.status == CONVERGED and not satisfied:
         result.status = ITERATION_LIMIT

@@ -30,7 +30,7 @@ from ccplan.qp import OPTIMAL, kkt_residuals, solve_qp
 from ccplan.risk import UncertainObstacle, certify_risk
 from ccplan.validate import ira_plan, monte_carlo_risk, risk_blind_plan
 from test_qp import assert_duality_gap, dual_pg_oracle, random_feasible_qp
-from test_risk import check_fd_gradient, straddle_robot
+from test_risk import check_fd_gradient, per_shadow_gradients, straddle_robot
 from test_validate import shadow_containment
 
 SCENES = files("ccplan") / "scenes"
@@ -160,14 +160,13 @@ class TestGradientFidelity:
 
     def test_one_dof_closed_form(self):
         # eps1(r) = exp(-r^2/2): slope -exp(-1/2) at unit separation.
-        from ccplan.risk import shadow_gradients
         joints = [Joint("prismatic", Pose.identity(2),
                         np.array([1.0, 0.0]))]
         robot = RobotModel(joints, [[point_body([0.0, 0.0])]],
                            Pose.identity(2))
         ob = UncertainObstacle(point_body(np.zeros(2)), np.eye(2))
         cert = certify_risk(robot, [1.0], ob)
-        g1, _ = shadow_gradients(cert, robot, [1.0], ob)
+        g1, _ = per_shadow_gradients(cert, robot, [1.0], ob)
         assert g1[0] == pytest.approx(-math.exp(-0.5), rel=1e-6)
 
 

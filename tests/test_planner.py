@@ -19,7 +19,8 @@ from ccplan.planner import (
     solve,
 )
 from ccplan.qp import ITERATION_LIMIT, OPTIMAL, kkt_residuals, solve_qp
-from ccplan.risk import UncertainObstacle, certify_risk, risk_gradient
+from ccplan.risk import (RiskCertificate, UncertainObstacle, certify_risk,
+                         risk_weights)
 from test_acceptance import corridor_problem, pickplace_problem
 from test_risk import straddle_robot
 
@@ -316,11 +317,35 @@ def point_robot_3d():
 
 
 class TestEvaluate:
+    def test_culled_pairs_take_no_certificate_call(self, monkeypatch):
+        # With sigma = 0.1, the endpoints lie 11 sigma from the sphere,
+        # beyond the eps_tol shadow: their pairs are floored without a
+        # certify_risk call. The midpoint, 1 sigma away, is certified.
+        calls = []
+
+        def counted(robot, theta, *args):
+            calls.append(theta)
+            return certify_risk(robot, theta, *args)
+
+        monkeypatch.setattr(planner_module, "certify_risk", counted)
+        ob = UncertainObstacle(Sphere(np.zeros(2), 0.1), 0.01 * np.eye(2))
+        traj = np.array([[-1.2, 0.0], [0.0, 0.2], [1.2, 0.0]])
+        p = point_problem([ob], T=3, start=traj[0], goal=traj[-1])
+        rep = evaluate_constraints(p, traj, np.full(3, 0.01 / 3))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], traj[1])
+        floored = RiskCertificate(1e-6, 1e-6, 1e-6, False, floored=True,
+                                  floored2=True)
+        assert rep.certificates[0][0] == rep.certificates[2][0] == floored
+        assert rep.certificates[1][0].eps_prime == pytest.approx(
+            certify_risk(p.robot, traj[1], ob).eps_prime, rel=1e-9)
+
     def test_far_pair_shortcut_above_posed_box_diagonals(self):
-        # The far-pair shortcut floors a risk from the signed distance
-        # alone. Above a posed box's face diagonals that distance was
-        # once a far edge's: a point 0.02 above the box, with sigma =
-        # 0.02, got risk 1e-6 where a cold certificate gives 0.4.
+        # A pair whose bodies are all culled by their signed distances
+        # takes a floored risk without a certificate. Above a posed box's
+        # face diagonals that distance was once a far edge's: a point 0.02
+        # above the box, with sigma = 0.02, got risk 1e-6 where a cold
+        # certificate gives 0.4.
         robot = point_robot_3d()
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -350,7 +375,8 @@ class TestEvaluate:
 
 def oracle_rows(problem, trajectory, report, include_risk=True):
     """``convexify``'s inequality rows and right-hand sides, built pair by
-    pair with ``point_jacobian`` and ``risk_gradient``: per timestep a
+    pair with ``point_jacobian`` (each risk gradient is the sum of w . J
+    over the certificate's ``risk_weights``): per timestep a
     signed-distance row per obstacle, then the risk row; the allocation
     row last. The rows are built over every waypoint, and the fixed
     endpoints, theta_0 = start and theta_{T-1} = goal, are then substituted
@@ -382,7 +408,9 @@ def oracle_rows(problem, trajectory, report, include_risk=True):
             cert = report.certificates[t][o]
             if not cert.saturated:
                 eps += cert.eps_prime
-                grad += risk_gradient(cert, robot, th, ob, frames)
+                for _, w, link, point in risk_weights(cert, ob):
+                    grad += w @ point_jacobian(robot, th, link, point,
+                                               frames)
         row = np.zeros(n)
         row[cols] = grad
         row[n_th + t] = -1.0
@@ -467,10 +495,10 @@ class TestLinearization:
 
     @pytest.mark.parametrize("build", [pickplace_problem, corridor_problem])
     def test_certificates_match_cold_certification(self, build):
-        # The batched first searches and the far-pair and per-body skips
-        # leave every certificate of a pass equal to a cold certify_risk
-        # of its pair: on the plan, its straight-line seed (which
-        # penetrates) and a point between them.
+        # The batched first searches and the per-body cull leave every
+        # certificate of a pass equal to a cold certify_risk of its pair:
+        # on the plan, its straight-line seed (which penetrates) and a
+        # point between them.
         _, p = build()
         res = solve(p)
         seed, alloc = seed_trajectory(p)

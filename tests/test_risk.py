@@ -23,6 +23,7 @@ from ccplan.kinematics import (
     RobotModel,
     forward_kinematics,
     planar_point_robot,
+    point_jacobian,
     posed_link_shapes,
 )
 from ccplan.risk import (
@@ -30,7 +31,7 @@ from ccplan.risk import (
     UncertainObstacle,
     certify_risk,
     risk_gradient,
-    shadow_gradients,
+    risk_weights,
 )
 
 
@@ -57,6 +58,19 @@ def straddle_robot(left, right):
     """Prismatic x/y robot carrying two points at (left, 0) and (right, 0)."""
     return translating_robot([point_body([left, 0.0]),
                               point_body([right, 0.0])])
+
+
+def per_shadow_gradients(cert, robot, theta, obstacle, frames=None):
+    """Reference gradients of a certificate's two shadows (full, half),
+    each from ``point_jacobian``: eps_prime is their mean, so each is twice
+    w . J, w its ``risk_weights`` entry and J the Jacobian of its robot
+    contact point (zero for a shadow without a gradient). Their mean is
+    the reference for ``risk_gradient``."""
+    grads = [np.zeros(robot.dof), np.zeros(robot.dof)]
+    for slot, w, link, point in risk_weights(cert, obstacle):
+        grads[slot] = 2.0 * w @ point_jacobian(robot, theta, link, point,
+                                               frames)
+    return grads
 
 
 def check_second_contact(cert, robot, theta, obstacle):
@@ -304,14 +318,10 @@ class TestCertifyClosedForm:
         ob = point_obstacle(np.array([[1.0, 0.2], [0.2, 0.8]]))
         theta = [0.1, -0.2]
         shapes = posed_link_shapes(robot, forward_kinematics(robot, theta))
-        first = [mahalanobis_contact(body, ob.nominal, ob.chol)
-                 for _, body in shapes]
-        given = certify_risk(robot, theta, ob, shapes=shapes, first=first)
+        first = [(li, body, *mahalanobis_contact(body, ob.nominal, ob.chol))
+                 for li, body in shapes]
+        given = certify_risk(robot, theta, ob, first=first)
         assert given.eps_prime == certify_risk(robot, theta, ob).eps_prime
-        with pytest.raises(ValueError, match="needs shapes"):
-            certify_risk(robot, theta, ob, first=first)
-        with pytest.raises(ValueError, match="one search per shape"):
-            certify_risk(robot, theta, ob, shapes=shapes, first=first[:1])
 
     def test_eps1_survival_consistency(self):
         # eps1 must equal the survival function at the certified c1.
@@ -476,19 +486,26 @@ class TestGradient:
             return walk(*args)
 
         monkeypatch.setattr(kinematics, "trajectory_frames", counted)
+
+        def reference(state):
+            # The mean of the per-shadow gradients, on an uncounted walk.
+            g1, g2 = per_shadow_gradients(cert, robot, state, ob,
+                                          walk(robot, state[None]))
+            return 0.5 * (g1 + g2)
+
         cert = certify_risk(robot, theta, ob)
         assert not (cert.floored or cert.floored2)     # two Jacobians
         g = risk_gradient(cert, robot, theta, ob)
         assert len(walks) == 1
-        np.testing.assert_array_equal(g, risk_gradient(
-            cert, robot, theta, ob, frames=walk(robot, theta[None])))
+        np.testing.assert_allclose(g, reference(theta), rtol=1e-12,
+                                   atol=1e-15)
 
         def walks_afresh(state):
             before = len(walks)
             g = risk_gradient(cert, robot, state, ob)
             assert len(walks) == before + 1
-            np.testing.assert_array_equal(g, risk_gradient(
-                cert, robot, state, ob, frames=walk(robot, state[None])))
+            np.testing.assert_allclose(g, reference(state), rtol=1e-12,
+                                       atol=1e-15)
 
         walks_afresh(theta + 0.1)       # another joint state
         theta += 0.1                    # the caller's array, changed in place
@@ -500,7 +517,7 @@ class TestGradient:
         ob = point_obstacle(np.eye(2))
         r = 1.0
         cert = certify_risk(robot, [r], ob)
-        g1, g2 = shadow_gradients(cert, robot, [r], ob)
+        g1, g2 = per_shadow_gradients(cert, robot, [r], ob)
         assert g1[0] == pytest.approx(-math.exp(-0.5), rel=1e-9)
         np.testing.assert_allclose(g2, 0.0)  # second search floored
         g = risk_gradient(cert, robot, [r], ob)

@@ -72,6 +72,29 @@ def test_gjk_only_in_whitened_searches():
                      "geometry.mahalanobis_contacts", "risk._rim_contact"}
 
 
+def test_gjk_has_one_entry():
+    # Every GJK search starts from its seed direction; the batched first
+    # step's open lanes run the same cold search.
+    package = Path(ccplan.__file__).parent
+    tree = ast.parse((package / "geometry.py").read_text())
+    gjk, = (node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_gjk")
+    params = [a.arg for a in gjk.args.args + gjk.args.kwonlyargs]
+    assert "start" not in params
+
+
+def test_point_jacobian_only_outside_the_package():
+    # Risk gradients and constraint rows take their Jacobians from the
+    # stacked ``point_jacobians``; ``point_jacobian`` stays as the layer
+    # the benchmark traces and the tests' reference Jacobian.
+    def calls(n):
+        f = n.func if isinstance(n, ast.Call) else None
+        return (getattr(f, "id", None) == "point_jacobian"
+                or getattr(f, "attr", None) == "point_jacobian")
+    found = top_level_users(calls)
+    assert not found, f"point_jacobian called in ccplan: {found}"
+
+
 def test_convex_hull_only_in_boundary():
     # Qhull runs in one place, so that the distance kernel, the Monte Carlo
     # hit test and plotting share one boundary complex.

@@ -655,6 +655,26 @@ class TestIRA:
         assert gap <= 4 * math.sqrt(
             max(truth.estimate * (1 - truth.estimate), 1e-6) / 1000)
 
+    def test_fixed_endpoint_margins_do_not_grow(self):
+        # The start lies 0.09 from a pillar and keeps a large risk share
+        # in every round. Growing its margin, which no plan can meet once
+        # it passes that clearance (0.145 by the sixth round), made the
+        # last solve infeasible although its estimate, 0.027, met the
+        # budget.
+        scenes = files("ccplan") / "scenes"
+        scene = parse_scene(json.loads(
+            (scenes / "corridor2d.json").read_text()))
+        robot = parse_robot(json.loads(
+            (scenes / "pointbot2d.json").read_text()))
+        p = TrajectoryProblem(robot, scene.obstacles, 10,
+                              np.array([-0.1, 0.34]), np.array([0.2, -0.45]),
+                              0.03, 0.02)
+        res = ira_plan(p, sample_count=1000, seed=0)
+        rounds = [e for e in res.iterations if "round" in e]
+        assert res.status == CONVERGED
+        assert rounds[-1]["estimated_risk"] <= p.risk_budget
+        assert len(rounds) == 6
+
     def test_deterministic(self):
         p = baseline_problem([side_obstacle()])
         a = ira_plan(p, sample_count=500, seed=7)
