@@ -9,9 +9,16 @@ All commands read JSON scene/robot files, write their artifacts under
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread unless the caller sets its own: OpenBLAS's default split
+# of the QP's small dense products across threads slows a solve down.
+# NumPy reads these when it is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

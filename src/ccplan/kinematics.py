@@ -58,6 +58,10 @@ class RobotModel:
     dim: int = field(init=False)
     # Which joints are revolute, for the stacked Jacobians.
     revolute: np.ndarray = field(init=False, repr=False, compare=False)
+    # The last single-state walk of ``chain_frames``, which returns it again
+    # at the same joint state.
+    _last_frames: object = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.dim = self.base.dim
@@ -156,8 +160,15 @@ def trajectory_frames(robot, trajectory):
 
 
 def chain_frames(robot, theta):
-    """``trajectory_frames`` for the single joint state ``theta``."""
-    return trajectory_frames(robot, robot.check_state(theta)[None])
+    """``trajectory_frames`` for the single joint state ``theta``. The
+    robot keeps its last such walk and returns it for a state with the
+    same bytes, so the certificates and gradients of one configuration
+    share one walk."""
+    th = robot.check_state(theta)
+    frames = robot._last_frames
+    if frames is None or frames.states.tobytes() != th.tobytes():
+        frames = robot._last_frames = trajectory_frames(robot, th[None])
+    return frames
 
 
 def forward_kinematics(robot, theta):

@@ -25,8 +25,8 @@ an isotropic covariance one support of the swept bodies then closes it.
 The gradient of eps_prime is a sum of w . J, one term per shadow with a
 gradient (``risk_weights``), J the Jacobian of its robot contact point;
 ``weighted_jacobians`` sums such terms for one joint state or for a
-whole trajectory. A certificate that walks the kinematic chain itself
-keeps that pass for its gradient.
+whole trajectory. A cold certificate and its gradient share the
+robot's last single-state chain walk (``kinematics.chain_frames``).
 """
 
 import math
@@ -109,10 +109,6 @@ class RiskCertificate:
     c2: float = None
     floored: bool = False                # eps1 hit the resolution floor
     floored2: bool = False               # no second contact below the floor
-    # The kinematics pass of a certificate with a contact whose
-    # ``certify_risk`` walked the chain itself; ``risk_gradient`` reuses it
-    # at the same joint state.
-    frames: object = field(default=None, repr=False, compare=False)
 
 
 def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
@@ -133,23 +129,23 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
     (link index, body, c, witness on the body, witness on the nominal
     geometry), as from ``mahalanobis_contact``, with c = inf for a body
     provably outside the largest shadow considered. Without it the
-    certificate walks the chain and searches every body itself.
+    certificate takes the walk of ``chain_frames``, which the other
+    obstacles' certificates and ``risk_gradient`` at ``theta`` share, and
+    the entries of ``_cold_first``: a body provably outside the eps_tol
+    shadow is not searched, and a configuration whose bodies all are gets
+    the floored certificate, without contact data.
     """
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
     n = obstacle.dim
-    frames = None
+    c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
     if first is None:
         frames = chain_frames(robot, theta)     # validates theta
         shapes = posed_link_shapes(robot, frames.poses)
         if not shapes:
             raise ValueError("robot has no collision shapes")
-        first = [(li, body, *mahalanobis_contact(
-                     body, obstacle.nominal, obstacle.chol,
-                     chol_inv=obstacle.chol_inv))
-                 for li, body in shapes]
+        first = _cold_first(shapes, obstacle, c_max)
 
-    c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
     per_shape = [e for e in first if e[2] != math.inf]
     if not per_shape:
         # Every body is beyond the eps_tol shadow radius.
@@ -189,7 +185,35 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
         eps1, eps2, 0.5 * (eps1 + eps2), False, contact_normal=n_hat, x1=x1,
         link_index=link_idx, contact_point=np.asarray(wit_robot, dtype=float),
         link_index2=link_idx2, contact_point2=wa2, x2=x2, c1=c_min, c2=c2,
-        floored2=found is None, frames=frames)
+        floored2=found is None)
+
+
+def _cold_first(shapes, obstacle, c_max):
+    """``certify_risk``'s first-search entries for ``shapes``, (link
+    index, posed body): a ``mahalanobis_contact`` per body, or c = inf for
+    a body outside the c_max shadow. With d the difference of the centres
+    and g = Sigma^-1 d, y = L^-1 d is a point of Y = L^-1 (A - O) with
+    |y|^2 = d.g, and every z = L^-1 x of Y has |z| >= y.z / |y| = g.x / |y|:
+    the gap between A and O along g, over |y|, is GJK's supporting-plane
+    bound u.s_Y(-u), u = y / |y|, from one support of each body.
+    """
+    nominal = obstacle.nominal
+    centre = nominal.center()
+    out = []
+    for li, body in shapes:
+        d = body.center() - centre
+        g = obstacle.sigma_inv @ d
+        yy = float(d @ g)
+        if yy > 0.0:
+            gap = (float((body.vertices @ g).min())
+                   - float((nominal.vertices @ g).max())
+                   - (body.radius + nominal.radius) * math.sqrt(float(g @ g)))
+            if gap > 0.0 and gap * gap > c_max * yy:
+                out.append((li, body, math.inf, None, None))
+                continue
+        out.append((li, body, *mahalanobis_contact(
+            body, nominal, obstacle.chol, chol_inv=obstacle.chol_inv)))
+    return out
 
 
 def _half_contact(per_shape, obstacle, normal, c_max):
@@ -332,15 +356,11 @@ def weighted_jacobians(robot, frames, terms, n_steps):
 
 def risk_gradient(cert, robot, theta, obstacle):
     """Gradient of the certified bound eps_prime with respect to theta: the
-    sum of w . J over the ``risk_weights`` of ``cert``. A certificate that
-    walked the chain at ``theta`` supplies its own kinematics pass."""
+    sum of w . J over the ``risk_weights`` of ``cert``, on the chain walk
+    that ``chain_frames`` shares with the certificate at the same state."""
     if cert.saturated:
         raise ValueError("saturated certificate has no usable gradient; "
                          "use the signed-distance constraint instead")
-    theta = robot.check_state(theta)
+    frames = chain_frames(robot, theta)     # validates theta
     terms = [(0, *term[1:]) for term in risk_weights(cert, obstacle)]
-    frames = cert.frames
-    if terms and (frames is None
-                  or frames.states[0].tolist() != theta.tolist()):
-        frames = chain_frames(robot, theta)
     return weighted_jacobians(robot, frames, terms, 1)[0]

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccplan
 from ccplan.cli import (
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
@@ -207,3 +212,37 @@ class TestErrorReporting:
                      "--theta", "0,0"])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """The CLI runs NumPy with one BLAS thread unless the caller sets the
+    thread count: each variable's value as NumPy is first imported."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    CHILD = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v, "unset") for v in {vars!r}])
+sys.meta_path.insert(0, Spy())
+import ccplan.cli
+print(*seen[0])
+"""
+
+    def child(self, **env):
+        base = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(ccplan.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.CHILD.format(vars=self.VARS)],
+            env={**base, **env}, capture_output=True, text=True, check=True)
+        return out.stdout.split()
+
+    def test_one_thread_by_default(self):
+        assert self.child() == ["1", "1", "1"]
+
+    def test_caller_setting_wins(self):
+        assert self.child(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]

@@ -337,6 +337,8 @@ class TestEvaluate:
         floored = RiskCertificate(1e-6, 1e-6, 1e-6, False, floored=True,
                                   floored2=True)
         assert rep.certificates[0][0] == rep.certificates[2][0] == floored
+        # The cold certificate culls the endpoint's body the same way.
+        assert certify_risk(p.robot, traj[0], ob) == floored
         assert rep.certificates[1][0].eps_prime == pytest.approx(
             certify_risk(p.robot, traj[1], ob).eps_prime, rel=1e-9)
 

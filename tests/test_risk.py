@@ -73,6 +73,40 @@ def per_shadow_gradients(cert, robot, theta, obstacle, frames=None):
     return grads
 
 
+def every_body_searched(robot, theta, obstacle):
+    """The certificate with a ``mahalanobis_contact`` search of every body,
+    with no cull: the oracle of the cold path's cull."""
+    shapes = posed_link_shapes(robot, forward_kinematics(robot, theta))
+    first = [(li, body, *mahalanobis_contact(
+                 body, obstacle.nominal, obstacle.chol,
+                 chol_inv=obstacle.chol_inv))
+             for li, body in shapes]
+    return certify_risk(robot, theta, obstacle, first=first)
+
+
+def assert_same_risk(cert, oracle, robot, theta, obstacle):
+    """Equal bounds, branch and gradient, bit for bit."""
+    for name in ("eps1", "eps2", "eps_prime", "saturated"):
+        assert getattr(cert, name) == getattr(oracle, name), name
+    if not cert.saturated:
+        np.testing.assert_array_equal(
+            risk_gradient(cert, robot, theta, obstacle),
+            risk_gradient(oracle, robot, theta, obstacle))
+
+
+def counted_searches(monkeypatch):
+    """Patch the cold path's ``mahalanobis_contact`` to record its calls;
+    returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return mahalanobis_contact(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "mahalanobis_contact", counted)
+    return calls
+
+
 def check_second_contact(cert, robot, theta, obstacle):
     """The half-shadow contact is feasible and within the certified gap.
 
@@ -271,7 +305,7 @@ class TestCertifyClosedForm:
                 for r in (0.5, 0.8, 1.2, 1.7)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_eps2_never_exceeds_eps1(self):
+    def test_eps2_never_exceeds_eps1(self, monkeypatch):
         rng = np.random.default_rng(7)
         robot = planar_point_robot()
         for _ in range(30):
@@ -283,12 +317,20 @@ class TestCertifyClosedForm:
             if not cert.saturated:
                 assert cert.eps2 <= cert.eps1 + 1e-12
         # Multi-body robots in 2D and 3D, where the half-shadow meets a
-        # second body on the curved part (n.x2 > 0) or at the rim.
+        # second body on the curved part (n.x2 > 0) or at the rim. Each
+        # certificate equals the one with every body searched, though the
+        # cold path culls bodies outside the eps_tol shadow.
+        calls = counted_searches(monkeypatch)
         for dim in (2, 3):
-            curved = rim = 0
+            curved = rim = culled = 0
             for _ in range(100):
                 robot, th, ob = random_scene(rng, dim)
+                before = len(calls)
                 cert = certify_risk(robot, th, ob)
+                culled += (len(robot.link_shapes[-1])
+                           - (len(calls) - before))
+                assert_same_risk(cert, every_body_searched(robot, th, ob),
+                                 robot, th, ob)
                 if cert.saturated:
                     continue
                 assert cert.eps2 <= cert.eps1 + 1e-12
@@ -298,6 +340,21 @@ class TestCertifyClosedForm:
                     rim += at_rim
                     curved += not at_rim
             assert curved >= 10 and rim >= 5
+            assert culled >= 10
+
+    def test_far_body_takes_no_search(self, monkeypatch):
+        # The point 40 sigma out is beyond the eps_tol shadow by one
+        # support's bound: only the near point is searched, and the
+        # certificate is the one with both points searched.
+        robot = straddle_robot(-1.5, 40.0)
+        ob = point_obstacle(np.eye(2))
+        theta = [0.1, -0.2]
+        calls = counted_searches(monkeypatch)
+        cert = certify_risk(robot, theta, ob)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0].vertices, [[-1.4, -0.2]])
+        assert_same_risk(cert, every_body_searched(robot, theta, ob), robot,
+                         theta, ob)
 
     def test_deterministic(self):
         robot = straddle_robot(-1.5, 2.0)
@@ -317,10 +374,7 @@ class TestCertifyClosedForm:
         robot = straddle_robot(-1.5, 2.0)
         ob = point_obstacle(np.array([[1.0, 0.2], [0.2, 0.8]]))
         theta = [0.1, -0.2]
-        shapes = posed_link_shapes(robot, forward_kinematics(robot, theta))
-        first = [(li, body, *mahalanobis_contact(body, ob.nominal, ob.chol))
-                 for li, body in shapes]
-        given = certify_risk(robot, theta, ob, first=first)
+        given = every_body_searched(robot, theta, ob)
         assert given.eps_prime == certify_risk(robot, theta, ob).eps_prime
 
     def test_eps1_survival_consistency(self):
@@ -471,8 +525,8 @@ class TestInvariantErrors:
 
 class TestGradient:
     def test_cold_certificate_walks_the_chain_once(self, monkeypatch):
-        # ``ccplan certify`` takes each gradient without frames: the
-        # certificate's own kinematics pass serves it, but only at the
+        # ``ccplan certify`` takes each gradient after its certificate:
+        # both take the robot's last chain walk, which serves only the
         # joint state it was made for.
         R = TestHalfShadowRegression
         robot = sceneio.parse_robot(R.ROBOT)
@@ -508,8 +562,20 @@ class TestGradient:
                                        atol=1e-15)
 
         walks_afresh(theta + 0.1)       # another joint state
-        theta += 0.1                    # the caller's array, changed in place
+        # The caller's array, changed in place to a state not walked yet.
+        theta += 0.25
         walks_afresh(theta)
+
+        # Two obstacles at one state: two certificates and two gradients
+        # take one walk.
+        other = UncertainObstacle(Sphere([0.2, 0.7], 0.1), ob.covariance)
+        theta = np.array(R.THETA)
+        before = len(walks)
+        for o in (ob, other):
+            c = certify_risk(robot, theta, o)
+            assert not c.floored
+            risk_gradient(c, robot, theta, o)
+        assert len(walks) == before + 1
 
     def test_slider_closed_form(self):
         # eps1(r) = exp(-r^2/2) so d eps1/dr = -r exp(-r^2/2).
