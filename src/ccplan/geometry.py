@@ -18,7 +18,10 @@ from support values along candidate axes. ``point_distances`` takes the
 same edge and triangle features from a stack of points, for the Monte
 Carlo hit test. The Mahalanobis query runs GJK in whitened coordinates,
 where a sphere becomes an ellipsoid, and returns a certified lower bound;
-every search solves the cores first, then adds the radii.
+every search solves the cores first, then the ellipsoid term exactly on
+each core face (in closed form on a hyperplane, from a scalar secular
+equation on a vertex or a 3D line), so a full covariance costs about one
+verifying support per search, as an isotropic one does.
 ``mahalanobis_contacts`` takes GJK's first iteration for a stack of
 placements at once, from their Euclidean witness pairs; a lane that the
 first support leaves open runs the same search as a single query.
@@ -410,12 +413,15 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
 
     A search on a rounded whitened difference (a ``_PairSupport`` with a
     radius) solves the cores first, in the same loop: their difference is
-    a polytope, on which GJK terminates finitely. The final simplex is then
-    shifted by the ball term's support along -v, which makes each of its
-    points a support point of the whole set along -v, and the loop goes on
-    with full supports. Under an isotropic metric the ball term is a ball,
-    the shifted simplex holds the closest point, and the first full
-    support closes the gap.
+    a polytope, on which GJK terminates finitely. The loop then goes on
+    with full supports, and after the core phase and after each accepted
+    full step it solves the ellipsoid term exactly on the current core
+    face (``_face_step``): the simplex's core points, each shifted by the
+    ball term's support along the face's optimal direction, replace the
+    simplex when they lower |v|. When the face is the one that holds the
+    minimizer, the next full support closes the gap; under an isotropic
+    covariance that is the core phase's face, so one full support closes
+    the search.
 
     Returns (distance, closest_point, witness_a, witness_b, lower_bound).
     Distance 0 means the origin is inside (or within tolerance of) the set;
@@ -429,6 +435,7 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     """
     rounded = getattr(support_pair, "rounded", False)
     support = support_pair.core if rounded else support_pair
+    full = not rounded
     d0 = seed_direction
     if d0 is None or float(np.dot(d0, d0)) < 1e-18:
         d0 = np.zeros(dim)
@@ -461,25 +468,26 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
                 entries = [entries[i] for i in keep]
                 simplex = [simplex[i] for i in keep]
                 v, lam, nv2 = w, lam_w, nw2
+                if full and rounded and nv2 > tol * tol:
+                    step = _face_step(support_pair, entries, nv2, dim, pad)
+                    if step is not None:
+                        entries, simplex, v, lam, nv2 = step
                 continue
             # No progress even so (the improvement is below the roundoff
             # of |v|^2) ends the phase as a closed gap does: the estimate
             # stays, and its last support still gives the lower bound.
             simplex.pop()
             entries.pop()
-        if support is support_pair:
+        if full:
             break
-        # The cores are solved. The ball term's support along -v is one
-        # point for the whole simplex, so the shifted points are supports
-        # of the set along -v.
-        support = support_pair
-        e, ea, eb = support_pair.ball(d)
-        entries = [(x + e, a + ea, b + eb) for x, a, b in entries]
-        simplex = [x.tolist() + pad for x, _, _ in entries]
-        v, lam, keep = _closest_on_simplex(simplex)
-        entries = [entries[i] for i in keep]
-        simplex = [simplex[i] for i in keep]
-        nv2 = _dot(v, v)
+        # The cores are solved. Each core point is a point of the set (the
+        # ball term holds the origin), and is its own core part.
+        full, support = True, support_pair.swept
+        entries = [(p, a, b, (x, a, b))
+                   for (p, a, b), x in zip(entries, simplex)]
+        step = _face_step(support_pair, entries, nv2, dim, pad)
+        if step is not None:
+            entries, simplex, v, lam, nv2 = step
     else:
         raise GeometryError(
             f"GJK did not converge within {max_iter} iterations")
@@ -488,6 +496,208 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
         return 0.0, np.array(v[:dim]), wa, wb, 0.0
     dist = math.sqrt(nv2)
     return dist, np.array(v[:dim]), wa, wb, max(0.0, vp) / dist
+
+
+def _face_step(support_pair, entries, nv2, dim, pad):
+    """The ellipsoid term solved exactly on the simplex's core face.
+
+    ``entries`` are full-phase simplex entries (p, a, b, (x, a_core,
+    b_core)), x the point's core part as a float list, or None until it is
+    needed here. With F the affine hull of the distinct core points and E
+    the whitened ball term, ``_face_direction`` gives the direction of the
+    least point of F + E; the ball term's support e along minus it shifts
+    every core point, and the closest point of the shifted simplex, a
+    point of the set, is that least point when its core part lies in the
+    simplex. When it lies outside, the closest point falls on a smaller
+    face, which is solved in turn. Returns the best (entries, simplex, v,
+    lambdas, |v|^2) found when it lowers |v|^2 below ``nv2``, else None.
+    """
+    cores, points = [], []
+    for entry in entries:
+        x, ac, bc = entry[3]
+        if x is None:
+            x = support_pair.core_point(ac, bc) + pad
+        if x not in points:
+            cores.append((x, ac, bc))
+            points.append(x)
+    best = None
+    while True:
+        u = _face_direction(points, dim, support_pair.axes,
+                            support_pair.radius)
+        if u is None:
+            return best
+        e, ea, eb = support_pair.ball(np.array([-u[0], -u[1], -u[2]][:dim]))
+        e0, e1, e2 = e.tolist() + pad
+        simplex = [[x0 + e0, x1 + e1, x2 + e2] for x0, x1, x2 in points]
+        v, lam, keep = _closest_on_simplex(simplex)
+        nw2 = _dot(v, v)
+        if nw2 < nv2:
+            nv2 = nw2
+            best = ([(None, cores[i][1] + ea, cores[i][2] + eb, cores[i])
+                     for i in keep], [simplex[i] for i in keep], v, lam, nw2)
+        if len(keep) == len(points):
+            return best
+        cores = [cores[i] for i in keep]
+        points = [points[i] for i in keep]
+
+
+def _face_direction(points, dim, axes, radius):
+    """A positive multiple of the least point of F + E, F the affine hull of
+    ``points`` (one to three distinct 3-vectors as float lists) and E =
+    {z : z = M x, |x| <= radius} the whitened ball term, whose principal
+    ``axes`` come from ``ellipsoid_axes``; None when F passes through the
+    origin.
+
+    The foot f of F, its point nearest the origin, is normal to F. When F
+    is a hyperplane (codimension 1), the least point of F + E is f - h_E(f)
+    f / |f|, and when E is a ball (equal eigenvalues) it lies along f too:
+    in both cases the direction is the foot itself, which after the core
+    phase is the core phase's closest point, bit for bit. A vertex, or a
+    segment's line in 3D, under an anisotropic E, takes the secular
+    equation of ``_ellipsoid_direction``.
+    """
+    foot, edge, rank = _affine_foot(points)
+    if not any(foot):
+        return None
+    values = axes[1]
+    if rank == dim - 1 or values[0] == values[1] == values[2]:
+        return foot
+    return _ellipsoid_direction(foot, edge, axes, radius)
+
+
+def _affine_foot(P):
+    """(foot, edge, rank) of the affine hull of the distinct 3-vectors P
+    (one to three float lists): its point nearest the origin, its direction
+    when it is a line (else None), and its dimension. Three collinear
+    points span the line through the farthest two, and two that coincide
+    to roundoff count as one.
+
+    The foot is computed as ``_closest_on_segment`` and
+    ``_closest_on_triangle`` compute their projection, so that the foot
+    of the face on which the core phase ends is its closest point v, bit
+    for bit.
+    """
+    if len(P) == 3:
+        a, b, c = P
+        abx, aby, abz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+        acx, acy, acz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+        n = (aby * acz - abz * acy, abz * acx - abx * acz,
+             abx * acy - aby * acx)
+        nn = _dot(n, n)
+        if nn > 1e-20 * (abx * abx + aby * aby + abz * abz) * (
+                acx * acx + acy * acy + acz * acz):
+            s = _dot(a, n) / nn
+            return [s * n[0], s * n[1], s * n[2]], None, 2
+        P = max(((a, b), (a, c), (b, c)),
+                key=lambda e: sum((x - y) ** 2 for x, y in zip(*e)))
+    if len(P) == 2:
+        (ax, ay, az), (bx, by, bz) = P
+        ex, ey, ez = bx - ax, by - ay, bz - az
+        ee = ex * ex + ey * ey + ez * ez
+        if ee > 1e-24 * (ax * ax + ay * ay + az * az):
+            t = -(ax * ex + ay * ey + az * ez) / ee
+            return ([ax + t * ex, ay + t * ey, az + t * ez], [ex, ey, ez],
+                    1)
+    return P[0], None, 0
+
+
+# Newton steps of the face solve's secular equation, and its tolerance on
+# |e|_E / r - 1 at the multiplier it returns.
+SECULAR_MAX_ITER = 32
+SECULAR_TOL = 1e-14
+
+
+def _ellipsoid_direction(foot, edge, axes, radius):
+    """The direction of the least point of F + E, F the point ``foot`` or
+    the line through it along ``edge`` (foot the line's point nearest the
+    origin), E = {z : z^T A z <= r^2} with A^-1 = M M^T = sum_i s_i u_i
+    u_i^T (``axes``: the unit u_i and the s_i, largest first).
+
+    For a multiplier mu >= 0 the nearest point of E to -f is
+    e = -(I + mu A)^-1 f, and the least point v = f + e is, in the axes,
+    v_i = mu w_i f_i with w_i = 1 / (s_i + mu). On a line, f = foot +
+    tau edge with tau making v orthogonal to the edge. The secular
+    equation |e|_E^2 = sum_i s_i (w_i f_i)^2 = r^2 has its root where the
+    dual of min |f + e| is stationary, so its left side decreases in mu;
+    Newton's method on 1/|e|_E - 1/r (More & Sorensen, 1983) climbs to
+    the root, bisection guarding the bracket. It starts where the bound
+    |e|_E >= sqrt(s_min) |foot| / (s_max + mu) (|f| >= |foot|) reaches r,
+    which is the root itself when every s_i is equal. When -f already
+    lies in E at mu = 0, F + E holds the origin, and the direction is the
+    foot.
+
+    The direction is returned as v / (mu w_0) = f + sum_i (w_i / w_0 - 1)
+    f_i u_i. A 2D problem's third axis (z) meets no point, since its f_i
+    and edge_i are zero.
+    """
+    (u0, u1, u2), (s0, s1, s2) = axes
+    f0, f1, f2 = _dot(u0, foot), _dot(u1, foot), _dot(u2, foot)
+    line = edge is not None
+    if line:
+        d0, d1, d2 = _dot(u0, edge), _dot(u1, edge), _dot(u2, edge)
+    mu = max(0.0, math.sqrt(min(s1, s2) * _dot(foot, foot)) / radius - s0)
+    if mu == math.inf:
+        # E is negligible beside F (a radius near underflow): every w_i is
+        # equal in the limit, and the least point lies along the foot.
+        return foot
+    lo, hi, tau = 0.0, math.inf, 0.0
+    g0, g1, g2 = f0, f1, f2
+    for _ in range(SECULAR_MAX_ITER):
+        w0, w1, w2 = 1.0 / (s0 + mu), 1.0 / (s1 + mu), 1.0 / (s2 + mu)
+        if line:
+            den = w0 * d0 * d0 + w1 * d1 * d1 + w2 * d2 * d2
+            # foot.edge = 0 removes w0 (f.edge) from the numerator.
+            tau = -((w1 - w0) * d1 * f1 + (w2 - w0) * d2 * f2) / den
+            g0, g1, g2 = f0 + tau * d0, f1 + tau * d1, f2 + tau * d2
+        x0, x1, x2 = w0 * g0, w1 * g1, w2 * g2
+        q = s0 * x0 * x0 + s1 * x1 * x1 + s2 * x2 * x2
+        rho = math.sqrt(q) / radius     # |e|_E / r
+        if rho <= 1.0:
+            if mu == 0.0:
+                return foot
+            hi = mu
+        else:
+            lo = mu
+        if abs(rho - 1.0) <= SECULAR_TOL:
+            break
+        # dq/dmu, with dtau/dmu = sum w_i d_i x_i / den on a line.
+        if line:
+            dt = (w0 * d0 * x0 + w1 * d1 * x1 + w2 * d2 * x2) / den
+            dq = 2.0 * (s0 * x0 * w0 * (dt * d0 - x0)
+                        + s1 * x1 * w1 * (dt * d1 - x1)
+                        + s2 * x2 * w2 * (dt * d2 - x2))
+        else:
+            dq = -2.0 * (s0 * x0 * x0 * w0 + s1 * x1 * x1 * w1
+                         + s2 * x2 * x2 * w2)
+        if dq >= 0.0:
+            break
+        nxt = mu + 2.0 * q * (1.0 - rho) / dq
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == mu or nxt == math.inf:
+            break
+        mu = nxt
+    c1, c2 = (w1 / w0 - 1.0) * g1, (w2 / w0 - 1.0) * g2
+    if line:
+        foot = [foot[0] + tau * edge[0], foot[1] + tau * edge[1],
+                foot[2] + tau * edge[2]]
+    return [foot[0] + c1 * u1[0] + c2 * u2[0],
+            foot[1] + c1 * u1[1] + c2 * u2[1],
+            foot[2] + c1 * u1[2] + c2 * u2[2]]
+
+
+def ellipsoid_axes(U, s):
+    """The ``axes`` of the face solve for the whitening map M = U diag(s)
+    V^T (an SVD of L^-1): the unit eigenvectors u_i of M M^T, the columns
+    of U, as 3-component float lists, and their eigenvalues s_i^2. A 2D
+    problem gets z as its third axis, with the first eigenvalue."""
+    dim = len(s)
+    rows = [U[:, k].tolist() + [0.0] * (3 - dim) for k in range(dim)]
+    values = [float(x) * float(x) for x in s]
+    if dim == 2:
+        rows.append([0.0, 0.0, 1.0])
+        values.append(values[0])
+    return rows, values
 
 
 def _closest_through_last(points):
@@ -520,21 +730,47 @@ class _PairSupport:
 
     Y is the core difference M (core A - core B) - q plus the ball term
     M B(r_A + r_B), an ellipsoid, and a support of Y is the sum of theirs:
-    ``core(v)`` gives the cores' (p, a, b) and ``ball(v)`` the ball term's
-    (its p without q).
+    ``core(v)`` gives the cores' (p, a, b), ``ball(v)`` the ball term's
+    (its p without q), and ``swept(v)`` Y's, with the cores' support
+    points as a fourth item. ``axes`` are the ball term's principal axes
+    (``ellipsoid_axes`` of M), computed here from one SVD of M when the
+    caller has none.
     """
 
-    def __init__(self, body_a, body_b, M, q=0.0):
+    def __init__(self, body_a, body_b, M, q=0.0, axes=None):
         self._a, self._b = body_a, body_b
         self._M, self._MT = M, M.T
         self._q = q
-        self.rounded = body_a.radius + body_b.radius > 0.0
+        self.radius = body_a.radius + body_b.radius
+        self.rounded = self.radius > 0.0
+        if axes is None and self.rounded:
+            axes = ellipsoid_axes(*np.linalg.svd(M)[:2])
+        self.axes = axes
 
     def __call__(self, v):
         w = self._MT @ v
         a = self._a._support(w)
         b = self._b._support(-w)
         return self._M @ (a - b) - self._q, a, b
+
+    def swept(self, v):
+        """``__call__``'s (p, a, b), computed as it computes them, plus
+        (None, a_core, b_core): the cores' support points along v, whose
+        whitened difference ``core_point`` gives when it is needed."""
+        w = self._MT @ v
+        A, B = self._a, self._b
+        ac = A.vertices[(A.vertices @ w).argmax()]
+        u = -w
+        bc = B.vertices[(B.vertices @ u).argmax()]
+        a = ac if A.radius == 0.0 else (
+            ac + (A.radius / math.sqrt(float(w @ w))) * w)
+        b = bc if B.radius == 0.0 else (
+            bc + (B.radius / math.sqrt(float(u @ u))) * u)
+        return self._M @ (a - b) - self._q, a, b, (None, ac, bc)
+
+    def core_point(self, a, b):
+        """M (a - b) - q as a float list, as ``core`` computes it."""
+        return (self._M @ (a - b) - self._q).tolist()
 
     def core(self, v):
         w = self._MT @ v
@@ -856,17 +1092,20 @@ def intersects(body_a, body_b):
     return distance(body_a, body_b).signed_distance <= CONTACT_TOL
 
 
-def mahalanobis_contact(body_a, body_b, chol_sigma, chol_inv=None):
+def mahalanobis_contact(body_a, body_b, chol_sigma, chol_inv=None, axes=None,
+                        offset=None):
     """Certified minimum squared Mahalanobis norm of (a - b), a in A, b in B.
 
     ``chol_sigma`` is the lower Cholesky factor of the metric covariance;
     callers that query one covariance many times pass its inverse as
-    ``chol_inv``. The search is seeded by the difference of the centres
-    and solves the cores first (see ``_gjk``): their whitened difference is
-    a polytope, on which GJK ends after a few supports, and its final
-    simplex, shifted by the ball term's support, starts the search on the
-    swept bodies. Under an isotropic covariance that start holds the
-    minimizer, so one full support closes the gap.
+    ``chol_inv`` and the ball term's ``axes`` (``ellipsoid_axes``). The
+    search is seeded by ``offset``, the difference of the centres of A and
+    B (computed here when the caller holds none), and solves the cores
+    first (see ``_gjk``): their whitened difference is a polytope, on
+    which GJK ends after a few supports. The ellipsoid term is then solved
+    exactly on the final core face, so when that face holds the minimizer
+    (always, under an isotropic covariance) one full support closes the
+    gap, and a wrong face costs one full step more.
 
     Returns (c, witness_a, witness_b). c is the square of GJK's supporting-
     plane lower bound at a full support, so it never exceeds the true
@@ -875,15 +1114,16 @@ def mahalanobis_contact(body_a, body_b, chol_sigma, chol_inv=None):
     c == 0 means the bodies intersect, as when their cores do.
     """
     L_inv = np.linalg.inv(chol_sigma) if chol_inv is None else chol_inv
-    sp = _PairSupport(body_a, body_b, L_inv)
-    seed = L_inv @ (body_a.center() - body_b.center())
+    sp = _PairSupport(body_a, body_b, L_inv, axes=axes)
+    if offset is None:
+        offset = body_a.center() - body_b.center()
     _, _, wa, wb, lb = _gjk(sp, body_a.dim, tol=WHITENED_GAP_TOL,
-                            seed_direction=seed)
+                            seed_direction=L_inv @ offset)
     return lb * lb, wa, wb
 
 
 def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
-                         witness_b):
+                         witness_b, axes=None):
     """``mahalanobis_contact`` for a stack of placements of one core against
     ``body_b``, each lane started from a pair of points near its minimizer
     (the Euclidean witness pair, exact for an isotropic covariance).
@@ -896,9 +1136,11 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
     bound. A lane whose duality gap closes there, to ``WHITENED_GAP_TOL``
     as in the cold search, is done, with c the square of that bound and
     its start pair as witnesses. Every other lane, an open lane, runs the
-    cold core-first search of ``mahalanobis_contact``, seeded along its y,
-    and keeps the larger of its two certified lower bounds. Returns (c,
-    witness_a, witness_b) as arrays over the stack.
+    cold core-first search of ``mahalanobis_contact``, with its exact face
+    solves on the ball term's ``axes`` (from one SVD of ``chol_inv`` when
+    the caller passes none), seeded along its y, and keeps the larger of
+    its two certified lower bounds. Returns (c, witness_a, witness_b) as
+    arrays over the stack.
     """
     N, _, dim = vertices.shape
     tol = WHITENED_GAP_TOL
@@ -923,11 +1165,14 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
     lb = np.maximum(vp, 0.0) / np.sqrt(nv2)
     c[lanes] = lb * lb
     # GJK's relative duality-gap test, as in ``_gjk``.
-    for i in np.flatnonzero(nv2 - vp > tol * nv2 + 1e-14):
+    open_lanes = np.flatnonzero(nv2 - vp > tol * nv2 + 1e-14)
+    if len(open_lanes) and axes is None:
+        axes = ellipsoid_axes(*np.linalg.svd(chol_inv)[:2])
+    for i in open_lanes:
         n = lanes[i]
         body = SweptHull(vertices[n], float(radii[n]))
         _, _, wa[n], wb[n], lb2 = _gjk(
-            _PairSupport(body, body_b, chol_inv), dim, tol=tol,
+            _PairSupport(body, body_b, chol_inv, axes=axes), dim, tol=tol,
             seed_direction=y[i])
         c[n] = max(lb[i], lb2) ** 2
     return c, wa, wb

@@ -181,7 +181,7 @@ def _first_contacts(groups, res, obstacle, eps_tol):
             k = np.asarray(g.bodies)[j]
             c[t, k], wa[t, k], wb[t, k] = mahalanobis_contacts(
                 g.vertices[t, j], g.radii[j], obstacle.nominal,
-                obstacle.chol_inv, wa[t, k], wb[t, k])
+                obstacle.chol_inv, wa[t, k], wb[t, k], obstacle.axes)
     return c, wa, wb
 
 

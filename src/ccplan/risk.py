@@ -19,8 +19,11 @@ HALF_GAP of the best dual value.
 
 Every GJK query (a cold first search, a lane of the planner's batched
 first step that one support leaves open, and every dual value) solves the
-polytope cores first, then adds the radii (see ``geometry._gjk``); under
-an isotropic covariance one support of the swept bodies then closes it.
+polytope cores first, then the ellipsoid term exactly on each core face
+(see ``geometry._gjk``), in the axes that each obstacle takes from one SVD
+of L^-1: one full support of the swept bodies closes it when the face is
+right, as it always is under an isotropic covariance, and a wrong face
+costs one full step more.
 
 The gradient of eps_prime is a sum of w . J, one term per shadow with a
 gradient (``risk_weights``), J the Jacobian of its robot contact point;
@@ -41,6 +44,7 @@ from .geometry import (
     SweptHull,
     _PairSupport,
     _gjk,
+    ellipsoid_axes,
     mahalanobis_contact,
 )
 from .kinematics import chain_frames, point_jacobians, posed_link_shapes
@@ -67,6 +71,7 @@ class UncertainObstacle:
     chol: np.ndarray = field(init=False, repr=False)
     chol_inv: np.ndarray = field(init=False, repr=False)
     sigma_inv: np.ndarray = field(init=False, repr=False)
+    axes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         S = np.asarray(self.covariance, dtype=float)
@@ -82,8 +87,11 @@ class UncertainObstacle:
             raise ValueError("covariance must be positive definite") from e
         self.chol_inv = np.linalg.inv(self.chol)
         self.sigma_inv = np.linalg.inv(self.covariance)
-        self.sigma_max = math.sqrt(float(np.linalg.eigvalsh(
-            self.covariance)[-1]))
+        # One SVD of L^-1 = U diag(s) V^T: the whitened ball term's axes
+        # for GJK's face solves, and sigma_max = 1 / min(s).
+        U, s, _ = np.linalg.svd(self.chol_inv)
+        self.axes = ellipsoid_axes(U, s)
+        self.sigma_max = 1.0 / float(s[-1])
 
     @property
     def dim(self):
@@ -195,7 +203,8 @@ def _cold_first(shapes, obstacle, c_max):
     and g = Sigma^-1 d, y = L^-1 d is a point of Y = L^-1 (A - O) with
     |y|^2 = d.g, and every z = L^-1 x of Y has |z| >= y.z / |y| = g.x / |y|:
     the gap between A and O along g, over |y|, is GJK's supporting-plane
-    bound u.s_Y(-u), u = y / |y|, from one support of each body.
+    bound u.s_Y(-u), u = y / |y|, from one support of each body. A body
+    that is searched is seeded from the same d.
     """
     nominal = obstacle.nominal
     centre = nominal.center()
@@ -212,7 +221,8 @@ def _cold_first(shapes, obstacle, c_max):
                 out.append((li, body, math.inf, None, None))
                 continue
         out.append((li, body, *mahalanobis_contact(
-            body, nominal, obstacle.chol, chol_inv=obstacle.chol_inv)))
+            body, nominal, obstacle.chol, chol_inv=obstacle.chol_inv,
+            axes=obstacle.axes, offset=d)))
     return out
 
 
@@ -285,8 +295,9 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
         # parallel to a face of A - O, keeps the gap ~1e-12 c.
         v = L_inv @ (a - b) - q
         tol = 1e-12 * scale / max(scale, float(v @ v))
-        _, _, a, b, lb = _gjk(_PairSupport(body, obstacle.nominal, L_inv, q),
-                              body.dim, tol=tol, seed_direction=v)
+        _, _, a, b, lb = _gjk(
+            _PairSupport(body, obstacle.nominal, L_inv, q, obstacle.axes),
+            body.dim, tol=tol, seed_direction=v)
         return _DualPoint(lam, lb * lb - 0.25 * lam * lam * mm,
                           float(normal @ (a - b)), a, b)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from scipy.optimize import nnls
+from scipy.optimize import minimize, nnls
 from scipy.spatial.transform import Rotation
 
 from ccplan import geometry
@@ -674,7 +674,8 @@ def count_supports(monkeypatch):
     """Count the whitened searches' supports from here on: "core" for
     those of the cores alone, "full" for those of the swept bodies."""
     calls = {"core": 0, "full": 0}
-    for kind, name in (("core", "core"), ("full", "__call__")):
+    for kind, name in (("core", "core"), ("full", "__call__"),
+                       ("full", "swept")):
         def counted(self, v, kind=kind, method=getattr(_PairSupport, name)):
             calls[kind] += 1
             return method(self, v)
@@ -683,8 +684,10 @@ def count_supports(monkeypatch):
 
 
 class TestCoreFirstSearch:
-    """Cold whitened searches solve the cores first, then shift the final
-    simplex by the ball term and finish on full supports."""
+    """Cold whitened searches solve the cores first, then solve the
+    ellipsoid term exactly on each core face and finish on full supports:
+    one under an isotropic covariance, one more per face change under a
+    full one."""
 
     @PROPERTY
     @given(whitened_cases())
@@ -705,27 +708,35 @@ class TestCoreFirstSearch:
         # lies within the duality gap of it: nv2 - c <= 2 (nv2 - v.p).
         assert c <= value * (1.0 + 1e-13)
         tol = geometry.WHITENED_GAP_TOL
-        assert value - c <= 2.0 * (tol * value + 1e-14) + 1e-13 * value
+        assert value - c <= 2.0 * (tol * value + 1e-14)
         sd = distance(a, b).signed_distance
+        if a.radius + b.radius > 0.0 and c > 0.0:
+            # The ellipsoid term is solved exactly on each core face: one
+            # full support verifies the right face, and a wrong one costs
+            # one full step more.
+            assert calls["full"] <= 2
         if isotropic and sd > 0.0 and sd * sd > 0.1 * S[0, 0]:
-            # The shifted simplex holds the minimizer, so the first full
+            # The core phase's face holds the minimizer, so the first full
             # support closes the gap (without a radius there is no core
             # phase: the search is on the polytope itself).
             assert c == pytest.approx(sd * sd / S[0, 0], rel=1e-12)
             if a.radius + b.radius > 0.0:
                 assert calls["full"] == 1
 
-    # Links of arm4dof3d against sphere obstacles of the benchmark's
-    # certify-random family, under full covariances: (capsule core, radius,
-    # sphere centre, radius, covariance). The search ends on thin simplices.
-    # On the first, barycentric coordinates off a sum of one gave witnesses
-    # whose value lay below c; on the second, a thin tetrahedron dropped
-    # the new support and the search stopped 1e-9 short of its gap. From
-    # the centres, without the cores first, both ended over 7e-12 short.
+    # Links of arm4dof3d against obstacles of the benchmark's certify-random
+    # family, under full covariances: (capsule core, radius, obstacle core,
+    # radius, covariance). The searches end on thin simplices. On the
+    # first, barycentric coordinates off a sum of one gave witnesses whose
+    # value lay below c; on the second, a thin tetrahedron dropped the new
+    # support and the search stopped 1e-9 short of its gap. From the
+    # centres, without the cores first, both ended over 7e-12 short. The
+    # rest are the first searches of ``RandomTriples(1)`` that still ended
+    # 1.5e-11 to 7e-10 (relative) short of the gap while full supports
+    # approached the ellipsoid term one at a time, on long thin triangles.
     THIN_SIMPLEX_CASES = [
         ([[0.0, 0.0, 0.3],
           [0.23316797350849583, -0.18571549319815633, 0.2661998266852531]],
-         0.04, [0.37862673946095604, 0.191258121912921, 0.5644895260623197],
+         0.04, [[0.37862673946095604, 0.191258121912921, 0.5644895260623197]],
          0.22300440198344568,
          [[0.18320055187841036, 0.07968456894094726, 0.043554894265123885],
           [0.07968456894094726, 0.1401069467894186, 0.0032091271993952126],
@@ -734,24 +745,292 @@ class TestCoreFirstSearch:
         ([[0.0, 0.0, 0.3],
           [0.19583036157771827, 0.14466961665673228, 0.47527456033530435]],
          0.04,
-         [-0.08430705954192762, -0.3051406722251175, -0.32604950998324983],
+         [[-0.08430705954192762, -0.3051406722251175, -0.32604950998324983]],
          0.13219668392666994,
          [[0.0036143942692000637, 0.007904427881557523, 0.01529850075740724],
           [0.007904427881557523, 0.19299176420298245, 0.1448958196651148],
           [0.01529850075740724, 0.1448958196651148, 0.4357414956566037]]),
+        # Triple 481.
+        ([[0.0, 0.0, 0.3],
+          [0.23502900945345342, -0.16306418737111833, 0.20960400721090944]],
+         0.04,
+         [[0.27644381946821206, -0.07501750503552676, 0.08884299371063853]],
+         0.0921515532804609,
+         [[0.07710348737182697, -0.016832136751378693, -0.04280672099681111],
+          [-0.016832136751378693, 0.010705513282666826, 0.017383231881071003],
+          [-0.04280672099681111, 0.017383231881071003, 0.04515187570930307]]),
+        # Triple 592.
+        ([[0.22290393969604708, 0.12088986819785995, 0.1396894469004456],
+          [0.4711759374625253, 0.25553786557348096, 0.03854137757741502]],
+         0.04, [[0.11367811367807892, 0.3972359422464357, 0.3843477584954923]],
+         0.2385418944649143,
+         [[0.19375232264225378, -0.0007420403292887198, -0.08723150121428734],
+          [-0.0007420403292887198, 0.03544930826667443, -0.01929830580081917],
+          [-0.08723150121428734, -0.01929830580081917, 0.06877309524627502]]),
+        # Triple 634.
+        ([[0.0, 0.0, 0.0],
+          [0.0, 0.0, 0.28]],
+         0.05,
+         [[-0.05311848358097092, 0.7758246576399247, 1.2023199274397334],
+          [0.03669320268050702, 0.7295420483401028, 1.332206054113469],
+          [-0.07399097576037417, 0.7874616566470297, 1.4101489278394357],
+          [-0.06735820387964994, 0.44922669528397163, 1.1195961912082109],
+          [-0.1630580490249541, 0.6266115717552379, 1.2448162136470229],
+          [0.03487973198722871, 0.7439954185163971, 1.4964841662164319],
+          [-0.07942539433860929, 1.0624145484971597, 1.3221579438188273],
+          [0.05087388726115205, 1.0092994762041712, 0.9885377790650272]],
+         0.0,
+         [[0.009084743239618685, -0.02032439697061951, 0.0013780908531906512],
+          [-0.02032439697061951, 0.26860723696659117, 0.22229726769397556],
+          [0.0013780908531906512, 0.22229726769397556, 0.2668883878828756]]),
+        # Triple 1240.
+        ([[0.2973165150654003, -0.004737597108016361, 0.26024518842947786],
+          [0.5739162343616446, -0.009145081939216449, 0.14417120614791057]],
+         0.04,
+         [[0.25136950441218897, 0.22352026847318807, 0.06430814485816988]],
+         0.16994268199020282,
+         [[0.014979548564189094, -0.0065475358273240514,
+           -0.004007889424717475],
+          [-0.0065475358273240514, 0.009430553878647795,
+           0.0001066311011137851],
+          [-0.004007889424717475, 0.0001066311011137851,
+           0.010505617063067999]]),
+        # Triple 1345.
+        ([[0.0, 0.0, 0.3],
+          [0.26677931410771877, -0.11985404888252323, 0.2331882904673076]],
+         0.04,
+         [[0.2718729737937862, 0.14455437756556372, 0.24989414835792984]],
+         0.15676890009291788,
+         [[0.009103093947444293, 0.0005323545692303204, -0.002439815134032395],
+          [0.0005323545692303204, 0.013607530549579534, -0.002563967165999943],
+          [-0.002439815134032395, -0.002563967165999943,
+           0.004729773809369103]]),
+        # Triple 1465.
+        ([[0.22502326999459238, -0.06757029569424738, 0.48654431940086706],
+          [0.48220573048859117, -0.1447973971552261, 0.6203096243726287]],
+         0.04,
+         [[0.02427798164637363, -0.01905207732436322, 0.7769473086789868]],
+         0.17226401450667678,
+         [[0.03680227397329629, -0.015187545793404407, -0.025135613454256238],
+          [-0.015187545793404407, 0.01829592410568395, 0.020725338109868086],
+          [-0.025135613454256238, 0.020725338109868086, 0.03342583965536074]]),
+        # Triple 1492.
+        ([[0.2311038648109359, 0.19001175921015373, 0.2779424608963011],
+          [0.4396039515644196, 0.3614388719151266, 0.40886403609850486]],
+         0.04,
+         [[0.34181119352773054, 0.18985184343042266, 0.6351530637318179]],
+         0.22109879661619292,
+         [[0.004065449650214435, -0.016017472294897923, -0.001059319856892396],
+          [-0.016017472294897923, 0.2462433684888822, 0.023829643893908136],
+          [-0.001059319856892396, 0.023829643893908136, 0.05689643650002749]]),
+        # Triple 1492.
+        ([[0.4396039515644196, 0.3614388719151266, 0.40886403609850486],
+          [0.5653751676917349, 0.4648469653016322, 0.6366542189774513]],
+         0.035,
+         [[0.34181119352773054, 0.18985184343042266, 0.6351530637318179]],
+         0.22109879661619292,
+         [[0.004065449650214435, -0.016017472294897923, -0.001059319856892396],
+          [-0.016017472294897923, 0.2462433684888822, 0.023829643893908136],
+          [-0.001059319856892396, 0.023829643893908136, 0.05689643650002749]]),
     ]
 
     @pytest.mark.parametrize("case", THIN_SIMPLEX_CASES)
     def test_thin_simplices_keep_the_gap(self, case):
-        core, r, centre, r_ob, S = case
+        core, r, obstacle, r_ob, S = case
         S = np.array(S)
         c, wa, wb = mahalanobis_contact(SweptHull(np.array(core), r),
-                                        Sphere(centre, r_ob),
+                                        SweptHull(np.array(obstacle), r_ob),
                                         np.linalg.cholesky(S))
         d = wa - wb
         value = float(d @ np.linalg.solve(S, d))
         assert c <= value * (1.0 + 1e-13)
         assert value - c <= 2.0 * (geometry.WHITENED_GAP_TOL * value + 1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["capsule", "box"])
+    def test_full_covariance_closes_in_two_full_supports(self, dim, kind,
+                                                         monkeypatch):
+        # Covariances of condition number 100, on which full supports alone
+        # approach the ellipsoid term linearly: a capsule or a box against
+        # a sphere, a point core with a radius, around it.
+        rng = np.random.default_rng(50 + dim)
+        calls = count_supports(monkeypatch)
+        for _ in range(25):
+            Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            S = 0.05 * Q @ np.diag(np.geomspace(1.0, 0.01, dim)) @ Q.T
+            if kind == "capsule":
+                a = Capsule(np.zeros(dim), 0.3 * rng.normal(size=dim), 0.04)
+            else:
+                a = box([0.2, 0.1, 0.15][:dim])
+            centre = rng.normal(size=dim)
+            b = Sphere(1.2 * centre / np.linalg.norm(centre), 0.1)
+            calls["full"] = 0
+            c, wa, wb = mahalanobis_contact(a, b, np.linalg.cholesky(S))
+            d = wa - wb
+            value = float(d @ np.linalg.solve(S, d))
+            assert 0.0 < c <= value * (1.0 + 1e-13)
+            assert value - c <= 2.0 * (geometry.WHITENED_GAP_TOL * value
+                                       + 1e-14)
+            assert calls["full"] <= 2
+
+
+def face_oracle(p0, D, M, r):
+    """min |p0 + D t + M x| over t and |x| <= r (D a list of directions),
+    by SLSQP from several starts: a dense check of the face solve."""
+    dim, k = len(p0), len(D)
+    D = np.array(D, dtype=float).reshape(k, dim).T
+
+    def f(z):
+        y = p0 + D @ z[:k] + M @ z[k:]
+        return float(y @ y)
+
+    ball = {"type": "ineq", "fun": lambda z: r * r - z[k:] @ z[k:]}
+    best = math.inf
+    starts = [np.concatenate([np.zeros(k), r * u]) for u in
+              np.concatenate([np.eye(dim), -np.eye(dim)])]
+    for z0 in starts:
+        res = minimize(f, z0, method="SLSQP", constraints=[ball],
+                       options={"ftol": 1e-16, "maxiter": 500})
+        if np.all(np.isfinite(res.x)) and ball["fun"](res.x) >= -1e-12:
+            best = min(best, res.fun)
+    return math.sqrt(best)
+
+
+def face_point(p0, D, M, r, u):
+    """The face solve's least point for its direction u: the point of the
+    affine hull p0 + span(D), shifted by E's support along -u, nearest
+    the origin."""
+    w = M.T @ -np.asarray(u, dtype=float)
+    y = p0 + r * (M @ w) / np.linalg.norm(w)
+    if D:
+        B = np.linalg.qr(np.array(D, dtype=float).T)[0]
+        y = y - B @ (B.T @ y)
+    return y
+
+
+class TestFaceSolve:
+    """``_face_direction`` takes the least point of F + E, F the affine hull
+    of a simplex's core points and E the whitened ball term, in closed
+    form on a hyperplane and from a secular equation on a vertex or a 3D
+    line. The point it gives, shifted by E's support along its direction,
+    is optimal when it lies along that direction (then it is normal to F,
+    and E's support point along it is the one used), and a dense minimum
+    over the face and the ellipsoid checks its value."""
+
+    @staticmethod
+    def metric(rng, dim, values):
+        """M = U diag(sqrt(values)) V^T and its face-solve axes."""
+        U = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        V = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        M = U @ np.diag(np.sqrt(np.asarray(values, dtype=float))) @ V.T
+        return M, geometry.ellipsoid_axes(*np.linalg.svd(M)[:2])
+
+    @staticmethod
+    def check(points, M, axes, r, hull, dense=True):
+        """The face solve on ``points``, whose affine hull is ``hull`` (p0,
+        directions): its least point lies along its direction, to 1e-9
+        relative, and has the dense minimum's norm. Returns the
+        direction."""
+        dim = M.shape[0]
+        pad = [0.0] * (3 - dim)
+        u = geometry._face_direction([list(p) + pad for p in points], dim,
+                                     axes, r)
+        assert u[dim:] == pad
+        p0, D = np.asarray(hull[0], dtype=float), hull[1]
+        v, u = face_point(p0, D, M, r, u[:dim]), np.array(u[:dim])
+        u_hat = u / np.linalg.norm(u)
+        off = v - (v @ u_hat) * u_hat
+        assert v @ u > 0.0
+        # v = f + e cancels when F nearly touches E: allow its roundoff.
+        assert np.linalg.norm(off) <= 1e-9 * np.linalg.norm(v) + 1e-14 * (
+            np.linalg.norm(p0) + r * np.linalg.norm(M, 2))
+        if dense:
+            assert np.linalg.norm(v) == pytest.approx(
+                face_oracle(p0, D, M, r), rel=1e-7)
+        return list(u)
+
+    @pytest.mark.parametrize("dim, rank",
+                             [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_matches_dense_minimum(self, dim, rank):
+        rng = np.random.default_rng(60 + 3 * dim + rank)
+        done = 0
+        while done < 12:
+            # E's semi-axes are at most 1; F stays at least 2 away.
+            M, axes = self.metric(rng, dim, rng.uniform(1.0, 100.0, dim))
+            P = 0.5 * rng.normal(size=(rank + 1, dim)) + 3.0 * rng.normal(
+                size=dim)
+            D = list(P[1:] - P[0])
+            if np.linalg.norm(face_point(P[0], D, M, 0.0, P[0])) < 2.0:
+                continue
+            self.check(P, M, axes, 0.1, (P[0], D))
+            done += 1
+
+    def test_coincident_and_collinear_points(self):
+        rng = np.random.default_rng(70)
+        M, axes = self.metric(rng, 3, [300.0, 20.0, 1.0])
+        p = np.array([2.0, -1.0, 0.5])
+        e = np.array([0.3, 0.4, -0.2])
+        # Two points apart by roundoff are one vertex.
+        self.check([p, p * (1.0 + 1e-16) + 1e-17], M, axes, 0.05, (p, []))
+        # Three collinear points span the line through the farthest two.
+        self.check([p, p + 0.5 * e, p + 2.0 * e], M, axes, 0.05, (p, [e]))
+        self.check([p + 0.5 * e, p - e, p + e], M, axes, 0.05, (p, [e]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_component_along_the_smallest_axis(self, dim):
+        # The trust-region "hard case": the vertex, and in 3D the line,
+        # have no component along the axis of the smallest eigenvalue.
+        rng = np.random.default_rng(71 + dim)
+        M, axes = self.metric(rng, dim, np.geomspace(100.0, 1.0, dim))
+        u_small = np.array(axes[0][dim - 1][:dim])
+        p = rng.normal(size=dim)
+        p *= 4.0 / np.linalg.norm(p - (p @ u_small) * u_small)
+        p -= (p @ u_small) * u_small
+        self.check([p], M, axes, 0.1, (p, []))
+        if dim == 3:
+            e = np.cross(p, u_small)
+            self.check([p, p + e], M, axes, 0.1, (p, [e]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_face_nearly_touching_the_ellipsoid(self, dim):
+        # At mu = 0, e = -f has |e|_E = |M^-1 f| = r (1 + 1e-9): the root
+        # lies near mu = 0, and the least point is about 1e-9 r long.
+        rng = np.random.default_rng(73 + dim)
+        M, axes = self.metric(rng, dim, np.geomspace(100.0, 1.0, dim))
+        f = rng.normal(size=dim)
+        r = 0.2
+        f *= r * (1.0 + 1e-9) / np.linalg.norm(np.linalg.solve(M, f))
+        self.check([f], M, axes, r, (f, []), dense=False)
+        # Just inside E, F + E holds the origin: the foot is returned.
+        g = list(f * (1.0 - 1e-6)) + [0.0] * (3 - dim)
+        assert geometry._face_direction([g], dim, axes, r) == g
+
+    def test_radius_near_underflow_gives_the_foot(self):
+        # The multiplier overflows: E is negligible beside the face.
+        rng = np.random.default_rng(77)
+        M, axes = self.metric(rng, 3, [9.0, 1.0, 0.25])
+        for pts in ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], [2.0, 1.0, 3.5]]):
+            foot = geometry._affine_foot(pts)[0]
+            assert geometry._face_direction(pts, 3, axes, 5e-324) == foot
+        c, _, _ = mahalanobis_contact(Sphere([0.0, 0.0, 0.0], 5e-324),
+                                      point_body([0.0, 0.0, 1.0]),
+                                      np.linalg.inv(M))
+        assert c == pytest.approx(float(np.sum((M @ [0, 0, 1.0]) ** 2)),
+                                  rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_isotropic_gives_the_foot(self, dim):
+        # A ball E: the least point lies along the foot, which is returned
+        # bit for bit, so the shift is the core phase's closest point.
+        rng = np.random.default_rng(75 + dim)
+        M = 7.0 * np.eye(dim)
+        axes = geometry.ellipsoid_axes(*np.linalg.svd(M)[:2])
+        for rank in range(dim):
+            P = 0.5 * rng.normal(size=(rank + 1, dim)) + 3.0 * rng.normal(
+                size=dim)
+            pts = [list(p) + [0.0] * (3 - dim) for p in P]
+            u = self.check(P, M, axes, 0.1, (P[0], list(P[1:] - P[0])))
+            assert u == geometry._affine_foot(pts)[0][:dim]
 
 
 def enumerated_minimum(Y):
