@@ -405,11 +405,12 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     """GJK distance between the origin and a convex set given by supports,
     to the relative duality gap ``tol``.
 
-    ``support_pair(v)`` returns (p, a, b): the support point p of the set in
-    direction v plus auxiliary witness payloads a, b carried through the
-    barycentric combination. ``seed_direction`` estimates the set's position
-    relative to the origin (e.g. a difference of centres); the first support
-    is taken in the opposite direction, on the near side.
+    ``support_pair(v)`` returns (p, a, b, ...): the support point p of the
+    set in direction v plus auxiliary witness payloads a, b carried through
+    the barycentric combination (a ``_PairSupport`` adds the cores' support
+    points, for the face solve). ``seed_direction`` estimates the set's
+    position relative to the origin (e.g. a difference of centres); the
+    first support is taken in the opposite direction, on the near side.
 
     A search on a rounded whitened difference (a ``_PairSupport`` with a
     radius) solves the cores first, in the same loop: their difference is
@@ -482,7 +483,7 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
             break
         # The cores are solved. Each core point is a point of the set (the
         # ball term holds the origin), and is its own core part.
-        full, support = True, support_pair.swept
+        full, support = True, support_pair
         entries = [(p, a, b, (x, a, b))
                    for (p, a, b), x in zip(entries, simplex)]
         step = _face_step(support_pair, entries, nv2, dim, pad)
@@ -724,15 +725,16 @@ def _combine(entries, lam, slot):
 
 class _PairSupport:
     """Supports of the whitened swept difference Y = M (A - B) - q, with
-    witness tracking: called on a direction v, it returns (p, a, b), p the
-    support point of Y along v and a, b the points of A and B with
-    p = M (a - b) - q.
+    witness tracking: called on a direction v, it returns (p, a, b, core),
+    p the support point of Y along v, a, b the points of A and B with
+    p = M (a - b) - q, and core = (None, a_core, b_core) the cores' support
+    points along v, whose whitened difference ``core_point`` gives when
+    the face solve needs it.
 
     Y is the core difference M (core A - core B) - q plus the ball term
     M B(r_A + r_B), an ellipsoid, and a support of Y is the sum of theirs:
-    ``core(v)`` gives the cores' (p, a, b), ``ball(v)`` the ball term's
-    (its p without q), and ``swept(v)`` Y's, with the cores' support
-    points as a fourth item. ``axes`` are the ball term's principal axes
+    ``core(v)`` gives the cores' (p, a, b) and ``ball(v)`` the ball term's
+    (its p without q). ``axes`` are the ball term's principal axes
     (``ellipsoid_axes`` of M), computed here from one SVD of M when the
     caller has none.
     """
@@ -748,15 +750,6 @@ class _PairSupport:
         self.axes = axes
 
     def __call__(self, v):
-        w = self._MT @ v
-        a = self._a._support(w)
-        b = self._b._support(-w)
-        return self._M @ (a - b) - self._q, a, b
-
-    def swept(self, v):
-        """``__call__``'s (p, a, b), computed as it computes them, plus
-        (None, a_core, b_core): the cores' support points along v, whose
-        whitened difference ``core_point`` gives when it is needed."""
         w = self._MT @ v
         A, B = self._a, self._b
         ac = A.vertices[(A.vertices @ w).argmax()]
@@ -1137,10 +1130,9 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
     as in the cold search, is done, with c the square of that bound and
     its start pair as witnesses. Every other lane, an open lane, runs the
     cold core-first search of ``mahalanobis_contact``, with its exact face
-    solves on the ball term's ``axes`` (from one SVD of ``chol_inv`` when
-    the caller passes none), seeded along its y, and keeps the larger of
-    its two certified lower bounds. Returns (c, witness_a, witness_b) as
-    arrays over the stack.
+    solves on the ball term's ``axes`` (as ``_PairSupport`` takes them),
+    seeded along its y, and keeps the larger of its two certified lower
+    bounds. Returns (c, witness_a, witness_b) as arrays over the stack.
     """
     N, _, dim = vertices.shape
     tol = WHITENED_GAP_TOL
@@ -1166,8 +1158,6 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
     c[lanes] = lb * lb
     # GJK's relative duality-gap test, as in ``_gjk``.
     open_lanes = np.flatnonzero(nv2 - vp > tol * nv2 + 1e-14)
-    if len(open_lanes) and axes is None:
-        axes = ellipsoid_axes(*np.linalg.svd(chol_inv)[:2])
     for i in open_lanes:
         n = lanes[i]
         body = SweptHull(vertices[n], float(radii[n]))

@@ -87,11 +87,14 @@ class UncertainObstacle:
             raise ValueError("covariance must be positive definite") from e
         self.chol_inv = np.linalg.inv(self.chol)
         self.sigma_inv = np.linalg.inv(self.covariance)
-        # One SVD of L^-1 = U diag(s) V^T: the whitened ball term's axes
-        # for GJK's face solves, and sigma_max = 1 / min(s).
-        U, s, _ = np.linalg.svd(self.chol_inv)
-        self.axes = ellipsoid_axes(U, s)
-        self.sigma_max = 1.0 / float(s[-1])
+        # The whitened ball term's axes for GJK's face solves, from one SVD
+        # of L^-1. sigma_max enters the planner's cull bound
+        # (sd / sigma_max)^2, which must stay a lower bound, so it comes
+        # from the covariance itself: 1 / min(s) of that SVD would carry
+        # the roundoff of inverting L, which grows with the condition number.
+        self.axes = ellipsoid_axes(*np.linalg.svd(self.chol_inv)[:2])
+        self.sigma_max = math.sqrt(float(np.linalg.eigvalsh(
+            self.covariance)[-1]))
 
     @property
     def dim(self):

@@ -674,8 +674,7 @@ def count_supports(monkeypatch):
     """Count the whitened searches' supports from here on: "core" for
     those of the cores alone, "full" for those of the swept bodies."""
     calls = {"core": 0, "full": 0}
-    for kind, name in (("core", "core"), ("full", "__call__"),
-                       ("full", "swept")):
+    for kind, name in (("core", "core"), ("full", "__call__")):
         def counted(self, v, kind=kind, method=getattr(_PairSupport, name)):
             calls[kind] += 1
             return method(self, v)

@@ -221,6 +221,22 @@ class TestObstacle:
         np.testing.assert_allclose(ob.chol @ ob.chol.T, S, atol=1e-12)
         np.testing.assert_allclose(ob.sigma_inv @ S, np.eye(2), atol=1e-12)
 
+    def test_sigma_max_of_ill_conditioned_covariance(self):
+        # sigma_max divides the planner's cull bound, which must stay a
+        # lower bound: at condition number 1e10 it keeps the accuracy of
+        # the covariance's largest eigenvalue, which the inverse Cholesky
+        # factor's least singular value loses to the inversion's roundoff.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            lam = np.array([1e-10, 3e-4, 1.0]) * rng.uniform(0.5, 2.0)
+            ob = UncertainObstacle(point_body(np.zeros(3)),
+                                   Q @ np.diag(lam) @ Q.T)
+            assert ob.sigma_max == pytest.approx(
+                math.sqrt(np.linalg.eigvalsh(ob.covariance)[-1]), rel=1e-15)
+            assert ob.sigma_max == pytest.approx(math.sqrt(lam[-1]),
+                                                 rel=1e-13)
+
 
 class TestCertifyClosedForm:
     def test_point_robot_isotropic(self):
