@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ccplan.chi2 import chi2_sf
 from ccplan import kinematics, risk, sceneio
+from ccplan.cli import EXIT_NUMERICAL, main
 from ccplan.geometry import (
     Capsule,
     GeometryError,
@@ -524,6 +526,97 @@ class TestHalfShadowRegression:
         assert cert.c2 == pytest.approx(best, rel=1e-8)
 
 
+class TestRimSearch:
+    """The half-shadow dual search on rim bodies, where the cut is active:
+    secant steps on the dual's slope s, which is affine in the multiplier
+    while the projection stays on one face of the difference set."""
+
+    @staticmethod
+    def edge_case():
+        # The point at (-1, 0) fixes c1 = 1 and n = +x. The segment's own
+        # minimum, at t = 4/13 from (-2, 1), lies behind the cut, and its
+        # rim contact is where it crosses x = 0: (0, 7/3), c2 = 49/9. Every
+        # dual point up to lam = 6 projects onto the segment's interior.
+        robot = translating_robot([point_body([-1.0, 0.0]),
+                                   Capsule([-2.0, 1.0], [1.0, 3.0], 0.0)])
+        return robot, [0.0, 0.0], point_obstacle(np.eye(2))
+
+    @staticmethod
+    def counted_queries(monkeypatch):
+        """Patch ``_rim_contact`` and the ``_gjk`` that it alone calls in
+        ``risk`` to record each rim body's dual queries; returns the list
+        of counts, one per rim body."""
+        counts = []
+        rim, gjk = risk._rim_contact, risk._gjk
+
+        def counted_rim(*args):
+            counts.append(0)
+            return rim(*args)
+
+        def counted_gjk(*args, **kwargs):
+            counts[-1] += 1
+            return gjk(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "_rim_contact", counted_rim)
+        monkeypatch.setattr(risk, "_gjk", counted_gjk)
+        return counts
+
+    def test_edge_closes_one_query_after_bracketing(self, monkeypatch):
+        # The first guess lam = 28/13 and its double both project onto the
+        # segment and bracket the root lam = 28/9: bracketing grows lam at
+        # least twofold, and the secant through the two ends is the root.
+        counts = self.counted_queries(monkeypatch)
+        robot, theta, ob = self.edge_case()
+        cert = certify_risk(robot, theta, ob)
+        assert counts == [3]
+        assert check_second_contact(cert, robot, theta, ob)
+        assert cert.link_index2 == 1
+        assert cert.c2 == pytest.approx(49.0 / 9.0, rel=1e-14)
+        np.testing.assert_allclose(cert.x2, [0.0, 7.0 / 3.0], atol=1e-14)
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-12, 1e-6])
+    def test_thin_vertex_arc_bounds_the_extrapolation(self, monkeypatch,
+                                                       radius):
+        # The segment's own minimum is its end (-0.5, 1.5). While lam m / 2
+        # projects onto that end, or onto its arc of radius r, s stays flat
+        # or moves by about r, and a secant through two points there has
+        # its root far past the true one at lam = 70/9, where the segment
+        # crosses x = 0 at (0, 7/3). A step grows lam at most 16-fold: an
+        # unbounded secant step took 43 queries at r = 1e-12, 33 at 1e-9
+        # and 21 at 1e-6.
+        counts = self.counted_queries(monkeypatch)
+        robot = translating_robot([
+            point_body([-1.0, 0.0]),
+            Capsule([-0.5, 1.5], [1.0, 4.0], radius)])
+        theta, ob = [0.0, 0.0], point_obstacle(np.eye(2))
+        cert = certify_risk(robot, theta, ob)
+        assert counts[0] <= 5
+        assert check_second_contact(cert, robot, theta, ob)
+        # The rounded segment's near side crosses x = 0 sqrt(8.5) / 1.5
+        # radii closer to the origin.
+        exact = (7.0 / 3.0 - radius * math.sqrt(8.5) / 1.5) ** 2
+        assert cert.c2 <= exact + 1e-12
+        assert cert.c2 == pytest.approx(exact, rel=risk.HALF_GAP)
+
+    def test_dual_queries_per_rim_body(self, monkeypatch):
+        # Doubling lam, then stepping where the bracket ends' tangents of
+        # the dual meet, took 13.0 queries per rim body here, and up to 21.
+        counts = self.counted_queries(monkeypatch)
+        rng = np.random.default_rng(7)
+        rim_certificates = 0
+        for dim in (2, 3):
+            for _ in range(300):
+                robot, th, ob = random_scene(rng, dim)
+                before = len(counts)
+                cert = certify_risk(robot, th, ob)
+                if len(counts) > before:
+                    rim_certificates += 1
+                    check_second_contact(cert, robot, th, ob)
+        assert rim_certificates >= 40 and len(counts) >= 60
+        assert np.mean(counts) <= 7.0
+        assert max(counts) <= 14
+
+
 class TestInvariantErrors:
     """Broken certification invariants raise GeometryError (CLI exit 4),
     which ``python -O`` keeps, unlike an assert."""
@@ -537,6 +630,22 @@ class TestInvariantErrors:
             lambda *args: (1.0, 1, np.array([2.0, 0.0]), np.array([2.0, 0.0])))
         with pytest.raises(GeometryError, match="exceeded eps1"):
             certify_risk(robot, [0.0, 0.0], ob)
+
+    def test_dual_search_cap_raises(self, monkeypatch, tmp_path, capsys):
+        # A rim search that reaches HALF_DUAL_MAX_ITER raises, and
+        # ``ccplan certify`` reports it as a numerical failure.
+        monkeypatch.setattr(risk, "HALF_DUAL_MAX_ITER", 1)
+        with pytest.raises(GeometryError, match="did not converge"):
+            certify_risk(*TestRimSearch.edge_case())
+        case = TestHalfShadowRegression
+        robot, scene = tmp_path / "robot.json", tmp_path / "scene.json"
+        robot.write_text(json.dumps(case.ROBOT))
+        scene.write_text(json.dumps(case.SCENE))
+        code = main(["certify", "--scene", str(scene), "--robot", str(robot),
+                     "--theta=" + ",".join(map(repr, case.THETA)),
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestGradient:
