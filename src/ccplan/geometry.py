@@ -93,16 +93,22 @@ class Pose:
 
     @staticmethod
     def identity(dim):
-        return Pose(np.eye(dim), np.zeros(dim))
+        return Pose._trusted(np.eye(dim), np.zeros(dim))
 
     @staticmethod
     def planar(angle, translation):
+        """The 2D pose turning by ``angle``: its rotation is orthogonal by
+        construction, so only the angle and translation are checked."""
+        if not math.isfinite(angle):
+            raise ValueError("angle must be finite")
         c, s = math.cos(angle), math.sin(angle)
-        return Pose(np.array([[c, -s], [s, c]]), translation)
+        return Pose._trusted(np.array([[c, -s], [s, c]]),
+                             _as_vec(translation, 2))
 
     @staticmethod
     def _trusted(R, t):
-        """Construct without re-validating (products of valid poses)."""
+        """Construct without validating: products of valid poses, and
+        rotations that are proper by construction."""
         p = object.__new__(Pose)
         object.__setattr__(p, "rotation", R)
         object.__setattr__(p, "translation", t)

@@ -59,9 +59,12 @@ class RobotModel:
     # Which joints are revolute, for the stacked Jacobians.
     revolute: np.ndarray = field(init=False, repr=False, compare=False)
     # The last single-state walk of ``chain_frames``, which returns it again
-    # at the same joint state.
+    # at the same joint state, and (walk, link shapes posed on it) of
+    # ``chain_shapes``.
     _last_frames: object = field(default=None, init=False, repr=False,
                                  compare=False)
+    _last_shapes: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         self.dim = self.base.dim
@@ -171,6 +174,19 @@ def chain_frames(robot, theta):
     return frames
 
 
+def chain_shapes(robot, theta):
+    """``posed_link_shapes`` at the joint state ``theta``, posed on the
+    walk of ``chain_frames`` and kept with it, so the certificates of
+    every obstacle at one configuration pose each link shape once. The
+    list is shared: callers must not modify it."""
+    frames = chain_frames(robot, theta)
+    memo = robot._last_shapes
+    if memo is None or memo[0] is not frames:
+        memo = robot._last_shapes = (frames,
+                                     posed_link_shapes(robot, frames.poses))
+    return memo[1]
+
+
 def forward_kinematics(robot, theta):
     """World pose of every link frame at joint state ``theta``."""
     return chain_frames(robot, theta).poses
@@ -278,15 +294,3 @@ def point_jacobians(robot, frames, steps, links, points):
     proximal = np.arange(robot.dof) <= np.asarray(links)[:, None]
     J = np.where(robot.revolute[:, None], turn, a)
     return np.where(proximal[:, :, None], J, 0.0).transpose(0, 2, 1)
-
-
-def planar_point_robot(limits=5.0):
-    """2D point robot driven by two prismatic joints (x then y)."""
-    from .geometry import point_body
-    joints = [
-        Joint("prismatic", Pose.identity(2), np.array([1.0, 0.0]),
-              -limits, limits),
-        Joint("prismatic", Pose.identity(2), np.array([0.0, 1.0]),
-              -limits, limits),
-    ]
-    return RobotModel(joints, [[], [point_body([0.0, 0.0])]], Pose.identity(2))

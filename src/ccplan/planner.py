@@ -8,8 +8,14 @@ constraints around the current trajectory, solves a convex QP with exact-l1
 constraint slacks inside a trust region, and accepts steps by a true-merit
 improvement ratio. The penalty weight on slacks grows until the true
 (re-certified) constraints are satisfied.
+
+A solve computes its constants once: the start and goal rows of the
+constraint passes in the first pass, one linearization per accepted iterate
+(a rejected step only shrinks the trust region), and one objective, checked
+and factored once, per penalty weight.
 """
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +26,7 @@ from .geometry import (DistanceResult, SweptHull, distances,
 from .kinematics import point_jacobians, posed_link_groups, trajectory_frames
 from .chi2 import chi2_inv_cdf
 from .qp import (OPTIMAL, ActiveSet, HessianFactors, QuadraticProgram,
-                 solve_qp)
+                 check_hessian, solve_qp)
 from .risk import (RiskCertificate, certify_risk, risk_weights,
                    weighted_jacobians)
 
@@ -125,10 +131,13 @@ class PlanResult:
 
 
 def seed_trajectory(problem):
-    """Straight-line joint-space seed with a uniform risk allocation."""
+    """Straight-line joint-space seed with a uniform risk allocation. Its
+    first and last rows are the start and goal themselves (the blend can
+    flip the sign of a zero), as in every later iterate of a solve."""
     T = problem.timesteps
     w = np.linspace(0.0, 1.0, T)[:, None]
     traj = (1.0 - w) * problem.start + w * problem.goal
+    traj[0], traj[-1] = problem.start, problem.goal
     allocation = np.full(T, problem.risk_budget / T)
     return traj, allocation
 
@@ -196,12 +205,17 @@ def _step_shapes(groups, n_bodies, t):
 
 
 def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
-                         include_risk=True, margins=None):
+                         include_risk=True, margins=None, ends=None):
     """Fresh certification and signed distances along a trajectory.
 
     ``include_risk=False`` skips certification (risk-blind solves constrain
     signed distance only); ``margins`` optionally overrides the problem's
-    scalar margin with a per-(timestep, obstacle) array.
+    scalar margin with a per-(timestep, obstacle) array. ``ends`` is the
+    report of an earlier pass over a trajectory with the same first and
+    last rows, at the same ``eps_tol`` and ``include_risk``: the start and
+    goal are constants of a solve, so their rows (distances, witnesses,
+    certificates) are taken from it and only the interior rows are
+    computed. The residuals are formed from ``margins`` in every pass.
 
     Every layer but the per-pair tail runs over arrays of (timestep, body)
     lanes: one kinematics walk, one distance call and one first search per
@@ -216,45 +230,64 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     if margins is None:
         margins = np.full((T, n_obs), problem.margin)
     frames = trajectory_frames(robot, trajectory)
-    groups = posed_link_groups(robot, frames)
-    n_bodies = sum(len(g.bodies) for g in groups)
-    links = np.empty(n_bodies, dtype=int)
-    for g in groups:
-        links[g.bodies] = g.links
-    steps = np.arange(T)
     sds = np.zeros((T, n_obs))
     normals = np.zeros((T, n_obs, robot.dim))
     witnesses = np.zeros((T, n_obs, robot.dim))
     nearest = np.zeros((T, n_obs), dtype=int)
-    firsts = []
-    for o, ob in enumerate(problem.obstacles):
-        res = _body_distances(groups, n_bodies, ob)
-        k = np.argmin(res.signed_distance, axis=1)
-        sds[:, o] = res.signed_distance[steps, k]
-        # res.normal points from the robot into the obstacle; its negation
-        # is the direction of increasing clearance.
-        normals[:, o] = -res.normal[steps, k]
-        witnesses[:, o] = res.witness_a[steps, k]
-        nearest[:, o] = links[k]
-        if include_risk:
-            firsts.append(_first_contacts(groups, res, ob, eps_tol))
     certs = [[] for _ in range(T)]
     risk_totals = np.zeros(T)
-    for t in range(T):
-        shapes = None
-        for ob, (c, wa, wb) in zip(problem.obstacles, firsts):
-            ct = c[t].tolist()
-            if min(ct) == np.inf:
-                cert = RiskCertificate(eps_tol, eps_tol, eps_tol, False,
-                                       floored=True, floored2=True)
-            else:
-                if shapes is None:
-                    shapes = _step_shapes(groups, n_bodies, t)
-                first = [(li, body, ci, a, b) for (li, body), ci, a, b
-                         in zip(shapes, ct, wa[t], wb[t])]
-                cert = certify_risk(robot, trajectory[t], ob, eps_tol, first)
-            certs[t].append(cert)
-            risk_totals[t] += cert.eps_prime
+    first, stop = 0, T      # the rows computed here
+    if ends is not None:
+        if not (ends.signed_distances.shape == sds.shape
+                and np.array_equal(ends.frames.states[[0, -1]],
+                                   frames.states[[0, -1]])):
+            raise ValueError("ends is not a report of this problem's "
+                             "start and goal")
+        first, stop = 1, T - 1
+        for t in (0, T - 1):
+            sds[t], normals[t] = ends.signed_distances[t], ends.normals[t]
+            witnesses[t], nearest[t] = ends.witnesses[t], ends.links[t]
+            certs[t] = list(ends.certificates[t])
+            risk_totals[t] = ends.risk_totals[t]
+    if stop > first:
+        groups = posed_link_groups(robot, frames)
+        if ends is not None:
+            groups = [dataclasses.replace(g, vertices=g.vertices[first:stop])
+                      for g in groups]
+        n_bodies = sum(len(g.bodies) for g in groups)
+        links = np.empty(n_bodies, dtype=int)
+        for g in groups:
+            links[g.bodies] = g.links
+        steps = np.arange(stop - first)
+        firsts = []
+        for o, ob in enumerate(problem.obstacles):
+            res = _body_distances(groups, n_bodies, ob)
+            k = np.argmin(res.signed_distance, axis=1)
+            sds[first:stop, o] = res.signed_distance[steps, k]
+            # res.normal points from the robot into the obstacle; its
+            # negation is the direction of increasing clearance.
+            normals[first:stop, o] = -res.normal[steps, k]
+            witnesses[first:stop, o] = res.witness_a[steps, k]
+            nearest[first:stop, o] = links[k]
+            if include_risk:
+                firsts.append(_first_contacts(groups, res, ob, eps_tol))
+        for i in steps.tolist():
+            t = first + i
+            shapes = None
+            for ob, (c, wa, wb) in zip(problem.obstacles, firsts):
+                ct = c[i].tolist()
+                if min(ct) == np.inf:
+                    cert = RiskCertificate(eps_tol, eps_tol, eps_tol, False,
+                                           floored=True, floored2=True)
+                else:
+                    if shapes is None:
+                        shapes = _step_shapes(groups, n_bodies, i)
+                    first_search = [(li, body, ci, a, b) for (li, body), ci,
+                                    a, b in zip(shapes, ct, wa[i], wb[i])]
+                    cert = certify_risk(robot, trajectory[t], ob, eps_tol,
+                                        first_search)
+                certs[t].append(cert)
+                risk_totals[t] += cert.eps_prime
     sd_res = np.maximum(0.0, margins - sds)
     if include_risk:
         risk_res = np.maximum(0.0, risk_totals - allocation)
@@ -289,17 +322,19 @@ def _risk_terms(problem, report):
 
 
 def convexify(problem, trajectory, allocation, report, mu, radius,
-              include_risk=True, margins=None):
+              include_risk=True, margins=None, objective=None):
     """Build the convex subproblem around the current iterate.
 
     Decision variables: [theta_1..theta_{T-2} | delta_0..delta_{T-1} |
     slack per signed-distance row | slack per risk row]. The endpoints
     theta_0 = start and theta_{T-1} = goal are constants; the trust region
-    and joint limits are box bounds. With ``include_risk=False`` the risk
-    and allocation rows are dropped (the variables remain, pinned harmlessly
-    by their regularizer), and ``margins`` overrides the scalar margin per
-    (timestep, obstacle).
+    and joint limits are box bounds (``_trust_region``). With
+    ``include_risk=False`` the risk and allocation rows are dropped (the
+    variables remain, pinned harmlessly by their regularizer), and
+    ``margins`` overrides the scalar margin per (timestep, obstacle).
     ``allocation`` enters no row: the risk row is linear in delta.
+    ``objective`` is the ``_objective`` at this ``mu``, which a solve
+    builds once per penalty weight.
 
     Rows, per timestep t: a signed-distance row per obstacle,
     sd0 + n.J (theta_t - th) + s >= margin, then (with risk) the risk row
@@ -317,28 +352,7 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     n = n_th + T + n_sd + T
     if margins is None:
         margins = np.full((T, n_obs), problem.margin)
-
-    # Objective: sum of squared steps over [start; theta; goal] + mu *
-    # slacks (+ small curvature). The path block is 2 K (x) I_dof: K, the
-    # interior block of D^T D for the step difference operator D, is
-    # tridiagonal with 2 on and -1 beside the diagonal, and positive
-    # definite. The first and last steps give the linear term and constant.
-    H = np.zeros((n, n))
-    diag = np.arange(n)
-    H[diag, diag] = np.select([diag < n_th, diag < n_th + T],
-                              [4.0, 2.0 * DELTA_REG],
-                              2.0 * SLACK_CURVATURE * mu)
-    off = np.arange(n_th - dof)
-    H[off, off + dof] = H[off + dof, off] = -2.0
-    f = np.zeros(n)
-    if T > 2:
-        f[:dof] -= 2.0 * problem.start
-        f[n_th - dof:n_th] -= 2.0 * problem.goal
-        const = float(problem.start @ problem.start
-                      + problem.goal @ problem.goal)
-    else:
-        const = path_objective(np.array([problem.start, problem.goal]))
-    f[n_th + T:] = mu
+    H, f, const = objective or _objective(problem, mu)
 
     per = n_obs + include_risk
     theta_cols = np.arange(n_th).reshape(T - 2, dof)
@@ -369,24 +383,68 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
         A[-1, n_th:n_th + T] = 1.0
         b[-1] = problem.risk_budget
 
-    limits = np.array([[j.lower, j.upper] for j in robot.joints])
+    if not len(A):
+        A = b = None
+    return QuadraticProgram._trusted(
+        H, f, A, b, *_trust_region(problem, trajectory, radius), const)
+
+
+def _objective(problem, mu):
+    """The subproblems' objective at penalty weight ``mu``, (H, f,
+    constant) over ``convexify``'s variables: the sum of squared steps over
+    [start; theta; goal], mu times the slacks, and the small curvature of
+    the allocations and slacks. H is checked here, once per weight.
+
+    The path block of H is 2 K (x) I_dof: K, the interior block of D^T D
+    for the step difference operator D, is tridiagonal with 2 on and -1
+    beside the diagonal, and positive definite. The first and last steps
+    give the linear term and the constant.
+    """
+    T = problem.timesteps
+    dof = problem.robot.dof
+    n_th = (T - 2) * dof
+    n = n_th + T + T * len(problem.obstacles) + T
+    H = np.zeros((n, n))
+    diag = np.arange(n)
+    H[diag, diag] = np.select([diag < n_th, diag < n_th + T],
+                              [4.0, 2.0 * DELTA_REG],
+                              2.0 * SLACK_CURVATURE * mu)
+    off = np.arange(n_th - dof)
+    H[off, off + dof] = H[off + dof, off] = -2.0
+    check_hessian(H)
+    f = np.zeros(n)
+    if T > 2:
+        f[:dof] -= 2.0 * problem.start
+        f[n_th - dof:n_th] -= 2.0 * problem.goal
+        const = float(problem.start @ problem.start
+                      + problem.goal @ problem.goal)
+    else:
+        const = path_objective(np.array([problem.start, problem.goal]))
+    f[n_th + T:] = mu
+    return H, f, const
+
+
+def _trust_region(problem, trajectory, radius):
+    """The subproblem's box bounds (lo, hi): each interior waypoint within
+    ``radius`` of ``trajectory`` and inside the joint limits, allocations
+    in [0, budget], slacks nonnegative."""
+    T = problem.timesteps
+    n_th = (T - 2) * problem.robot.dof
+    n = n_th + T + T * len(problem.obstacles) + T
+    limits = np.array([[j.lower, j.upper] for j in problem.robot.joints])
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     lo[:n_th] = np.maximum(trajectory[1:-1] - radius, limits[:, 0]).ravel()
     hi[:n_th] = np.minimum(trajectory[1:-1] + radius, limits[:, 1]).ravel()
     lo[n_th:] = 0.0
     hi[n_th:n_th + T] = problem.risk_budget
-
-    if not len(A):
-        A = b = None
-    return QuadraticProgram(H, f, a_ineq=A, b_ineq=b, lo=lo, hi=hi,
-                            constant=const)
+    return lo, hi
 
 
-def _merit(problem, trajectory, allocation, mu, eps_tol, include_risk=True,
-           margins=None):
+def _merit(problem, trajectory, allocation, mu, eps_tol, include_risk,
+           margins, ends):
     report = evaluate_constraints(problem, trajectory, allocation, eps_tol,
-                                  include_risk, margins)
+                                  include_risk, margins, ends)
     return path_objective(trajectory) + mu * report.total_violation, report
 
 
@@ -414,12 +472,14 @@ def solve(problem, config=None, include_risk=True, margins=None):
     n_th = (T - 2) * dof
     log = []
 
-    report = evaluate_constraints(problem, trajectory, allocation,
-                                  cfg.eps_tol, include_risk, margins)
+    # The first pass certifies the start and goal; every later pass takes
+    # their rows from it.
+    report = ends = evaluate_constraints(problem, trajectory, allocation,
+                                         cfg.eps_tol, include_risk, margins)
     mu = MU_INITIAL
     # Every QP of a solve has the same rows and, per penalty weight, the
-    # same Hessian: factor each Hessian once and start each QP from the
-    # previous QP's active set.
+    # same objective: build and factor each Hessian once and start each QP
+    # from the previous QP's active set.
     factors = HessianFactors()
     warm = None
     status = PLAN_INFEASIBLE
@@ -431,9 +491,19 @@ def solve(problem, config=None, include_risk=True, margins=None):
             break
         radius = RADIUS_INITIAL
         merit_cur = path_objective(trajectory) + mu * report.total_violation
+        objective = _objective(problem, mu)
+        qp = None
         for inner in range(MAX_INNER):
-            qp = convexify(problem, trajectory, allocation, report, mu,
-                           radius, include_risk, margins)
+            if qp is None:
+                qp = convexify(problem, trajectory, allocation, report, mu,
+                               radius, include_risk, margins, objective)
+            else:
+                # A rejected step leaves the iterate and so its
+                # linearization: only the trust region shrinks.
+                qp = QuadraticProgram._trusted(
+                    qp.hessian, qp.linear, qp.a_ineq, qp.b_ineq,
+                    *_trust_region(problem, trajectory, radius),
+                    qp.constant)
             if warm is None:
                 # The first QP starts with every allocation and slack fixed
                 # at zero, the state in which no constraint needs slack.
@@ -459,7 +529,7 @@ def solve(problem, config=None, include_risk=True, margins=None):
                 break
             merit_new, cand_report = _merit(problem, cand_traj, cand_alloc,
                                             mu, cfg.eps_tol, include_risk,
-                                            margins)
+                                            margins, ends)
             ratio = (merit_cur - merit_new) / predicted
             accepted = ratio >= RATIO_THRESHOLD
             log.append({
@@ -479,6 +549,7 @@ def solve(problem, config=None, include_risk=True, margins=None):
                 report = cand_report
                 merit_cur = merit_new
                 radius = min(radius * RADIUS_EXPAND, RADIUS_INITIAL)
+                qp = None
             else:
                 radius *= RADIUS_SHRINK
                 if radius < RADIUS_MIN:

@@ -65,11 +65,9 @@ class QuadraticProgram:
         if self.hessian.shape != (n, n):
             raise ValueError("hessian/linear dimension mismatch")
         # Validated once here, so the solver's LAPACK calls skip the check.
-        if not (np.all(np.isfinite(self.hessian))
-                and np.all(np.isfinite(self.linear))):
-            raise ValueError("hessian and linear term must be finite")
-        if not np.allclose(self.hessian, self.hessian.T, atol=1e-9):
-            raise ValueError("hessian must be symmetric")
+        check_hessian(self.hessian)
+        if not np.all(np.isfinite(self.linear)):
+            raise ValueError("linear term must be finite")
         if (self.a_ineq is None) != (self.b_ineq is None):
             raise ValueError("a_ineq/b_ineq must be given together")
         if self.a_ineq is not None:
@@ -93,9 +91,30 @@ class QuadraticProgram:
                         f"{name} entries must be finite or {unbounded}")
                 setattr(self, name, v)
 
+    @classmethod
+    def _trusted(cls, hessian, linear, a_ineq, b_ineq, lo, hi, constant):
+        """Construct without validating, from float arrays of consistent
+        shapes, finite but for infinite bounds, and a Hessian that has
+        passed ``check_hessian``: the planner builds one per penalty
+        weight and shares it among that weight's subproblems."""
+        qp = object.__new__(cls)
+        qp.hessian, qp.linear = hessian, linear
+        qp.a_ineq, qp.b_ineq = a_ineq, b_ineq
+        qp.lo, qp.hi, qp.constant = lo, hi, constant
+        return qp
+
     @property
     def n(self):
         return self.linear.shape[0]
+
+
+def check_hessian(H):
+    """Raise ValueError unless the square float array H is finite and
+    symmetric (to 1e-9)."""
+    if not np.all(np.isfinite(H)):
+        raise ValueError("hessian must be finite")
+    if not np.allclose(H, H.T, atol=1e-9):
+        raise ValueError("hessian must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -126,27 +145,36 @@ class QPSolution:
 
 
 class HessianFactors:
-    """G^-1 for each QP Hessian G solved so far.
+    """For each QP Hessian H solved so far, G^-1 of its symmetric part
+    G = (H + H^T) / 2 and the solver's scale of G.
 
     A sequence of related QPs often repeats one Hessian (the SCO planner's
     changes only with its penalty weight); passing one instance to each
-    ``solve_qp`` call factors every distinct Hessian once.
+    ``solve_qp`` call factors every distinct Hessian once. A Hessian is
+    recognised by identity first, then by value, so an array passed here
+    must not be modified afterwards.
     """
 
     def __init__(self):
-        self._inverses = []   # (G, G^-1)
+        self._entries = []   # (H, G^-1, scale)
 
-    def get(self, G):
-        for H, P in self._inverses:
-            if np.array_equal(H, G):
-                return P
+    def get(self, H):
+        """(G^-1, scale) for the Hessian H."""
+        for entry in self._entries:
+            if entry[0] is H:
+                return entry[1:]
+        for entry in self._entries:
+            if np.array_equal(entry[0], H):
+                return entry[1:]
+        G = 0.5 * (H + H.T)
+        scale = max(1.0, float(np.trace(np.abs(G))) / G.shape[0])
         chol, kept = _factor(G)
         Linv = _tri_solve(chol, np.eye(G.shape[0]), transpose=False)
         P = np.empty_like(G)
         P[np.ix_(kept, kept)] = Linv.T @ Linv
         P = 0.5 * (P + P.T)
-        self._inverses.append((G, P))
-        return P
+        self._entries.append((H, P, scale))
+        return P, scale
 
 
 def _factor(G):
@@ -184,8 +212,8 @@ def _cholesky(M, rtol=0.0):
 
 
 # The solver calls LAPACK's triangular solve and QR directly: its inputs are
-# finite (validated by QuadraticProgram) and the NumPy and SciPy wrappers
-# cost more than these small factorizations.
+# finite (validated by QuadraticProgram, or by the planner for its own) and
+# the NumPy and SciPy wrappers cost more than these small factorizations.
 
 def _tri_solve(L, b, transpose):
     """Solve L y = b (or L^T y = b) for C-ordered lower-triangular L."""
@@ -238,9 +266,7 @@ class _DualActiveSet:
     def __init__(self, qp, max_iter, factors):
         self.qp = qp
         n = self.n = qp.n
-        G = 0.5 * (qp.hessian + qp.hessian.T)
-        self.scale = max(1.0, float(np.trace(np.abs(G))) / n)
-        self.P = (factors or HessianFactors()).get(G)
+        self.P, self.scale = (factors or HessianFactors()).get(qp.hessian)
         # The rows as c^T z >= b: -a_ineq. Bounds are not rows.
         if qp.a_ineq is None:
             self.C, b = np.zeros((0, n)), np.zeros(0)
@@ -466,31 +492,3 @@ class _DualActiveSet:
         obj = float(0.5 * x @ qp.hessian @ x + qp.linear @ x + qp.constant)
         return QPSolution(x, obj, status, duals[:m], duals[m:m + n],
                           duals[m + n:], self.iters, active)
-
-
-def kkt_residuals(qp, sol):
-    """(stationarity, primal feasibility, dual feasibility, complementarity)."""
-    z = sol.z
-    g = qp.hessian @ z + qp.linear
-    primal = 0.0
-    comp = 0.0
-    if qp.a_ineq is not None:
-        s = qp.a_ineq @ z - qp.b_ineq
-        primal = float(np.max(s, initial=0.0))
-        g = g + qp.a_ineq.T @ sol.duals_ineq
-        comp = float(np.max(np.abs(sol.duals_ineq * s), initial=0.0))
-    if qp.lo is not None:
-        lo = np.where(np.isfinite(qp.lo), qp.lo, z)
-        primal = max(primal, float(np.max(lo - z, initial=0.0)))
-        g = g - sol.duals_lo
-        comp = max(comp, float(np.max(np.abs(sol.duals_lo * (z - lo)),
-                                      initial=0.0)))
-    if qp.hi is not None:
-        hi = np.where(np.isfinite(qp.hi), qp.hi, z)
-        primal = max(primal, float(np.max(z - hi, initial=0.0)))
-        g = g + sol.duals_hi
-        comp = max(comp, float(np.max(np.abs(sol.duals_hi * (hi - z)),
-                                      initial=0.0)))
-    dual = max(float(np.max(-arr, initial=0.0))
-               for arr in (sol.duals_ineq, sol.duals_lo, sol.duals_hi))
-    return float(np.max(np.abs(g))), primal, dual, comp

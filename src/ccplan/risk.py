@@ -32,7 +32,9 @@ The gradient of eps_prime is a sum of w . J, one term per shadow with a
 gradient (``risk_weights``), J the Jacobian of its robot contact point;
 ``weighted_jacobians`` sums such terms for one joint state or for a
 whole trajectory. A cold certificate and its gradient share the
-robot's last single-state chain walk (``kinematics.chain_frames``).
+robot's last single-state chain walk (``kinematics.chain_frames``), and
+the certificates of every obstacle share the link shapes posed on it
+(``kinematics.chain_shapes``).
 """
 
 import math
@@ -50,7 +52,7 @@ from .geometry import (
     ellipsoid_axes,
     mahalanobis_contact,
 )
-from .kinematics import chain_frames, point_jacobians, posed_link_shapes
+from .kinematics import chain_frames, chain_shapes, point_jacobians
 
 # Squared Mahalanobis distances below this are treated as contact with the
 # nominal geometry (risk saturates at 1).
@@ -143,9 +145,10 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
     (link index, body, c, witness on the body, witness on the nominal
     geometry), as from ``mahalanobis_contact``, with c = inf for a body
     provably outside the largest shadow considered. Without it the
-    certificate takes the walk of ``chain_frames``, which the other
-    obstacles' certificates and ``risk_gradient`` at ``theta`` share, and
-    the entries of ``_cold_first``: a body provably outside the eps_tol
+    certificate takes the link shapes that ``chain_shapes`` poses on the
+    walk of ``chain_frames``, which the other obstacles' certificates and
+    ``risk_gradient`` at ``theta`` share, and the entries of
+    ``_cold_first``: a body provably outside the eps_tol
     shadow is not searched, and a configuration whose bodies all are gets
     the floored certificate, without contact data.
     """
@@ -154,8 +157,7 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
     n = obstacle.dim
     c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
     if first is None:
-        frames = chain_frames(robot, theta)     # validates theta
-        shapes = posed_link_shapes(robot, frames.poses)
+        shapes = chain_shapes(robot, theta)     # validates theta
         if not shapes:
             raise ValueError("robot has no collision shapes")
         first = _cold_first(shapes, obstacle, c_max)

@@ -91,8 +91,9 @@ def _parse_pose(value, dim, context):
         angle = _array(fields["angle"], (), f"{context}.angle",
                        "a finite number")
         return Pose.planar(float(angle), t)
-    R = (_matrix(fields["rotation"], dim, f"{context}.rotation")
-         if "rotation" in fields else np.eye(dim))
+    if "rotation" not in fields:
+        return Pose._trusted(np.eye(dim), t)
+    R = _matrix(fields["rotation"], dim, f"{context}.rotation")
     try:
         return Pose(R, t)
     except ValueError as exc:

@@ -24,12 +24,14 @@ from ccplan.geometry import (
     box,
     point_body,
 )
-from ccplan.kinematics import Joint, RobotModel, planar_point_robot
+from ccplan.kinematics import Joint, RobotModel
 from ccplan.planner import CONVERGED, TrajectoryProblem, solve
-from ccplan.qp import OPTIMAL, kkt_residuals, solve_qp
+from ccplan.qp import OPTIMAL, solve_qp
 from ccplan.risk import UncertainObstacle, certify_risk
 from ccplan.validate import ira_plan, monte_carlo_risk, risk_blind_plan
-from test_qp import assert_duality_gap, dual_pg_oracle, random_feasible_qp
+from test_kinematics import planar_point_robot
+from test_qp import (assert_duality_gap, dual_pg_oracle, kkt_residuals,
+                     random_feasible_qp)
 from test_risk import check_fd_gradient, per_shadow_gradients, straddle_robot
 from test_validate import shadow_containment
 

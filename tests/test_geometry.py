@@ -1230,3 +1230,29 @@ class TestBatchedFirstSearch:
                                           rel=1e-9)
                 # The exact minimum over the face's plane z = 1.
                 assert c <= (1.0 / S[2, 2]) * (1.0 + 1e-14)
+
+
+class TestPose:
+    def test_rotations_from_input_are_checked(self):
+        with pytest.raises(ValueError, match="orthogonal"):
+            Pose(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="determinant"):
+            Pose(np.diag([1.0, -1.0]), np.zeros(2))
+        with pytest.raises(ValueError):
+            Pose(np.eye(2), np.array([0.0, np.nan]))
+
+    def test_built_rotations_check_only_their_input(self):
+        # identity and planar rotations are proper by construction.
+        for dim in (2, 3):
+            pose = Pose.identity(dim)
+            np.testing.assert_array_equal(pose.rotation, np.eye(dim))
+            np.testing.assert_array_equal(pose.translation, np.zeros(dim))
+        pose = Pose.planar(0.3, [1, 2])
+        R = pose.rotation
+        np.testing.assert_allclose(R @ R.T, np.eye(2), atol=1e-15)
+        assert np.linalg.det(R) == pytest.approx(1.0)
+        assert pose.translation.dtype == float
+        for angle, t in ((0.3, [1.0, 2.0, 3.0]), (0.3, [np.inf, 0.0]),
+                         (math.nan, [0.0, 0.0]), (math.inf, [0.0, 0.0])):
+            with pytest.raises(ValueError):
+                Pose.planar(angle, t)

@@ -11,7 +11,6 @@ from ccplan.kinematics import (
     RobotModel,
     chain_frames,
     forward_kinematics,
-    planar_point_robot,
     point_jacobian,
     point_jacobians,
     posed_link_groups,
@@ -19,6 +18,17 @@ from ccplan.kinematics import (
     trajectory_frames,
 )
 from ccplan.sceneio import parse_robot
+
+
+def planar_point_robot(limits=5.0):
+    """2D point robot driven by two prismatic joints (x then y)."""
+    joints = [
+        Joint("prismatic", Pose.identity(2), np.array([1.0, 0.0]),
+              -limits, limits),
+        Joint("prismatic", Pose.identity(2), np.array([0.0, 1.0]),
+              -limits, limits),
+    ]
+    return RobotModel(joints, [[], [point_body([0.0, 0.0])]], Pose.identity(2))
 
 
 def offset_x(d, dim=3):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 
 import ccplan.planner as planner_module
 from ccplan.geometry import Pose, Sphere, box, point_body
-from ccplan.kinematics import (Joint, RobotModel, chain_frames,
-                               planar_point_robot, point_jacobian)
+from ccplan.kinematics import Joint, RobotModel, chain_frames, point_jacobian
 from ccplan.planner import (
     CONVERGED,
     PLAN_INFEASIBLE,
@@ -18,10 +18,12 @@ from ccplan.planner import (
     seed_trajectory,
     solve,
 )
-from ccplan.qp import ITERATION_LIMIT, OPTIMAL, kkt_residuals, solve_qp
+from ccplan.qp import ITERATION_LIMIT, OPTIMAL, solve_qp
 from ccplan.risk import (RiskCertificate, UncertainObstacle, certify_risk,
                          risk_weights)
 from test_acceptance import corridor_problem, pickplace_problem
+from test_kinematics import planar_point_robot
+from test_qp import kkt_residuals
 from test_risk import straddle_robot
 
 
@@ -34,6 +36,66 @@ def point_problem(obstacles, T=10, budget=0.01, margin=0.02,
 def offset_obstacle(center=(0.0, 0.15), radius=0.05, sigma2=0.01):
     return UncertainObstacle(Sphere(np.array(center), radius),
                              sigma2 * np.eye(2))
+
+
+def record_subproblems(monkeypatch):
+    """Record every QP that a solve hands to ``solve_qp`` as (arguments of
+    the ``convexify`` call that linearized it, by name, trust radius, QP).
+    A QP that ``convexify`` did not return follows a rejected step: it
+    must share the linearization of the QP before it, at that QP's radius
+    shrunk by RADIUS_SHRINK."""
+    signature = inspect.signature(convexify)
+    seen = []
+    last = {}
+
+    def linearizing(*args, **kwargs):
+        qp = convexify(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        last.update(args=bound.arguments, qp=qp)
+        return qp
+
+    def solving(qp, **kwargs):
+        if qp is last["qp"]:
+            radius = last["args"]["radius"]
+        else:
+            prev_args, prev_radius, prev = seen[-1]
+            assert prev_args is last["args"]
+            for name in ("hessian", "linear", "a_ineq", "b_ineq"):
+                assert getattr(qp, name) is getattr(prev, name)
+            assert qp.constant == prev.constant
+            radius = prev_radius * planner_module.RADIUS_SHRINK
+        seen.append((last["args"], radius, qp))
+        return solve_qp(qp, **kwargs)
+
+    monkeypatch.setattr(planner_module, "convexify", linearizing)
+    monkeypatch.setattr(planner_module, "solve_qp", solving)
+    return seen
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_reports_identical(got, fresh):
+    """Every field of two ConstraintReports, bit for bit."""
+    for field in dataclasses.fields(got):
+        x, y = getattr(got, field.name), getattr(fresh, field.name)
+        if field.name == "certificates":
+            assert [len(row) for row in x] == [len(row) for row in y]
+            for cx, cy in zip(itertools.chain(*x), itertools.chain(*y)):
+                for f in dataclasses.fields(cx):
+                    u, v = getattr(cx, f.name), getattr(cy, f.name)
+                    assert (u is None) == (v is None), f.name
+                    if u is not None:
+                        assert_same_bits(u, v)
+        elif field.name == "frames":
+            for f in dataclasses.fields(x):
+                assert_same_bits(getattr(x, f.name), getattr(y, f.name))
+        else:
+            assert_same_bits(x, y)
 
 
 class TestSeed:
@@ -52,6 +114,15 @@ class TestSeed:
         steps = np.diff(traj, axis=0)
         np.testing.assert_allclose(steps, np.broadcast_to(steps[0],
                                                           steps.shape))
+
+    def test_endpoints_are_the_problem_rows(self):
+        # (1 - w) start + w goal would turn the start's -0.0 into +0.0;
+        # later passes reuse the first pass's endpoint rows, so the seed's
+        # endpoints are the start and goal bit for bit.
+        p = point_problem([], T=5, start=(-0.0, -1.0), goal=(2.0, -0.0))
+        traj, _ = seed_trajectory(p)
+        assert_same_bits(traj[0], p.start)
+        assert_same_bits(traj[-1], p.goal)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -125,13 +196,7 @@ class TestSolve:
         # the one interior waypoint. The obstacle is off the straight line,
         # with a certified risk at the midpoint inside its allocation, so
         # the plan and every subproblem's optimum are the straight line.
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(convexify(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(planner_module, "convexify", recording)
+        seen = record_subproblems(monkeypatch)
         p = point_problem([offset_obstacle(center=(0.0, 0.4))], T=T)
         res = solve(p)
         assert res.status == CONVERGED
@@ -144,7 +209,7 @@ class TestSolve:
         n_th = (T - 2) * p.robot.dof
         line, _ = seed_trajectory(p)
         assert seen
-        for qp in seen:
+        for _, _, qp in seen:
             # Interior waypoints, then per timestep an allocation, a
             # signed-distance slack (one obstacle) and a risk slack.
             assert qp.n == n_th + 3 * T
@@ -308,6 +373,117 @@ class TestQPSequence:
             assert entry["qp_active_rows"] + entry["qp_fixed_variables"] <= n
 
 
+class TestSolveConstants:
+    """What a solve computes once: the endpoint rows, one linearization
+    per iterate, one objective per penalty weight."""
+
+    @pytest.mark.parametrize("build", [pickplace_problem, corridor_problem])
+    def test_every_pass_equals_a_fresh_full_pass(self, build, monkeypatch):
+        passes = []
+
+        def compared(*args, **kwargs):
+            rep = evaluate_constraints(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            passes.append(bound.arguments.pop("ends", None))
+            assert_reports_identical(rep, evaluate_constraints(
+                *bound.args, **bound.kwargs))
+            return rep
+
+        signature = inspect.signature(evaluate_constraints)
+        monkeypatch.setattr(planner_module, "evaluate_constraints", compared)
+        _, p = build()
+        for include_risk in (True, False):
+            passes.clear()
+            assert solve(p, include_risk=include_risk).status == CONVERGED
+            # The first pass computes every row; every later one takes the
+            # endpoint rows from it.
+            assert len(passes) > 1 and passes[0] is None
+            assert all(ends is not None for ends in passes[1:])
+
+    def test_two_steps_have_no_interior_rows(self):
+        ob = offset_obstacle(center=(0.0, 0.4))
+        p = point_problem([ob], T=2, start=(-0.2, 0.3), goal=(0.2, 0.3))
+        traj, alloc = seed_trajectory(p)
+        first = evaluate_constraints(p, traj, alloc)
+        again = evaluate_constraints(p, traj, 0.5 * alloc, ends=first)
+        assert again.certificates[0][0] is first.certificates[0][0]
+        assert_reports_identical(again,
+                                 evaluate_constraints(p, traj, 0.5 * alloc))
+
+    def test_ends_must_hold_the_same_endpoints(self):
+        p = point_problem([offset_obstacle()], T=4)
+        traj, alloc = seed_trajectory(p)
+        first = evaluate_constraints(p, traj, alloc)
+        moved = traj.copy()
+        moved[-1, 1] += 1e-9
+        with pytest.raises(ValueError):
+            evaluate_constraints(p, moved, alloc, ends=first)
+
+    def test_endpoints_are_certified_in_the_first_pass_only(self,
+                                                            monkeypatch):
+        calls = []      # (pass, joint state)
+
+        def counted_pass(*args, **kwargs):
+            calls.append((len(passes), None))
+            passes.append(None)
+            return evaluate_constraints(*args, **kwargs)
+
+        def counted(robot, theta, *args):
+            calls.append((len(passes), np.array(theta)))
+            return certify_risk(robot, theta, *args)
+
+        passes = []
+        monkeypatch.setattr(planner_module, "evaluate_constraints",
+                            counted_pass)
+        monkeypatch.setattr(planner_module, "certify_risk", counted)
+        _, p = pickplace_problem()
+        assert solve(p).status == CONVERGED
+        assert len(passes) > 5
+        for end in (p.start, p.goal):
+            at = [k for k, theta in calls
+                  if theta is not None and np.array_equal(theta, end)]
+            # An obstacle reaches each endpoint's shadow in the first pass;
+            # no later pass certifies the endpoint again.
+            assert at and set(at) == {1}
+        assert {k for k, theta in calls if theta is not None} == set(
+            range(1, len(passes) + 1))
+
+    def test_rejected_steps_keep_the_linearization(self, monkeypatch):
+        # record_subproblems checks that every QP convexify did not build
+        # shares H, f, A and b with the QP before it; its bounds are those
+        # of convexify at the shrunk radius.
+        seen = record_subproblems(monkeypatch)
+        checks = []
+        monkeypatch.setattr(planner_module, "check_hessian",
+                            lambda H: checks.append(H))
+        _, p = pickplace_problem()
+        res = solve(p)
+        assert res.status == CONVERGED
+        rejected = [entry for entry in res.iterations
+                    if not entry["accepted"]]
+        assert rejected
+        reused = 0
+        for args, radius, qp in seen:
+            if radius == args["radius"]:
+                continue
+            reused += 1
+            fresh = convexify(**dict(args, radius=radius))
+            assert_same_bits(qp.lo, fresh.lo)
+            assert_same_bits(qp.hi, fresh.hi)
+        assert reused == len(rejected)
+        linearizations = {id(args) for args, _, _ in seen}
+        accepted = len(res.iterations) - len(rejected)
+        weights = sorted({args["mu"] for args, _, _ in seen})
+        assert len(linearizations) == accepted + len(weights)
+        # The objective is built and checked once per penalty weight, and
+        # every subproblem at one weight shares it.
+        assert len(checks) == len(weights)
+        for mu in weights:
+            shared = {id(qp.hessian) for args, _, qp in seen
+                      if args["mu"] == mu}
+            assert len(shared) == 1
+
+
 def point_robot_3d():
     """3D point robot driven by three prismatic joints (x, y, z)."""
     joints = [Joint("prismatic", Pose.identity(3), axis, -5.0, 5.0)
@@ -447,14 +623,7 @@ class TestLinearization:
         # Every QP of a solve, from the seed's to the last iterate's,
         # against the per-pair oracle, risk-aware and risk-blind. The
         # straddle problem's certificates have second contacts.
-        seen = []
-
-        def recording(*args, **kwargs):
-            qp = convexify(*args, **kwargs)
-            seen.append((args, qp))
-            return qp
-
-        monkeypatch.setattr(planner_module, "convexify", recording)
+        seen = record_subproblems(monkeypatch)
         _, p = build()
         for res in (solve(p), solve(p, include_risk=False)):
             # The endpoints are constants of every subproblem.
@@ -462,7 +631,9 @@ class TestLinearization:
             np.testing.assert_array_equal(res.trajectory[-1], p.goal)
         assert len(seen) > 2
         rng = np.random.default_rng(0)
-        for (_, traj, alloc, rep, mu, radius, include_risk, *_), qp in seen:
+        for args, radius, qp in seen:
+            traj, rep, mu = args["trajectory"], args["report"], args["mu"]
+            include_risk = args["include_risk"]
             A, b = oracle_rows(p, traj, rep, include_risk)
             scale = max(1.0, float(np.abs(A).max()))
             np.testing.assert_allclose(qp.a_ineq, A, rtol=0,

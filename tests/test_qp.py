@@ -9,9 +9,36 @@ from ccplan.qp import (
     HessianFactors,
     QuadraticProgram,
     _chol_delete,
-    kkt_residuals,
     solve_qp,
 )
+
+
+def kkt_residuals(qp, sol):
+    """(stationarity, primal feasibility, dual feasibility, complementarity)."""
+    z = sol.z
+    g = qp.hessian @ z + qp.linear
+    primal = 0.0
+    comp = 0.0
+    if qp.a_ineq is not None:
+        s = qp.a_ineq @ z - qp.b_ineq
+        primal = float(np.max(s, initial=0.0))
+        g = g + qp.a_ineq.T @ sol.duals_ineq
+        comp = float(np.max(np.abs(sol.duals_ineq * s), initial=0.0))
+    if qp.lo is not None:
+        lo = np.where(np.isfinite(qp.lo), qp.lo, z)
+        primal = max(primal, float(np.max(lo - z, initial=0.0)))
+        g = g - sol.duals_lo
+        comp = max(comp, float(np.max(np.abs(sol.duals_lo * (z - lo)),
+                                      initial=0.0)))
+    if qp.hi is not None:
+        hi = np.where(np.isfinite(qp.hi), qp.hi, z)
+        primal = max(primal, float(np.max(z - hi, initial=0.0)))
+        g = g + sol.duals_hi
+        comp = max(comp, float(np.max(np.abs(sol.duals_hi * (hi - z)),
+                                      initial=0.0)))
+    dual = max(float(np.max(-arr, initial=0.0))
+               for arr in (sol.duals_ineq, sol.duals_lo, sol.duals_hi))
+    return float(np.max(np.abs(g))), primal, dual, comp
 
 
 def dual_pg_oracle(qp, iters=40_000):
@@ -132,6 +159,17 @@ class TestBasics:
         for H in (np.diag([1.0, -1.0]), np.diag([2.0, 0.0]), A @ A.T):
             with pytest.raises(ValueError):
                 solve_qp(QuadraticProgram(H, np.zeros(len(H))))
+
+    @pytest.mark.parametrize("H", [
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+        np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+    ])
+    def test_public_constructor_checks_the_hessian(self, H):
+        # Only the planner, which checks its own Hessian once per penalty
+        # weight, builds QPs without these checks.
+        with pytest.raises(ValueError):
+            solve_qp(QuadraticProgram(H, np.zeros(2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -419,3 +457,17 @@ class TestFactorUpdates:
         # Three distinct Hessians in the shared sequence, plus one
         # factorization per unshared call.
         assert len(factored) == 3 + len(qps)
+
+    def test_shared_factors_keep_inverse_and_scale(self):
+        rng = np.random.default_rng(48)
+        H = random_feasible_qp(rng).hessian
+        factors = HessianFactors()
+        P, scale = factors.get(H)
+        # The same array, then an equal copy, find the same entry.
+        assert factors.get(H)[0] is P
+        assert factors.get(H.copy())[0] is P
+        G = 0.5 * (H + H.T)
+        np.testing.assert_allclose(P @ G, np.eye(len(H)), atol=1e-9)
+        assert scale == max(1.0, float(np.trace(np.abs(G))) / len(H))
+        other = factors.get(2.0 * H)
+        assert other[0] is not P and other[1] == pytest.approx(2.0 * scale)

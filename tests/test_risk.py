@@ -15,6 +15,7 @@ from ccplan.geometry import (
     Polytope,
     Pose,
     Sphere,
+    SweptHull,
     box,
     distance,
     mahalanobis_contact,
@@ -24,7 +25,6 @@ from ccplan.kinematics import (
     Joint,
     RobotModel,
     forward_kinematics,
-    planar_point_robot,
     point_jacobian,
     posed_link_shapes,
 )
@@ -35,6 +35,7 @@ from ccplan.risk import (
     risk_gradient,
     risk_weights,
 )
+from test_kinematics import planar_point_robot
 
 
 def point_obstacle(sigma, dim=2):
@@ -701,6 +702,35 @@ class TestGradient:
             assert not c.floored
             risk_gradient(c, robot, theta, o)
         assert len(walks) == before + 1
+
+    def test_cold_certificates_pose_each_shape_once(self, monkeypatch):
+        # The certificates of every obstacle at one joint state share the
+        # link shapes posed on its walk; another state poses them afresh.
+        R = TestHalfShadowRegression
+        ob = sceneio.parse_scene(R.SCENE).obstacles[0]
+        obstacles = (ob, UncertainObstacle(Sphere([0.2, 0.7], 0.1),
+                                           ob.covariance))
+        theta = np.array(R.THETA)
+        states = (theta + 0.1, theta + 0.1, theta)
+        expected = [[certify_risk(sceneio.parse_robot(R.ROBOT), state, o)
+                     for o in obstacles] for state in states]
+        robot = sceneio.parse_robot(R.ROBOT)
+        n_shapes = sum(len(shapes) for shapes in robot.link_shapes)
+        posed = SweptHull.posed
+        calls = []
+
+        def counted(body, pose):
+            calls.append(1)
+            return posed(body, pose)
+
+        monkeypatch.setattr(SweptHull, "posed", counted)
+        for state, certs, new in zip(states, expected, (1, 0, 1)):
+            before = len(calls)
+            for o, cert in zip(obstacles, certs):
+                got = certify_risk(robot, state, o)
+                assert (got.eps1, got.eps2, got.c1, got.c2) == (
+                    cert.eps1, cert.eps2, cert.c1, cert.c2)
+            assert len(calls) - before == new * n_shapes
 
     def test_slider_closed_form(self):
         # eps1(r) = exp(-r^2/2) so d eps1/dr = -r exp(-r^2/2).

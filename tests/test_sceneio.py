@@ -5,6 +5,7 @@ import copy
 import json
 from importlib.resources import files
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,3 +69,17 @@ def test_malformed_documents_raise_only_scene_format_error(name, data):
 def test_bundled_documents_parse():
     for name, doc in DOCUMENTS.items():
         (parse_scene if "obstacles" in doc else parse_robot)(doc)
+
+
+def test_only_parsed_rotations_are_checked():
+    doc = copy.deepcopy(DOCUMENTS["arm4dof3d.json"])
+    joint = doc["joints"][1]
+    joint["offset"] = {"translation": [0.0, 0.0, 0.5]}
+    robot = parse_robot(doc)
+    assert (robot.joints[1].offset.rotation == [[1, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]]).all()
+    for rotation in ([[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+                     [[1, 0, 0], [0, 1, 0.1], [0, 0, 1]]):
+        joint["offset"] = {"rotation": rotation}
+        with pytest.raises(SceneFormatError, match=r"\.rotation"):
+            parse_robot(doc)

@@ -25,7 +25,6 @@ from ccplan.kinematics import (
     Joint,
     RobotModel,
     forward_kinematics,
-    planar_point_robot,
     posed_link_shapes,
 )
 from ccplan.planner import CONVERGED, TrajectoryProblem, solve
@@ -42,6 +41,7 @@ from ccplan.validate import (
     monte_carlo_risk,
     risk_blind_plan,
 )
+from test_kinematics import planar_point_robot
 
 
 def se_window(p, n, k=3.0):
