@@ -7,21 +7,25 @@ serve every shape. Each core (the hull before the radius is added) carries
 its boundary complex (``Boundary``): vertex index pairs (edges) and, in
 3D, triples (triangles) that cover its boundary, built on first use and
 shared by every rigid placement. ``Boundary`` is the one place Qhull runs
-(cores, Monte Carlo difference hulls, plots). The distance kernel takes
-the closest pair over the candidate features of two cores, clamped
-segment-segment for every edge pair and vertex-triangle for every vertex
-against every triangle interior, vectorized over a stack of placements.
-The pair is a separation only when the supporting planes normal to it are
-apart, which proves the cores disjoint; otherwise (touching, containment,
-or an edge piercing a face) the penetration depth and normal come exactly
-from support values along candidate axes. ``point_distances`` takes the
-same edge and triangle features from a stack of points, for the Monte
-Carlo hit test. The Mahalanobis query runs GJK in whitened coordinates,
-where a sphere becomes an ellipsoid, and returns a certified lower bound;
-every search solves the cores first, then the ellipsoid term exactly on
-each core face (in closed form on a hyperplane, from a scalar secular
-equation on a vertex or a 3D line), so a full covariance costs about one
-verifying support per search, as an isotropic one does.
+(cores, Monte Carlo difference hulls, plots); a box lays out its own
+complex. The distance kernel takes the closest pair over the candidate
+features of a stack of placements of one core and a fixed one: vertices
+projected on segments, interior pairs of edges, and in 3D vertices over
+triangle interiors. The fixed body keeps the constants of its features
+(edge and triangle vectors, normals, dual vectors) from its first query,
+each candidate's squared distance comes from dot products with them, and
+only the winner's witness pair is formed. The pair is a separation only
+when the supporting planes normal to it are apart, which proves the cores
+disjoint; otherwise (touching, containment, or an edge piercing a face)
+the penetration depth and normal come exactly from support values along
+candidate axes. ``point_distances`` projects a stack of points on the same
+segment and triangle features, for the Monte Carlo hit test. The
+Mahalanobis query runs GJK in whitened coordinates, where a sphere becomes
+an ellipsoid, and returns a certified lower bound; every search solves the
+cores first, then the ellipsoid term exactly on each core face (in closed
+form on a hyperplane, from a scalar secular equation on a vertex or a 3D
+line), so a full covariance costs about one verifying support per search,
+as an isotropic one does.
 ``mahalanobis_contacts`` takes GJK's first iteration for a stack of
 placements at once, from their Euclidean witness pairs; a lane that the
 first support leaves open runs the same search as a single query.
@@ -127,7 +131,10 @@ class SweptHull:
     with the validating constructors below (``Sphere``, ``Capsule``,
     ``Polytope``, ``box``, ``point_body``) and place them with ``posed``;
     the class itself trusts its arguments. ``posed`` copies share the
-    boundary complex, which rigid motion leaves unchanged.
+    boundary complex, which rigid motion leaves unchanged. A body is not
+    changed after construction: the distance kernel caches the constants
+    of its features on the body the first time it is the fixed body of a
+    query.
     """
 
     vertices: np.ndarray    # (k, dim) floats
@@ -141,6 +148,12 @@ class SweptHull:
     @property
     def dim(self):
         return self.vertices.shape[1]
+
+    @cached_property
+    def _features(self):
+        """The core's ``_Features``, built on the first ``distances`` query
+        against this body."""
+        return _Features(self.vertices, self.boundary)
 
     def support(self, direction):
         """Farthest point of the body in ``direction`` (must be nonzero)."""
@@ -177,11 +190,15 @@ class Boundary:
     points, or Qhull finds no volume) takes every vertex pair and, in 3D,
     the fan triangles (V[0], V[i], V[j]); conv(V) is star-shaped about
     V[0], so by Caratheodory they cover it. Built on first use, since
-    Qhull needs SciPy's spatial module.
+    Qhull needs SciPy's spatial module. A caller that knows the complex
+    (``box``) passes ``faces``, the (edges, triangles) pair without the
+    zero-length edges, and Qhull does not run.
     """
 
-    def __init__(self, vertices):
+    def __init__(self, vertices, faces=None):
         self._vertices = vertices
+        if faces is not None:
+            self._faces = faces
 
     @cached_property
     def hull(self):
@@ -231,6 +248,13 @@ class Boundary:
         return np.concatenate([self._faces[0],
                                np.stack([points, points], axis=1)])
 
+    @cached_property
+    def segments(self):
+        """The edges of positive length in the complex, or the zero-length
+        edge of a single point: the segments the distance kernel projects
+        on, every vertex of the boundary being an end of one."""
+        return self._faces[0] if len(self._faces[0]) else self.edges
+
     @property
     def triangles(self):
         return self._faces[1]
@@ -277,14 +301,37 @@ def Polytope(vertices):
     return SweptHull(V, 0.0)
 
 
+# The boundary complex of a box, on its corners in ``itertools.product``
+# order (corner i has coordinate j on the + side when bit dim - 1 - j of i
+# is set). In 3D each face is split along its diagonal between the two
+# corners with an even number of + sides, the edges of the inscribed
+# tetrahedron (0, 3, 5, 6); the edges are the 12 box edges and these 6
+# diagonals. Both are listed in the order Qhull reports them for every
+# axis-aligned box, so that a box's distances are those of its Qhull
+# complex bit for bit.
+BOX_FACES = {
+    2: (np.array([[2, 0], [1, 0], [3, 2], [3, 1]]),
+        np.zeros((0, 3), dtype=int)),
+    3: (np.array([[0, 2], [0, 4], [0, 1], [6, 7], [0, 6], [0, 5], [5, 7],
+                  [0, 3], [3, 7], [2, 6], [4, 6], [4, 5], [1, 5], [5, 6],
+                  [2, 3], [1, 3], [3, 6], [3, 5]]),
+        np.array([[6, 2, 0], [6, 4, 0], [5, 4, 0], [5, 1, 0], [5, 6, 4],
+                  [5, 6, 7], [3, 2, 0], [3, 1, 0], [3, 6, 2], [3, 6, 7],
+                  [3, 5, 1], [3, 5, 7]])),
+}
+
+
 def box(half_extents, center=None):
-    """Axis-aligned box as a Polytope."""
+    """Axis-aligned box as a Polytope, with its boundary complex
+    (``BOX_FACES``) built without Qhull."""
     h = _as_vec(half_extents)
     dim = h.shape[0]
     corners = np.array(list(itertools.product(*[(-e, e) for e in h])))
     if center is not None:
         corners = corners + _as_vec(center, dim)
-    return Polytope(corners)
+    body = Polytope(corners)
+    body.boundary = Boundary(body.vertices, BOX_FACES.get(dim))
+    return body
 
 
 @dataclass
@@ -792,7 +839,7 @@ class _PairSupport:
 # Least supporting-plane gap, relative to the magnitude of the coordinates,
 # that proves two cores disjoint: far above the gap's roundoff.
 SEPARATION_RTOL = 1e-12
-# Elements of the kernel's largest (placements x features x features x dim)
+# Elements of the kernel's largest (placements x candidate pairs x dim)
 # temporaries per block of placements: a few megabytes.
 DISTANCE_BLOCK = 1 << 16
 # ``point_distances`` keeps its (rows x features x dim) temporaries within
@@ -806,104 +853,30 @@ def _dots(u, v):
     return np.einsum("i...,i...->...", u, v)
 
 
+def _rdots(u, v):
+    """Dot products over the last axis (the coordinates), broadcast.
+    ``einsum`` sums them alike for all arrays contiguous in that axis,
+    whatever their leading shape, but in another order on other layouts;
+    the kernel passes it only contiguous arrays, so that a placement's
+    values do not depend on the stack it comes in."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _products(X, R):
+    """The dot products of the rows of X (..., m, dim) with the columns of
+    R (..., dim, n), as (..., m, n). ``einsum`` accumulates each over the
+    coordinates in order, whatever the number of rows, which a BLAS
+    product does not promise (a single row takes another path), so a
+    stack gives its single calls bit for bit."""
+    return np.einsum("...md,...dn->...mn", X, R)
+
+
 def _unit_ratio(num, den):
     """num / den clamped to [0, 1], and 0 where den is not positive; num
     has the broadcast shape."""
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0.0)
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def _closest_cores(Va, boundary_a, Vb, boundary_b):
-    """Closest candidate pair of conv(Va[p]) and conv(Vb) for every
-    placement p: Va is (P, ka, dim), every placement sharing
-    ``boundary_a``; Vb is (kb, dim).
-
-    The candidates are every edge pair, by clamped segment-segment
-    (Ericson, Real-Time Collision Detection, 2005, 5.1.9), a vertex being
-    a zero-length edge, and in 3D every vertex of one core against every
-    triangle interior of the other. The closest pair of separated cores
-    lies on a vertex and a facet or on two edges, so it is among them.
-    Returns (witness_a, witness_b, d, n, gap): n is the unit direction
-    from witness_a to witness_b (zero where d = 0) and gap = min(Vb n) -
-    max(Va n) the separation of the supporting planes normal to n. gap
-    never exceeds the core distance, and matches d, up to the roundoff of
-    n, when the pair is the closest one of separated cores.
-
-    Points are computed coordinate-first, (dim, P, ...), so that every
-    operation broadcasts over contiguous planes.
-    """
-    P, ka, dim = Va.shape
-    ea, fa = boundary_a.edges, boundary_a.triangles
-    eb, fb = boundary_b.edges, boundary_b.triangles
-    width = max(len(ea) * len(eb), ka * len(fb), len(Vb) * len(fa))
-    step = max(1, DISTANCE_BLOCK // (width * dim))
-    wa, wb = np.empty((P, dim)), np.empty((P, dim))
-    B = Vb.T
-    for s in range(0, P, step):
-        A = Va[s:s + step].transpose(2, 0, 1)
-        wa[s:s + step], wb[s:s + step] = _closest_block(A, ea, fa, B, eb, fb)
-    diff = wb - wa
-    d = np.sqrt(_dots(diff.T, diff.T))
-    n = np.divide(diff, d[:, None], out=np.zeros_like(diff),
-                  where=d[:, None] > 0.0)
-    gap = (_dots(B[:, None, :], n.T[:, :, None]).min(axis=1)
-           - _dots(Va.transpose(2, 0, 1), n.T[:, :, None]).max(axis=1))
-    return wa, wb, d, n, gap
-
-
-def _closest_block(A, ea, fa, B, eb, fb):
-    """(witness_a, witness_b) of ``_closest_cores`` for one block of
-    placements, A (dim, P, ka) against B (dim, kb)."""
-    best = _nearest(*_edge_pairs(A[:, :, ea[:, 0], None],
-                                 A[:, :, ea[:, 1], None],
-                                 B[:, None, None, eb[:, 0]],
-                                 B[:, None, None, eb[:, 1]]))
-    if len(fb):
-        xa = A[:, :, :, None]
-        y, inside = _onto_triangles(xa, *(B[:, None, None, fb[:, i]]
-                                          for i in range(3)))
-        best = _nearer(best, _nearest(xa, y, inside))
-    if len(fa):
-        xb = B[:, None, :, None]
-        x, inside = _onto_triangles(xb, *(A[:, :, None, fa[:, i]]
-                                          for i in range(3)))
-        best = _nearer(best, _nearest(x, xb, inside))
-    return best[1], best[2]
-
-
-def _edge_pairs(a0, a1, b0, b1):
-    """Closest points x = a0 + s (a1 - a0), y = b0 + t (b1 - b0) of the
-    segment pairs, broadcast, by clamped segment-segment: the optimal s
-    for the clamped t is taken last, which also settles parallel edges. A
-    zero-length edge (a vertex) gets the clamped projection on the other
-    segment: where nearly parallel edges make their pair ill-conditioned,
-    the closest pair has an end of one of them."""
-    d1, d2, r = a1 - a0, b1 - b0, a0 - b0
-    a, e, b = _dots(d1, d1), _dots(d2, d2), _dots(d1, d2)
-    c, f = _dots(d1, r), _dots(d2, r)
-    s = _unit_ratio(b * f - c * e, a * e - b * b)
-    t = _unit_ratio(b * s + f, e)
-    s = _unit_ratio(b * t - c, a)
-    return a0 + s * d1, b0 + t * d2
-
-
-def _onto_triangles(X, A, B, C):
-    """Feet of the points X on the planes of the triangles (A, B, C),
-    broadcast, and whether each foot lies inside its triangle (a triangle
-    without area holds none)."""
-    e0, e1, w = B - A, C - A, X - A
-    g00, g01, g11 = _dots(e0, e0), _dots(e0, e1), _dots(e1, e1)
-    det = g00 * g11 - g01 * g01
-    w0, w1 = _dots(w, e0), _dots(w, e1)
-    # Barycentric coordinates of the foot, times det.
-    u, v = g11 * w0 - g01 * w1, g00 * w1 - g01 * w0
-    inside = (det > 1e-12 * g00 * g11) & (u >= 0.0) & (v >= 0.0) \
-        & (u + v <= det)
-    nrm = _cross(e0, e1)
-    h = np.zeros(inside.shape)
-    np.divide(_dots(w, nrm), _dots(nrm, nrm), out=h, where=inside)
-    return X - h * nrm, inside
 
 
 def _cross(u, v):
@@ -913,33 +886,300 @@ def _cross(u, v):
                      u[0] * v[1] - u[1] * v[0]])
 
 
-def _nearest(x, y, valid=None):
-    """The closest of the candidate pairs (x, y), coordinate-first
-    (dim, P, m, n) after broadcasting, among the ``valid`` ones: (squared
-    distance, x, y) per placement, the points as (P, dim)."""
-    diff = x - y
-    sq = _dots(diff, diff)
-    if valid is not None:
-        sq = np.where(valid, sq, np.inf)
-    P, m, n = sq.shape
-    i, j = np.divmod(np.argmin(sq.reshape(P, -1), axis=1), n)
-    rows = np.arange(P)
-    return sq[rows, i, j], _pick(x, rows, i, j), _pick(y, rows, i, j)
+def _rcross(u, v):
+    """Cross products of 3-vectors on the last axis, broadcast, as a
+    contiguous array."""
+    return np.stack([u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+                     u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+                     u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]], axis=-1)
 
 
-def _pick(x, rows, i, j):
-    """Rows (P, dim) of the coordinate-first x at the broadcast indices
-    (rows, i, j); an axis of length 1 is broadcast."""
-    _, P, m, n = x.shape
-    return x[:, rows % P, i % m, j % n].T
+class _Triangles:
+    """Projection constants of the triangles ``tri`` (F, 3) on the rows of
+    V (..., k, 3). The columns of ``rhs`` (..., 3, 4F) are each triangle's
+    unit normal and the dual vectors of its three corners: a point's
+    products with them plus ``shift`` are its height over the triangle's
+    plane and the barycentric coordinates of its foot there, so one
+    product per point projects it on every triangle. The duals come from
+    cross products (e1 x n / n.n for the second corner), which keep their
+    accuracy on a thin triangle. A triangle without area (n.n at most
+    1e-12 of |e0|^2 |e1|^2) holds no foot: its second coordinate is -1.
+    """
+
+    def __init__(self, V, tri):
+        t0 = V[..., tri[:, 0], :]
+        e0 = V[..., tri[:, 1], :] - t0
+        e1 = V[..., tri[:, 2], :] - t0
+        n = _rcross(e0, e1)
+        nn = _rdots(n, n)
+        area = nn > 1e-12 * _rdots(e0, e0) * _rdots(e1, e1)
+        inv = np.divide(1.0, nn, out=np.zeros_like(nn), where=area)
+        d1 = _rcross(e1, n) * inv[..., None]
+        d2 = _rcross(n, e0) * inv[..., None]
+        cols = np.concatenate([n * np.sqrt(inv)[..., None], -(d1 + d2), d1,
+                               d2], axis=-2)
+        self.rhs = np.swapaxes(cols, -1, -2)
+        shift = -_rdots(np.concatenate([t0] * 4, axis=-2), cols)
+        F = len(tri)
+        shift[..., F:2 * F] += 1.0
+        shift[..., 2 * F:3 * F] = np.where(area, shift[..., 2 * F:3 * F],
+                                           -1.0)
+        self.shift = shift
+
+    @staticmethod
+    def squared(Q):
+        """Squared heights over the triangles' planes of the points whose
+        foot lies in the triangle, inf for the others, from the points'
+        products with ``rhs`` plus ``shift``, Q (..., m, 4F)."""
+        F = Q.shape[-1] // 4
+        inside = np.minimum(np.minimum(Q[..., F:2 * F], Q[..., 2 * F:3 * F]),
+                            Q[..., 3 * F:]) >= 0.0
+        h = Q[..., :F]
+        return np.where(inside, h * h, np.inf)
 
 
-def _nearer(p, q):
-    """Per placement, the nearer of two (squared distance, x, y) triples;
-    ties keep p."""
-    take = q[0] < p[0]
-    return (np.where(take, q[0], p[0]), np.where(take[:, None], q[1], p[1]),
-            np.where(take[:, None], q[2], p[2]))
+class _Features:
+    """The constants of a fixed core's boundary features, for the distance
+    kernel: conv(V) with complex ``boundary``, built once per body
+    (``SweptHull._features``).
+
+    Coordinates are taken from the vertex centroid ``centre`` (``local``
+    holds the vertices there), so that the squared distances the kernel
+    expands from dot products lose to roundoff no more than the square of
+    the core's size and distance. ``rhs`` (dim, cols) stacks the vertices,
+    the directions e of ``Boundary.segments`` (from origins o at indices
+    ``origins``) and, in 3D, the ``_Triangles`` columns: a point x's
+    products with it plus ``shift`` are x.v, e.(x - o) and the triangle
+    heights and foot coordinates. ``ee`` and ``ree`` are e.e and its
+    inverse (0 on a zero-length segment), ``vv`` v.v and ``oo`` o.o. A
+    winning vertex drops to its foot on a triangle through ``corners``
+    along ``normals`` (e0 x e1, in the body's own coordinates).
+    ``magnitude``, max(1, |V|_max), is the body's part of the scale of
+    ``distances``' separation test.
+    """
+
+    def __init__(self, V, boundary):
+        self.vertices = V
+        self.centre = V.sum(axis=0) / len(V)
+        L = self.local = V - self.centre
+        self.segments = boundary.segments
+        self.origins = self.segments[:, 0]
+        o = L[self.origins]
+        e = L[self.segments[:, 1]] - o
+        self.ee = _rdots(e, e)
+        self.ree = np.divide(1.0, self.ee, out=np.zeros_like(self.ee),
+                             where=self.ee > 0.0)
+        self.vv = _rdots(L, L)
+        self.oo = self.vv[self.origins]
+        self.magnitude = max(1.0, float(np.abs(V).max()))
+        cols, shift = [L, e], [np.zeros(len(L)), -_rdots(o, e)]
+        tri = self.triangles = boundary.triangles
+        if len(tri):
+            planes = _Triangles(L, tri)
+            cols.append(planes.rhs.T)
+            shift.append(planes.shift)
+            self.corners = V[tri[:, 0]]
+            self.normals = _rcross(V[tri[:, 1]] - self.corners,
+                                   V[tri[:, 2]] - self.corners)
+        self.rhs = np.concatenate(cols).T
+        self.shift = np.concatenate(shift)
+        self._pairs = {}
+
+    def pairs(self, boundary_a):
+        """The ``_Pairs`` of the cores with complex ``boundary_a`` against
+        this one, built once per topology."""
+        pairs = self._pairs.get(boundary_a.key)
+        if pairs is None:
+            pairs = self._pairs[boundary_a.key] = _Pairs(boundary_a, self)
+        return pairs
+
+
+class _Pairs:
+    """The candidate families of a core A (complex ``boundary_a``) against
+    fixed features F, in the order ``_closest_block`` lays them out: pairs
+    of A's edges and F's segments (interior solutions, when both cores
+    have edges), F's vertices on A's edges, A's vertices on F's segments
+    (unless F is a point and A has edges, whose ends then cover them), and
+    in 3D A's vertices on F's triangles and F's vertices on A's triangles.
+    ``ends`` holds the (a0, a1, b0, b1) vertex indices of the candidates of
+    the segment families, a vertex being a zero-length segment; ``width``
+    counts all candidates."""
+
+    def __init__(self, boundary_a, F):
+        ka, kb = len(boundary_a._vertices), len(F.vertices)
+        self.edges = boundary_a._faces[0]
+        self.triangles = boundary_a.triangles
+        na, ns = len(self.edges), len(F.segments)
+        self.pairs = na > 0 and kb > 1
+        self.on_b = kb > 1 or na == 0
+        vb, va = np.arange(kb).repeat(2), np.arange(ka).repeat(2)
+        ends = []
+        if self.pairs:
+            ends.append(np.hstack([self.edges.repeat(ns, axis=0),
+                                   np.tile(F.segments, (na, 1))]))
+        if na:
+            ends.append(np.hstack([self.edges.repeat(kb, axis=0),
+                                   np.tile(vb.reshape(-1, 2), (na, 1))]))
+        if self.on_b:
+            ends.append(np.hstack([va.reshape(-1, 2).repeat(ns, axis=0),
+                                   np.tile(F.segments, (ka, 1))]))
+        self.ends = np.concatenate(ends)
+        self.width = (len(self.ends) + ka * len(F.triangles)
+                      + kb * len(self.triangles))
+
+
+def _closest_cores(Va, boundary_a, body_b):
+    """Closest candidate pair of conv(Va[p]) and the core of ``body_b`` for
+    every placement p: Va is (P, ka, dim), every placement sharing
+    ``boundary_a``.
+
+    The candidates are the segment pairs of the two complexes, a vertex
+    being a zero-length segment (Ericson, Real-Time Collision Detection,
+    2005, 5.1.9), and in 3D every vertex of one core against every
+    triangle interior of the other. The closest pair of separated cores
+    lies on a vertex and a facet or on two edges, so it is among them.
+    Returns (witness_a, witness_b, d, n, gap): n is the unit direction
+    from witness_a to witness_b (zero where d = 0) and gap = min(Vb n) -
+    max(Va n) the separation of the supporting planes normal to n. gap
+    never exceeds the core distance, and matches d, up to the roundoff of
+    n, when the pair is the closest one of separated cores.
+
+    B is the fixed body of the query: the constants of its features
+    (``_Features``) are built on its first query and kept on it. Each
+    candidate's squared distance is expanded from dot products of A's
+    vertices and edges with them (``_closest_block``), one argmin over all
+    families picks the closest, and only the winner's witnesses are
+    formed, as points of the two cores.
+    """
+    P, ka, dim = Va.shape
+    F = body_b._features
+    pairs = F.pairs(boundary_a)
+    step = max(1, DISTANCE_BLOCK // (pairs.width * dim))
+    wa, wb = np.empty((P, dim)), np.empty((P, dim))
+    for s in range(0, P, step):
+        wa[s:s + step], wb[s:s + step] = _closest_block(Va[s:s + step], F,
+                                                        pairs)
+    diff = wb - wa
+    d = np.sqrt(_dots(diff.T, diff.T))
+    n = np.divide(diff, d[:, None], out=np.zeros_like(diff),
+                  where=d[:, None] > 0.0)
+    B = F.vertices.T
+    gap = (_dots(B[:, None, :], n.T[:, :, None]).min(axis=1)
+           - _dots(Va.transpose(2, 0, 1), n.T[:, :, None]).max(axis=1))
+    return wa, wb, d, n, gap
+
+
+def _closest_block(Va, F, pairs):
+    """(witness_a, witness_b) of ``_closest_cores`` for one block of
+    placements Va (p, ka, dim) against the fixed features F.
+
+    Every family's squared distances come from the products of the
+    placements' vertices with F's columns (and of their edges with F's
+    vertices and segment directions, and of F's vertices with their
+    triangles' ``_Triangles`` columns). A vertex projects on a segment by
+    one clamped parameter; an edge pair keeps only the interior solution
+    of its 2 x 2 system, its ends being the vertex families' candidates; a
+    vertex over a triangle takes its height. Each value is the squared
+    distance of a pair of points of the cores, up to the roundoff of the
+    expansion, so an ill-conditioned pair never undercuts the closest one.
+    A segment candidate also carries its parameters s and t along the A
+    and B segments of ``_Pairs.ends``, and the winner's witnesses are
+    formed from them, or as the foot on its triangle, in the cores' own
+    coordinates.
+    """
+    p, ka, dim = Va.shape
+    kb, ns = len(F.vertices), len(F.segments)
+    X = Va - F.centre
+    xx = _rdots(X, X)[..., None]
+    Q = _products(X, F.rhs) + F.shift
+    we = Q[..., kb:kb + ns]
+    sq, s, t = [], [], []
+    if len(pairs.edges):
+        # A's edges from origins o along e: w = v - o for F's vertices v.
+        ia = pairs.edges[:, 0]
+        o = X[:, ia]
+        e = X[:, pairs.edges[:, 1]] - o
+        aa = _rdots(e, e)[..., None]
+        E = _products(e, F.rhs[:, :kb + ns])
+        we_a = E[..., :kb] - _rdots(o, e)[..., None]
+        ww_a = (xx[:, ia] + F.vv) - 2.0 * Q[:, ia, :kb]
+        if pairs.pairs:
+            # r = o - o_b: c = e.r, f = e_b.r and r.r, from the vertex
+            # families' values at o_b and o.
+            b, c, f, ee = E[..., kb:], -we_a[..., F.origins], we[:, ia], F.ee
+            den = aa * ee - b * b
+            sn, tn = b * f - c * ee, aa * f - b * c
+            inner = (np.minimum(sn, tn) > 0.0) & (np.maximum(sn, tn) < den)
+            u = np.divide(sn, den, out=np.zeros_like(den), where=inner)
+            v = np.divide(tn, den, out=np.zeros_like(den), where=inner)
+            pair = ww_a[..., F.origins] + u * (u * aa + 2.0 * c) + v * (
+                v * ee - 2.0 * (f + u * b))
+            sq.append(np.where(inner, pair, np.inf))
+            s.append(u)
+            t.append(v)
+        # F's vertices on A's edges; t is free on a vertex, as s below.
+        d, u = _clamped(ww_a, we_a, aa, np.divide(
+            1.0, aa, out=np.zeros_like(aa), where=aa > 0.0))
+        sq.append(d)
+        s.append(u)
+        t.append(u)
+    if pairs.on_b:
+        # A's vertices on F's segments.
+        d, u = _clamped((xx + F.oo) - 2.0 * Q[..., F.origins], we,
+                        F.ee, F.ree)
+        sq.append(d)
+        s.append(u)
+        t.append(u)
+    if len(F.triangles):
+        sq.append(_Triangles.squared(Q[..., kb + ns:]))
+    if len(pairs.triangles):
+        planes = _Triangles(X, pairs.triangles)
+        sq.append(_Triangles.squared(_products(F.local, planes.rhs)
+                                     + planes.shift[:, None]))
+    k = np.argmin(_columns(sq, p), axis=1)
+    rows, m = np.arange(p), np.minimum(k, len(pairs.ends) - 1)
+    s, t, ends = _columns(s, p)[rows, m], _columns(t, p)[rows, m], \
+        pairs.ends[m]
+    a0, b0, Vb = Va[rows, ends[:, 0]], F.vertices[ends[:, 2]], F.vertices
+    wa = a0 + s[:, None] * (Va[rows, ends[:, 1]] - a0)
+    wb = b0 + t[:, None] * (Vb[ends[:, 3]] - b0)
+    k -= len(pairs.ends)
+    if pairs.width > len(pairs.ends) and k.max() >= 0:
+        nf = len(F.triangles)
+        top = np.flatnonzero((k >= 0) & (k < ka * nf))
+        if len(top):
+            i, j = np.divmod(k[top], nf)
+            wa[top] = Va[top, i]
+            wb[top] = _foot(wa[top], F.corners[j], F.normals[j])
+        under = np.flatnonzero(k >= ka * nf)
+        if len(under):
+            i, j = np.divmod(k[under] - ka * nf, len(pairs.triangles))
+            t0, t1, t2 = np.moveaxis(Va[under[:, None], pairs.triangles[j]],
+                                     1, 0)
+            wb[under] = Vb[i]
+            wa[under] = _foot(Vb[i], t0, _rcross(t1 - t0, t2 - t0))
+    return wa, wb
+
+
+def _foot(X, t0, nrm):
+    """Feet of the points X (n, 3) on the planes through t0 with the
+    nonzero normals nrm = e0 x e1 of their triangles, rows."""
+    h = _rdots(X - t0, nrm) / _rdots(nrm, nrm)
+    return X - h[:, None] * nrm
+
+
+def _columns(arrays, p):
+    """The families' (p, ...) arrays side by side, as (p, candidates)."""
+    return np.concatenate([x.reshape(p, -1) for x in arrays], axis=1)
+
+
+def _clamped(ww, we, ee, ree):
+    """Squared distances |w - t e|^2 of points to segments, from w.w, w.e
+    and e.e (w from the segment's origin), at the clamped projection
+    t = w.e / e.e (``ree`` = 1 / e.e, or 0 on a zero-length segment), and
+    that t."""
+    t = np.minimum(np.maximum(we * ree, 0.0), 1.0)
+    return ww - t * (2.0 * we - t * ee), t
 
 
 def distances(vertices, radii, boundary, body_b):
@@ -956,20 +1196,25 @@ def distances(vertices, radii, boundary, body_b):
     of the direction). Any other pair, touching, contained, or with an
     edge through a face, takes the exact depth and normal of ``_depths``,
     and the witnesses of its cores translated apart by the depth.
+
+    ``body_b`` is the fixed body of the call: the constants of its
+    features are built on its first query and kept on it (not on the
+    boundary complex that its ``posed`` copies share), so every later
+    query against it costs products of the stack with them, and one
+    argmin over all candidates (``_closest_cores``).
     """
     Vb, rb = body_b.vertices, body_b.radius
-    wa, wb, d, n, gap = _closest_cores(vertices, boundary, Vb,
-                                       body_b.boundary)
+    wa, wb, d, n, gap = _closest_cores(vertices, boundary, body_b)
     ra = np.broadcast_to(np.asarray(radii, dtype=float), d.shape)
     scale = np.maximum(np.abs(vertices).max(axis=(1, 2)),
-                       max(1.0, float(np.abs(Vb).max())))
+                       body_b._features.magnitude)
     pen = np.flatnonzero((d <= CONTACT_TOL)
                          | (gap <= SEPARATION_RTOL * scale))
     if len(pen):
         depth, n[pen] = _depths(vertices[pen], boundary, Vb, body_b.boundary)
         shift = depth[:, None] * n[pen]
         wa[pen], wb[pen] = _closest_cores(vertices[pen] - shift[:, None],
-                                          boundary, Vb, body_b.boundary)[:2]
+                                          boundary, body_b)[:2]
         wa[pen] += shift
         d[pen] = -depth
     return DistanceResult(d - ra - rb, wa + ra[:, None] * n,
@@ -1033,33 +1278,33 @@ def point_distances(points, vertices, boundary):
     conv(vertices) of the points outside it, and of every point when it is
     flat, since its complex then covers it.
 
-    Each is the least over the complex's edges, by clamped projection on
-    the segment, and, in 3D, over the triangles whose interior holds the
-    point's foot on their plane (``_onto_triangles``). Rows go in blocks
-    whose (rows x features x dim) temporaries stay within HIT_BLOCK x
-    vertices x dim elements; a flat point set has every vertex pair as an
-    edge.
+    Each is the least over the complex's segments, by clamped projection,
+    and, in 3D, over the triangles whose interior holds the point's foot
+    on their plane: the height there, from one product of the point with
+    the triangles' ``_Triangles`` constants, built once per call, as the
+    distance kernel projects on a fixed body's triangles. Rows go in
+    blocks whose (rows x features x dim) temporaries stay within
+    HIT_BLOCK x vertices x dim elements; a flat point set has every
+    vertex pair as an edge.
     """
-    edges, triangles = boundary._faces
-    if not len(edges):
-        edges = boundary.edges      # one point: its zero-length edge
+    edges, triangles = boundary.segments, boundary.triangles
     V = vertices.T[:, None, :]
     a0 = V[:, :, edges[:, 0]]
     e = V[:, :, edges[:, 1]] - a0
     ee = _dots(e, e)
-    corners = [V[:, :, triangles[:, i]] for i in range(3)]
+    if len(triangles):
+        centre = vertices.sum(axis=0) / len(vertices)
+        planes = _Triangles(vertices - centre, triangles)
     step = max(1, HIT_BLOCK * len(vertices) // (len(edges) + len(triangles)))
     out = np.empty(len(points))
     for s in range(0, len(points), step):
-        X = points[s:s + step].T[:, :, None]
-        w = X - a0
+        x = points[s:s + step]
+        w = x.T[:, :, None] - a0
         w -= _unit_ratio(_dots(w, e), ee) * e
         sq = _dots(w, w).min(axis=1)
         if len(triangles):
-            y, inside = _onto_triangles(X, *corners)
-            w = X - y
-            sq = np.minimum(sq, np.where(inside, _dots(w, w), np.inf)
-                            .min(axis=1))
+            Q = _products(x - centre, planes.rhs) + planes.shift
+            sq = np.minimum(sq, _Triangles.squared(Q).min(axis=1))
         out[s:s + step] = np.sqrt(sq)
     return out
 

@@ -99,8 +99,7 @@ def _cull_bounds(vertices, boundary, nominal):
     obstacle's core: max(0, gap), gap the distance kernel's supporting-
     plane gap, which matches that distance, to roundoff, when the cores
     are separated."""
-    gap = _closest_cores(vertices, boundary, nominal.vertices,
-                         nominal.boundary)[4]
+    gap = _closest_cores(vertices, boundary, nominal)[4]
     return np.maximum(gap, 0.0)
 
 

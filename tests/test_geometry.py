@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,8 +471,7 @@ class TestBatchedKernel:
     def test_failed_certificate_takes_penetration(self, a, b, expect):
         # The closest candidate pair is apart, but the supporting planes
         # along it overlap: the pair is not a separation.
-        _, _, d, _, gap = _closest_cores(a.vertices[None], a.boundary,
-                                         b.vertices, b.boundary)
+        _, _, d, _, gap = _closest_cores(a.vertices[None], a.boundary, b)
         assert d[0] > 1e-3 and gap[0] <= 0.0
         res = distance(a, b)
         assert res.signed_distance == pytest.approx(expect, abs=1e-12)
@@ -559,6 +562,164 @@ def face_diagonal_points(h, rng):
         p[i], p[j] = u * h[i], slope * u * h[j]
         out.append((p, gap))
     return out
+
+
+class TestFixedFeatures:
+    """The fixed body's feature constants are built on its first query and
+    kept on the body, never on the boundary complex its posed copies
+    share."""
+
+    def test_each_body_keeps_its_own_constants(self, monkeypatch):
+        built = []
+
+        class Counted(geometry._Features):
+            def __init__(self, V, boundary):
+                built.append(V)
+                super().__init__(V, boundary)
+
+        monkeypatch.setattr(geometry, "_Features", Counted)
+        rng = np.random.default_rng(40)
+        obstacle = box([0.3, 0.2, 0.25], center=[0.1, -0.2, 0.3])
+        posed = obstacle.posed(random_pose(rng, 3))
+        fresh = SweptHull(obstacle.vertices.copy(), obstacle.radius)
+        assert posed.boundary is obstacle.boundary
+        link = Capsule([0.0, 0.0, 0.0], [0.4, 0.1, 0.0], 0.05)
+        V = np.stack([link.posed(random_pose(rng, 3)).vertices
+                      for _ in range(30)]) * 2.0
+        radii = np.full(len(V), link.radius)
+        first = {}
+        for _ in range(3):
+            for body in (obstacle, posed, fresh, posed, obstacle):
+                res = distances(V, radii, link.boundary, body)
+                got = np.column_stack([res.signed_distance, res.witness_a,
+                                       res.witness_b, res.normal])
+                want = first.setdefault(id(body), got)
+                np.testing.assert_array_equal(got, want)
+        assert len(built) == 3
+        for body in (obstacle, posed, fresh):
+            assert body._features.vertices is body.vertices
+        # The posed copy's constants are its own, not the obstacle's.
+        assert not np.array_equal(first[id(posed)], first[id(obstacle)])
+        assert "_features" not in vars(obstacle.boundary)
+
+
+def check_exact(a, b, expect):
+    """``distance`` of a pair whose closest features tie: the distance to
+    1e-15, witnesses on their bodies' cores, a unit normal and
+    witness_b - witness_a = d n."""
+    res = distance(a, b)
+    n, d = res.normal, res.signed_distance
+    assert d == pytest.approx(expect, abs=1e-15)
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+    assert in_core(res.witness_a - a.radius * n, a.vertices)
+    assert in_core(res.witness_b + b.radius * n, b.vertices)
+    np.testing.assert_allclose(res.witness_b - res.witness_a, d * n,
+                               rtol=0, atol=1e-15)
+    return res
+
+
+class TestTiedFeatures:
+    """Pairs whose closest points are not unique, so that the kernel's
+    families tie: a vertex over a face against an edge pair, and the same
+    vertex pair reached through several segments."""
+
+    def test_capsule_parallel_to_a_box_face(self):
+        res = check_exact(Capsule([-0.5, 0.25, 1.5], [0.5, 0.25, 1.5], 0.25),
+                          box([1.0, 1.0, 1.0]), 0.25)
+        np.testing.assert_array_equal(res.normal, [0.0, 0.0, -1.0])
+
+    def test_capsule_parallel_to_a_box_edge(self):
+        res = check_exact(Capsule([-0.5, 1.5, 1.5], [0.5, 1.5, 1.5], 0.125),
+                          box([1.0, 1.0, 1.0]), math.sqrt(0.5) - 0.125)
+        np.testing.assert_allclose(res.normal, [0.0, -math.sqrt(0.5),
+                                                -math.sqrt(0.5)], atol=1e-15)
+
+    def test_capsule_coaxial_with_an_edge_beyond_its_end(self):
+        res = check_exact(Capsule([1.5, 1.0, 1.0], [2.5, 1.0, 1.0], 0.125),
+                          box([1.0, 1.0, 1.0]), 0.375)
+        np.testing.assert_array_equal(res.normal, [-1.0, 0.0, 0.0])
+
+    def test_point_robot_against_a_sphere_2d(self):
+        res = check_exact(point_body([0.3, 0.4]), Sphere([0.0, 0.0], 0.25),
+                          0.25)
+        np.testing.assert_allclose(res.normal, [-0.6, -0.8], atol=1e-15)
+
+
+class TestBoxComplex:
+    """``box`` lays out its own boundary complex, the one Qhull builds for
+    its corners, so a box scene never loads SciPy's spatial module."""
+
+    def test_same_as_qhull(self):
+        rng = np.random.default_rng(41)
+        for dim in (2, 3):
+            body = box(rng.uniform(0.1, 0.6, size=dim),
+                       center=rng.normal(size=dim))
+            qhull = Boundary(body.vertices)
+            for faces in ("edges", "triangles"):
+                assert {tuple(sorted(x)) for x in getattr(body.boundary,
+                                                          faces)} \
+                    == {tuple(sorted(x)) for x in getattr(qhull, faces)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_distances_and_depths_match_qhull(self, dim):
+        # Points (above the face diagonals too) against a posed box, posed
+        # boxes against a segment, and the depths of segments in the box,
+        # with the box's complex and with Qhull's for the same corners.
+        rng = np.random.default_rng(42 + dim)
+        segment = Capsule(np.zeros(dim), np.ones(dim), 0.0)
+        inside = 0
+        for _ in range(20):
+            h = rng.uniform(0.1, 1.0, size=dim)
+            pose = random_pose(rng, dim)
+            body = box(h).posed(pose)
+            qhull = SweptHull(body.vertices, 0.0, Boundary(box(h).vertices))
+            points = [pose.apply(p) for p, _ in face_diagonal_points(h, rng)
+                      ] if dim == 3 else []
+            points += list(pose.apply(np.zeros(dim))
+                           + rng.normal(size=(30, dim)) * h.max())
+            V = np.array(points)[:, None, :]
+            got = distances(V, 0.0, Boundary(V[0]), body).signed_distance
+            np.testing.assert_allclose(
+                got, distances(V, 0.0, Boundary(V[0]), qhull).signed_distance,
+                rtol=0, atol=1e-15)
+            inside += int((got < 0.0).sum())
+            boxes = np.stack([box(h).posed(random_pose(rng, dim)).vertices
+                              for _ in range(20)])
+            np.testing.assert_allclose(
+                distances(boxes, 0.0, body.boundary, segment).signed_distance,
+                distances(boxes, 0.0, qhull.boundary, segment)
+                .signed_distance, rtol=0, atol=1e-15)
+            links = np.stack([segment.posed(random_pose(rng, dim)).vertices
+                              for _ in range(20)])
+            for x, y in zip(geometry._depths(links, segment.boundary,
+                                             body.vertices, body.boundary),
+                            geometry._depths(links, segment.boundary,
+                                             qhull.vertices, qhull.boundary)):
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-15)
+        assert inside > 20
+
+    def test_box_scene_solve_leaves_qhull_unloaded(self):
+        child = """
+import json, sys
+from importlib.resources import files
+import numpy as np
+from ccplan.planner import TrajectoryProblem, solve
+from ccplan.sceneio import parse_robot, parse_scene
+scenes = files("ccplan") / "scenes"
+scene = parse_scene(json.loads((scenes / "pickplace3d.json").read_text()))
+robot = parse_robot(json.loads((scenes / "arm4dof3d.json").read_text()))
+solve(TrajectoryProblem(robot, scene.obstacles, 17,
+                        np.array([-0.8, -0.5, -0.7, -0.3]),
+                        np.array([0.9, -0.4, -0.8, -0.2]), 0.10, 0.02))
+print("scipy.spatial" in sys.modules)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(geometry.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False"]
 
 
 class TestIntersects:

@@ -107,14 +107,15 @@ def test_convex_hull_only_in_boundary():
 
 
 def test_boundary_built_only_for_cores_and_hit_hulls():
-    # Boundary complexes are built for body cores, Monte Carlo difference
-    # sets and plots; penetration comes from candidate axes, so the
-    # distance kernel never hulls a difference set.
+    # Boundary complexes are built for body cores (a box with its own
+    # complex), Monte Carlo difference sets and plots; penetration comes
+    # from candidate axes, so the distance kernel never hulls a difference
+    # set.
     found = top_level_users(
         lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         and n.func.id == "Boundary")
-    assert found == {"geometry.SweptHull", "validate._point_polytope_hits",
-                     "plotting._hull_order"}
+    assert found == {"geometry.SweptHull", "geometry.box",
+                     "validate._point_polytope_hits", "plotting._hull_order"}
 
 
 def test_layer_trace_names_exist():
