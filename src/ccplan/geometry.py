@@ -846,6 +846,10 @@ DISTANCE_BLOCK = 1 << 16
 # HIT_BLOCK x vertices x dim elements, a few megabytes; the Monte Carlo hit
 # test takes its candidates this many at a time.
 HIT_BLOCK = 4096
+# The least positive normal float: the kernel inverts a squared length or
+# area only at or above it, so that the inverse stays finite (a segment
+# shorter than about 1e-154 projects as its origin).
+_TINY = np.finfo(float).tiny
 
 
 def _dots(u, v):
@@ -903,7 +907,8 @@ class _Triangles:
     product per point projects it on every triangle. The duals come from
     cross products (e1 x n / n.n for the second corner), which keep their
     accuracy on a thin triangle. A triangle without area (n.n at most
-    1e-12 of |e0|^2 |e1|^2) holds no foot: its second coordinate is -1.
+    1e-12 of |e0|^2 |e1|^2, or below ``_TINY``) holds no foot: its second
+    coordinate is -1.
     """
 
     def __init__(self, V, tri):
@@ -912,7 +917,7 @@ class _Triangles:
         e1 = V[..., tri[:, 2], :] - t0
         n = _rcross(e0, e1)
         nn = _rdots(n, n)
-        area = nn > 1e-12 * _rdots(e0, e0) * _rdots(e1, e1)
+        area = (nn > 1e-12 * _rdots(e0, e0) * _rdots(e1, e1)) & (nn >= _TINY)
         inv = np.divide(1.0, nn, out=np.zeros_like(nn), where=area)
         d1 = _rcross(e1, n) * inv[..., None]
         d2 = _rcross(n, e0) * inv[..., None]
@@ -951,11 +956,11 @@ class _Features:
     ``origins``) and, in 3D, the ``_Triangles`` columns: a point x's
     products with it plus ``shift`` are x.v, e.(x - o) and the triangle
     heights and foot coordinates. ``ee`` and ``ree`` are e.e and its
-    inverse (0 on a zero-length segment), ``vv`` v.v and ``oo`` o.o. A
-    winning vertex drops to its foot on a triangle through ``corners``
-    along ``normals`` (e0 x e1, in the body's own coordinates).
-    ``magnitude``, max(1, |V|_max), is the body's part of the scale of
-    ``distances``' separation test.
+    inverse (0 below ``_TINY``), ``vv`` v.v, ``oo`` o.o and
+    ``reach`` the largest v.v. A vertex drops to its foot on a triangle
+    through ``corners`` along ``normals`` (e0 x e1, in the body's own
+    coordinates). ``magnitude``, max(1, |V|_max), is the body's part of
+    the scale of ``distances``' separation test.
     """
 
     def __init__(self, V, boundary):
@@ -968,9 +973,10 @@ class _Features:
         e = L[self.segments[:, 1]] - o
         self.ee = _rdots(e, e)
         self.ree = np.divide(1.0, self.ee, out=np.zeros_like(self.ee),
-                             where=self.ee > 0.0)
+                             where=self.ee >= _TINY)
         self.vv = _rdots(L, L)
         self.oo = self.vv[self.origins]
+        self.reach = float(self.vv.max())
         self.magnitude = max(1.0, float(np.abs(V).max()))
         cols, shift = [L, e], [np.zeros(len(L)), -_rdots(o, e)]
         tri = self.triangles = boundary.triangles
@@ -1083,9 +1089,16 @@ def _closest_block(Va, F, pairs):
     distance of a pair of points of the cores, up to the roundoff of the
     expansion, so an ill-conditioned pair never undercuts the closest one.
     A segment candidate also carries its parameters s and t along the A
-    and B segments of ``_Pairs.ends``, and the winner's witnesses are
-    formed from them, or as the foot on its triangle, in the cores' own
-    coordinates.
+    and B segments of ``_Pairs.ends``. The winner's witnesses are formed,
+    in the cores' own coordinates, from those parameters or as the foot
+    on its triangle. The expansion's roundoff, about eps D^2 with D the
+    pair's extent, can misrank candidates whose distances differ by
+    about eps D^2 / d: so a placement whose least value is below 1e-4 of
+    D^2 (its cores within about D / 100) forms every candidate within
+    that roundoff of it, and the nearest pair of points wins. Near
+    contact, where the expansion cannot rank candidates at all, the
+    witnesses are then as exact as the points themselves, and a farther
+    pair's distance is within a few 1e-13 D of the closest.
     """
     p, ka, dim = Va.shape
     kb, ns = len(F.vertices), len(F.segments)
@@ -1119,7 +1132,7 @@ def _closest_block(Va, F, pairs):
             t.append(v)
         # F's vertices on A's edges; t is free on a vertex, as s below.
         d, u = _clamped(ww_a, we_a, aa, np.divide(
-            1.0, aa, out=np.zeros_like(aa), where=aa > 0.0))
+            1.0, aa, out=np.zeros_like(aa), where=aa >= _TINY))
         sq.append(d)
         s.append(u)
         t.append(u)
@@ -1136,12 +1149,22 @@ def _closest_block(Va, F, pairs):
         planes = _Triangles(X, pairs.triangles)
         sq.append(_Triangles.squared(_products(F.local, planes.rhs)
                                      + planes.shift[:, None]))
-    k = np.argmin(_columns(sq, p), axis=1)
-    rows, m = np.arange(p), np.minimum(k, len(pairs.ends) - 1)
-    s, t, ends = _columns(s, p)[rows, m], _columns(t, p)[rows, m], \
-        pairs.ends[m]
-    a0, b0, Vb = Va[rows, ends[:, 0]], F.vertices[ends[:, 2]], F.vertices
-    wa = a0 + s[:, None] * (Va[rows, ends[:, 1]] - a0)
+    sq = _columns(sq, p)
+    r, k = np.arange(p), np.argmin(sq, axis=1)
+    least, reach = sq[r, k], xx.max(axis=(1, 2)) + F.reach
+    near = least < 1e-4 * reach
+    if near.any():
+        # The expansion rounds each value by up to a few eps (x.x + v.v):
+        # a placement near contact forms every candidate that close to
+        # its least, and the nearest pair of points wins.
+        i, j = np.nonzero(sq[near] <= (least + 2e-13 * reach)[near, None])
+        far = np.flatnonzero(~near)
+        r = np.concatenate([far, np.flatnonzero(near)[i]])
+        k = np.concatenate([k[far], j])
+    m = np.minimum(k, len(pairs.ends) - 1)
+    s, t, ends = _columns(s, p)[r, m], _columns(t, p)[r, m], pairs.ends[m]
+    a0, b0, Vb = Va[r, ends[:, 0]], F.vertices[ends[:, 2]], F.vertices
+    wa = a0 + s[:, None] * (Va[r, ends[:, 1]] - a0)
     wb = b0 + t[:, None] * (Vb[ends[:, 3]] - b0)
     k -= len(pairs.ends)
     if pairs.width > len(pairs.ends) and k.max() >= 0:
@@ -1149,15 +1172,20 @@ def _closest_block(Va, F, pairs):
         top = np.flatnonzero((k >= 0) & (k < ka * nf))
         if len(top):
             i, j = np.divmod(k[top], nf)
-            wa[top] = Va[top, i]
+            wa[top] = Va[r[top], i]
             wb[top] = _foot(wa[top], F.corners[j], F.normals[j])
         under = np.flatnonzero(k >= ka * nf)
         if len(under):
             i, j = np.divmod(k[under] - ka * nf, len(pairs.triangles))
-            t0, t1, t2 = np.moveaxis(Va[under[:, None], pairs.triangles[j]],
-                                     1, 0)
+            t0, t1, t2 = np.moveaxis(
+                Va[r[under][:, None], pairs.triangles[j]], 1, 0)
             wb[under] = Vb[i]
             wa[under] = _foot(Vb[i], t0, _rcross(t1 - t0, t2 - t0))
+    if near.any():
+        diff = wb - wa
+        order = np.lexsort((_rdots(diff, diff), r))
+        best = order[np.searchsorted(r[order], np.arange(p))]
+        wa, wb = wa[best], wb[best]
     return wa, wb
 
 
@@ -1176,7 +1204,7 @@ def _columns(arrays, p):
 def _clamped(ww, we, ee, ree):
     """Squared distances |w - t e|^2 of points to segments, from w.w, w.e
     and e.e (w from the segment's origin), at the clamped projection
-    t = w.e / e.e (``ree`` = 1 / e.e, or 0 on a zero-length segment), and
+    t = w.e / e.e (``ree`` = 1 / e.e, or 0 on a segment of no length), and
     that t."""
     t = np.minimum(np.maximum(we * ree, 0.0), 1.0)
     return ww - t * (2.0 * we - t * ee), t

@@ -533,6 +533,23 @@ class TestDistanceRegressions:
         lower = min(along(b.vertices)) - max(along(a.vertices))
         assert Fraction(res.signed_distance) >= lower
 
+    def test_segment_with_a_subnormal_square_length(self):
+        # 1 / e.e overflowed for a segment 2.2e-162 long, and the clamped
+        # projection on it made the witnesses NaN. Such a segment now
+        # projects as its origin, and a triangle of subnormal area holds
+        # no foot.
+        a = point_body([0.0, 0.0])
+        b = SweptHull(np.array([[0.0, 0.0], [0.0, 2.16308922e-162]]), 0.25)
+        for x, y in ((a, b), (b, a)):
+            res = distance(x, y)
+            assert res.signed_distance == -0.25
+            assert np.isfinite(res.witness_a).all()
+            assert np.isfinite(res.witness_b).all()
+        tiny = Polytope(np.vstack([np.zeros(3), np.eye(3)]) * 1e-80)
+        res = distance(point_body([0.3, 0.2, 0.5]), tiny)
+        assert res.signed_distance == pytest.approx(math.sqrt(0.38),
+                                                    rel=1e-15)
+
     def test_point_above_a_posed_box_face_diagonal(self):
         # A posed box shares the axis-aligned box's boundary complex,
         # whose face triangles have bit-equal Qhull planes. The complex
@@ -647,7 +664,8 @@ class TestTiedFeatures:
 
 class TestBoxComplex:
     """``box`` lays out its own boundary complex, the one Qhull builds for
-    its corners, so a box scene never loads SciPy's spatial module."""
+    its corners, so a solve among boxes never loads SciPy's spatial
+    module."""
 
     def test_same_as_qhull(self):
         rng = np.random.default_rng(41)
