@@ -1153,10 +1153,9 @@ def _closest_block(Va, F, pairs):
     r, k = np.arange(p), np.argmin(sq, axis=1)
     least, reach = sq[r, k], xx.max(axis=(1, 2)) + F.reach
     near = least < 1e-4 * reach
-    if near.any():
-        # The expansion rounds each value by up to a few eps (x.x + v.v):
-        # a placement near contact forms every candidate that close to
-        # its least, and the nearest pair of points wins.
+    refine = near.any()
+    if refine:
+        # Every candidate within the expansion's roundoff of the least.
         i, j = np.nonzero(sq[near] <= (least + 2e-13 * reach)[near, None])
         far = np.flatnonzero(~near)
         r = np.concatenate([far, np.flatnonzero(near)[i]])
@@ -1181,7 +1180,7 @@ def _closest_block(Va, F, pairs):
                 Va[r[under][:, None], pairs.triangles[j]], 1, 0)
             wb[under] = Vb[i]
             wa[under] = _foot(Vb[i], t0, _rcross(t1 - t0, t2 - t0))
-    if near.any():
+    if refine:
         diff = wb - wa
         order = np.lexsort((_rdots(diff, diff), r))
         best = order[np.searchsorted(r[order], np.arange(p))]
