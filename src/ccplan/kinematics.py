@@ -7,10 +7,12 @@ point/sphere robots in certification-only scenes).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, SweptHull
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,52 @@ def posed_link_groups(robot, frames):
                       group[0][2].boundary,
                       np.stack([m[3] for m in group], axis=1))
             for group in members.values()]
+
+
+@dataclass(frozen=True)
+class LaneBodies:
+    """Every posed link shape of a stack of L configurations, the lanes of
+    a certificate stack, in ``posed_link_shapes`` order: body b has
+    vertices ``parts[b]`` (L, k_b, dim) and its radius, link index and
+    boundary complex. ``vertices`` (L, K, dim) holds them one body after
+    another, body b in rows ``bounds[b]:bounds[b + 1]``; both are formed
+    on first use."""
+
+    parts: list
+    radii: list
+    links: list
+    boundaries: list
+
+    @staticmethod
+    def of_groups(groups):
+        """The bodies of a trajectory's LinkGroups, one lane per step."""
+        members = sorted((b, g, j) for g in groups
+                         for j, b in enumerate(g.bodies))
+        return LaneBodies([g.vertices[:, j] for _, g, j in members],
+                          [float(g.radii[j]) for _, g, j in members],
+                          [g.links[j] for _, g, j in members],
+                          [g.boundary for _, g, _ in members])
+
+    @staticmethod
+    def of_shapes(shapes):
+        """A lane of one: the bodies of a ``posed_link_shapes`` list."""
+        links, bodies = zip(*shapes)
+        return LaneBodies([body.vertices[None] for body in bodies],
+                          [body.radius for body in bodies], links,
+                          [body.boundary for body in bodies])
+
+    @cached_property
+    def vertices(self):
+        return np.concatenate(self.parts, axis=1)
+
+    @cached_property
+    def bounds(self):
+        return list(accumulate((v.shape[1] for v in self.parts), initial=0))
+
+    def body(self, lane, b):
+        """Body ``b`` of lane ``lane`` as a SweptHull."""
+        return SweptHull(self.parts[b][lane], self.radii[b],
+                         self.boundaries[b])
 
 
 def point_jacobian(robot, theta, link_index, world_point, frames=None):

@@ -18,17 +18,17 @@ and factored once, per penalty weight.
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import (DistanceResult, SweptHull, distances,
-                       mahalanobis_contacts)
-from .kinematics import point_jacobians, posed_link_groups, trajectory_frames
-from .chi2 import chi2_inv_cdf
+from .geometry import DistanceResult, distances, mahalanobis_contacts
+from .kinematics import (LaneBodies, point_jacobians, posed_link_groups,
+                         trajectory_frames)
+from .chi2 import chi2_inv_cdf, chi2_pdf
 from .qp import (OPTIMAL, ActiveSet, HessianFactors, QuadraticProgram,
                  check_hessian, solve_qp)
-from .risk import (RiskCertificate, certify_risk, risk_weights,
-                   weighted_jacobians)
+from .risk import LaneCertificates, certify_lanes, weighted_jacobians
 
 CONVERGED = "converged"
 ITERATION_LIMIT = "iteration-limit"
@@ -97,7 +97,9 @@ class SCOConfig:
 @dataclass
 class ConstraintReport:
     signed_distances: np.ndarray      # (T, n_obstacles)
-    certificates: list                # [t][o] RiskCertificate
+    # The certificate of every (timestep, obstacle) pair, LaneCertificates
+    # over (T, n_obstacles); None when the pass skips certification.
+    risk: LaneCertificates
     risk_totals: np.ndarray           # (T,) sum of eps_prime over obstacles
     risk_residuals: np.ndarray        # (T,) max(0, risk_total - delta_t)
     sd_residuals: np.ndarray          # (T, n_obstacles) max(0, margin - sd)
@@ -112,6 +114,16 @@ class ConstraintReport:
     witnesses: np.ndarray             # (T, n_obstacles, dim)
     links: np.ndarray                 # (T, n_obstacles) link indices
     frames: object
+
+    @cached_property
+    def certificates(self):
+        """[t][o] RiskCertificate of every pair (empty rows without
+        certification)."""
+        T, n_obs = self.signed_distances.shape
+        if self.risk is None:
+            return [[] for _ in range(T)]
+        return [[self.risk.certificate((t, o)) for o in range(n_obs)]
+                for t in range(T)]
 
 
 @dataclass
@@ -194,16 +206,6 @@ def _first_contacts(groups, res, obstacle, eps_tol):
     return c, wa, wb
 
 
-def _step_shapes(groups, n_bodies, t):
-    """``posed_link_shapes`` at step ``t`` of a trajectory's link groups."""
-    shapes = [None] * n_bodies
-    for g in groups:
-        for j, b in enumerate(g.bodies):
-            shapes[b] = (g.links[j], SweptHull(g.vertices[t, j], g.radii[j],
-                                               g.boundary))
-    return shapes
-
-
 def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
                          include_risk=True, margins=None, ends=None):
     """Fresh certification and signed distances along a trajectory.
@@ -217,12 +219,10 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     certificates) are taken from it and only the interior rows are
     computed. The residuals are formed from ``margins`` in every pass.
 
-    Every layer but the per-pair tail runs over arrays of (timestep, body)
-    lanes: one kinematics walk, one distance call and one first search per
-    (obstacle, link group). A pair whose bodies are all outside the eps_tol
-    shadow (every c = inf) takes the floored certificate that
-    ``certify_risk`` would give it; ``certify_risk`` takes every other pair
-    from its bodies' first searches.
+    Every layer runs over arrays: one kinematics walk, then per obstacle
+    one distance call and one first search per link group over the
+    computed steps, and one ``certify_lanes`` call over every (step,
+    obstacle) pair.
     """
     T = problem.timesteps
     robot = problem.robot
@@ -234,8 +234,10 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     normals = np.zeros((T, n_obs, robot.dim))
     witnesses = np.zeros((T, n_obs, robot.dim))
     nearest = np.zeros((T, n_obs), dtype=int)
-    certs = [[] for _ in range(T)]
-    risk_totals = np.zeros(T)
+    risk = None
+    if include_risk:
+        risk = (LaneCertificates.empty((T, n_obs), robot.dim)
+                if ends is None else ends.risk.copy())
     first, stop = 0, T      # the rows computed here
     if ends is not None:
         if not (ends.signed_distances.shape == sds.shape
@@ -247,8 +249,6 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
         for t in (0, T - 1):
             sds[t], normals[t] = ends.signed_distances[t], ends.normals[t]
             witnesses[t], nearest[t] = ends.witnesses[t], ends.links[t]
-            certs[t] = list(ends.certificates[t])
-            risk_totals[t] = ends.risk_totals[t]
     if stop > first:
         groups = posed_link_groups(robot, frames)
         if ends is not None:
@@ -271,25 +271,16 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
             nearest[first:stop, o] = links[k]
             if include_risk:
                 firsts.append(_first_contacts(groups, res, ob, eps_tol))
-        for i in steps.tolist():
-            t = first + i
-            shapes = None
-            for ob, (c, wa, wb) in zip(problem.obstacles, firsts):
-                ct = c[i].tolist()
-                if min(ct) == np.inf:
-                    cert = RiskCertificate(eps_tol, eps_tol, eps_tol, False,
-                                           floored=True, floored2=True)
-                else:
-                    if shapes is None:
-                        shapes = _step_shapes(groups, n_bodies, i)
-                    first_search = [(li, body, ci, a, b) for (li, body), ci,
-                                    a, b in zip(shapes, ct, wa[i], wb[i])]
-                    cert = certify_risk(robot, trajectory[t], ob, eps_tol,
-                                        first_search)
-                certs[t].append(cert)
-                risk_totals[t] += cert.eps_prime
+        if include_risk and firsts:
+            risk.put((slice(first, stop),), certify_lanes(
+                LaneBodies.of_groups(groups),
+                *(np.stack(f, axis=1) for f in zip(*firsts)),
+                problem.obstacles, eps_tol))
     sd_res = np.maximum(0.0, margins - sds)
+    risk_totals = np.zeros(T)
     if include_risk:
+        for o in range(n_obs):
+            risk_totals += risk.eps_prime[:, o]
         risk_res = np.maximum(0.0, risk_totals - allocation)
         alloc_res = max(0.0, float(allocation.sum()) - problem.risk_budget)
     else:
@@ -298,7 +289,7 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
     total = float(sd_res.sum() + risk_res.sum() + alloc_res)
     max_v = float(max(sd_res.max(initial=0.0), risk_res.max(initial=0.0),
                       alloc_res))
-    return ConstraintReport(sds, certs, risk_totals, risk_res, sd_res,
+    return ConstraintReport(sds, risk, risk_totals, risk_res, sd_res,
                             alloc_res, max_v, total, normals, witnesses,
                             nearest, frames)
 
@@ -306,19 +297,32 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
 def _risk_terms(problem, report):
     """The risk rows' terms, (T, dof) gradients and (T,) values: per
     timestep, the sum of eps_prime over the unsaturated certificates and
-    of its gradient, sum w . J over their ``risk_weights`` (zero at the
-    fixed endpoints), from one ``weighted_jacobians`` call."""
+    of its gradient (zero at the fixed endpoints), from the pass's
+    LaneCertificates. The gradient is the sum of w . J over each shadow
+    with a gradient (as ``risk.risk_weights`` gives them), in (step,
+    obstacle, shadow) order, from one ``weighted_jacobians`` call."""
     T = problem.timesteps
+    risk = report.risk
     eps = np.zeros(T)
-    terms = []      # (t, w, link, point)
-    for t, row in enumerate(report.certificates):
-        for cert, ob in zip(row, problem.obstacles):
-            if not cert.saturated:
-                eps[t] += cert.eps_prime
-                if 0 < t < T - 1:
-                    terms += [(t, *term[1:])
-                              for term in risk_weights(cert, ob)]
-    return weighted_jacobians(problem.robot, report.frames, terms, T), eps
+    for o in range(len(problem.obstacles)):
+        eps += np.where(risk.saturated[:, o], 0.0, risk.eps_prime[:, o])
+    # (step, obstacle, shadow) arrays over the interior steps: a shadow
+    # has a gradient if it has a contact and is not floored.
+    inner = slice(1, T - 1)
+    scalars = risk.scalars[:, inner].transpose(1, 2, 0)
+    live = (scalars[..., 8:] >= 0.0) & (scalars[..., 6:8] == 0.0)
+    t, o, _ = np.nonzero(live)
+    c = scalars[..., 3:5][live]
+    links = scalars[..., 8:][live].astype(int)
+    x = risk.vectors[1:3, inner].transpose(1, 2, 0, 3)[live]
+    points = risk.vectors[3:, inner].transpose(1, 2, 0, 3)[live]
+    dim = problem.robot.dim
+    sigma_inv = np.array([ob.sigma_inv for ob in problem.obstacles]).reshape(
+        -1, dim, dim)[o]
+    pdf = np.array([chi2_pdf(v, dim) for v in c.tolist()])
+    w = -pdf[:, None] * (sigma_inv @ x[:, :, None])[:, :, 0]
+    return weighted_jacobians(problem.robot, report.frames, t + 1, w,
+                              links, points, T), eps
 
 
 def convexify(problem, trajectory, allocation, report, mu, radius,

@@ -40,6 +40,7 @@ the certificates of every obstacle share the link shapes posed on it
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +53,8 @@ from .geometry import (
     ellipsoid_axes,
     mahalanobis_contact,
 )
-from .kinematics import chain_frames, chain_shapes, point_jacobians
+from .kinematics import (LaneBodies, chain_frames, chain_shapes,
+                         point_jacobians)
 
 # Squared Mahalanobis distances below this are treated as contact with the
 # nominal geometry (risk saturates at 1).
@@ -127,7 +129,76 @@ class RiskCertificate:
     floored2: bool = False               # no second contact below the floor
 
 
-def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
+@dataclass
+class LaneCertificates:
+    """The certificates of a stack of lanes (``certify_lanes``), as arrays
+    over the lanes in two blocks, so that a stack is stored or copied in
+    two assignments: ``scalars`` (10, *lanes) holds eps1, eps2,
+    eps_prime, c1 and c2, the flags saturated, floored and floored2 (as
+    0 or 1) and the link indices link1 and link2, and ``vectors``
+    (5, *lanes, dim) holds the contact normal, x1, x2 and the robot
+    points point1 and point2. ``certificate`` forms one lane's
+    RiskCertificate. A lane without a first (second) contact has link1
+    (link2) -1, and then its contact fields are undefined; c2 is NaN where
+    the certificate has none."""
+
+    scalars: np.ndarray
+    vectors: np.ndarray
+
+    eps1 = property(lambda self: self.scalars[0])
+    eps2 = property(lambda self: self.scalars[1])
+    eps_prime = property(lambda self: self.scalars[2])
+    c1 = property(lambda self: self.scalars[3])
+    c2 = property(lambda self: self.scalars[4])
+    saturated = property(lambda self: self.scalars[5] != 0.0)
+    floored = property(lambda self: self.scalars[6] != 0.0)
+    floored2 = property(lambda self: self.scalars[7] != 0.0)
+    link1 = property(lambda self: self.scalars[8].astype(int))
+    link2 = property(lambda self: self.scalars[9].astype(int))
+    normal = property(lambda self: self.vectors[0])
+    x1 = property(lambda self: self.vectors[1])
+    x2 = property(lambda self: self.vectors[2])
+    point1 = property(lambda self: self.vectors[3])
+    point2 = property(lambda self: self.vectors[4])
+
+    @staticmethod
+    def empty(shape, dim):
+        """Lanes of the leading ``shape``, to be filled by ``put``."""
+        return LaneCertificates(np.empty((10,) + shape),
+                                np.empty((5,) + shape + (dim,)))
+
+    def put(self, index, lanes):
+        """Write the stack ``lanes`` into the lanes at ``index``."""
+        index = (slice(None),) + index
+        self.scalars[index] = lanes.scalars
+        self.vectors[index] = lanes.vectors
+
+    def copy(self):
+        return LaneCertificates(self.scalars.copy(), self.vectors.copy())
+
+    def certificate(self, index):
+        """The RiskCertificate of the lane at ``index``, a tuple."""
+        index = (slice(None),) + index
+        (eps1, eps2, eps_prime, c1, c2, saturated, floored, floored2, link,
+         link2) = self.scalars[index].tolist()
+        if saturated:
+            return RiskCertificate(1.0, 1.0, 1.0, True)
+        normal, x1, x2, point1, point2 = self.vectors[index]
+        first = {} if link < 0 else dict(
+            contact_normal=normal, x1=x1, link_index=int(link),
+            contact_point=point1, c1=c1)
+        second = {} if link2 < 0 else dict(
+            x2=x2, link_index2=int(link2), contact_point2=point2)
+        return RiskCertificate(
+            eps1, eps2, eps_prime, False, **first, **second,
+            c2=None if math.isnan(c2) else c2, floored=bool(floored),
+            floored2=bool(floored2))
+
+
+_TINY = np.finfo(float).tiny
+
+
+def certify_risk(robot, theta, obstacle, eps_tol=1e-6):
     """Certify an upper bound on the collision risk of one configuration.
 
     Returns a RiskCertificate with eps_prime = (eps1 + eps2)/2. If the robot
@@ -139,85 +210,40 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6, first=None):
     contact_point2) is a feasible point whose value exceeds c2 by at most
     HALF_GAP * max(1, c2).
 
-    ``first`` optionally supplies every posed link shape of this
-    configuration with its first search, from a caller that has validated
-    ``theta`` and shares one kinematics pass over many obstacles: entries
-    (link index, body, c, witness on the body, witness on the nominal
-    geometry), as from ``mahalanobis_contact``, with c = inf for a body
-    provably outside the largest shadow considered. Without it the
-    certificate takes the link shapes that ``chain_shapes`` poses on the
-    walk of ``chain_frames``, which the other obstacles' certificates and
-    ``risk_gradient`` at ``theta`` share, and the entries of
-    ``_cold_first``: a body provably outside the eps_tol
-    shadow is not searched, and a configuration whose bodies all are gets
-    the floored certificate, without contact data.
+    The certificate is a lane of one of ``certify_lanes``: the link shapes
+    that ``chain_shapes`` poses on the walk of ``chain_frames``, which the
+    other obstacles' certificates and ``risk_gradient`` at ``theta``
+    share, with the first searches of ``_cold_first``.
     """
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
-    n = obstacle.dim
-    c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
-    if first is None:
-        shapes = chain_shapes(robot, theta)     # validates theta
-        if not shapes:
-            raise ValueError("robot has no collision shapes")
-        first = _cold_first(shapes, obstacle, c_max)
-
-    per_shape = [e for e in first if e[2] != math.inf]
-    if not per_shape:
-        # Every body is beyond the eps_tol shadow radius.
-        return RiskCertificate(eps_tol, eps_tol, eps_tol, False,
-                               floored=True, floored2=True)
-    best = per_shape[0]
-    for e in per_shape[1:]:
-        if e[2] < best[2] - 1e-15:
-            best = e
-    link_idx, _, c_min, wit_robot, wit_obs = best
-
-    if c_min <= SATURATION_C:
-        return RiskCertificate(1.0, 1.0, 1.0, True)
-
-    eps1 = chi2.chi2_sf(c_min, n)
-    x1 = wit_robot - wit_obs
-    g = obstacle.sigma_inv @ x1
-    n_hat = -g / np.linalg.norm(g)
-
-    if eps1 < eps_tol:
-        # Even the largest shadow considered misses the robot: risk is below
-        # resolution and the half-shadow search is skipped.
-        return RiskCertificate(
-            eps_tol, eps_tol, eps_tol, False, contact_normal=n_hat, x1=x1,
-            link_index=link_idx,
-            contact_point=np.asarray(wit_robot, dtype=float),
-            c1=c_min, floored=True, floored2=True)
-
-    found = _half_contact(per_shape, obstacle, n_hat, c_max)
-    # Without a body reaching the half-space below resolution, eps2 floors.
-    c2, link_idx2, wa2, x2 = found or (c_max, None, None, None)
-    eps2 = eps_tol if found is None else chi2.chi2_sf(c2, n)
-    if eps2 > eps1 + 1e-12:
-        raise GeometryError("half-shadow search exceeded eps1")
-    eps2 = min(eps2, eps1)
-    return RiskCertificate(
-        eps1, eps2, 0.5 * (eps1 + eps2), False, contact_normal=n_hat, x1=x1,
-        link_index=link_idx, contact_point=np.asarray(wit_robot, dtype=float),
-        link_index2=link_idx2, contact_point2=wa2, x2=x2, c1=c_min, c2=c2,
-        floored2=found is None)
+    shapes = chain_shapes(robot, theta)     # validates theta
+    if not shapes:
+        raise ValueError("robot has no collision shapes")
+    c, wa, wb = _cold_first(shapes, obstacle,
+                            chi2.chi2_inv_cdf(1.0 - eps_tol, obstacle.dim))
+    return certify_lanes(LaneBodies.of_shapes(shapes), c[None, None],
+                         wa[None, None], wb[None, None], [obstacle],
+                         eps_tol).certificate((0, 0))
 
 
 def _cold_first(shapes, obstacle, c_max):
-    """``certify_risk``'s first-search entries for ``shapes``, (link
-    index, posed body): a ``mahalanobis_contact`` per body, or c = inf for
-    a body outside the c_max shadow. With d the difference of the centres
-    and g = Sigma^-1 d, y = L^-1 d is a point of Y = L^-1 (A - O) with
-    |y|^2 = d.g, and every z = L^-1 x of Y has |z| >= y.z / |y| = g.x / |y|:
-    the gap between A and O along g, over |y|, is GJK's supporting-plane
-    bound u.s_Y(-u), u = y / |y|, from one support of each body. A body
-    that is searched is seeded from the same d.
+    """``certify_risk``'s first searches of ``shapes``, (link index, posed
+    body) pairs, as arrays over the bodies: c, the witness on the body and
+    the witness on the nominal geometry, from a ``mahalanobis_contact`` per
+    body, or c = inf for a body outside the c_max shadow. With d the
+    difference of the centres and g = Sigma^-1 d, y = L^-1 d is a point of
+    Y = L^-1 (A - O) with |y|^2 = d.g, and every z = L^-1 x of Y has
+    |z| >= y.z / |y| = g.x / |y|: the gap between A and O along g, over
+    |y|, is GJK's supporting-plane bound u.s_Y(-u), u = y / |y|, from one
+    support of each body. A body that is searched is seeded from the same
+    d.
     """
     nominal = obstacle.nominal
     centre = nominal.center()
-    out = []
-    for li, body in shapes:
+    c = np.full(len(shapes), math.inf)
+    wa, wb = np.zeros((2, len(shapes), obstacle.dim))
+    for k, (_, body) in enumerate(shapes):
         d = body.center() - centre
         g = obstacle.sigma_inv @ d
         yy = float(d @ g)
@@ -226,43 +252,159 @@ def _cold_first(shapes, obstacle, c_max):
                    - float((nominal.vertices @ g).max())
                    - (body.radius + nominal.radius) * math.sqrt(float(g @ g)))
             if gap > 0.0 and gap * gap > c_max * yy:
-                out.append((li, body, math.inf, None, None))
                 continue
-        out.append((li, body, *mahalanobis_contact(
+        c[k], wa[k], wb[k] = mahalanobis_contact(
             body, nominal, obstacle.chol, chol_inv=obstacle.chol_inv,
-            axes=obstacle.axes, offset=d)))
-    return out
+            axes=obstacle.axes, offset=d)
+    return c, wa, wb
 
 
-def _half_contact(per_shape, obstacle, normal, c_max):
-    """Second (half-shadow) contact over the bodies of ``per_shape``.
+def _first_least(row):
+    """The index of the first contact among a lane's c values: a later
+    body replaces the best so far only if its c is smaller by more than
+    1e-15, so near-ties go to the body first in link order."""
+    k = 0
+    for j, v in enumerate(row):
+        if v < row[k] - 1e-15:
+            k = j
+    return k
 
-    Entries are (link index, body, c, witness on the body, witness on the
-    nominal geometry) from the first search. Bodies are visited in
-    increasing c, which bounds their c2 from below, and the search stops
-    once that bound reaches the best c2 so far. Returns (c2, link index,
-    robot point, x2), or None if no body gets below ``c_max``.
+
+def certify_lanes(bodies, c, wa, wb, obstacles, eps_tol):
+    """The certificates of a stack of lanes, as LaneCertificates over
+    (L, O): lane (t, o) is configuration t, whose posed link shapes are
+    lane t of ``bodies`` (``LaneBodies``), against ``obstacles[o]``.
+
+    c (L, O, B), wa and wb (L, O, B, dim) are each lane's first searches:
+    each body's certified squared Mahalanobis distance, c = inf for a body
+    provably outside the eps_tol shadow, and its witness pair (on the
+    body, on the nominal geometry). A lane whose bodies all are gets the
+    floored certificate, without contact data.
+
+    The first contact is the body of least c (``_first_least``). The
+    second (half-shadow) contact visits the bodies in increasing c, which
+    bounds their c2 from below, and stops once that bound reaches the best
+    c2 so far, the cap (at first the eps_tol shadow's c_max). A body whose
+    support along the contact normal n lies behind the nominal geometry's
+    support along -n cannot reach the half-space, and a body whose own
+    minimum has n.x >= 0 (the cut inactive) has c2 = c, which ends the
+    walk. The normals and both tests run over arrays of (lane, body);
+    only a lane whose first reaching body has the cut active (a rim body)
+    walks its bodies in Python, with ``_rim_contact`` on each rim body,
+    whose SweptHull is formed then.
     """
-    nominal = obstacle.nominal
-    best, cap = None, c_max
-    for li, body, c, wa, wb in sorted(per_shape, key=lambda e: e[2]):
-        if c >= cap:
-            break
-        # The farthest point of A - O along n: if it lies behind the cut,
-        # the body cannot reach the half-space.
-        far = (body._support(normal), nominal._support(-normal))
-        if float(normal @ (far[0] - far[1])) < 0.0:
-            continue
-        if float(normal @ (wa - wb)) >= 0.0:
-            # The cut is inactive at the body's own minimum.
-            found = (c, wa, wa - wb)
+    L, O, B = c.shape
+    n = obstacles[0].dim
+    N = L * O
+    links = bodies.links
+    rows = c.reshape(N, B).tolist()
+    best = [_first_least(row) for row in rows]
+    c1 = [row[k] for row, k in zip(rows, best)]
+    # A lane without contact data is saturated, or floored with every body
+    # outside the shadow.
+    saturated = [v <= SATURATION_C for v in c1]
+    eps1 = [1.0 if sat else eps_tol for sat in saturated]
+    eps2, c2 = list(eps1), [math.nan] * N
+    link1, link2 = [-1] * N, [-1] * N
+    floored = [v == math.inf for v in c1]
+    floored2 = list(floored)
+    live = [i for i, v in enumerate(c1) if SATURATION_C < v < math.inf]
+    half = []
+    hits, rims = [], []     # second contacts: (lane, body), (lane, a, x2)
+    vectors = np.zeros((5, N, n))
+    if live:
+        # Rows of (lane, body) pairs: a lane's first contact is row i B + k.
+        x = (wa - wb).reshape(N * B, n)
+        wa, wb = wa.reshape(N * B, n), wb.reshape(N * B, n)
+        first = [i * B + k for i, k in enumerate(best)]
+        point1, x1 = wa.take(first, axis=0), x.take(first, axis=0)
+        sigma_inv = np.array([ob.sigma_inv for ob in obstacles])
+        g = (sigma_inv @ x1.reshape(L, O, n, 1)).reshape(N, n)
+        # Where x1 vanishes (a lane without contact data), the floor on
+        # |g|^2 makes the unused normal zero.
+        normal = -g / np.sqrt(np.maximum(g[:, None, :] @ g[:, :, None],
+                                         _TINY))[:, 0]
+        vectors = np.array([normal, x1, x1, point1, point1])
+    for i in live:
+        link1[i] = links[best[i]]
+        e = chi2.chi2_sf(c1[i], n)
+        if e < eps_tol:
+            # Even the largest shadow considered misses the robot: risk is
+            # below resolution and the half-shadow search is skipped.
+            floored[i] = floored2[i] = True
         else:
-            found = _rim_contact(body, obstacle, normal, (c, wa, wb), far,
-                                 cap)
-        if found is not None:
-            cap, a, x = found
-            best = (cap, li, a, x)
-    return best
+            eps1[i] = e
+            half.append(i)
+    if half:
+        # Whether each body's support along n reaches the nominal
+        # geometry's support along -n, and n.x at each body's own minimum.
+        c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
+        along = normal.reshape(L, O, n, 1)
+        top = np.maximum.reduceat((bodies.vertices[:, None] @ along)[..., 0],
+                                  bodies.bounds[:-1], axis=2) + bodies.radii
+        low = np.empty((L, O))
+        for o, ob in enumerate(obstacles):
+            low[:, o] = ((along[:, o, None, :, 0] @ ob.nominal.vertices.T)[
+                :, 0].min(axis=1) - ob.nominal.radius)
+        reach = (top >= low[..., None]).reshape(N, B)
+        s = (x.reshape(N, B, n) @ normal[:, :, None])[..., 0].tolist()
+        nearest = np.where(reach, c.reshape(N, B), math.inf)
+        kf = nearest.argmin(axis=1).tolist()
+        nearest = nearest.tolist()
+        for i in half:
+            b = kf[i]
+            if nearest[i][b] >= c_max:
+                cap = c_max
+            elif s[i][b] >= 0.0:
+                cap, link2[i] = nearest[i][b], links[b]
+                hits.append(i * B + b)
+            else:
+                # A rim body comes first: the walk, with the exact far test
+                # (that of the rim search's far end) on each rim body.
+                cap, nrm, ob = c_max, normal[i], obstacles[i % O]
+                for cb, b in sorted((v, b) for b, v in enumerate(rows[i])
+                                    if v < c_max):
+                    if cb >= cap:
+                        break
+                    if not reach[i, b]:
+                        continue
+                    r = i * B + b
+                    if s[i][b] >= 0.0:
+                        found = (cb, wa[r], x[r])
+                    else:
+                        body = bodies.body(i // O, b)
+                        far = (body._support(nrm),
+                               ob.nominal._support(-nrm))
+                        if float(nrm @ (far[0] - far[1])) < 0.0:
+                            continue
+                        found = _rim_contact(body, ob, nrm,
+                                             (cb, wa[r], wb[r]), far,
+                                             cap)
+                    if found is not None:
+                        cap, a, x2 = found
+                        link2[i] = links[b]
+                if link2[i] >= 0:
+                    rims.append((i, a, x2))
+            c2[i] = cap
+            if link2[i] < 0:
+                # No body reaches the half-space below resolution.
+                floored2[i] = True
+                continue
+            e2 = chi2.chi2_sf(cap, n)
+            if e2 > eps1[i] + 1e-12:
+                raise GeometryError("half-shadow search exceeded eps1")
+            eps2[i] = min(e2, eps1[i])
+    eps_prime = [0.5 * (e + e2) for e, e2 in zip(eps1, eps2)]
+    if hits:
+        lanes = [r // B for r in hits]
+        vectors[4, lanes], vectors[2, lanes] = wa[hits], x[hits]
+    for i, a, x2 in rims:
+        vectors[4, i], vectors[2, i] = a, x2
+    scalars = np.fromiter(chain(eps1, eps2, eps_prime, c1, c2, saturated,
+                                floored, floored2, link1, link2), float,
+                          10 * N)
+    return LaneCertificates(scalars.reshape(10, L, O),
+                            vectors.reshape(5, L, O, n))
 
 
 # A dual evaluation: phi(lam), s = n^T x of the projection y(lam) = L^-1 x,
@@ -366,19 +508,19 @@ def risk_weights(cert, obstacle):
             yield slot, w, link, point
 
 
-def weighted_jacobians(robot, frames, terms, n_steps):
+def weighted_jacobians(robot, frames, steps, w, links, points, n_steps):
     """Per step of ``frames`` (a ChainFrames of ``n_steps`` joint states),
-    the sum of w . J over ``terms``, (step, w, link index, robot point),
-    J the Jacobian of the point on its link at that step: an
-    (n_steps, dof) array, with the Jacobians from one ``point_jacobians``
-    call. Each step's terms are added in their order in ``terms``."""
+    the sum of w . J over the terms (steps[i], w[i], links[i],
+    points[i]), J the Jacobian of the robot point on its link at that
+    step: an (n_steps, dof) array, with the Jacobians from one
+    ``point_jacobians`` call. Each step's terms are added in their
+    order."""
     dof = robot.dof
-    if not terms:
+    if not len(steps):
         return np.zeros((n_steps, dof))
-    steps, w, links, points = zip(*terms)
-    J = point_jacobians(robot, frames, steps, links, np.array(points))
-    wJ = np.einsum("md,mdk->mk", np.array(w), J)
-    cells = np.add.outer(np.array(steps) * dof, np.arange(dof))
+    J = point_jacobians(robot, frames, steps, links, points)
+    wJ = np.einsum("md,mdk->mk", w, J)
+    cells = np.add.outer(np.asarray(steps) * dof, np.arange(dof))
     return np.bincount(cells.ravel(), wJ.ravel(),
                        n_steps * dof).reshape(n_steps, dof)
 
@@ -391,5 +533,9 @@ def risk_gradient(cert, robot, theta, obstacle):
         raise ValueError("saturated certificate has no usable gradient; "
                          "use the signed-distance constraint instead")
     frames = chain_frames(robot, theta)     # validates theta
-    terms = [(0, *term[1:]) for term in risk_weights(cert, obstacle)]
-    return weighted_jacobians(robot, frames, terms, 1)[0]
+    terms = [term[1:] for term in risk_weights(cert, obstacle)]
+    if not terms:
+        return np.zeros(robot.dof)
+    w, links, points = zip(*terms)
+    return weighted_jacobians(robot, frames, [0] * len(w), np.array(w),
+                              links, np.array(points), 1)[0]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ccplan.planner as planner_module
-from ccplan.geometry import Pose, Sphere, box, point_body
+from ccplan.geometry import (Pose, Sphere, box, mahalanobis_contacts,
+                             point_body)
 from ccplan.kinematics import Joint, RobotModel, chain_frames, point_jacobian
 from ccplan.planner import (
     CONVERGED,
@@ -19,8 +20,8 @@ from ccplan.planner import (
     solve,
 )
 from ccplan.qp import ITERATION_LIMIT, OPTIMAL, solve_qp
-from ccplan.risk import (RiskCertificate, UncertainObstacle, certify_risk,
-                         risk_weights)
+from ccplan.risk import (RiskCertificate, UncertainObstacle, certify_lanes,
+                         certify_risk, risk_weights)
 from test_acceptance import corridor_problem, pickplace_problem
 from test_kinematics import planar_point_robot
 from test_qp import kkt_residuals
@@ -79,18 +80,26 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_certificates_identical(x, y):
+    """Two rows-of-rows of RiskCertificates, field by field, bit for bit."""
+    assert [len(row) for row in x] == [len(row) for row in y]
+    for cx, cy in zip(itertools.chain(*x), itertools.chain(*y)):
+        for f in dataclasses.fields(cx):
+            u, v = getattr(cx, f.name), getattr(cy, f.name)
+            assert (u is None) == (v is None), f.name
+            if u is not None:
+                assert_same_bits(u, v)
+
+
 def assert_reports_identical(got, fresh):
-    """Every field of two ConstraintReports, bit for bit."""
+    """Every field of two ConstraintReports, bit for bit; the lane
+    certificates through the RiskCertificates they form, since a lane's
+    fields without contact data are undefined."""
+    assert_certificates_identical(got.certificates, fresh.certificates)
     for field in dataclasses.fields(got):
         x, y = getattr(got, field.name), getattr(fresh, field.name)
-        if field.name == "certificates":
-            assert [len(row) for row in x] == [len(row) for row in y]
-            for cx, cy in zip(itertools.chain(*x), itertools.chain(*y)):
-                for f in dataclasses.fields(cx):
-                    u, v = getattr(cx, f.name), getattr(cy, f.name)
-                    assert (u is None) == (v is None), f.name
-                    if u is not None:
-                        assert_same_bits(u, v)
+        if field.name == "risk":
+            assert (x is None) == (y is None)
         elif field.name == "frames":
             for f in dataclasses.fields(x):
                 assert_same_bits(getattr(x, f.name), getattr(y, f.name))
@@ -400,13 +409,14 @@ class TestSolveConstants:
             assert len(passes) > 1 and passes[0] is None
             assert all(ends is not None for ends in passes[1:])
 
-    def test_two_steps_have_no_interior_rows(self):
+    def test_two_steps_have_no_interior_rows(self, monkeypatch):
         ob = offset_obstacle(center=(0.0, 0.4))
         p = point_problem([ob], T=2, start=(-0.2, 0.3), goal=(0.2, 0.3))
         traj, alloc = seed_trajectory(p)
         first = evaluate_constraints(p, traj, alloc)
+        monkeypatch.setattr(planner_module, "certify_lanes", None)
         again = evaluate_constraints(p, traj, 0.5 * alloc, ends=first)
-        assert again.certificates[0][0] is first.certificates[0][0]
+        monkeypatch.undo()
         assert_reports_identical(again,
                                  evaluate_constraints(p, traj, 0.5 * alloc))
 
@@ -421,32 +431,25 @@ class TestSolveConstants:
 
     def test_endpoints_are_certified_in_the_first_pass_only(self,
                                                             monkeypatch):
-        calls = []      # (pass, joint state)
+        stacks = []     # per pass, the first searches of its lane stack
 
-        def counted_pass(*args, **kwargs):
-            calls.append((len(passes), None))
-            passes.append(None)
-            return evaluate_constraints(*args, **kwargs)
+        def counted(bodies, c, *args):
+            stacks.append(c)
+            return certify_lanes(bodies, c, *args)
 
-        def counted(robot, theta, *args):
-            calls.append((len(passes), np.array(theta)))
-            return certify_risk(robot, theta, *args)
-
-        passes = []
-        monkeypatch.setattr(planner_module, "evaluate_constraints",
-                            counted_pass)
-        monkeypatch.setattr(planner_module, "certify_risk", counted)
+        monkeypatch.setattr(planner_module, "certify_lanes", counted)
         _, p = pickplace_problem()
-        assert solve(p).status == CONVERGED
-        assert len(passes) > 5
-        for end in (p.start, p.goal):
-            at = [k for k, theta in calls
-                  if theta is not None and np.array_equal(theta, end)]
-            # An obstacle reaches each endpoint's shadow in the first pass;
-            # no later pass certifies the endpoint again.
-            assert at and set(at) == {1}
-        assert {k for k, theta in calls if theta is not None} == set(
-            range(1, len(passes) + 1))
+        res = solve(p)
+        assert res.status == CONVERGED
+        T = p.timesteps
+        assert len(stacks) == len(res.iterations) + 1 > 5
+        # The first pass certifies every step, and an obstacle reaches each
+        # endpoint's shadow there; every later pass certifies the interior
+        # steps only.
+        assert stacks[0].shape[:2] == (T, len(p.obstacles))
+        assert np.isfinite(stacks[0][[0, -1]]).any(axis=(1, 2)).all()
+        assert all(c.shape[:2] == (T - 2, len(p.obstacles))
+                   for c in stacks[1:])
 
     def test_rejected_steps_keep_the_linearization(self, monkeypatch):
         # record_subproblems checks that every QP convexify did not build
@@ -495,21 +498,22 @@ def point_robot_3d():
 class TestEvaluate:
     def test_culled_pairs_take_no_certificate_call(self, monkeypatch):
         # With sigma = 0.1, the endpoints lie 11 sigma from the sphere,
-        # beyond the eps_tol shadow: their pairs are floored without a
-        # certify_risk call. The midpoint, 1 sigma away, is certified.
-        calls = []
+        # beyond the eps_tol shadow: their lanes have every body culled
+        # (c = inf, no search) and take the floored certificate. The
+        # midpoint, 1 sigma away, is certified.
+        searched = []
 
-        def counted(robot, theta, *args):
-            calls.append(theta)
-            return certify_risk(robot, theta, *args)
+        def counted(vertices, *args):
+            searched.append(vertices)
+            return mahalanobis_contacts(vertices, *args)
 
-        monkeypatch.setattr(planner_module, "certify_risk", counted)
+        monkeypatch.setattr(planner_module, "mahalanobis_contacts", counted)
         ob = UncertainObstacle(Sphere(np.zeros(2), 0.1), 0.01 * np.eye(2))
         traj = np.array([[-1.2, 0.0], [0.0, 0.2], [1.2, 0.0]])
         p = point_problem([ob], T=3, start=traj[0], goal=traj[-1])
         rep = evaluate_constraints(p, traj, np.full(3, 0.01 / 3))
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], traj[1])
+        assert len(searched) == 1
+        np.testing.assert_array_equal(searched[0], [[traj[1]]])
         floored = RiskCertificate(1e-6, 1e-6, 1e-6, False, floored=True,
                                   floored2=True)
         assert rep.certificates[0][0] == rep.certificates[2][0] == floored

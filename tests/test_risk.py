@@ -23,6 +23,7 @@ from ccplan.geometry import (
 )
 from ccplan.kinematics import (
     Joint,
+    LaneBodies,
     RobotModel,
     forward_kinematics,
     point_jacobian,
@@ -31,6 +32,7 @@ from ccplan.kinematics import (
 from ccplan.risk import (
     RiskCertificate,
     UncertainObstacle,
+    certify_lanes,
     certify_risk,
     risk_gradient,
     risk_weights,
@@ -78,13 +80,15 @@ def per_shadow_gradients(cert, robot, theta, obstacle, frames=None):
 
 def every_body_searched(robot, theta, obstacle):
     """The certificate with a ``mahalanobis_contact`` search of every body,
-    with no cull: the oracle of the cold path's cull."""
+    with no cull: the lane tail on one lane, the oracle of the cold path's
+    cull."""
     shapes = posed_link_shapes(robot, forward_kinematics(robot, theta))
-    first = [(li, body, *mahalanobis_contact(
-                 body, obstacle.nominal, obstacle.chol,
-                 chol_inv=obstacle.chol_inv))
-             for li, body in shapes]
-    return certify_risk(robot, theta, obstacle, first=first)
+    searched = [mahalanobis_contact(body, obstacle.nominal, obstacle.chol,
+                                    chol_inv=obstacle.chol_inv)
+                for _, body in shapes]
+    c, wa, wb = (np.array(v)[None, None] for v in zip(*searched))
+    return certify_lanes(LaneBodies.of_shapes(shapes), c, wa, wb,
+                         [obstacle], 1e-6).certificate((0, 0))
 
 
 def assert_same_risk(cert, oracle, robot, theta, obstacle):
@@ -624,13 +628,12 @@ class TestInvariantErrors:
 
     def test_eps2_above_eps1_raises(self, monkeypatch):
         # A half-shadow radius below c1 would make eps2 exceed eps1.
-        robot = straddle_robot(-1.5, 2.0)
-        ob = point_obstacle(np.eye(2))
+        robot, theta, ob = TestRimSearch.edge_case()
         monkeypatch.setattr(
-            risk, "_half_contact",
-            lambda *args: (1.0, 1, np.array([2.0, 0.0]), np.array([2.0, 0.0])))
+            risk, "_rim_contact",
+            lambda body, ob, n, first, far, cap: (0.5, *far))
         with pytest.raises(GeometryError, match="exceeded eps1"):
-            certify_risk(robot, [0.0, 0.0], ob)
+            certify_risk(robot, theta, ob)
 
     def test_dual_search_cap_raises(self, monkeypatch, tmp_path, capsys):
         # A rim search that reaches HALF_DUAL_MAX_ITER raises, and
