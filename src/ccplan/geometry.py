@@ -1288,6 +1288,11 @@ def _depths(Va, boundary_a, Vb, boundary_b):
                  _cross(d[..., None], eye[:, :, None]), eye]
             u = [x.reshape(3, p, -1) for x in u]
         u = np.concatenate(u + [-x for x in u], axis=2)
+        # Scaled by a power of two near its largest component, an axis
+        # keeps its bits of precision in u.u, which for an edge shorter
+        # than about 1e-154 would be subnormal; the unit axis is unchanged
+        # otherwise, since the scaling is exact.
+        u = u * np.ldexp(1.0, -np.frexp(np.abs(u).max(axis=0))[1])
         length = np.sqrt(_dots(u, u))
         u = np.divide(u, length, out=np.zeros_like(u), where=length > 0.0)
         proj = _dots(u[..., None], X[:, :, None])

@@ -467,6 +467,8 @@ def solve(problem, config=None, include_risk=True, margins=None):
     ``include_risk=False`` plans against nominal geometry only (deterministic
     signed-distance constraints); ``margins`` optionally gives per-(timestep,
     obstacle) clearance margins overriding the problem's scalar margin.
+    With risk, a problem whose start and goal alone carry more certified
+    risk than the budget is infeasible after the first pass, before any QP.
     """
     cfg = config or SCOConfig()
     t_start = time.perf_counter()
@@ -480,6 +482,13 @@ def solve(problem, config=None, include_risk=True, margins=None):
     # their rows from it.
     report = ends = evaluate_constraints(problem, trajectory, allocation,
                                          cfg.eps_tol, include_risk, margins)
+    if include_risk and (float(ends.risk_totals[0] + ends.risk_totals[-1])
+                         > problem.risk_budget):
+        # The endpoints alone exceed the budget: no trajectory meets it.
+        return PlanResult(trajectory, allocation, PLAN_INFEASIBLE,
+                          path_objective(trajectory),
+                          report.risk_totals.copy(), report, log,
+                          runtime=time.perf_counter() - t_start)
     mu = MU_INITIAL
     # Every QP of a solve has the same rows and, per penalty weight, the
     # same objective: build and factor each Hessian once and start each QP

@@ -550,6 +550,20 @@ class TestDistanceRegressions:
         assert res.signed_distance == pytest.approx(math.sqrt(0.38),
                                                     rel=1e-15)
 
+    def test_penetration_normal_of_a_subnormal_edge_is_unit(self):
+        # The candidate axes of a segment 2.16e-162 long crossed with the
+        # coordinate axes have a subnormal square length, whose square root
+        # is inexact: normalized by it, such an axis came out shorter than
+        # unit, under-reported its support width and won, with a normal of
+        # length 0.9718.
+        seg = Capsule([0.0, 0.0, 0.0], [2.16e-162, 0.0, 0.0], 0.5)
+        point = point_body(np.zeros(3))
+        for x, y in ((point, seg), (seg, point)):
+            res = distance(x, y)
+            assert res.signed_distance == -0.5
+            assert np.linalg.norm(res.normal) == pytest.approx(1.0,
+                                                               rel=1e-15)
+
     def test_point_above_a_posed_box_face_diagonal(self):
         # A posed box shares the axis-aligned box's boundary complex,
         # whose face triangles have bit-equal Qhull planes. The complex

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import ccplan.planner as planner_module
-from ccplan.geometry import (Pose, Sphere, box, mahalanobis_contacts,
-                             point_body)
+import ccplan.risk as risk_module
+from ccplan.geometry import (Capsule, Pose, Sphere, box,
+                             mahalanobis_contacts, point_body)
 from ccplan.kinematics import Joint, RobotModel, chain_frames, point_jacobian
 from ccplan.planner import (
     CONVERGED,
@@ -21,11 +22,12 @@ from ccplan.planner import (
 )
 from ccplan.qp import ITERATION_LIMIT, OPTIMAL, solve_qp
 from ccplan.risk import (RiskCertificate, UncertainObstacle, certify_lanes,
-                         certify_risk, risk_weights)
+                         certify_risk, risk_gradient, risk_weights)
 from test_acceptance import corridor_problem, pickplace_problem
 from test_kinematics import planar_point_robot
 from test_qp import kkt_residuals
-from test_risk import straddle_robot
+from test_risk import (assert_same_certificate, check_fd_gradient,
+                       nondegenerate, straddle_robot, translating_robot)
 
 
 def point_problem(obstacles, T=10, budget=0.01, margin=0.02,
@@ -184,6 +186,25 @@ class TestConvexify:
 
 
 class TestSolve:
+    def test_infeasible_endpoints_exit_before_the_first_qp(self,
+                                                          monkeypatch):
+        # The start (-0.1, -0.1) of corridor2d carries a certified risk of
+        # 0.309 against a budget of 0.01. The solve took 109 SCO
+        # iterations to report it infeasible; it now stops after the first
+        # pass.
+        qps = []
+        monkeypatch.setattr(planner_module, "solve_qp",
+                            lambda *args, **kwargs: qps.append(args))
+        _, p = corridor_problem()
+        p = dataclasses.replace(p, start=np.array([-0.1, -0.1]))
+        res = solve(p)
+        assert res.status == PLAN_INFEASIBLE
+        assert not qps and not res.iterations
+        assert res.certified_risks[0] > p.risk_budget
+        # The risk-blind solve of the same problem is still planned.
+        monkeypatch.undo()
+        assert solve(p, include_risk=False).status == CONVERGED
+
     def test_obstacle_free_straight_line(self):
         p = point_problem([], T=5)
         res = solve(p)
@@ -553,6 +574,65 @@ class TestEvaluate:
                 cold = certify_risk(robot, theta, ob)
                 assert rep.certificates[t][0].eps_prime == pytest.approx(
                     cold.eps_prime, rel=1e-9)
+
+
+class TestLaneKinds:
+    """One constraint pass whose lanes take every branch of the lane tail,
+    against one obstacle: a point under the covariance diag(0.25, 0.5),
+    and a translating robot carrying two points and two segments. On these
+    lanes the pass's first searches (batched, from the Euclidean witness
+    pairs) and the cold ones agree bit for bit, so the pass's certificates
+    must equal the cold certificates bit for bit."""
+
+    ROBOT = [point_body([0.0, 0.0]), Capsule([-1.0, 1.0], [2.0, 3.0], 0.0),
+             Capsule([-1.0, -1.0], [2.0, -3.25], 0.0),
+             point_body([2.2, 0.3])]
+    # Step by step: every body culled, saturated, floored with a contact,
+    # cut inactive, one rim body, two rim bodies, no second contact.
+    STEPS = [[2.25, -5.0], [-2.0, -3.0], [-4.5, 1.75], [-3.0, -2.0],
+             [-3.0, 0.25], [-0.25, 0.0], [-3.0, -3.0]]
+    KINDS = ["culled", "saturated", "floored", "cut inactive", "rim",
+             "two rims", "floored2"]
+
+    def test_every_lane_kind_equals_its_cold_certificate(self, monkeypatch):
+        robot = translating_robot(self.ROBOT)
+        ob = UncertainObstacle(point_body([0.0, 0.0]), np.diag([0.25, 0.5]))
+        traj = np.array(self.STEPS)
+        T = len(traj)
+        p = TrajectoryProblem(robot, [ob], T, traj[0], traj[-1], 0.5, 0.0)
+        rep = evaluate_constraints(p, traj, np.full(T, 0.5 / T))
+        rims = []
+        rim = risk_module._rim_contact
+        monkeypatch.setattr(risk_module, "_rim_contact",
+                            lambda *args: rims.append(args) or rim(*args))
+        kinds = []
+        for t, theta in enumerate(traj):
+            before = len(rims)
+            cold = certify_risk(robot, theta, ob)
+            assert_same_certificate(rep.certificates[t][0], cold)
+            kinds.append(
+                "saturated" if cold.saturated
+                else "culled" if cold.c1 is None
+                else "floored" if cold.floored
+                else "floored2" if cold.floored2
+                else {0: "cut inactive", 1: "rim",
+                      2: "two rims"}[len(rims) - before])
+        assert kinds == self.KINDS
+        # The risk rows' gradients are the cold gradients, and match finite
+        # differences where the contact-persistence model holds (off the
+        # rim, which adds a multiplier term the gradient omits).
+        grad, _ = planner_module._risk_terms(p, rep)
+        checked = 0
+        for t in range(1, T - 1):
+            cert = rep.certificates[t][0]
+            if cert.saturated:
+                assert not grad[t].any()
+                continue
+            np.testing.assert_array_equal(
+                grad[t], risk_gradient(cert, robot, traj[t], ob))
+            if nondegenerate(cert):
+                checked += check_fd_gradient(robot, traj[t], ob)
+        assert checked == 1         # the cut-inactive lane
 
 
 def oracle_rows(problem, trajectory, report, include_risk=True):

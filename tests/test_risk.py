@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -797,3 +798,69 @@ class TestGradient:
         robot, th, ob = random_scene(np.random.default_rng(seed), dim)
         assume(check_fd_gradient(robot, th, ob))
 
+
+
+def assert_same_certificate(a, b):
+    """Two RiskCertificates, field by field, bit for bit."""
+    for f in dataclasses.fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        assert (u is None) == (v is None), f.name
+        if u is not None:
+            assert type(u) is type(v), f.name
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes(), f.name
+
+
+class TestLanes:
+    """The lane tail certifies each lane of a stack as it certifies that
+    lane alone: no lane's certificate depends on the others."""
+
+    @staticmethod
+    def stack(robot, thetas, obstacles, rng):
+        """The LaneBodies of ``thetas`` and the first searches of every
+        (configuration, obstacle) lane, every body searched; a body beyond
+        the shadow, and now and then a whole lane, is culled (c = inf)."""
+        shapes = [posed_link_shapes(robot, forward_kinematics(robot, th))
+                  for th in thetas]
+        lanes = LaneBodies([np.stack([s[b][1].vertices for s in shapes])
+                            for b in range(len(shapes[0]))],
+                           [body.radius for _, body in shapes[0]],
+                           [li for li, _ in shapes[0]],
+                           [body.boundary for _, body in shapes[0]])
+        found = [[[mahalanobis_contact(body, ob.nominal, ob.chol,
+                                       chol_inv=ob.chol_inv)
+                   for _, body in s] for ob in obstacles] for s in shapes]
+        c = np.array([[[e[0] for e in row] for row in lane]
+                      for lane in found])
+        wa, wb = (np.array([[[e[i] for e in row] for row in lane]
+                            for lane in found]) for i in (1, 2))
+        c[c > 40.0] = np.inf
+        c[rng.random(c.shape[:2]) < 0.1] = np.inf
+        return lanes, c, wa, wb
+
+    def test_a_stack_certifies_each_lane_as_alone(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for dim in (2, 3):
+            for _ in range(40):
+                robot, th, ob = random_scene(rng, dim)
+                obstacles = [ob, random_scene(rng, dim)[2]]
+                thetas = th + rng.normal(size=(4, dim)) * 0.4
+                bodies, c, wa, wb = self.stack(robot, thetas, obstacles, rng)
+                lanes = certify_lanes(bodies, c, wa, wb, obstacles, 1e-6)
+                for t in range(len(thetas)):
+                    one = LaneBodies([p[t:t + 1] for p in bodies.parts],
+                                     bodies.radii, bodies.links,
+                                     bodies.boundaries)
+                    for o, obstacle in enumerate(obstacles):
+                        cert = lanes.certificate((t, o))
+                        assert_same_certificate(cert, certify_lanes(
+                            one, c[t:t + 1, o:o + 1], wa[t:t + 1, o:o + 1],
+                            wb[t:t + 1, o:o + 1], [obstacle],
+                            1e-6).certificate((0, 0)))
+                        kinds.add("saturated" if cert.saturated
+                                  else "culled" if cert.c1 is None
+                                  else "floored" if cert.floored
+                                  else "floored2" if cert.floored2
+                                  else "second")
+        assert kinds == {"saturated", "culled", "floored", "floored2",
+                         "second"}

@@ -133,3 +133,25 @@ def test_layer_trace_names_exist():
                if not hasattr(importlib.import_module(f"ccplan.{module}"),
                               name)]
     assert not missing, f"layer functions missing from ccplan: {missing}"
+
+
+def test_one_certification_tail():
+    # A constraint pass and a cold certificate share the lane tail: the
+    # planner certifies through ``certify_lanes`` only, forms no bodies
+    # itself, and no per-pair path takes first searches from a caller.
+    package = Path(ccplan.__file__).parent
+    tree = ast.parse((package / "planner.py").read_text())
+    names = {n.id if isinstance(n, ast.Name) else n.attr
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert not names & {"certify_risk", "SweptHull"}
+    callers = top_level_users(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "_rim_contact")
+    assert callers == {"risk.certify_lanes"}
+    tree = ast.parse((package / "risk.py").read_text())
+    certify, = (node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "certify_risk")
+    params = [a.arg for a in certify.args.args + certify.args.kwonlyargs]
+    assert "first" not in params
