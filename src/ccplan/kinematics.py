@@ -7,7 +7,6 @@ point/sphere robots in certification-only scenes).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -236,19 +235,23 @@ def posed_link_groups(robot, frames):
             for group in members.values()]
 
 
-@dataclass(frozen=True)
+@dataclass
 class LaneBodies:
     """Every posed link shape of a stack of L configurations, the lanes of
     a certificate stack, in ``posed_link_shapes`` order: body b has
     vertices ``parts[b]`` (L, k_b, dim) and its radius, link index and
-    boundary complex. ``vertices`` (L, K, dim) holds them one body after
-    another, body b in rows ``bounds[b]:bounds[b + 1]``; both are formed
-    on first use."""
+    boundary complex; ``starts[b]`` is its first row when the bodies'
+    vertices are laid one after another."""
 
     parts: list
     radii: list
     links: list
     boundaries: list
+    starts: list = field(init=False)
+
+    def __post_init__(self):
+        self.starts = list(accumulate((p.shape[1] for p in self.parts[:-1]),
+                                      initial=0))
 
     @staticmethod
     def of_groups(groups):
@@ -263,18 +266,10 @@ class LaneBodies:
     @staticmethod
     def of_shapes(shapes):
         """A lane of one: the bodies of a ``posed_link_shapes`` list."""
-        links, bodies = zip(*shapes)
-        return LaneBodies([body.vertices[None] for body in bodies],
-                          [body.radius for body in bodies], links,
-                          [body.boundary for body in bodies])
-
-    @cached_property
-    def vertices(self):
-        return np.concatenate(self.parts, axis=1)
-
-    @cached_property
-    def bounds(self):
-        return list(accumulate((v.shape[1] for v in self.parts), initial=0))
+        return LaneBodies([body.vertices[None] for _, body in shapes],
+                          [body.radius for _, body in shapes],
+                          [li for li, _ in shapes],
+                          [body.boundary for _, body in shapes])
 
     def body(self, lane, b):
         """Body ``b`` of lane ``lane`` as a SweptHull."""

@@ -82,8 +82,8 @@ DELTA_REG = 1e-4
 
 @dataclass
 class SCOConfig:
-    """Convergence tolerance on the true constraint violation, and
-    ``certify_risk``'s eps_tol."""
+    """Convergence tolerance on the true constraint violation, and the
+    certificates' eps_tol."""
 
     tolerance: float = 1e-4
     eps_tol: float = 1e-6
@@ -259,7 +259,9 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
         for g in groups:
             links[g.bodies] = g.links
         steps = np.arange(stop - first)
-        firsts = []
+        # The first searches of every (step, obstacle, body) lane.
+        c = np.empty((stop - first, n_obs, n_bodies))
+        wa, wb = np.empty((2, stop - first, n_obs, n_bodies, robot.dim))
         for o, ob in enumerate(problem.obstacles):
             res = _body_distances(groups, n_bodies, ob)
             k = np.argmin(res.signed_distance, axis=1)
@@ -270,12 +272,12 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
             witnesses[first:stop, o] = res.witness_a[steps, k]
             nearest[first:stop, o] = links[k]
             if include_risk:
-                firsts.append(_first_contacts(groups, res, ob, eps_tol))
-        if include_risk and firsts:
+                c[:, o], wa[:, o], wb[:, o] = _first_contacts(groups, res, ob,
+                                                              eps_tol)
+        if include_risk and n_obs:
             risk.put((slice(first, stop),), certify_lanes(
-                LaneBodies.of_groups(groups),
-                *(np.stack(f, axis=1) for f in zip(*firsts)),
-                problem.obstacles, eps_tol))
+                LaneBodies.of_groups(groups), c, wa, wb, problem.obstacles,
+                eps_tol))
     sd_res = np.maximum(0.0, margins - sds)
     risk_totals = np.zeros(T)
     if include_risk:

@@ -20,6 +20,14 @@ steps by safeguarded secant steps on the dual's slope, which is affine in
 the multiplier on each face of the difference set: about 6 dual values per
 rim body (``_rim_contact``).
 
+Everything after the first searches is one tail, ``_lanes``, that
+certifies a stack of lanes, each one configuration against one obstacle,
+with arrays over (lane, body): a constraint pass certifies its
+(timestep, obstacle) pairs in one ``certify_lanes`` call, and a cold
+``certify_risk`` is a lane of one. Only the walk of a lane whose first reaching body is a rim
+body runs in Python. The result, ``LaneCertificates``, holds the stack's
+certificates in two arrays and forms a RiskCertificate on demand.
+
 Every GJK query (a cold first search, a lane of the planner's batched
 first step that one support leaves open, and every dual value) solves the
 polytope cores first, then the ellipsoid term exactly on each core face
@@ -162,6 +170,14 @@ class LaneCertificates:
     point2 = property(lambda self: self.vectors[4])
 
     @staticmethod
+    def _of(records, vectors, L, O):
+        """Lanes (L, O) from per-lane records in ``scalars`` order and
+        ``vectors`` (5, L O, dim)."""
+        scalars = np.array(records, dtype=float).T
+        return LaneCertificates(scalars.reshape(10, L, O),
+                                vectors.reshape(5, L, O, -1))
+
+    @staticmethod
     def empty(shape, dim):
         """Lanes of the leading ``shape``, to be filled by ``put``."""
         return LaneCertificates(np.empty((10,) + shape),
@@ -179,20 +195,30 @@ class LaneCertificates:
     def certificate(self, index):
         """The RiskCertificate of the lane at ``index``, a tuple."""
         index = (slice(None),) + index
-        (eps1, eps2, eps_prime, c1, c2, saturated, floored, floored2, link,
-         link2) = self.scalars[index].tolist()
-        if saturated:
-            return RiskCertificate(1.0, 1.0, 1.0, True)
-        normal, x1, x2, point1, point2 = self.vectors[index]
-        first = {} if link < 0 else dict(
-            contact_normal=normal, x1=x1, link_index=int(link),
-            contact_point=point1, c1=c1)
-        second = {} if link2 < 0 else dict(
-            x2=x2, link_index2=int(link2), contact_point2=point2)
-        return RiskCertificate(
-            eps1, eps2, eps_prime, False, **first, **second,
-            c2=None if math.isnan(c2) else c2, floored=bool(floored),
-            floored2=bool(floored2))
+        return _certificate(self.scalars[index].tolist(),
+                            self.vectors[index])
+
+
+def _certificate(values, vectors):
+    """The RiskCertificate of one lane from its ``scalars`` values (a
+    list) and its ``vectors`` rows."""
+    (eps1, eps2, eps_prime, c1, c2, saturated, floored, floored2, link,
+     link2) = values
+    if saturated:
+        return RiskCertificate(1.0, 1.0, 1.0, True)
+    normal, x1, x2, point1, point2 = vectors
+    if link < 0:
+        normal = x1 = point1 = c1 = link = None
+    else:
+        link = int(link)
+    if link2 < 0:
+        x2 = point2 = link2 = None
+    else:
+        link2 = int(link2)
+    return RiskCertificate(eps1, eps2, eps_prime, False, normal, x1, x2,
+                           link, point1, link2, point2, c1,
+                           None if math.isnan(c2) else c2, bool(floored),
+                           bool(floored2))
 
 
 _TINY = np.finfo(float).tiny
@@ -222,16 +248,18 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6):
         raise ValueError("robot has no collision shapes")
     c, wa, wb = _cold_first(shapes, obstacle,
                             chi2.chi2_inv_cdf(1.0 - eps_tol, obstacle.dim))
-    return certify_lanes(LaneBodies.of_shapes(shapes), c[None, None],
-                         wa[None, None], wb[None, None], [obstacle],
-                         eps_tol).certificate((0, 0))
+    records, vectors = _lanes(LaneBodies.of_shapes(shapes), c[None, None],
+                              wa[None, None], wb[None, None], [obstacle],
+                              eps_tol)
+    return _certificate(records[0], vectors[:, 0])
 
 
 def _cold_first(shapes, obstacle, c_max):
     """``certify_risk``'s first searches of ``shapes``, (link index, posed
     body) pairs, as arrays over the bodies: c, the witness on the body and
     the witness on the nominal geometry, from a ``mahalanobis_contact`` per
-    body, or c = inf for a body outside the c_max shadow. With d the
+    body, or c = inf for a body outside the c_max shadow (both witnesses
+    then the nominal geometry's centre). With d the
     difference of the centres and g = Sigma^-1 d, y = L^-1 d is a point of
     Y = L^-1 (A - O) with |y|^2 = d.g, and every z = L^-1 x of Y has
     |z| >= y.z / |y| = g.x / |y|: the gap between A and O along g, over
@@ -241,9 +269,8 @@ def _cold_first(shapes, obstacle, c_max):
     """
     nominal = obstacle.nominal
     centre = nominal.center()
-    c = np.full(len(shapes), math.inf)
-    wa, wb = np.zeros((2, len(shapes), obstacle.dim))
-    for k, (_, body) in enumerate(shapes):
+    out = []
+    for _, body in shapes:
         d = body.center() - centre
         g = obstacle.sigma_inv @ d
         yy = float(d @ g)
@@ -252,11 +279,13 @@ def _cold_first(shapes, obstacle, c_max):
                    - float((nominal.vertices @ g).max())
                    - (body.radius + nominal.radius) * math.sqrt(float(g @ g)))
             if gap > 0.0 and gap * gap > c_max * yy:
+                out.append((math.inf, centre, centre))
                 continue
-        c[k], wa[k], wb[k] = mahalanobis_contact(
+        out.append(mahalanobis_contact(
             body, nominal, obstacle.chol, chol_inv=obstacle.chol_inv,
-            axes=obstacle.axes, offset=d)
-    return c, wa, wb
+            axes=obstacle.axes, offset=d))
+    c, wa, wb = zip(*out)
+    return np.array(c), np.array(wa), np.array(wb)
 
 
 def _first_least(row):
@@ -273,7 +302,16 @@ def _first_least(row):
 def certify_lanes(bodies, c, wa, wb, obstacles, eps_tol):
     """The certificates of a stack of lanes, as LaneCertificates over
     (L, O): lane (t, o) is configuration t, whose posed link shapes are
-    lane t of ``bodies`` (``LaneBodies``), against ``obstacles[o]``.
+    lane t of ``bodies`` (``LaneBodies``), against ``obstacles[o]``. See
+    ``_lanes``, the tail, for the arguments."""
+    L, O = c.shape[:2]
+    return LaneCertificates._of(*_lanes(bodies, c, wa, wb, obstacles,
+                                        eps_tol), L, O)
+
+
+def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
+    """The lane tail: every lane's ``LaneCertificates.scalars`` values, a
+    list per lane, and the lanes' ``vectors`` (5, L O, dim).
 
     c (L, O, B), wa and wb (L, O, B, dim) are each lane's first searches:
     each body's certified squared Mahalanobis distance, c = inf for a body
@@ -298,113 +336,114 @@ def certify_lanes(bodies, c, wa, wb, obstacles, eps_tol):
     N = L * O
     links = bodies.links
     rows = c.reshape(N, B).tolist()
-    best = [_first_least(row) for row in rows]
-    c1 = [row[k] for row, k in zip(rows, best)]
-    # A lane without contact data is saturated, or floored with every body
-    # outside the shadow.
-    saturated = [v <= SATURATION_C for v in c1]
-    eps1 = [1.0 if sat else eps_tol for sat in saturated]
-    eps2, c2 = list(eps1), [math.nan] * N
-    link1, link2 = [-1] * N, [-1] * N
-    floored = [v == math.inf for v in c1]
-    floored2 = list(floored)
-    live = [i for i, v in enumerate(c1) if SATURATION_C < v < math.inf]
-    half = []
-    hits, rims = [], []     # second contacts: (lane, body), (lane, a, x2)
-    vectors = np.zeros((5, N, n))
-    if live:
-        # Rows of (lane, body) pairs: a lane's first contact is row i B + k.
-        x = (wa - wb).reshape(N * B, n)
-        wa, wb = wa.reshape(N * B, n), wb.reshape(N * B, n)
-        first = [i * B + k for i, k in enumerate(best)]
-        point1, x1 = wa.take(first, axis=0), x.take(first, axis=0)
-        sigma_inv = np.array([ob.sigma_inv for ob in obstacles])
-        g = (sigma_inv @ x1.reshape(L, O, n, 1)).reshape(N, n)
+    # Each lane's record: eps1, eps2, eps_prime, c1, c2, saturated,
+    # floored, floored2, link1, link2. A lane without contact data is
+    # saturated, or floored with every body outside the shadow.
+    records, first, live = [], [], []
+    for i, row in enumerate(rows):
+        k = _first_least(row)
+        v = row[k]
+        first.append(i * B + k)
+        if v <= SATURATION_C:
+            records.append([1.0, 1.0, 1.0, v, math.nan, 1, 0, 0, -1, -1])
+            continue
+        records.append([eps_tol, eps_tol, eps_tol, v, math.nan, 0, 1, 1,
+                        -1, -1])
+        if v < math.inf:
+            records[i][8] = links[k]
+            live.append(i)
+    if not live:
+        return records, np.zeros((5, N, n))
+    # Rows of (lane, body) pairs: a lane's first contact is row i B + k.
+    x = (wa - wb).reshape(N * B, n)
+    wa, wb = wa.reshape(N * B, n), wb.reshape(N * B, n)
+    vectors = np.empty((5, N, n))
+    normal, x1, point1 = vectors[0], vectors[1], vectors[3]
+    wa.take(first, axis=0, out=point1)
+    x.take(first, axis=0, out=x1)
+    g = (np.array([ob.sigma_inv for ob in obstacles])
+         @ x1.reshape(L, O, n, 1)).reshape(N, n)
+    gg = g[:, None, :] @ g[:, :, None]
+    if len(live) < N:
         # Where x1 vanishes (a lane without contact data), the floor on
         # |g|^2 makes the unused normal zero.
-        normal = -g / np.sqrt(np.maximum(g[:, None, :] @ g[:, :, None],
-                                         _TINY))[:, 0]
-        vectors = np.array([normal, x1, x1, point1, point1])
+        gg = np.maximum(gg, _TINY)
+    np.divide(-g, np.sqrt(gg)[:, 0], out=normal)
+    vectors[2], vectors[4] = x1, point1
+    half = []
     for i in live:
-        link1[i] = links[best[i]]
-        e = chi2.chi2_sf(c1[i], n)
-        if e < eps_tol:
-            # Even the largest shadow considered misses the robot: risk is
-            # below resolution and the half-shadow search is skipped.
-            floored[i] = floored2[i] = True
-        else:
-            eps1[i] = e
+        r = records[i]
+        e = chi2.chi2_sf(r[3], n)
+        # Below resolution even the largest shadow considered misses the
+        # robot, and the lane stays floored without a half-shadow search.
+        if e >= eps_tol:
+            r[0], r[6] = e, 0
             half.append(i)
-    if half:
-        # Whether each body's support along n reaches the nominal
-        # geometry's support along -n, and n.x at each body's own minimum.
-        c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
-        along = normal.reshape(L, O, n, 1)
-        top = np.maximum.reduceat((bodies.vertices[:, None] @ along)[..., 0],
-                                  bodies.bounds[:-1], axis=2) + bodies.radii
-        low = np.empty((L, O))
-        for o, ob in enumerate(obstacles):
-            low[:, o] = ((along[:, o, None, :, 0] @ ob.nominal.vertices.T)[
-                :, 0].min(axis=1) - ob.nominal.radius)
-        reach = (top >= low[..., None]).reshape(N, B)
-        s = (x.reshape(N, B, n) @ normal[:, :, None])[..., 0].tolist()
-        nearest = np.where(reach, c.reshape(N, B), math.inf)
-        kf = nearest.argmin(axis=1).tolist()
-        nearest = nearest.tolist()
-        for i in half:
-            b = kf[i]
-            if nearest[i][b] >= c_max:
-                cap = c_max
-            elif s[i][b] >= 0.0:
-                cap, link2[i] = nearest[i][b], links[b]
-                hits.append(i * B + b)
-            else:
-                # A rim body comes first: the walk, with the exact far test
-                # (that of the rim search's far end) on each rim body.
-                cap, nrm, ob = c_max, normal[i], obstacles[i % O]
-                for cb, b in sorted((v, b) for b, v in enumerate(rows[i])
-                                    if v < c_max):
-                    if cb >= cap:
-                        break
-                    if not reach[i, b]:
+    if not half:
+        return records, vectors
+    # Whether each body's support along n reaches the nominal geometry's
+    # support along -n, and n.x at each body's own minimum.
+    c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
+    along = normal.reshape(L, O, n, 1)
+    top = np.maximum.reduceat(
+        (np.concatenate(bodies.parts, axis=1)[:, None] @ along)[..., 0],
+        bodies.starts, axis=2) + np.array(bodies.radii)
+    low = np.empty((L, O))
+    for o, ob in enumerate(obstacles):
+        low[:, o] = ((along[:, o, None, :, 0] @ ob.nominal.vertices.T)[
+            :, 0].min(axis=1) - ob.nominal.radius)
+    reach = (top >= low[..., None]).reshape(N, B)
+    s = (x.reshape(N, B, n) @ normal[:, :, None])[..., 0].tolist()
+    nearest = np.where(reach, c.reshape(N, B), math.inf)
+    kf = nearest.argmin(axis=1).tolist()
+    nearest = nearest.tolist()
+    hits = []
+    for i in half:
+        r, b = records[i], kf[i]
+        if nearest[i][b] >= c_max:
+            cap = c_max
+        elif s[i][b] >= 0.0:
+            cap, r[9] = nearest[i][b], links[b]
+            hits.append(i * B + b)
+        else:
+            # A rim body comes first: the walk, with the exact far test
+            # (that of the rim search's far end) on each rim body.
+            cap, nrm, ob = c_max, normal[i], obstacles[i % O]
+            for cb, b in sorted((v, b) for b, v in enumerate(rows[i])
+                                if v < c_max):
+                if cb >= cap:
+                    break
+                if not reach[i, b]:
+                    continue
+                k = i * B + b
+                if s[i][b] >= 0.0:
+                    found = (cb, wa[k], x[k])
+                else:
+                    body = bodies.body(i // O, b)
+                    far = (body._support(nrm), ob.nominal._support(-nrm))
+                    if float(nrm @ (far[0] - far[1])) < 0.0:
                         continue
-                    r = i * B + b
-                    if s[i][b] >= 0.0:
-                        found = (cb, wa[r], x[r])
-                    else:
-                        body = bodies.body(i // O, b)
-                        far = (body._support(nrm),
-                               ob.nominal._support(-nrm))
-                        if float(nrm @ (far[0] - far[1])) < 0.0:
-                            continue
-                        found = _rim_contact(body, ob, nrm,
-                                             (cb, wa[r], wb[r]), far,
-                                             cap)
-                    if found is not None:
-                        cap, a, x2 = found
-                        link2[i] = links[b]
-                if link2[i] >= 0:
-                    rims.append((i, a, x2))
-            c2[i] = cap
-            if link2[i] < 0:
-                # No body reaches the half-space below resolution.
-                floored2[i] = True
-                continue
-            e2 = chi2.chi2_sf(cap, n)
-            if e2 > eps1[i] + 1e-12:
-                raise GeometryError("half-shadow search exceeded eps1")
-            eps2[i] = min(e2, eps1[i])
-    eps_prime = [0.5 * (e + e2) for e, e2 in zip(eps1, eps2)]
+                    found = _rim_contact(body, ob, nrm, (cb, wa[k], wb[k]),
+                                         far, cap)
+                if found is not None:
+                    cap, vectors[4, i], vectors[2, i] = found
+                    r[9] = links[b]
+        r[4] = cap
+        if r[9] < 0:
+            # No body reaches the half-space below resolution.
+            continue
+        r[7] = 0
+        e2 = chi2.chi2_sf(cap, n)
+        if e2 > r[0] + 1e-12:
+            raise GeometryError("half-shadow search exceeded eps1")
+        r[1] = min(e2, r[0])
     if hits:
-        lanes = [r // B for r in hits]
+        lanes = [k // B for k in hits]
         vectors[4, lanes], vectors[2, lanes] = wa[hits], x[hits]
-    for i, a, x2 in rims:
-        vectors[4, i], vectors[2, i] = a, x2
-    scalars = np.fromiter(chain(eps1, eps2, eps_prime, c1, c2, saturated,
-                                floored, floored2, link1, link2), float,
-                          10 * N)
-    return LaneCertificates(scalars.reshape(10, L, O),
-                            vectors.reshape(5, L, O, n))
+    for i in half:
+        r = records[i]
+        r[2] = 0.5 * (r[0] + r[1])
+    return records, vectors
 
 
 # A dual evaluation: phi(lam), s = n^T x of the projection y(lam) = L^-1 x,

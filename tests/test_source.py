@@ -136,9 +136,10 @@ def test_layer_trace_names_exist():
 
 
 def test_one_certification_tail():
-    # A constraint pass and a cold certificate share the lane tail: the
-    # planner certifies through ``certify_lanes`` only, forms no bodies
-    # itself, and no per-pair path takes first searches from a caller.
+    # A constraint pass and a cold certificate share the lane tail,
+    # ``risk._lanes``: the planner certifies through ``certify_lanes``
+    # only, forms no bodies itself, and no per-pair path takes first
+    # searches from a caller.
     package = Path(ccplan.__file__).parent
     tree = ast.parse((package / "planner.py").read_text())
     names = {n.id if isinstance(n, ast.Name) else n.attr
@@ -148,7 +149,7 @@ def test_one_certification_tail():
     callers = top_level_users(
         lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         and n.func.id == "_rim_contact")
-    assert callers == {"risk.certify_lanes"}
+    assert callers == {"risk._lanes"}
     tree = ast.parse((package / "risk.py").read_text())
     certify, = (node for node in tree.body
                 if isinstance(node, ast.FunctionDef)
