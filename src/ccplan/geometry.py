@@ -1248,6 +1248,11 @@ def distances(vertices, radii, boundary, body_b):
                           wb - rb * n, n)
 
 
+# Squared lengths below this carry fewer bits than a normal float: the
+# least normal float over the machine epsilon.
+_SMALL_SQUARE = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def _depths(Va, boundary_a, Vb, boundary_b):
     """Penetration depth and unit normal from A into B of touching or
     overlapping cores, Va (P, ka, dim) against Vb (kb, dim).
@@ -1288,12 +1293,18 @@ def _depths(Va, boundary_a, Vb, boundary_b):
                  _cross(d[..., None], eye[:, :, None]), eye]
             u = [x.reshape(3, p, -1) for x in u]
         u = np.concatenate(u + [-x for x in u], axis=2)
-        # Scaled by a power of two near its largest component, an axis
-        # keeps its bits of precision in u.u, which for an edge shorter
-        # than about 1e-154 would be subnormal; the unit axis is unchanged
-        # otherwise, since the scaling is exact.
-        u = u * np.ldexp(1.0, -np.frexp(np.abs(u).max(axis=0))[1])
-        length = np.sqrt(_dots(u, u))
+        uu = _dots(u, u)
+        small = (uu > 0.0) & (uu < _SMALL_SQUARE)
+        if small.any():
+            # An edge shorter than about 1e-146 gives axes whose u.u has
+            # lost bits to the subnormal range, and whose length would
+            # come out short. Scaled by a power of two near its largest
+            # component, an axis keeps them; the scaling is exact, so its
+            # unit axis is the same wherever u.u had kept them.
+            u = u * np.where(small, np.ldexp(
+                1.0, -np.frexp(np.abs(u).max(axis=0))[1]), 1.0)
+            uu = _dots(u, u)
+        length = np.sqrt(uu)
         u = np.divide(u, length, out=np.zeros_like(u), where=length > 0.0)
         proj = _dots(u[..., None], X[:, :, None])
         h = np.where(length > 0.0, proj[..., :ka].max(axis=2)

@@ -259,9 +259,10 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
         for g in groups:
             links[g.bodies] = g.links
         steps = np.arange(stop - first)
-        # The first searches of every (step, obstacle, body) lane.
-        c = np.empty((stop - first, n_obs, n_bodies))
-        wa, wb = np.empty((2, stop - first, n_obs, n_bodies, robot.dim))
+        if include_risk:
+            # The first searches of every (step, obstacle, body) lane.
+            c = np.empty((stop - first, n_obs, n_bodies))
+            wa, wb = np.empty((2, stop - first, n_obs, n_bodies, robot.dim))
         for o, ob in enumerate(problem.obstacles):
             res = _body_distances(groups, n_bodies, ob)
             k = np.argmin(res.signed_distance, axis=1)

@@ -503,7 +503,7 @@ class TestPenaltyWeights:
         refined = []
         refine = qp_module._DualActiveSet._refine
         monkeypatch.setattr(qp_module._DualActiveSet, "_refine",
-                            lambda self: refined.append(refine(self))
+                            lambda self, r2: refined.append(refine(self, r2))
                             or refined[-1])
         rng = np.random.default_rng(3)
         for _ in range(20):
