@@ -7,6 +7,7 @@ point/sphere robots in certification-only scenes).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -247,11 +248,11 @@ class LaneBodies:
     radii: list
     links: list
     boundaries: list
-    starts: list = field(init=False)
 
-    def __post_init__(self):
-        self.starts = list(accumulate((p.shape[1] for p in self.parts[:-1]),
-                                      initial=0))
+    @cached_property
+    def starts(self):
+        return list(accumulate((p.shape[1] for p in self.parts[:-1]),
+                               initial=0))
 
     @staticmethod
     def of_groups(groups):
@@ -266,10 +267,9 @@ class LaneBodies:
     @staticmethod
     def of_shapes(shapes):
         """A lane of one: the bodies of a ``posed_link_shapes`` list."""
-        return LaneBodies([body.vertices[None] for _, body in shapes],
-                          [body.radius for _, body in shapes],
-                          [li for li, _ in shapes],
-                          [body.boundary for _, body in shapes])
+        return LaneBodies(*map(list, zip(*[
+            (body.vertices[None], body.radius, li, body.boundary)
+            for li, body in shapes])))
 
     def body(self, lane, b):
         """Body ``b`` of lane ``lane`` as a SweptHull."""

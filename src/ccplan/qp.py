@@ -470,11 +470,11 @@ class _DualActiveSet:
         # Repeatedly fix the most violated constraint.
         while True:
             s = self._slacks(self.x)
-            r2 = -s[self.members]
             s[self.members] = 0.0
             p = int(np.argmin(s))
             if s[p] >= -FEAS_TOL:
-                if refined or not self._refine(r2):
+                if refined or not self._refine(
+                        -self._slacks(self.x)[self.members]):
                     return self._finish(OPTIMAL)
                 # The refined point may violate a row: continue from it.
                 refined = True
@@ -496,7 +496,7 @@ class _DualActiveSet:
         the start's or the steps' x can miss the members by far more than
         FEAS_TOL (a working set is refined the same way in qpOASES;
         Ferreau et al., Math. Prog. Comp. 2014). The members' residual
-        decides, since the solve has it at no cost: on the planner-layout
+        decides, from one product with the rows: on the planner-layout
         stress family (``tests/test_qp.py``) no solve missed stationarity
         while meeting its members. Returns whether it corrected the
         point."""

@@ -24,9 +24,10 @@ Everything after the first searches is one tail, ``_lanes``, that
 certifies a stack of lanes, each one configuration against one obstacle,
 with arrays over (lane, body): a constraint pass certifies its
 (timestep, obstacle) pairs in one ``certify_lanes`` call, and a cold
-``certify_risk`` is a lane of one. Only the walk of a lane whose first reaching body is a rim
-body runs in Python. The result, ``LaneCertificates``, holds the stack's
-certificates in two arrays and forms a RiskCertificate on demand.
+``certify_risk`` is a lane of one. Only the walk of a lane whose first
+reaching body is a rim body runs in Python. The result,
+``LaneCertificates``, holds the stack's certificates in two arrays and
+forms a RiskCertificate on demand.
 
 Every GJK query (a cold first search, a lane of the planner's batched
 first step that one support leaves open, and every dual value) solves the
@@ -48,7 +49,6 @@ the certificates of every obstacle share the link shapes posed on it
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -153,21 +153,8 @@ class LaneCertificates:
     scalars: np.ndarray
     vectors: np.ndarray
 
-    eps1 = property(lambda self: self.scalars[0])
-    eps2 = property(lambda self: self.scalars[1])
     eps_prime = property(lambda self: self.scalars[2])
-    c1 = property(lambda self: self.scalars[3])
-    c2 = property(lambda self: self.scalars[4])
     saturated = property(lambda self: self.scalars[5] != 0.0)
-    floored = property(lambda self: self.scalars[6] != 0.0)
-    floored2 = property(lambda self: self.scalars[7] != 0.0)
-    link1 = property(lambda self: self.scalars[8].astype(int))
-    link2 = property(lambda self: self.scalars[9].astype(int))
-    normal = property(lambda self: self.vectors[0])
-    x1 = property(lambda self: self.vectors[1])
-    x2 = property(lambda self: self.vectors[2])
-    point1 = property(lambda self: self.vectors[3])
-    point2 = property(lambda self: self.vectors[4])
 
     @staticmethod
     def _of(records, vectors, L, O):
@@ -206,15 +193,16 @@ def _certificate(values, vectors):
      link2) = values
     if saturated:
         return RiskCertificate(1.0, 1.0, 1.0, True)
-    normal, x1, x2, point1, point2 = vectors
+    normal = x1 = point1 = x2 = point2 = None
     if link < 0:
-        normal = x1 = point1 = c1 = link = None
+        c1 = link = None
     else:
-        link = int(link)
+        normal, x1, point1, link = vectors[0], vectors[1], vectors[3], int(
+            link)
     if link2 < 0:
-        x2 = point2 = link2 = None
+        link2 = None
     else:
-        link2 = int(link2)
+        x2, point2, link2 = vectors[2], vectors[4], int(link2)
     return RiskCertificate(eps1, eps2, eps_prime, False, normal, x1, x2,
                            link, point1, link2, point2, c1,
                            None if math.isnan(c2) else c2, bool(floored),
@@ -369,7 +357,6 @@ def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
         # |g|^2 makes the unused normal zero.
         gg = np.maximum(gg, _TINY)
     np.divide(-g, np.sqrt(gg)[:, 0], out=normal)
-    vectors[2], vectors[4] = x1, point1
     half = []
     for i in live:
         r = records[i]
