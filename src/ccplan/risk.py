@@ -197,8 +197,8 @@ def _certificate(values, vectors):
     if link < 0:
         c1 = link = None
     else:
-        normal, x1, point1, link = vectors[0], vectors[1], vectors[3], int(
-            link)
+        normal, x1, point1 = vectors[0], vectors[1], vectors[3]
+        link = int(link)
     if link2 < 0:
         link2 = None
     else:
