@@ -262,9 +262,12 @@ class Boundary:
     @cached_property
     def key(self):
         """Equal for cores of the same topology, which can share one
-        batched distance call."""
-        return (len(self._vertices), self.edges.tobytes(),
-                self.triangles.tobytes())
+        batched distance call. At most dim points are flat, and their
+        complex follows from their count (``box``, the one caller that
+        passes ``faces``, has more), so their key builds none."""
+        m, dim = self._vertices.shape
+        return m if m <= dim else (m, self.edges.tobytes(),
+                                   self.triangles.tobytes())
 
 
 def _radius(radius):
@@ -485,7 +488,9 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     always a full one, bounds it from below (every point x of the set has
     |x| >= u.x >= u.s(-u) for the unit u along v), and the two meet at
     convergence. A phase also ends where |v|^2 no longer decreases (the
-    roundoff floor); reaching ``max_iter`` raises GeometryError.
+    roundoff floor); reaching ``max_iter`` raises GeometryError. There
+    the full phase keeps the larger of that bound and u.s(-u) / |u| for
+    the stalled closest point u of the simplex, which may point nearer.
     """
     rounded = getattr(support_pair, "rounded", False)
     support = support_pair.core if rounded else support_pair
@@ -499,6 +504,7 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     simplex = [entries[0][0].tolist() + pad]
     v, lam = simplex[0], [1.0]
     nv2 = _dot(v, v)
+    stall_bound = 0.0
     for _ in range(max_iter):
         if nv2 <= tol * tol:
             break
@@ -517,6 +523,7 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
                 # Roundoff on a thin simplex can drop the new point, along
                 # which the estimate improves in exact arithmetic: take the
                 # best face through it instead.
+                u, nu2 = w, nw2
                 nw2, w, lam_w, keep = _closest_through_last(simplex)
             if nw2 < nv2:
                 entries = [entries[i] for i in keep]
@@ -532,6 +539,10 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
             # stays, and its last support still gives the lower bound.
             simplex.pop()
             entries.pop()
+            if full:
+                pu = support(np.array([-u[0], -u[1], -u[2]][:dim]))[0]
+                stall_bound = (max(0.0, _dot(u, pu.tolist() + pad))
+                               / math.sqrt(nu2))
         if full:
             break
         # The cores are solved. Each core point is a point of the set (the
@@ -549,7 +560,8 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     if nv2 <= tol * tol:
         return 0.0, np.array(v[:dim]), wa, wb, 0.0
     dist = math.sqrt(nv2)
-    return dist, np.array(v[:dim]), wa, wb, max(0.0, vp) / dist
+    return (dist, np.array(v[:dim]), wa, wb,
+            max(max(0.0, vp) / dist, stall_bound))
 
 
 def _face_step(support_pair, entries, nv2, dim, pad):

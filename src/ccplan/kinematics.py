@@ -8,11 +8,10 @@ point/sphere robots in certification-only scenes).
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
-from .geometry import Pose, SweptHull
+from .geometry import Pose
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,11 @@ class RobotModel:
     # Which joints are revolute, for the stacked Jacobians.
     revolute: np.ndarray = field(init=False, repr=False, compare=False)
     # The last single-state walk of ``chain_frames``, which returns it again
-    # at the same joint state, and (walk, link shapes posed on it) of
-    # ``chain_shapes``.
+    # at the same joint state, and (walk, link groups posed on it) of
+    # ``chain_groups``.
     _last_frames: object = field(default=None, init=False, repr=False,
                                  compare=False)
-    _last_shapes: tuple = field(default=None, init=False, repr=False,
+    _last_groups: tuple = field(default=None, init=False, repr=False,
                                 compare=False)
 
     def __post_init__(self):
@@ -88,6 +87,23 @@ class RobotModel:
     @property
     def n_links(self):
         return len(self.link_shapes)
+
+    @cached_property
+    def _link_groups(self):
+        """The link shapes grouped by boundary topology, as LinkGroups in
+        their link frames (vertices (G, k, dim)): built on first use, for
+        ``posed_link_groups``, whose groups share all but the vertices."""
+        members = {}
+        k = 0
+        for li, shapes in enumerate(self.link_shapes):
+            for s in shapes:
+                members.setdefault(s.boundary.key, []).append((k, li, s))
+                k += 1
+        return [LinkGroup([m[0] for m in group], [m[1] for m in group],
+                          np.array([m[2].radius for m in group]),
+                          group[0][2].boundary,
+                          np.array([m[2].vertices for m in group]))
+                for group in members.values()]
 
     def check_state(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -176,19 +192,6 @@ def chain_frames(robot, theta):
     return frames
 
 
-def chain_shapes(robot, theta):
-    """``posed_link_shapes`` at the joint state ``theta``, posed on the
-    walk of ``chain_frames`` and kept with it, so the certificates of
-    every obstacle at one configuration pose each link shape once. The
-    list is shared: callers must not modify it."""
-    frames = chain_frames(robot, theta)
-    memo = robot._last_shapes
-    if memo is None or memo[0] is not frames:
-        memo = robot._last_shapes = (frames,
-                                     posed_link_shapes(robot, frames.poses))
-    return memo[1]
-
-
 def forward_kinematics(robot, theta):
     """World pose of every link frame at joint state ``theta``."""
     return chain_frames(robot, theta).poses
@@ -208,7 +211,9 @@ def posed_link_shapes(robot, poses):
 class LinkGroup:
     """Link shapes of one boundary topology, posed at every step of a
     ChainFrames: one batched distance call serves the whole group.
-    ``bodies`` index the flattened link shapes of ``posed_link_shapes``."""
+    ``bodies`` index the flattened link shapes of ``posed_link_shapes``.
+    The groups of one robot share ``bodies``, ``links`` and ``radii``:
+    callers must not modify them."""
 
     bodies: list                # flat body index per member
     links: list                 # link index per member
@@ -219,62 +224,26 @@ class LinkGroup:
 
 def posed_link_groups(robot, frames):
     """Every link shape placed at every step of ``frames``, grouped by
-    boundary topology (see LinkGroup)."""
-    members = {}
-    k = 0
-    for li, shapes in enumerate(robot.link_shapes):
-        R = frames.rotations[:, li].transpose(0, 2, 1)
-        p = frames.translations[:, li, None, :]
-        for s in shapes:
-            members.setdefault(s.boundary.key, []).append(
-                (k, li, s, s.vertices @ R + p))
-            k += 1
-    return [LinkGroup([m[0] for m in group], [m[1] for m in group],
-                      np.array([m[2].radius for m in group]),
-                      group[0][2].boundary,
-                      np.stack([m[3] for m in group], axis=1))
-            for group in members.values()]
+    boundary topology (see LinkGroup): one product per group."""
+    # ``take`` costs a fraction of fancy indexing on a step of one.
+    return [LinkGroup(g.bodies, g.links, g.radii, g.boundary,
+                      g.vertices @ frames.rotations.take(g.links, axis=1)
+                      .swapaxes(2, 3)
+                      + frames.translations.take(g.links, axis=1)[:, :, None])
+            for g in robot._link_groups]
 
 
-@dataclass
-class LaneBodies:
-    """Every posed link shape of a stack of L configurations, the lanes of
-    a certificate stack, in ``posed_link_shapes`` order: body b has
-    vertices ``parts[b]`` (L, k_b, dim) and its radius, link index and
-    boundary complex; ``starts[b]`` is its first row when the bodies'
-    vertices are laid one after another."""
-
-    parts: list
-    radii: list
-    links: list
-    boundaries: list
-
-    @cached_property
-    def starts(self):
-        return list(accumulate((p.shape[1] for p in self.parts[:-1]),
-                               initial=0))
-
-    @staticmethod
-    def of_groups(groups):
-        """The bodies of a trajectory's LinkGroups, one lane per step."""
-        members = sorted((b, g, j) for g in groups
-                         for j, b in enumerate(g.bodies))
-        return LaneBodies([g.vertices[:, j] for _, g, j in members],
-                          [float(g.radii[j]) for _, g, j in members],
-                          [g.links[j] for _, g, j in members],
-                          [g.boundary for _, g, _ in members])
-
-    @staticmethod
-    def of_shapes(shapes):
-        """A lane of one: the bodies of a ``posed_link_shapes`` list."""
-        return LaneBodies(*map(list, zip(*[
-            (body.vertices[None], body.radius, li, body.boundary)
-            for li, body in shapes])))
-
-    def body(self, lane, b):
-        """Body ``b`` of lane ``lane`` as a SweptHull."""
-        return SweptHull(self.parts[b][lane], self.radii[b],
-                         self.boundaries[b])
+def chain_groups(robot, theta):
+    """``posed_link_groups`` at the joint state ``theta``, a step of one,
+    posed on the walk of ``chain_frames`` and kept with it, so the
+    certificates of every obstacle at one configuration pose each link
+    shape once. The list is shared: callers must not modify it."""
+    frames = chain_frames(robot, theta)
+    memo = robot._last_groups
+    if memo is None or memo[0] is not frames:
+        memo = robot._last_groups = (frames,
+                                     posed_link_groups(robot, frames))
+    return memo[1]
 
 
 def point_jacobian(robot, theta, link_index, world_point, frames=None):

@@ -22,13 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DistanceResult, distances, mahalanobis_contacts
-from .kinematics import (LaneBodies, point_jacobians, posed_link_groups,
-                         trajectory_frames)
-from .chi2 import chi2_inv_cdf, chi2_pdf
+from .geometry import DistanceResult, distances
+from .kinematics import point_jacobians, posed_link_groups, trajectory_frames
+from .chi2 import chi2_pdf
 from .qp import (OPTIMAL, ActiveSet, HessianFactors, QuadraticProgram,
                  check_hessian, solve_qp)
-from .risk import LaneCertificates, certify_lanes, weighted_jacobians
+from .risk import (LaneCertificates, certify_lanes, first_contacts,
+                   weighted_jacobians)
 
 CONVERGED = "converged"
 ITERATION_LIMIT = "iteration-limit"
@@ -177,35 +177,6 @@ def _body_distances(groups, n_bodies, obstacle):
     return DistanceResult(sd, wa, wb, n)
 
 
-def _first_contacts(groups, res, obstacle, eps_tol):
-    """The first (full-shadow) searches of a pass against one obstacle, from
-    the bodies' Euclidean distances and witness pairs ``res`` (from
-    ``_body_distances``).
-
-    Touching the obstacle requires a displacement of Euclidean length at
-    least the signed distance sd, so sd^2 / lambda_max(Sigma) bounds the
-    squared Mahalanobis distance from below. A body whose bound exceeds
-    the eps_tol shadow's squared radius gets c = inf, and every other body
-    is searched: one ``mahalanobis_contacts`` call per link group, each
-    lane started from its Euclidean witness pair. Returns (c, witness_a,
-    witness_b) as (T, n_bodies) arrays.
-    """
-    sd = res.signed_distance
-    bound = (sd / obstacle.sigma_max) ** 2
-    c_max = chi2_inv_cdf(1.0 - eps_tol, obstacle.dim)
-    search = ~((sd > 0.0) & (bound > c_max))
-    c = np.full(sd.shape, np.inf)
-    wa, wb = res.witness_a.copy(), res.witness_b.copy()
-    for g in groups:
-        t, j = np.nonzero(search[:, g.bodies])
-        if len(t):
-            k = np.asarray(g.bodies)[j]
-            c[t, k], wa[t, k], wb[t, k] = mahalanobis_contacts(
-                g.vertices[t, j], g.radii[j], obstacle.nominal,
-                obstacle.chol_inv, wa[t, k], wb[t, k], obstacle.axes)
-    return c, wa, wb
-
-
 def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
                          include_risk=True, margins=None, ends=None):
     """Fresh certification and signed distances along a trajectory.
@@ -273,12 +244,11 @@ def evaluate_constraints(problem, trajectory, allocation, eps_tol=1e-6,
             witnesses[first:stop, o] = res.witness_a[steps, k]
             nearest[first:stop, o] = links[k]
             if include_risk:
-                c[:, o], wa[:, o], wb[:, o] = _first_contacts(groups, res, ob,
-                                                              eps_tol)
+                c[:, o], wa[:, o], wb[:, o] = first_contacts(groups, res, ob,
+                                                             eps_tol)
         if include_risk and n_obs:
             risk.put((slice(first, stop),), certify_lanes(
-                LaneBodies.of_groups(groups), c, wa, wb, problem.obstacles,
-                eps_tol))
+                groups, c, wa, wb, problem.obstacles, eps_tol))
     sd_res = np.maximum(0.0, margins - sds)
     risk_totals = np.zeros(T)
     if include_risk:
@@ -328,8 +298,8 @@ def _risk_terms(problem, report):
                               links, points, T), eps
 
 
-def convexify(problem, trajectory, allocation, report, mu, radius,
-              include_risk=True, margins=None, objective=None):
+def convexify(problem, trajectory, report, mu, radius, include_risk=True,
+              margins=None, objective=None):
     """Build the convex subproblem around the current iterate.
 
     Decision variables: [theta_1..theta_{T-2} | delta_0..delta_{T-1} |
@@ -339,7 +309,6 @@ def convexify(problem, trajectory, allocation, report, mu, radius,
     ``include_risk=False`` the risk and allocation rows are dropped (the
     variables remain, pinned harmlessly by their regularizer), and
     ``margins`` overrides the scalar margin per (timestep, obstacle).
-    ``allocation`` enters no row: the risk row is linear in delta.
     ``objective`` is the ``_objective`` at this ``mu``, which a solve
     builds once per penalty weight.
 
@@ -511,8 +480,8 @@ def solve(problem, config=None, include_risk=True, margins=None):
         qp = None
         for inner in range(MAX_INNER):
             if qp is None:
-                qp = convexify(problem, trajectory, allocation, report, mu,
-                               radius, include_risk, margins, objective)
+                qp = convexify(problem, trajectory, report, mu, radius,
+                               include_risk, margins, objective)
             else:
                 # A rejected step leaves the iterate and so its
                 # linearization: only the trust region shrinks.

@@ -20,14 +20,16 @@ steps by safeguarded secant steps on the dual's slope, which is affine in
 the multiplier on each face of the difference set: about 6 dual values per
 rim body (``_rim_contact``).
 
-Everything after the first searches is one tail, ``_lanes``, that
-certifies a stack of lanes, each one configuration against one obstacle,
-with arrays over (lane, body): a constraint pass certifies its
-(timestep, obstacle) pairs in one ``certify_lanes`` call, and a cold
-``certify_risk`` is a lane of one. Only the walk of a lane whose first
-reaching body is a rim body runs in Python. The result,
-``LaneCertificates``, holds the stack's certificates in two arrays and
-forms a RiskCertificate on demand.
+The robot's bodies are its LinkGroups throughout. A constraint pass's
+first searches are ``first_contacts``, a cold ``certify_risk``'s
+``_cold_first``; both give a body beyond the eps_tol shadow c = inf.
+Everything after them is one tail, ``_lanes``, that certifies a stack
+of lanes, each one configuration against one obstacle, with arrays over
+(lane, body): a pass certifies its (timestep, obstacle) pairs in one
+``certify_lanes`` call, and a cold certificate is a lane of one. Only the
+walk of a lane whose first reaching body is a rim body runs in Python.
+The result, ``LaneCertificates``, holds the stack's certificates in two
+arrays and forms a RiskCertificate on demand.
 
 Every GJK query (a cold first search, a lane of the planner's batched
 first step that one support leaves open, and every dual value) solves the
@@ -42,8 +44,8 @@ gradient (``risk_weights``), J the Jacobian of its robot contact point;
 ``weighted_jacobians`` sums such terms for one joint state or for a
 whole trajectory. A cold certificate and its gradient share the
 robot's last single-state chain walk (``kinematics.chain_frames``), and
-the certificates of every obstacle share the link shapes posed on it
-(``kinematics.chain_shapes``).
+the certificates of every obstacle share the link groups posed on it
+(``kinematics.chain_groups``).
 """
 
 import math
@@ -60,9 +62,9 @@ from .geometry import (
     _gjk,
     ellipsoid_axes,
     mahalanobis_contact,
+    mahalanobis_contacts,
 )
-from .kinematics import (LaneBodies, chain_frames, chain_shapes,
-                         point_jacobians)
+from .kinematics import chain_frames, chain_groups, point_jacobians
 
 # Squared Mahalanobis distances below this are treated as contact with the
 # nominal geometry (risk saturates at 1).
@@ -146,9 +148,10 @@ class LaneCertificates:
     0 or 1) and the link indices link1 and link2, and ``vectors``
     (5, *lanes, dim) holds the contact normal, x1, x2 and the robot
     points point1 and point2. ``certificate`` forms one lane's
-    RiskCertificate. A lane without a first (second) contact has link1
-    (link2) -1, and then its contact fields are undefined; c2 is NaN where
-    the certificate has none."""
+    RiskCertificate. A lane without a first contact has link1 -1, and
+    then its contact fields are undefined; one without a second contact
+    has link2 -1 and NaN x2 and point2. c2 is NaN where the certificate
+    has none."""
 
     scalars: np.ndarray
     vectors: np.ndarray
@@ -224,56 +227,86 @@ def certify_risk(robot, theta, obstacle, eps_tol=1e-6):
     contact_point2) is a feasible point whose value exceeds c2 by at most
     HALF_GAP * max(1, c2).
 
-    The certificate is a lane of one of ``certify_lanes``: the link shapes
-    that ``chain_shapes`` poses on the walk of ``chain_frames``, which the
-    other obstacles' certificates and ``risk_gradient`` at ``theta``
-    share, with the first searches of ``_cold_first``.
+    The certificate is a lane of one of ``certify_lanes``: the link groups
+    that ``chain_groups`` poses on the walk of ``chain_frames``, a step of
+    one, which the other obstacles' certificates and ``risk_gradient`` at
+    ``theta`` share, with the first searches of ``_cold_first``.
     """
     if not 0.0 < eps_tol < 0.5:
         raise ValueError(f"eps_tol must lie in (0, 0.5), got {eps_tol}")
-    shapes = chain_shapes(robot, theta)     # validates theta
-    if not shapes:
+    groups = chain_groups(robot, theta)     # validates theta
+    if not groups:
         raise ValueError("robot has no collision shapes")
-    c, wa, wb = _cold_first(shapes, obstacle,
+    c, wa, wb = _cold_first(groups, obstacle,
                             chi2.chi2_inv_cdf(1.0 - eps_tol, obstacle.dim))
-    records, vectors = _lanes(LaneBodies.of_shapes(shapes), c[None, None],
-                              wa[None, None], wb[None, None], [obstacle],
-                              eps_tol)
+    records, vectors = _lanes(groups, c[None, None], wa[None, None],
+                              wb[None, None], [obstacle], eps_tol)
     return _certificate(records[0], vectors[:, 0])
 
 
-def _cold_first(shapes, obstacle, c_max):
-    """``certify_risk``'s first searches of ``shapes``, (link index, posed
-    body) pairs, as arrays over the bodies: c, the witness on the body and
+def _cold_first(groups, obstacle, c_max):
+    """``certify_risk``'s first searches of the bodies of ``groups`` (of
+    one step), as arrays over the bodies: c, the witness on the body and
     the witness on the nominal geometry, from a ``mahalanobis_contact`` per
     body, or c = inf for a body outside the c_max shadow (both witnesses
-    then the nominal geometry's centre). With d the
-    difference of the centres and g = Sigma^-1 d, y = L^-1 d is a point of
-    Y = L^-1 (A - O) with |y|^2 = d.g, and every z = L^-1 x of Y has
-    |z| >= y.z / |y| = g.x / |y|: the gap between A and O along g, over
-    |y|, is GJK's supporting-plane bound u.s_Y(-u), u = y / |y|, from one
-    support of each body. A body that is searched is seeded from the same
-    d.
+    then the nominal geometry's centre). With d the difference of the
+    centres and g = Sigma^-1 d, y = L^-1 d is a point of Y = L^-1 (A - O)
+    with |y|^2 = d.g, and every z = L^-1 x of Y has |z| >= y.z / |y| =
+    g.x / |y|: the gap between A and O along g, over |y|, is GJK's
+    supporting-plane bound u.s_Y(-u), u = y / |y|, from one support of
+    each body. Only a body that is searched is formed as a SweptHull,
+    seeded from the same d.
     """
     nominal = obstacle.nominal
     centre = nominal.center()
-    out = []
-    for _, body in shapes:
-        d = body.center() - centre
-        g = obstacle.sigma_inv @ d
-        yy = float(d @ g)
-        if yy > 0.0:
-            gap = (float((body.vertices @ g).min())
-                   - float((nominal.vertices @ g).max())
-                   - (body.radius + nominal.radius) * math.sqrt(float(g @ g)))
-            if gap > 0.0 and gap * gap > c_max * yy:
-                out.append((math.inf, centre, centre))
-                continue
-        out.append(mahalanobis_contact(
-            body, nominal, obstacle.chol, chol_inv=obstacle.chol_inv,
-            axes=obstacle.axes, offset=d))
+    out = [None] * sum(len(g.bodies) for g in groups)
+    for grp in groups:
+        for b, V, radius in zip(grp.bodies, grp.vertices[0],
+                                grp.radii.tolist()):
+            d = V.sum(axis=0) / len(V) - centre
+            g = obstacle.sigma_inv @ d
+            yy = float(d @ g)
+            if yy > 0.0:
+                gap = (float((V @ g).min())
+                       - float((nominal.vertices @ g).max())
+                       - (radius + nominal.radius) * math.sqrt(float(g @ g)))
+                if gap > 0.0 and gap * gap > c_max * yy:
+                    out[b] = math.inf, centre, centre
+                    continue
+            out[b] = mahalanobis_contact(
+                SweptHull(V, radius, grp.boundary), nominal, obstacle.chol,
+                chol_inv=obstacle.chol_inv, axes=obstacle.axes, offset=d)
     c, wa, wb = zip(*out)
     return np.array(c), np.array(wa), np.array(wb)
+
+
+def first_contacts(groups, res, obstacle, eps_tol):
+    """The first (full-shadow) searches of a constraint pass against one
+    obstacle, from the bodies' Euclidean distances and witness pairs
+    ``res`` (a DistanceResult of (T, n_bodies) arrays over ``groups``).
+
+    Touching the obstacle requires a displacement of Euclidean length at
+    least the signed distance sd, so sd^2 / lambda_max(Sigma) bounds the
+    squared Mahalanobis distance from below. A body whose bound exceeds
+    the eps_tol shadow's squared radius gets c = inf, and every other body
+    is searched: one ``mahalanobis_contacts`` call per link group, each
+    lane started from its Euclidean witness pair. Returns (c, witness_a,
+    witness_b) as (T, n_bodies) arrays.
+    """
+    sd = res.signed_distance
+    bound = (sd / obstacle.sigma_max) ** 2
+    c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, obstacle.dim)
+    search = ~((sd > 0.0) & (bound > c_max))
+    c = np.full(sd.shape, np.inf)
+    wa, wb = res.witness_a.copy(), res.witness_b.copy()
+    for g in groups:
+        t, j = np.nonzero(search[:, g.bodies])
+        if len(t):
+            k = np.asarray(g.bodies)[j]
+            c[t, k], wa[t, k], wb[t, k] = mahalanobis_contacts(
+                g.vertices[t, j], g.radii[j], obstacle.nominal,
+                obstacle.chol_inv, wa[t, k], wb[t, k], obstacle.axes)
+    return c, wa, wb
 
 
 def _first_least(row):
@@ -287,25 +320,26 @@ def _first_least(row):
     return k
 
 
-def certify_lanes(bodies, c, wa, wb, obstacles, eps_tol):
+def certify_lanes(groups, c, wa, wb, obstacles, eps_tol):
     """The certificates of a stack of lanes, as LaneCertificates over
     (L, O): lane (t, o) is configuration t, whose posed link shapes are
-    lane t of ``bodies`` (``LaneBodies``), against ``obstacles[o]``. See
+    step t of the LinkGroups ``groups``, against ``obstacles[o]``. See
     ``_lanes``, the tail, for the arguments."""
     L, O = c.shape[:2]
-    return LaneCertificates._of(*_lanes(bodies, c, wa, wb, obstacles,
+    return LaneCertificates._of(*_lanes(groups, c, wa, wb, obstacles,
                                         eps_tol), L, O)
 
 
-def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
+def _lanes(groups, c, wa, wb, obstacles, eps_tol):
     """The lane tail: every lane's ``LaneCertificates.scalars`` values, a
     list per lane, and the lanes' ``vectors`` (5, L O, dim).
 
-    c (L, O, B), wa and wb (L, O, B, dim) are each lane's first searches:
-    each body's certified squared Mahalanobis distance, c = inf for a body
-    provably outside the eps_tol shadow, and its witness pair (on the
-    body, on the nominal geometry). A lane whose bodies all are gets the
-    floored certificate, without contact data.
+    c (L, O, B), wa and wb (L, O, B, dim) are each lane's first searches
+    over the bodies of ``groups``, LinkGroups of L steps, in the order of
+    their ``bodies`` indices: each body's certified squared Mahalanobis
+    distance, c = inf for a body provably outside the eps_tol shadow, and
+    its witness pair (on the body, on the nominal geometry). A lane whose
+    bodies all are gets the floored certificate, without contact data.
 
     The first contact is the body of least c (``_first_least``). The
     second (half-shadow) contact visits the bodies in increasing c, which
@@ -322,7 +356,11 @@ def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
     L, O, B = c.shape
     n = obstacles[0].dim
     N = L * O
-    links = bodies.links
+    members = [None] * B        # body b is member j of group g
+    for g in groups:
+        for j, b in enumerate(g.bodies):
+            members[b] = g, j
+    links = [g.links[j] for g, j in members]
     rows = c.reshape(N, B).tolist()
     # Each lane's record: eps1, eps2, eps_prime, c1, c2, saturated,
     # floored, floored2, link1, link2. A lane without contact data is
@@ -340,12 +378,12 @@ def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
         if v < math.inf:
             records[i][8] = links[k]
             live.append(i)
+    vectors = np.full((5, N, n), math.nan)
     if not live:
-        return records, np.zeros((5, N, n))
+        return records, vectors
     # Rows of (lane, body) pairs: a lane's first contact is row i B + k.
     x = (wa - wb).reshape(N * B, n)
     wa, wb = wa.reshape(N * B, n), wb.reshape(N * B, n)
-    vectors = np.empty((5, N, n))
     normal, x1, point1 = vectors[0], vectors[1], vectors[3]
     wa.take(first, axis=0, out=point1)
     x.take(first, axis=0, out=x1)
@@ -372,9 +410,10 @@ def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
     # support along -n, and n.x at each body's own minimum.
     c_max = chi2.chi2_inv_cdf(1.0 - eps_tol, n)
     along = normal.reshape(L, O, n, 1)
-    top = np.maximum.reduceat(
-        (np.concatenate(bodies.parts, axis=1)[:, None] @ along)[..., 0],
-        bodies.starts, axis=2) + np.array(bodies.radii)
+    top = np.empty((L, O, B))
+    for g in groups:
+        top[..., g.bodies] = (g.vertices[:, None] @ along[:, :, None])[
+            ..., 0].max(axis=-1) + g.radii
     low = np.empty((L, O))
     for o, ob in enumerate(obstacles):
         low[:, o] = ((along[:, o, None, :, 0] @ ob.nominal.vertices.T)[
@@ -406,7 +445,9 @@ def _lanes(bodies, c, wa, wb, obstacles, eps_tol):
                 if s[i][b] >= 0.0:
                     found = (cb, wa[k], x[k])
                 else:
-                    body = bodies.body(i // O, b)
+                    g, j = members[b]
+                    body = SweptHull(g.vertices[i // O, j],
+                                     float(g.radii[j]), g.boundary)
                     far = (body._support(nrm), ob.nominal._support(-nrm))
                     if float(nrm @ (far[0] - far[1])) < 0.0:
                         continue

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
@@ -883,6 +883,12 @@ class TestCoreFirstSearch:
 
     @PROPERTY
     @given(whitened_cases())
+    # A point against a nearly axis-parallel segment: the closest point of
+    # the last simplex rounds to the same |v|^2 as the estimate, and only
+    # the bound along it closes the gap (4e-9 short along the old one).
+    @example((point_body([0.0, 2.0, 0.0]),
+              SweptHull(np.array([[0.0, 0.0, 0.0], [0.0, 1e-9, 1.0]]), 0.0),
+              np.eye(3)))
     def test_certified_and_within_the_gap(self, case):
         a, b, S = case
         isotropic = not np.any(S - S[0, 0] * np.eye(a.dim))

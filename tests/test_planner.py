@@ -149,7 +149,7 @@ class TestConvexify:
         p = point_problem([], T=6)
         traj, alloc = seed_trajectory(p)
         rep = evaluate_constraints(p, traj, alloc)
-        qp = convexify(p, traj, alloc, rep, mu=10.0, radius=0.3)
+        qp = convexify(p, traj, rep, mu=10.0, radius=0.3)
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         # The variables are the four interior waypoints.
@@ -165,7 +165,7 @@ class TestConvexify:
         traj, alloc = seed_trajectory(p)
         rep = evaluate_constraints(p, traj, alloc)
         assert rep.risk_totals[1] > alloc[1]
-        qp = convexify(p, traj, alloc, rep, mu=100.0, radius=0.3)
+        qp = convexify(p, traj, rep, mu=100.0, radius=0.3)
         sol = solve_qp(qp)
         mid = sol.z[:2]     # the only interior waypoint
         assert mid[1] < -1e-3  # pushed away from the obstacle above
@@ -177,7 +177,7 @@ class TestConvexify:
         traj, alloc = seed_trajectory(p)
         rep = evaluate_constraints(p, traj, alloc)
         assert rep.certificates[1][0].saturated
-        qp = convexify(p, traj, alloc, rep, mu=10.0, radius=0.3)
+        qp = convexify(p, traj, rep, mu=10.0, radius=0.3)
         # The risk row for t=1 reduces to -delta - slack <= 0: no theta
         # coefficients (the two columns of the only interior waypoint). Row
         # order: T sd rows/risk rows interleaved per t.
@@ -454,9 +454,9 @@ class TestSolveConstants:
                                                             monkeypatch):
         stacks = []     # per pass, the first searches of its lane stack
 
-        def counted(bodies, c, *args):
+        def counted(groups, c, *args):
             stacks.append(c)
-            return certify_lanes(bodies, c, *args)
+            return certify_lanes(groups, c, *args)
 
         monkeypatch.setattr(planner_module, "certify_lanes", counted)
         _, p = pickplace_problem()
@@ -528,7 +528,7 @@ class TestEvaluate:
             searched.append(vertices)
             return mahalanobis_contacts(vertices, *args)
 
-        monkeypatch.setattr(planner_module, "mahalanobis_contacts", counted)
+        monkeypatch.setattr(risk_module, "mahalanobis_contacts", counted)
         ob = UncertainObstacle(Sphere(np.zeros(2), 0.1), 0.01 * np.eye(2))
         traj = np.array([[-1.2, 0.0], [0.0, 0.2], [1.2, 0.0]])
         p = point_problem([ob], T=3, start=traj[0], goal=traj[-1])

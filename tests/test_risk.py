@@ -16,7 +16,6 @@ from ccplan.geometry import (
     Polytope,
     Pose,
     Sphere,
-    SweptHull,
     box,
     distance,
     mahalanobis_contact,
@@ -24,11 +23,12 @@ from ccplan.geometry import (
 )
 from ccplan.kinematics import (
     Joint,
-    LaneBodies,
     RobotModel,
     forward_kinematics,
     point_jacobian,
+    posed_link_groups,
     posed_link_shapes,
+    trajectory_frames,
 )
 from ccplan.risk import (
     RiskCertificate,
@@ -80,16 +80,17 @@ def per_shadow_gradients(cert, robot, theta, obstacle, frames=None):
 
 
 def every_body_searched(robot, theta, obstacle):
-    """The certificate with a ``mahalanobis_contact`` search of every body,
-    with no cull: the lane tail on one lane, the oracle of the cold path's
-    cull."""
+    """The certificate with a ``mahalanobis_contact`` search of every body
+    of ``posed_link_shapes``, with no cull: the lane tail on one lane, the
+    LinkGroups of ``theta``, the oracle of the cold path's cull."""
     shapes = posed_link_shapes(robot, forward_kinematics(robot, theta))
     searched = [mahalanobis_contact(body, obstacle.nominal, obstacle.chol,
                                     chol_inv=obstacle.chol_inv)
                 for _, body in shapes]
     c, wa, wb = (np.array(v)[None, None] for v in zip(*searched))
-    return certify_lanes(LaneBodies.of_shapes(shapes), c, wa, wb,
-                         [obstacle], 1e-6).certificate((0, 0))
+    groups = posed_link_groups(robot, trajectory_frames(robot, [theta]))
+    return certify_lanes(groups, c, wa, wb, [obstacle],
+                         1e-6).certificate((0, 0))
 
 
 def assert_same_risk(cert, oracle, robot, theta, obstacle):
@@ -709,7 +710,7 @@ class TestGradient:
 
     def test_cold_certificates_pose_each_shape_once(self, monkeypatch):
         # The certificates of every obstacle at one joint state share the
-        # link shapes posed on its walk; another state poses them afresh.
+        # link groups posed on its walk; another state poses them afresh.
         R = TestHalfShadowRegression
         ob = sceneio.parse_scene(R.SCENE).obstacles[0]
         obstacles = (ob, UncertainObstacle(Sphere([0.2, 0.7], 0.1),
@@ -719,22 +720,20 @@ class TestGradient:
         expected = [[certify_risk(sceneio.parse_robot(R.ROBOT), state, o)
                      for o in obstacles] for state in states]
         robot = sceneio.parse_robot(R.ROBOT)
-        n_shapes = sum(len(shapes) for shapes in robot.link_shapes)
-        posed = SweptHull.posed
         calls = []
 
-        def counted(body, pose):
-            calls.append(1)
-            return posed(body, pose)
+        def counted(robot, frames):
+            calls.append(len(frames.states))
+            return posed_link_groups(robot, frames)
 
-        monkeypatch.setattr(SweptHull, "posed", counted)
+        monkeypatch.setattr(kinematics, "posed_link_groups", counted)
         for state, certs, new in zip(states, expected, (1, 0, 1)):
             before = len(calls)
             for o, cert in zip(obstacles, certs):
                 got = certify_risk(robot, state, o)
                 assert (got.eps1, got.eps2, got.c1, got.c2) == (
                     cert.eps1, cert.eps2, cert.c1, cert.c2)
-            assert len(calls) - before == new * n_shapes
+            assert calls[before:] == [1] * new
 
     def test_slider_closed_form(self):
         # eps1(r) = exp(-r^2/2) so d eps1/dr = -r exp(-r^2/2).
@@ -816,16 +815,12 @@ class TestLanes:
 
     @staticmethod
     def stack(robot, thetas, obstacles, rng):
-        """The LaneBodies of ``thetas`` and the first searches of every
+        """The LinkGroups of ``thetas`` and the first searches of every
         (configuration, obstacle) lane, every body searched; a body beyond
         the shadow, and now and then a whole lane, is culled (c = inf)."""
+        groups = posed_link_groups(robot, trajectory_frames(robot, thetas))
         shapes = [posed_link_shapes(robot, forward_kinematics(robot, th))
                   for th in thetas]
-        lanes = LaneBodies([np.stack([s[b][1].vertices for s in shapes])
-                            for b in range(len(shapes[0]))],
-                           [body.radius for _, body in shapes[0]],
-                           [li for li, _ in shapes[0]],
-                           [body.boundary for _, body in shapes[0]])
         found = [[[mahalanobis_contact(body, ob.nominal, ob.chol,
                                        chol_inv=ob.chol_inv)
                    for _, body in s] for ob in obstacles] for s in shapes]
@@ -835,7 +830,7 @@ class TestLanes:
                             for lane in found]) for i in (1, 2))
         c[c > 40.0] = np.inf
         c[rng.random(c.shape[:2]) < 0.1] = np.inf
-        return lanes, c, wa, wb
+        return groups, c, wa, wb
 
     def test_a_stack_certifies_each_lane_as_alone(self):
         rng = np.random.default_rng(11)
@@ -845,12 +840,11 @@ class TestLanes:
                 robot, th, ob = random_scene(rng, dim)
                 obstacles = [ob, random_scene(rng, dim)[2]]
                 thetas = th + rng.normal(size=(4, dim)) * 0.4
-                bodies, c, wa, wb = self.stack(robot, thetas, obstacles, rng)
-                lanes = certify_lanes(bodies, c, wa, wb, obstacles, 1e-6)
+                groups, c, wa, wb = self.stack(robot, thetas, obstacles, rng)
+                lanes = certify_lanes(groups, c, wa, wb, obstacles, 1e-6)
                 for t in range(len(thetas)):
-                    one = LaneBodies([p[t:t + 1] for p in bodies.parts],
-                                     bodies.radii, bodies.links,
-                                     bodies.boundaries)
+                    one = [dataclasses.replace(g, vertices=g.vertices[t:t + 1])
+                           for g in groups]
                     for o, obstacle in enumerate(obstacles):
                         cert = lanes.certificate((t, o))
                         assert_same_certificate(cert, certify_lanes(
@@ -864,3 +858,24 @@ class TestLanes:
                                   else "second")
         assert kinds == {"saturated", "culled", "floored", "floored2",
                          "second"}
+
+    def test_lanes_without_a_second_contact_hold_nan(self):
+        # x2 and point2 are NaN where link2 is -1 (and every field of a
+        # stack without a first contact), so a stack's arrays depend on
+        # its inputs alone.
+        rng = np.random.default_rng(5)
+        seen = set()
+        for dim in (2, 3):
+            for _ in range(20):
+                robot, th, ob = random_scene(rng, dim)
+                thetas = th + rng.normal(size=(4, dim)) * 0.4
+                groups, c, wa, wb = self.stack(robot, thetas, [ob], rng)
+                lanes = certify_lanes(groups, c, wa, wb, [ob], 1e-6)
+                second = lanes.scalars[9] >= 0
+                seen.update(second.ravel().tolist())
+                assert np.isnan(lanes.vectors[[2, 4]][:, ~second]).all()
+                assert not np.isnan(lanes.vectors[[2, 4]][:, second]).any()
+                culled = certify_lanes(groups, np.full_like(c, np.inf), wa,
+                                       wb, [ob], 1e-6)
+                assert np.isnan(culled.vectors).all()
+        assert seen == {True, False}

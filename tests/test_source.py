@@ -135,17 +135,22 @@ def test_layer_trace_names_exist():
     assert not missing, f"layer functions missing from ccplan: {missing}"
 
 
+def referenced_names(module):
+    """Every name and attribute that the ccplan module ``module``
+    references."""
+    path = Path(ccplan.__file__).parent / f"{module}.py"
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def test_one_certification_tail():
     # A constraint pass and a cold certificate share the lane tail,
     # ``risk._lanes``: the planner certifies through ``certify_lanes``
     # only, forms no bodies itself, and no per-pair path takes first
     # searches from a caller.
     package = Path(ccplan.__file__).parent
-    tree = ast.parse((package / "planner.py").read_text())
-    names = {n.id if isinstance(n, ast.Name) else n.attr
-             for n in ast.walk(tree)
-             if isinstance(n, (ast.Name, ast.Attribute))}
-    assert not names & {"certify_risk", "SweptHull"}
+    assert not referenced_names("planner") & {"certify_risk", "SweptHull"}
     callers = top_level_users(
         lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         and n.func.id == "_rim_contact")
@@ -156,3 +161,18 @@ def test_one_certification_tail():
                 and node.name == "certify_risk")
     params = [a.arg for a in certify.args.args + certify.args.kwonlyargs]
     assert "first" not in params
+
+
+def test_one_posed_body_form():
+    # From kinematics to the certificate tail a posed robot is its
+    # LinkGroups, and the eps_tol-shadow cull with its c = inf contract is
+    # defined and read in ``risk`` alone: the planner runs no first search
+    # and computes no shadow radius of its own.
+    package = Path(ccplan.__file__).parent
+    found = [f"{path.name}: {name}"
+             for path in sorted(package.rglob("*.py"))
+             for name in ("LaneBodies", "chain_shapes")
+             if name in path.read_text()]
+    assert not found, f"retired body forms in ccplan: {found}"
+    assert not referenced_names("planner") & {"mahalanobis_contacts",
+                                              "chi2_inv_cdf"}
