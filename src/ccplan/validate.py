@@ -22,9 +22,9 @@ IRA_MARGIN_ETA = 0.5
 # Tolerance of the exact Monte Carlo hit test: a sample hits when its
 # distance to the difference hull is within the radius plus this.
 HIT_TOL = 1e-9
-# Room the triangle-inequality cull leaves beyond HIT_TOL, so that roundoff
-# in |d| and in the hull distance bound never drops a sample the exact test
-# would count (both are absolute, like the scene's coordinates).
+# Room the supporting-plane cull leaves beyond HIT_TOL, so that roundoff in
+# |d|, n.d and the plane gap never drops a sample the exact test would
+# count (all are absolute, like the scene's coordinates).
 CULL_SLACK = 1e-9
 
 
@@ -93,16 +93,6 @@ def _block_hits(d, W, boundary, reach):
     return hit
 
 
-def _cull_bounds(vertices, boundary, nominal):
-    """Certified lower bounds on dist(0, conv W) for a stack of link cores
-    (P, k, dim) sharing ``boundary``, W the difference vertices with the
-    obstacle's core: max(0, gap), gap the distance kernel's supporting-
-    plane gap, which matches that distance, to roundoff, when the cores
-    are separated."""
-    gap = _closest_cores(vertices, boundary, nominal)[4]
-    return np.maximum(gap, 0.0)
-
-
 class _ObstacleSamples:
     """One obstacle's displacement draws, with their norms sorted once so
     that each pair test finds its candidates with one binary search."""
@@ -112,42 +102,55 @@ class _ObstacleSamples:
         self.vertices = obstacle.nominal.vertices
         self.radius = obstacle.nominal.radius
         self.D = _displacements(obstacle, n_samples, seed, obstacle_index)
-        norms = np.linalg.norm(self.D, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", self.D, self.D))
         self.order = np.argsort(norms)
         self.sorted_norms = norms[self.order]
 
     def pairs(self, groups):
-        """(timestep, Vt, rt, delta) for every posed link shape of
-        ``groups`` (see ``_swept_shapes``), timestep by timestep; delta is
-        the link's cull bound, from one kernel call per group."""
-        bounds = [_cull_bounds(g.vertices.reshape(-1, *g.vertices.shape[2:]),
-                               g.boundary, self.nominal)
-                  .reshape(g.vertices.shape[:2]) for g in groups]
+        """(timestep, Vt, rt, gap, n) for every posed link shape of
+        ``groups`` (see ``_swept_shapes``), timestep by timestep. n is the
+        distance kernel's unit direction from the link's core to the
+        obstacle's (zero where they touch) and gap the separation of their
+        supporting planes normal to n, from one kernel call per group."""
+        planes = []
+        for g in groups:
+            shape = g.vertices.shape
+            _, _, _, n, gap = _closest_cores(
+                g.vertices.reshape(-1, *shape[2:]), g.boundary,
+                self.nominal)
+            planes.append((gap.reshape(shape[:2]),
+                           n.reshape(*shape[:2], -1)))
         steps = len(groups[0].vertices) if groups else 0
         for t in range(steps):
-            for g, delta in zip(groups, bounds):
+            for g, (gap, n) in zip(groups, planes):
                 for j, rt in enumerate(g.radii):
-                    yield t, g.vertices[t, j], rt, delta[t, j]
+                    yield t, g.vertices[t, j], rt, gap[t, j], n[t, j]
 
-    def pair_hits(self, Vt, rt, delta, done):
+    def pair_hits(self, Vt, rt, gap, n, done):
         """Indices of the samples not marked in ``done`` that hit the link
         shape swept from vertices ``Vt`` by radius ``rt``: the one Monte
         Carlo pair test.
 
         A sample hits when its displacement d lies within r = rt + radius
-        of conv(W), W the difference vertices. For delta <= dist(0, conv W)
-        (``_cull_bounds``) the triangle inequality gives dist(d, conv W) >=
-        delta - |d|; a sample whose bound exceeds r + HIT_TOL + CULL_SLACK
-        cannot hit and is skipped. The others go to the exact test, so the
-        hits are those of testing every sample.
+        of conv(W), W the difference vertices. Every w of conv W has n.w
+        <= -gap, for the link's plane (gap, n) of ``pairs``, so dist(d,
+        conv W) >= gap + n.d and, as |n| <= 1, >= gap - |d|; gap < 0 where
+        n does not separate the cores, and n = 0 culls nothing. A sample
+        whose bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and is
+        skipped: first the short displacements, by one binary search in
+        the sorted norms, then, among those left and not done, the ones
+        that stop short of the plane. The others go to the exact test, so
+        the hits are those of testing every sample.
         """
         W = (Vt[:, None, :] - self.vertices[None, :, :]).reshape(
             -1, Vt.shape[1])
         r = rt + self.radius
-        first = np.searchsorted(self.sorted_norms,
-                                delta - r - HIT_TOL - CULL_SLACK)
-        candidates = np.sort(self.order[first:])
+        reach = r + HIT_TOL + CULL_SLACK
+        candidates = self.order[np.searchsorted(self.sorted_norms,
+                                                gap - reach):]
         candidates = candidates[~done[candidates]]
+        candidates = np.sort(
+            candidates[self.D[candidates] @ n <= reach - gap])
         if candidates.size == 0:
             return candidates
         return candidates[_point_polytope_hits(self.D, W, r, candidates)]
@@ -167,12 +170,13 @@ def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     hit if any timestep configuration intersects any displaced obstacle.
 
     Each (timestep, link shape, obstacle) pair tests only the trials not yet
-    hit, and culls those whose displacement d is too short to reach the
-    difference hull W: a certified lower bound delta on dist(0, conv W) and
-    the triangle inequality give dist(d, conv W) >= delta - |d|, so a trial
-    is skipped only when that bound exceeds the hit radius plus the exact
-    test's tolerance and a slack. The cull is conservative: the hit count is
-    the one that testing every trial exactly gives.
+    hit, and culls those whose displacement d cannot reach the difference
+    hull W: the supporting plane that separates the nominal link and
+    obstacle cores, at gap along its unit normal n, gives dist(d, conv W)
+    >= gap + n.d, so a trial is skipped only when that bound exceeds the
+    hit radius plus the exact test's tolerance and a slack. The cull is
+    conservative: the hit count is the one that testing every trial
+    exactly gives.
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
@@ -180,23 +184,24 @@ def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     hit = np.zeros(n_samples, dtype=bool)
     for oi, ob in enumerate(obstacles):
         samples = _ObstacleSamples(ob, n_samples, seed, oi)
-        for _, Vt, rt, delta in samples.pairs(groups):
-            hit[samples.pair_hits(Vt, rt, delta, hit)] = True
+        for _, Vt, rt, gap, n in samples.pairs(groups):
+            hit[samples.pair_hits(Vt, rt, gap, n, hit)] = True
     return _report(n_samples, int(hit.sum()), seed)
 
 
-def _pair_hit_estimates(robot, trajectory, obstacles, n_samples, seed):
+def _pair_hit_estimates(robot, trajectory, draws):
     """Sampled hit probability per (timestep, obstacle) plus the joint
-    trajectory-level estimate, all from shared displacement draws."""
+    trajectory-level estimate, from ``draws``, one ``_ObstacleSamples``
+    per obstacle (at least one), all of the same sample count."""
     groups = _swept_shapes(robot, trajectory)
     T = len(np.atleast_2d(trajectory))
-    probs = np.zeros((T, len(obstacles)))
+    n_samples = len(draws[0].D)
+    probs = np.zeros((T, len(draws)))
     any_hit = np.zeros(n_samples, dtype=bool)
-    for oi, ob in enumerate(obstacles):
-        samples = _ObstacleSamples(ob, n_samples, seed, oi)
+    for oi, samples in enumerate(draws):
         hit_t = np.zeros((T, n_samples), dtype=bool)
-        for t, Vt, rt, delta in samples.pairs(groups):
-            hit_t[t, samples.pair_hits(Vt, rt, delta, hit_t[t])] = True
+        for t, Vt, rt, gap, n in samples.pairs(groups):
+            hit_t[t, samples.pair_hits(Vt, rt, gap, n, hit_t[t])] = True
         probs[:, oi] = hit_t.mean(axis=1)
         any_hit |= hit_t.any(axis=0)
     return probs, float(any_hit.mean())
@@ -227,8 +232,9 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
     (which a larger independent sample may contradict), when no margin
     grows (the next solve would repeat this one), or after ``max_rounds``.
 
-    The per-round estimates are appended to the result's iteration log as
-    entries with a "round" key.
+    Every round estimates from the same draws, ``sample_count`` per
+    obstacle from ``seed``. The per-round estimates are appended to the
+    result's iteration log as entries with a "round" key.
     """
     if sample_count < 1:
         raise ValueError("sample count must be >= 1")
@@ -239,6 +245,8 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
     margins = np.full((T, n_obs), problem.margin)
     sigma_max = np.array([ob.sigma_max for ob in problem.obstacles])
     uniform = problem.risk_budget / max(T * n_obs, 1)
+    draws = [_ObstacleSamples(ob, sample_count, seed, oi)
+             for oi, ob in enumerate(problem.obstacles)]
 
     result = None
     rounds = []
@@ -249,8 +257,7 @@ def ira_plan(problem, config=None, sample_count=1000, max_rounds=10, seed=0):
                            "margin_max": float(margins.max(initial=0.0))})
             break
         probs, estimate = _pair_hit_estimates(
-            problem.robot, result.trajectory, problem.obstacles,
-            sample_count, seed)
+            problem.robot, result.trajectory, draws)
         rounds.append({"round": rnd, "estimated_risk": estimate,
                        "margin_max": float(margins.max())})
         grow = probs > uniform

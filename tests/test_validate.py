@@ -17,6 +17,7 @@ from ccplan.geometry import (
     Pose,
     Sphere,
     SweptHull,
+    _closest_cores,
     box,
     intersects,
     point_body,
@@ -31,9 +32,10 @@ from ccplan.planner import CONVERGED, TrajectoryProblem, solve
 from ccplan.risk import UncertainObstacle, certify_risk
 from ccplan.sceneio import parse_robot, parse_scene
 from ccplan.validate import (
+    CULL_SLACK,
+    HIT_TOL,
     MonteCarloReport,
     _displacements,
-    _cull_bounds,
     _ObstacleSamples,
     _pair_hit_estimates,
     _point_polytope_hits,
@@ -164,14 +166,16 @@ def unculled_hits(robot, trajectory, obstacles, n, seed):
     return hit
 
 
-def cull_bound(samples, Vt):
-    """The cull bound of one link core against the samples' obstacle."""
-    return _cull_bounds(Vt[None], SweptHull(Vt, 0.0).boundary,
-                        samples.nominal)[0]
+def cull_plane(Vt, nominal):
+    """(gap, n): the supporting plane of link core Vt against the body
+    ``nominal``, as ``_ObstacleSamples.pairs`` gives it."""
+    _, _, _, n, gap = _closest_cores(Vt[None], SweptHull(Vt, 0.0).boundary,
+                                     nominal)
+    return gap[0], n[0]
 
 
 def culled_pair_hits(samples, Vt, rt, done):
-    return samples.pair_hits(Vt, rt, cull_bound(samples, Vt), done)
+    return samples.pair_hits(Vt, rt, *cull_plane(Vt, samples.nominal), done)
 
 
 def unculled_pair_hits(samples, Vt, rt, done):
@@ -232,11 +236,12 @@ class TestCulledPairTest:
         hit = unculled_hits(problem.robot, traj, problem.obstacles, n, seed)
         assert hit.sum() > 0
         assert rep.hit_count == int(hit.sum())
-        # The cull leaves few samples to the exact test (one pass over
-        # every pair would be n * pairs).
+        # The plane cull leaves few samples to the exact test (one pass
+        # over every pair would be n * pairs; the norm cull alone leaves
+        # about 2.4e-3 of that).
         pairs = len(traj) * len(problem.obstacles) * sum(
             len(s) for s in problem.robot.link_shapes)
-        assert sum(tested) < 0.05 * n * pairs
+        assert sum(tested) < 2e-4 * n * pairs
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_scenes_match_unculled(self, dim):
@@ -262,12 +267,12 @@ class TestCulledPairTest:
                     np.testing.assert_array_equal(got, want)
 
     def test_overlapping_nominal_pose(self):
-        # The link covers the obstacle's nominal pose: delta = 0 culls
-        # nothing, and every sample still gets the exact answer.
+        # The link covers the obstacle's nominal pose: gap <= 0 culls no
+        # sample by its norm, and every sample still gets the exact answer.
         ob = UncertainObstacle(box([0.1, 0.1, 0.1]), 0.04 * np.eye(3))
         samples = _ObstacleSamples(ob, 5_000, seed=1, obstacle_index=0)
         Vt = box([0.3, 0.05, 0.2]).vertices
-        assert cull_bound(samples, Vt) == 0.0
+        assert cull_plane(Vt, samples.nominal)[0] <= 0.0
         done = np.zeros(5_000, dtype=bool)
         got = culled_pair_hits(samples, Vt, 0.0, done)
         np.testing.assert_array_equal(
@@ -275,8 +280,9 @@ class TestCulledPairTest:
         assert 0 < got.size < 5_000
 
     def test_configuration_at_exactly_the_hit_radius(self):
-        # The point robot touches the sphere obstacle nominally: delta
-        # equals the hit radius, and the cull bound is 0 - |d|.
+        # The point robot touches the sphere obstacle nominally: the gap
+        # equals the hit radius, and a sample's plane bound exceeds it by
+        # n.d.
         R = 0.25
         robot = planar_point_robot()
         ob = UncertainObstacle(Sphere(np.zeros(2), R), 0.01 * np.eye(2))
@@ -286,25 +292,45 @@ class TestCulledPairTest:
         assert rep.hit_count == int(hit.sum()) > 0
 
     def test_samples_on_the_cull_boundary(self, monkeypatch):
-        # Displacements whose triangle-inequality bound sits at the hit
-        # radius, and just either side of it, are all tested exactly.
+        # The link core is the point w or a square facing the obstacle's
+        # point core at w, both at gap 1 along n = -u. Displacements along
+        # u whose norm bound 1 - |d| sits at the hit radius, and ones
+        # whose plane bound 1 - u.d sits at r + HIT_TOL, moved sideways
+        # so that they pass the norm cull, each at and +-1e-12, 1e-9 and
+        # 1e-6 from their edge, are all tested exactly.
         rng = np.random.default_rng(5)
-        w = np.array([0.6, 0.8, 0.0])      # one-point hull, |w| = 1
+        w = np.array([0.6, 0.8, 0.0])      # |w| = 1
         r = 0.3
         u = w / np.linalg.norm(w)
-        lengths = (1.0 - r) + np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12,
-                                        1e-9, 1e-6])
-        D = np.concatenate([lengths[:, None] * u,
+        side = np.array([-0.8, 0.6, 0.0])  # orthogonal to u
+        up = np.array([0.0, 0.0, 1.0])
+        offsets = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])
+        norm_edge = ((1.0 - r) + offsets)[:, None] * u
+        plane_edge = (((1.0 - r - HIT_TOL) + offsets)[:, None] * u
+                      + 0.05 * side)
+        D = np.concatenate([norm_edge, plane_edge,
                             rng.normal(size=(200, 3)) * 0.5])
         monkeypatch.setattr(validate, "_displacements",
                             lambda ob, n, seed, oi: D)
         ob = UncertainObstacle(point_body(np.zeros(3)), np.eye(3))
         samples = _ObstacleSamples(ob, len(D), seed=0, obstacle_index=0)
+        square = w + 0.1 * np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]]) @ [
+            side, up]
         done = np.zeros(len(D), dtype=bool)
-        got = culled_pair_hits(samples, w[None, :], r, done)
-        np.testing.assert_array_equal(
-            got, unculled_pair_hits(samples, w[None, :], r, done))
-        assert {4, 5, 6} <= set(got.tolist())   # at or inside the radius
+        for Vt in (w[None, :], square):
+            gap, n = cull_plane(Vt, samples.nominal)
+            assert abs(gap - 1.0) < 1e-15
+            np.testing.assert_allclose(n, -u, atol=1e-15)
+            # The plane-edge samples pass the norm cull.
+            assert np.linalg.norm(plane_edge, axis=1).min() > (
+                gap - r - HIT_TOL - CULL_SLACK)
+            got = culled_pair_hits(samples, Vt, r, done)
+            np.testing.assert_array_equal(
+                got, unculled_pair_hits(samples, Vt, r, done))
+            assert {4, 5, 6} <= set(got.tolist())  # at or inside the radius
+        # The square's plane bound is its distance: the plane-edge samples
+        # inside r + HIT_TOL hit it.
+        assert {11, 12, 13} <= set(got.tolist())
 
     def test_pair_estimates_match_monte_carlo(self, pickplace):
         problem, traj = pickplace
@@ -312,28 +338,47 @@ class TestCulledPairTest:
         for trajectory in (traj, blind):
             rep = monte_carlo_risk(problem.robot, trajectory,
                                    problem.obstacles, 5_000, seed=2)
-            _, estimate = _pair_hit_estimates(
-                problem.robot, trajectory, problem.obstacles, 5_000, seed=2)
+            draws = [_ObstacleSamples(ob, 5_000, seed=2, obstacle_index=oi)
+                     for oi, ob in enumerate(problem.obstacles)]
+            _, estimate = _pair_hit_estimates(problem.robot, trajectory,
+                                              draws)
             assert estimate == rep.estimate
         assert rep.hit_count > 0
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_lower_bound_never_exceeds_hull_distance(self, dim):
         rng = np.random.default_rng(200 + dim)
-        for _ in range(150):
+        # Touching cores (a vertex on the other core: n = 0) and
+        # overlapping ones (a point core inside a simplex: the closest
+        # boundary pair does not separate them, gap < 0).
+        simplex = np.vstack([np.zeros(dim), np.eye(dim)])
+        inside = np.full((1, dim), 0.5 / dim)
+        special = [(simplex, simplex[1:2]), (simplex, inside),
+                   (inside, simplex)]
+        cases = special + [
             # A link core of 1 to 4 points against an obstacle core of 1
             # or 2, so that W has at most 8 points.
-            Vt = (rng.normal(size=(int(rng.integers(1, 5)), dim))
-                  * rng.uniform(0.01, 1.0)
-                  + rng.normal(size=dim) * rng.uniform(0.0, 2.0))
-            Vn = rng.normal(size=(int(rng.integers(1, 3)), dim)) * 0.3
+            (rng.normal(size=(int(rng.integers(1, 5)), dim))
+             * rng.uniform(0.01, 1.0)
+             + rng.normal(size=dim) * rng.uniform(0.0, 2.0),
+             rng.normal(size=(int(rng.integers(1, 3)), dim)) * 0.3)
+            for _ in range(150)]
+        for i, (Vt, Vn) in enumerate(cases):
             W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, dim)
             exact = hull_distance(W)
-            delta = _cull_bounds(Vt[None], SweptHull(Vt, 0.0).boundary,
-                                 SweptHull(Vn, 0.0))[0]
-            assert 0.0 <= delta <= exact + 1e-12
-            # Tight: the kernel's gap is exact for separated cores.
-            assert delta >= exact - 1e-9 * max(1.0, exact)
+            gap, n = cull_plane(Vt, SweptHull(Vn, 0.0))
+            assert gap <= exact + 1e-12
+            if i == 0:
+                assert gap == 0.0 and not n.any()
+            elif i < len(special):
+                assert gap < 0.0
+            else:
+                # Tight: the kernel's gap is exact for separated cores.
+                assert max(gap, 0.0) >= exact - 1e-9 * max(1.0, exact)
+            # The plane bound at displacements near the hull and beyond.
+            for d in (W[rng.integers(len(W))] + rng.normal(size=dim) * 0.1,
+                      rng.normal(size=dim) * 2.0):
+                assert gap + n @ d <= hull_distance(W - d) + 1e-12
 
 
 def planted_samples(W, radius):
