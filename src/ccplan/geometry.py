@@ -25,7 +25,9 @@ an ellipsoid, and returns a certified lower bound; every search solves the
 cores first, then the ellipsoid term exactly on each core face (in closed
 form on a hyperplane, from a scalar secular equation on a vertex or a 3D
 line), so a full covariance costs about one verifying support per search,
-as an isotropic one does.
+as an isotropic one does. A search runs on 3-component float lists, its
+supports included: bodies have a few vertices, and NumPy's per-call cost
+exceeds the arithmetic on so few.
 ``mahalanobis_contacts`` takes GJK's first iteration for a stack of
 placements at once, from their Euclidean witness pairs; a lane that the
 first support leaves open runs the same search as a single query.
@@ -134,7 +136,7 @@ class SweptHull:
     boundary complex, which rigid motion leaves unchanged. A body is not
     changed after construction: the distance kernel caches the constants
     of its features on the body the first time it is the fixed body of a
-    query.
+    query, and the whitened searches its vertex rows as float lists.
     """
 
     vertices: np.ndarray    # (k, dim) floats
@@ -154,6 +156,14 @@ class SweptHull:
         """The core's ``_Features``, built on the first ``distances`` query
         against this body."""
         return _Features(self.vertices, self.boundary)
+
+    @cached_property
+    def _rows(self):
+        """The vertices as 3-component float lists (z = 0 in 2D), which
+        the whitened searches' supports scan; built on the first search
+        of this body."""
+        pad = [0.0] * (3 - self.dim)
+        return [r + pad for r in self.vertices.tolist()]
 
     def support(self, direction):
         """Farthest point of the body in ``direction`` (must be nonzero)."""
@@ -461,56 +471,59 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
     """GJK distance between the origin and a convex set given by supports,
     to the relative duality gap ``tol``.
 
-    ``support_pair(v)`` returns (p, a, b, ...): the support point p of the
-    set in direction v plus auxiliary witness payloads a, b carried through
-    the barycentric combination (a ``_PairSupport`` adds the cores' support
-    points, for the face solve). ``seed_direction`` estimates the set's
-    position relative to the origin (e.g. a difference of centres); the
-    first support is taken in the opposite direction, on the near side.
+    The search runs on 3-component float lists; a 2D problem lies in the
+    z = 0 plane. ``support_pair(v)`` takes a direction v as such a list
+    and returns (p, a, b, ...): the support point p of the set along v
+    plus witness payloads a, b, float lists carried through the
+    barycentric combination (a ``_PairSupport`` adds the cores' part, for
+    the face solve). The witnesses become arrays once, at the return.
+    ``seed_direction``, a ``dim``-array, estimates the set's position
+    relative to the origin (e.g. a difference of centres); the first
+    support is taken in the opposite direction, on the near side.
 
     A search on a rounded whitened difference (a ``_PairSupport`` with a
     radius) solves the cores first, in the same loop: their difference is
     a polytope, on which GJK terminates finitely. The loop then goes on
-    with full supports, and after the core phase and after each accepted
-    full step it solves the ellipsoid term exactly on the current core
-    face (``_face_step``): the simplex's core points, each shifted by the
-    ball term's support along the face's optimal direction, replace the
-    simplex when they lower |v|. When the face is the one that holds the
-    minimizer, the next full support closes the gap; under an isotropic
-    covariance that is the core phase's face, so one full support closes
-    the search.
+    with full supports, each carrying its core part, and after the core
+    phase and after each accepted full step it solves the ellipsoid term
+    exactly on the current core face (``_face_step``): the simplex's core
+    points, each shifted by the ball term's support along the face's
+    optimal direction, replace the simplex when they lower |v|. When the
+    face is the one that holds the minimizer, the next full support closes
+    the gap; under an isotropic covariance that is the core phase's face,
+    so one full support closes the search.
 
-    Returns (distance, closest_point, witness_a, witness_b, lower_bound).
-    Distance 0 means the origin is inside (or within tolerance of) the set;
-    cores that intersect give 0 from the first phase. The distance |v| of
-    the closest-point estimate v bounds the true one from above;
-    ``lower_bound`` = max(0, v.s(-v)) / |v|, with s(-v) the last support,
-    always a full one, bounds it from below (every point x of the set has
-    |x| >= u.x >= u.s(-u) for the unit u along v), and the two meet at
-    convergence. A phase also ends where |v|^2 no longer decreases (the
-    roundoff floor); reaching ``max_iter`` raises GeometryError. There
-    the full phase keeps the larger of that bound and u.s(-u) / |u| for
-    the stalled closest point u of the simplex, which may point nearer.
+    Returns (distance, closest_point, witness_a, witness_b, lower_bound),
+    the points as ``dim``-arrays. Distance 0 means the origin is inside
+    (or within tolerance of) the set; cores that intersect give 0 from the
+    first phase. The distance |v| of the closest-point estimate v bounds
+    the true one from above; ``lower_bound`` = max(0, v.s(-v)) / |v|, with
+    s(-v) the last support, always a full one, bounds it from below (every
+    point x of the set has |x| >= u.x >= u.s(-u) for the unit u along v),
+    and the two meet at convergence. A phase also ends where |v|^2 no
+    longer decreases (the roundoff floor); reaching ``max_iter`` raises
+    GeometryError. There the full phase keeps the larger of that bound and
+    u.s(-u) / |u| for the stalled closest point u of the simplex, which
+    may point nearer.
     """
     rounded = getattr(support_pair, "rounded", False)
     support = support_pair.core if rounded else support_pair
     full = not rounded
-    d0 = seed_direction
-    if d0 is None or float(np.dot(d0, d0)) < 1e-18:
-        d0 = np.zeros(dim)
-        d0[0] = 1.0
-    pad = [0.0] * (3 - dim)     # a 2D problem runs in the z = 0 plane
-    entries = [support(-d0)]
-    simplex = [entries[0][0].tolist() + pad]
+    d = [1.0, 0.0, 0.0]
+    if seed_direction is not None:
+        seed = seed_direction.tolist() + [0.0] * (3 - dim)
+        if _dot(seed, seed) >= 1e-18:
+            d = seed
+    entries = [support([-d[0], -d[1], -d[2]])]
+    simplex = [entries[0][0]]
     v, lam = simplex[0], [1.0]
     nv2 = _dot(v, v)
     stall_bound = 0.0
     for _ in range(max_iter):
         if nv2 <= tol * tol:
             break
-        d = np.array([-v[0], -v[1], -v[2]][:dim])
-        entry = support(d)
-        p = entry[0].tolist() + pad
+        entry = support([-v[0], -v[1], -v[2]])
+        p = entry[0]
         vp = _dot(v, p)
         # Relative duality-gap test (an absolute test loses accuracy near
         # tangency, where nv2 itself is tiny), with a floor at roundoff.
@@ -530,7 +543,7 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
                 simplex = [simplex[i] for i in keep]
                 v, lam, nv2 = w, lam_w, nw2
                 if full and rounded and nv2 > tol * tol:
-                    step = _face_step(support_pair, entries, nv2, dim, pad)
+                    step = _face_step(support_pair, entries, nv2, dim)
                     if step is not None:
                         entries, simplex, v, lam, nv2 = step
                 continue
@@ -540,23 +553,22 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
             simplex.pop()
             entries.pop()
             if full:
-                pu = support(np.array([-u[0], -u[1], -u[2]][:dim]))[0]
-                stall_bound = (max(0.0, _dot(u, pu.tolist() + pad))
-                               / math.sqrt(nu2))
+                pu = support([-u[0], -u[1], -u[2]])[0]
+                stall_bound = max(0.0, _dot(u, pu)) / math.sqrt(nu2)
         if full:
             break
         # The cores are solved. Each core point is a point of the set (the
         # ball term holds the origin), and is its own core part.
         full, support = True, support_pair
-        entries = [(p, a, b, (x, a, b))
-                   for (p, a, b), x in zip(entries, simplex)]
-        step = _face_step(support_pair, entries, nv2, dim, pad)
+        entries = [(x, a, b, (x, a, b)) for x, a, b in entries]
+        step = _face_step(support_pair, entries, nv2, dim)
         if step is not None:
             entries, simplex, v, lam, nv2 = step
     else:
         raise GeometryError(
             f"GJK did not converge within {max_iter} iterations")
-    wa, wb = _combine(entries, lam, 0), _combine(entries, lam, 1)
+    wa = np.array(_combine(entries, lam, 1)[:dim])
+    wb = np.array(_combine(entries, lam, 2)[:dim])
     if nv2 <= tol * tol:
         return 0.0, np.array(v[:dim]), wa, wb, 0.0
     dist = math.sqrt(nv2)
@@ -564,43 +576,41 @@ def _gjk(support_pair, dim, tol, max_iter=GJK_MAX_ITER, seed_direction=None):
             max(max(0.0, vp) / dist, stall_bound))
 
 
-def _face_step(support_pair, entries, nv2, dim, pad):
+def _face_step(support_pair, entries, nv2, dim):
     """The ellipsoid term solved exactly on the simplex's core face.
 
     ``entries`` are full-phase simplex entries (p, a, b, (x, a_core,
-    b_core)), x the point's core part as a float list, or None until it is
-    needed here. With F the affine hull of the distinct core points and E
-    the whitened ball term, ``_face_direction`` gives the direction of the
-    least point of F + E; the ball term's support e along minus it shifts
-    every core point, and the closest point of the shifted simplex, a
-    point of the set, is that least point when its core part lies in the
-    simplex. When it lies outside, the closest point falls on a smaller
-    face, which is solved in turn. Returns the best (entries, simplex, v,
-    lambdas, |v|^2) found when it lowers |v|^2 below ``nv2``, else None.
+    b_core)), x the point's core part, all float lists. With F the affine
+    hull of the distinct core points and E the whitened ball term,
+    ``_face_direction`` gives the direction of the least point of F + E;
+    the ball term's support e along minus it shifts every core point, and
+    the closest point of the shifted simplex, a point of the set, is that
+    least point when its core part lies in the simplex. When it lies
+    outside, the closest point falls on a smaller face, which is solved in
+    turn. Returns the best (entries, simplex, v, lambdas, |v|^2) found
+    when it lowers |v|^2 below ``nv2``, else None.
     """
     cores, points = [], []
     for entry in entries:
-        x, ac, bc = entry[3]
-        if x is None:
-            x = support_pair.core_point(ac, bc) + pad
-        if x not in points:
-            cores.append((x, ac, bc))
-            points.append(x)
+        core = entry[3]
+        if core[0] not in points:
+            cores.append(core)
+            points.append(core[0])
     best = None
     while True:
         u = _face_direction(points, dim, support_pair.axes,
                             support_pair.radius)
         if u is None:
             return best
-        e, ea, eb = support_pair.ball(np.array([-u[0], -u[1], -u[2]][:dim]))
-        e0, e1, e2 = e.tolist() + pad
+        (e0, e1, e2), ea, eb = support_pair.ball([-u[0], -u[1], -u[2]])
         simplex = [[x0 + e0, x1 + e1, x2 + e2] for x0, x1, x2 in points]
         v, lam, keep = _closest_on_simplex(simplex)
         nw2 = _dot(v, v)
         if nw2 < nv2:
             nv2 = nw2
-            best = ([(None, cores[i][1] + ea, cores[i][2] + eb, cores[i])
-                     for i in keep], [simplex[i] for i in keep], v, lam, nw2)
+            best = ([(simplex[i], _add(cores[i][1], ea),
+                      _add(cores[i][2], eb), cores[i]) for i in keep],
+                    [simplex[i] for i in keep], v, lam, nw2)
         if len(keep) == len(points):
             return best
         cores = [cores[i] for i in keep]
@@ -780,68 +790,118 @@ def _closest_through_last(points):
     return best
 
 
+def _add(u, v):
+    return [u[0] + v[0], u[1] + v[1], u[2] + v[2]]
+
+
 def _combine(entries, lam, slot):
-    out = None
+    """sum_i lam_i entries[i][slot], a witness of the simplex's
+    combination, as a float list."""
+    x = y = z = 0.0
     for w, e in zip(lam, entries):
-        part = e[1 + slot]
-        out = w * part if out is None else out + w * part
-    return out
+        p = e[slot]
+        x += w * p[0]
+        y += w * p[1]
+        z += w * p[2]
+    return [x, y, z]
+
+
+def _farthest(rows, w0, w1, w2):
+    """The first of ``rows`` (3-component float lists) farthest along
+    (w0, w1, w2): a body's support point, in time linear in its
+    vertices."""
+    best, top = rows[0], -math.inf
+    for r in rows:
+        x, y, z = r
+        d = x * w0 + y * w1 + z * w2
+        if d > top:
+            best, top = r, d
+    return best
+
+
+def whitening_rows(M):
+    """The rows of M and of M^T as 3-component float lists, padded to
+    3 x 3 with zeros in 2D, as ``_PairSupport`` applies them."""
+    pad = [0.0] * (3 - len(M))
+    zero = [[0.0, 0.0, 0.0] for _ in pad]
+    return ([r + pad for r in M.tolist()] + zero,
+            [r + pad for r in M.T.tolist()] + zero)
 
 
 class _PairSupport:
     """Supports of the whitened swept difference Y = M (A - B) - q, with
-    witness tracking: called on a direction v, it returns (p, a, b, core),
-    p the support point of Y along v, a, b the points of A and B with
-    p = M (a - b) - q, and core = (None, a_core, b_core) the cores' support
-    points along v, whose whitened difference ``core_point`` gives when
-    the face solve needs it.
+    witness tracking, all on 3-component float lists: a 2D problem lies
+    in the z = 0 plane (the bodies' ``_rows``, M's ``whitening_rows`` and
+    q are padded with zeros), so its points keep z = 0 exactly. Called on
+    a direction v, it returns (p, a, b, core), p the support point of Y
+    along v, a, b the points of A and B with p = M (a - b) - q, and
+    core = (x, a_core, b_core) the cores' support points along v and
+    their whitened difference x, which the face solve shifts.
 
     Y is the core difference M (core A - core B) - q plus the ball term
     M B(r_A + r_B), an ellipsoid, and a support of Y is the sum of theirs:
     ``core(v)`` gives the cores' (p, a, b) and ``ball(v)`` the ball term's
-    (its p without q). ``axes`` are the ball term's principal axes
-    (``ellipsoid_axes`` of M), computed here from one SVD of M when the
-    caller has none.
+    (its p without q), and the call adds them (without a radius the ball
+    term is the origin). A support scans every vertex of both bodies, so
+    it costs time linear in their count. ``rows`` are M's
+    ``whitening_rows`` when the caller holds them, and ``axes`` the ball
+    term's principal axes (``ellipsoid_axes`` of M), computed here from
+    one SVD of M when the caller has none.
     """
 
-    def __init__(self, body_a, body_b, M, q=0.0, axes=None):
-        self._a, self._b = body_a, body_b
-        self._M, self._MT = M, M.T
-        self._q = q
-        self.radius = body_a.radius + body_b.radius
+    def __init__(self, body_a, body_b, M, q=None, axes=None, rows=None):
+        self._va, self._vb = body_a._rows, body_b._rows
+        self._ra, self._rb = body_a.radius, body_b.radius
+        self._m, self._mt = whitening_rows(M) if rows is None else rows
+        self._q = ([0.0, 0.0, 0.0] if q is None
+                   else q.tolist() + [0.0] * (3 - len(q)))
+        self.radius = self._ra + self._rb
         self.rounded = self.radius > 0.0
         if axes is None and self.rounded:
             axes = ellipsoid_axes(*np.linalg.svd(M)[:2])
         self.axes = axes
 
-    def __call__(self, v):
-        w = self._MT @ v
-        A, B = self._a, self._b
-        ac = A.vertices[(A.vertices @ w).argmax()]
-        u = -w
-        bc = B.vertices[(B.vertices @ u).argmax()]
-        a = ac if A.radius == 0.0 else (
-            ac + (A.radius / math.sqrt(float(w @ w))) * w)
-        b = bc if B.radius == 0.0 else (
-            bc + (B.radius / math.sqrt(float(u @ u))) * u)
-        return self._M @ (a - b) - self._q, a, b, (None, ac, bc)
+    def _whiten(self, v):
+        """M^T v, the direction along which the bodies are searched."""
+        (t0, t1, t2), (u0, u1, u2), (s0, s1, s2) = self._mt
+        v0, v1, v2 = v
+        return (t0 * v0 + t1 * v1 + t2 * v2, u0 * v0 + u1 * v1 + u2 * v2,
+                s0 * v0 + s1 * v1 + s2 * v2)
 
-    def core_point(self, a, b):
-        """M (a - b) - q as a float list, as ``core`` computes it."""
-        return (self._M @ (a - b) - self._q).tolist()
+    def _core(self, w0, w1, w2):
+        a = _farthest(self._va, w0, w1, w2)
+        b = _farthest(self._vb, -w0, -w1, -w2)
+        x0, x1, x2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        (m0, m1, m2), (n0, n1, n2), (k0, k1, k2) = self._m
+        q0, q1, q2 = self._q
+        return ([m0 * x0 + m1 * x1 + m2 * x2 - q0,
+                 n0 * x0 + n1 * x1 + n2 * x2 - q1,
+                 k0 * x0 + k1 * x1 + k2 * x2 - q2], a, b)
+
+    def _ball(self, w0, w1, w2):
+        n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        u0, u1, u2 = w0 / n, w1 / n, w2 / n
+        ra, rb = self._ra, -self._rb
+        a = [ra * u0, ra * u1, ra * u2]
+        b = [rb * u0, rb * u1, rb * u2]
+        x0, x1, x2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        (m0, m1, m2), (n0, n1, n2), (k0, k1, k2) = self._m
+        return ([m0 * x0 + m1 * x1 + m2 * x2, n0 * x0 + n1 * x1 + n2 * x2,
+                 k0 * x0 + k1 * x1 + k2 * x2], a, b)
+
+    def __call__(self, v):
+        w0, w1, w2 = self._whiten(v)
+        core = x, ac, bc = self._core(w0, w1, w2)
+        if not self.rounded:
+            return x, ac, bc, core
+        e, ea, eb = self._ball(w0, w1, w2)
+        return _add(x, e), _add(ac, ea), _add(bc, eb), core
 
     def core(self, v):
-        w = self._MT @ v
-        Va, Vb = self._a.vertices, self._b.vertices
-        a = Va[(Va @ w).argmax()]
-        b = Vb[(Vb @ w).argmin()]
-        return self._M @ (a - b) - self._q, a, b
+        return self._core(*self._whiten(v))
 
     def ball(self, v):
-        w = self._MT @ v
-        u = w / math.sqrt(float(w @ w))
-        a, b = self._a.radius * u, -self._b.radius * u
-        return self._M @ (a - b), a, b
+        return self._ball(*self._whiten(v))
 
 
 # ---------------------------------------------------------------------------
@@ -1464,12 +1524,13 @@ def mahalanobis_contacts(vertices, radii, body_b, chol_inv, witness_a,
     c[lanes] = lb * lb
     # GJK's relative duality-gap test, as in ``_gjk``.
     open_lanes = np.flatnonzero(nv2 - vp > tol * nv2 + 1e-14)
+    rows = whitening_rows(chol_inv)
     for i in open_lanes:
         n = lanes[i]
         body = SweptHull(vertices[n], float(radii[n]))
         _, _, wa[n], wb[n], lb2 = _gjk(
-            _PairSupport(body, body_b, chol_inv, axes=axes), dim, tol=tol,
-            seed_direction=y[i])
+            _PairSupport(body, body_b, chol_inv, axes=axes, rows=rows), dim,
+            tol=tol, seed_direction=y[i])
         c[n] = max(lb[i], lb2) ** 2
     return c, wa, wb
 

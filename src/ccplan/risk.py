@@ -37,7 +37,8 @@ polytope cores first, then the ellipsoid term exactly on each core face
 (see ``geometry._gjk``), in the axes that each obstacle takes from one SVD
 of L^-1: one full support of the swept bodies closes it when the face is
 right, as it always is under an isotropic covariance, and a wrong face
-costs one full step more.
+costs one full step more. The searches run on float lists, and each
+obstacle keeps the rows of L^-1 that their supports apply.
 
 The gradient of eps_prime is a sum of w . J, one term per shadow with a
 gradient (``risk_weights``), J the Jacobian of its robot contact point;
@@ -63,6 +64,7 @@ from .geometry import (
     ellipsoid_axes,
     mahalanobis_contact,
     mahalanobis_contacts,
+    whitening_rows,
 )
 from .kinematics import chain_frames, chain_groups, point_jacobians
 
@@ -89,6 +91,7 @@ class UncertainObstacle:
     chol_inv: np.ndarray = field(init=False, repr=False)
     sigma_inv: np.ndarray = field(init=False, repr=False)
     axes: tuple = field(init=False, repr=False)
+    whitening: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         S = np.asarray(self.covariance, dtype=float)
@@ -110,6 +113,8 @@ class UncertainObstacle:
         # from the covariance itself: 1 / min(s) of that SVD would carry
         # the roundoff of inverting L, which grows with the condition number.
         self.axes = ellipsoid_axes(*np.linalg.svd(self.chol_inv)[:2])
+        # L^-1 and L^-T as the float rows the searches' supports apply.
+        self.whitening = whitening_rows(self.chol_inv)
         self.sigma_max = math.sqrt(float(np.linalg.eigvalsh(
             self.covariance)[-1]))
 
@@ -519,7 +524,8 @@ def _rim_contact(body, obstacle, normal, first, far, cap):
         v = L_inv @ (a - b) - q
         tol = 1e-12 * scale / max(scale, float(v @ v))
         _, _, a, b, lb = _gjk(
-            _PairSupport(body, obstacle.nominal, L_inv, q, obstacle.axes),
+            _PairSupport(body, obstacle.nominal, L_inv, q, obstacle.axes,
+                         obstacle.whitening),
             body.dim, tol=tol, seed_direction=v)
         return _DualPoint(lam, lb * lb - 0.25 * lam * lam * mm,
                           float(normal @ (a - b)), a, b)

@@ -82,22 +82,43 @@ class TestSupport:
                                            body.support(lam * v), atol=1e-12)
 
     def test_minkowski_property_random(self):
+        # The support of M (A - B) - q is M (s_A(M^T v) - s_B(-M^T v)) - q,
+        # farthest along v among points M (a - b) - q of the set, with swept
+        # bodies on both sides and the rim search's shift q. The call is
+        # the cores' support plus the ball term's, in the point and in both
+        # witnesses, and a 2D set keeps z = 0 exactly.
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            a = Sphere(rng.normal(size=3), rng.uniform(0.1, 1))
-            b = Polytope(rng.normal(size=(5, 3)))
-            M = rng.normal(size=(3, 3))
-            sp = _PairSupport(a, b, M)
-            v = rng.normal(size=3)
-            # The support of M (A - B) is M (s_A(M^T v) - s_B(-M^T v)),
-            # farthest along v among points M (a - b) of the set.
-            w = M.T @ v
-            p = sp(v)[0]
-            np.testing.assert_allclose(
-                p, M @ (a.support(w) - b.support(-w)), atol=1e-12)
-            others = [M @ (a.support(u1) - b.support(u2))
-                      for u1, u2 in rng.normal(size=(100, 2, 3))]
-            assert max(q @ v for q in others) <= p @ v + 1e-12
+        for dim in (2, 3):
+            pad = [0.0] * (3 - dim)
+            for k in range(50):
+                a = (Sphere(rng.normal(size=dim), rng.uniform(0.1, 1))
+                     if k % 2 else Capsule(rng.normal(size=dim),
+                                           rng.normal(size=dim),
+                                           rng.uniform(0.1, 1)))
+                b = SweptHull(rng.normal(size=(5, dim)),
+                              rng.uniform(0.0, 0.5) if k % 3 else 0.0)
+                M = rng.normal(size=(dim, dim))
+                q = rng.normal(size=dim) if k % 4 else None
+                shift = 0.0 if q is None else q
+                sp = _PairSupport(a, b, M, q)
+                v = rng.normal(size=dim).tolist() + pad
+                w = M.T @ v[:dim]
+                p, pa, pb, _ = sp(v)
+                assert p[dim:] == pad and pa[dim:] == pad and pb[dim:] == pad
+                np.testing.assert_allclose(
+                    p[:dim], M @ (a.support(w) - b.support(-w)) - shift,
+                    atol=1e-12)
+                np.testing.assert_allclose(
+                    p[:dim], M @ (np.subtract(pa, pb)[:dim]) - shift,
+                    atol=1e-12)
+                for part, (x, y) in zip((p, pa, pb),
+                                        zip(sp.core(v), sp.ball(v))):
+                    np.testing.assert_allclose(part, np.add(x, y),
+                                               rtol=0.0, atol=1e-12)
+                others = [M @ (a.support(u1) - b.support(u2)) - shift
+                          for u1, u2 in rng.normal(size=(100, 2, dim))]
+                assert (max(o @ v[:dim] for o in others)
+                        <= np.dot(p, v) + 1e-12)
 
     def test_posed_support(self):
         pose = Pose.planar(math.pi / 2, np.array([1.0, 0.0]))
@@ -798,6 +819,28 @@ class TestMahalanobisContact:
                 d = pa - pb
                 best = min(best, float(d @ Sinv @ d))
             assert c <= best + 1e-6
+
+    def test_2d_search_matches_its_3d_embedding(self):
+        # Bodies in the z = 0 plane of 3D, under a covariance whose z block
+        # is apart from the planar one, have the planar problem's minimum:
+        # the planar search runs in the z = 0 plane of the same float code.
+        rng = np.random.default_rng(40)
+        for k in range(60):
+            a = Capsule(rng.normal(size=2), rng.normal(size=2),
+                        rng.uniform(0.0, 0.2))
+            b = (SweptHull(rng.normal(size=(6, 2)) * 0.4
+                           + rng.normal(size=2) * 2.0, rng.uniform(0.0, 0.2))
+                 if k % 2 else box(rng.uniform(0.1, 0.5, size=2),
+                                   center=rng.normal(size=2) * 2.0))
+            S = rand_spd(rng, 2, 0.05)
+            S3 = np.zeros((3, 3))
+            S3[:2, :2], S3[2, 2] = S, rng.uniform(0.001, 1.0)
+            c, wa, wb = mahalanobis_contact(a, b, np.linalg.cholesky(S))
+            c3 = mahalanobis_contact(
+                *(SweptHull(np.pad(x.vertices, ((0, 0), (0, 1))), x.radius)
+                  for x in (a, b)), np.linalg.cholesky(S3))[0]
+            assert wa.shape == wb.shape == (2,)
+            assert c3 == pytest.approx(c, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_never_exceeds_enumerated_minimum(self, dim):

@@ -176,3 +176,34 @@ def test_one_posed_body_form():
     assert not found, f"retired body forms in ccplan: {found}"
     assert not referenced_names("planner") & {"mahalanobis_contacts",
                                               "chi2_inv_cdf"}
+
+
+def test_whitened_search_runs_on_floats():
+    # The whitened GJK search keeps its supports, face step and witness
+    # sums on 3-component float lists: a NumPy call or a matrix product
+    # there costs more than the arithmetic it does on bodies of a few
+    # vertices. Only the constructor (an SVD when the caller holds no
+    # axes) and the return of ``_gjk`` form arrays.
+    package = Path(ccplan.__file__).parent
+    tree = ast.parse((package / "geometry.py").read_text())
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    scopes = {f"_PairSupport.{node.name}": node
+              for node in top["_PairSupport"].body
+              if isinstance(node, ast.FunctionDef)
+              and node.name != "__init__"}
+    for name in ("_combine", "_farthest", "_add", "_face_step"):
+        scopes[name] = top[name]
+    loop, = (node for node in top["_gjk"].body if isinstance(node, ast.For))
+    scopes["_gjk loop"] = loop
+    assert {"_PairSupport.__call__", "_PairSupport.core",
+            "_PairSupport.ball"} <= set(scopes)
+
+    def array_use(n):
+        return ((isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                 and n.value.id in ("np", "numpy"))
+                or (isinstance(n, (ast.BinOp, ast.AugAssign))
+                    and isinstance(n.op, ast.MatMult)))
+    found = [f"{name}:{n.lineno}" for name, node in scopes.items()
+             for n in ast.walk(node) if array_use(n)]
+    assert not found, f"NumPy in the float search: {found}"
