@@ -6,9 +6,9 @@ capsule, box or hull), so one support mapping and one distance kernel
 serve every shape. Each core (the hull before the radius is added) carries
 its boundary complex (``Boundary``): vertex index pairs (edges) and, in
 3D, triples (triangles) that cover its boundary, built on first use and
-shared by every rigid placement. ``Boundary`` is the one place Qhull runs
-(cores, Monte Carlo difference hulls, plots); a box lays out its own
-complex. The distance kernel takes the closest pair over the candidate
+shared by every rigid placement. ``Boundary`` is the one place Qhull runs,
+for hull cores; a box lays out its own complex, and dim or fewer points
+need none. The distance kernel takes the closest pair over the candidate
 features of a stack of placements of one core and a fixed one: vertices
 projected on segments, interior pairs of edges, and in 3D vertices over
 triangle interiors. The fixed body keeps the constants of its features
@@ -18,8 +18,8 @@ only the winner's witness pair is formed. The pair is a separation only
 when the supporting planes normal to it are apart, which proves the cores
 disjoint; otherwise (touching, containment, or an edge piercing a face)
 the penetration depth and normal come exactly from support values along
-candidate axes. ``point_distances`` projects a stack of points on the same
-segment and triangle features, for the Monte Carlo hit test. The
+candidate axes. The Monte Carlo hit test runs this kernel too, on the link
+moved by minus the obstacle's displacement. The
 Mahalanobis query runs GJK in whitened coordinates, where a sphere becomes
 an ellipsoid, and returns a certified lower bound; every search solves the
 cores first, then the ellipsoid term exactly on each core face (in closed
@@ -69,11 +69,6 @@ def _as_vec(x, dim=None):
     return v
 
 
-def _check_direction(v):
-    if float(np.dot(v, v)) == 0.0:
-        raise ValueError("support direction must be nonzero")
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: x -> R @ x + t, with R a proper rotation."""
@@ -120,9 +115,6 @@ class Pose:
         object.__setattr__(p, "translation", t)
         return p
 
-    def apply(self, point):
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
-
 
 @dataclass(eq=False)
 class SweptHull:
@@ -165,14 +157,9 @@ class SweptHull:
         pad = [0.0] * (3 - self.dim)
         return [r + pad for r in self.vertices.tolist()]
 
-    def support(self, direction):
-        """Farthest point of the body in ``direction`` (must be nonzero)."""
-        v = _as_vec(direction, self.dim)
-        _check_direction(v)
-        return np.array(self._support(v))
-
     def _support(self, v):
-        """``support`` for a trusted nonzero float vector ``v``."""
+        """Farthest point of the body along the nonzero float vector
+        ``v``."""
         V = self.vertices
         p = V[(V @ v).argmax()]
         if self.radius == 0.0:
@@ -214,12 +201,11 @@ class Boundary:
     def hull(self):
         """Qhull's convex hull of the vertices, or None when they are flat
         (fewer than dim + 1 affinely independent points): the only Qhull
-        call of ccplan, for cores, Monte Carlo difference sets and plots.
-
-        ``equations`` rows are [n, offset] with n the unit outward normal
-        and n.x + offset <= 0 on the hull; ``simplices`` triangulate its
-        facets. SciPy's spatial module is imported here, on first use,
-        because importing it costs more than importing the rest of ccplan.
+        call of ccplan, for the cores whose complex no constructor lays
+        out. ``simplices`` triangulate its facets, and ``neighbors`` pairs
+        them across their edges. SciPy's spatial module is imported here,
+        on first use, because importing it costs more than importing the
+        rest of ccplan.
         """
         V = self._vertices
         if len(V) <= V.shape[1]:
@@ -914,10 +900,6 @@ SEPARATION_RTOL = 1e-12
 # Elements of the kernel's largest (placements x candidate pairs x dim)
 # temporaries per block of placements: a few megabytes.
 DISTANCE_BLOCK = 1 << 16
-# ``point_distances`` keeps its (rows x features x dim) temporaries within
-# HIT_BLOCK x vertices x dim elements, a few megabytes; the Monte Carlo hit
-# test takes its candidates this many at a time.
-HIT_BLOCK = 4096
 # The least positive normal float: the kernel inverts a squared length or
 # area only at or above it, so that the inverse stays finite (a segment
 # shorter than about 1e-154 projects as its origin).
@@ -945,14 +927,6 @@ def _products(X, R):
     product does not promise (a single row takes another path), so a
     stack gives its single calls bit for bit."""
     return np.einsum("...md,...dn->...mn", X, R)
-
-
-def _unit_ratio(num, den):
-    """num / den clamped to [0, 1], and 0 where den is not positive; num
-    has the broadcast shape."""
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _cross(u, v):
@@ -1032,7 +1006,7 @@ class _Features:
     ``reach`` the largest v.v. A vertex drops to its foot on a triangle
     through ``corners`` along ``normals`` (e0 x e1, in the body's own
     coordinates). ``magnitude``, max(1, |V|_max), is the body's part of
-    the scale of ``distances``' separation test.
+    the scale of the separation test (``_unseparated``).
     """
 
     def __init__(self, V, boundary):
@@ -1281,6 +1255,17 @@ def _clamped(ww, we, ee, ree):
     return ww - t * (2.0 * we - t * ee), t
 
 
+def _unseparated(vertices, gap, body_b):
+    """Where the supporting-plane gap of ``_closest_cores`` fails to prove
+    the placements ``vertices`` (P, k, dim) disjoint from the core of
+    ``body_b``: it is at most SEPARATION_RTOL of the coordinates'
+    magnitude. Overlapping cores have gap <= 0 along any direction, so
+    they are all here, whatever their closest candidate pair."""
+    scale = np.maximum(np.abs(vertices).max(axis=(1, 2)),
+                       body_b._features.magnitude)
+    return gap <= SEPARATION_RTOL * scale
+
+
 def distances(vertices, radii, boundary, body_b):
     """Signed distances from a stack of placements of one core to
     ``body_b``, in one kernel call: vertices (P, k, dim), every placement
@@ -1305,10 +1290,8 @@ def distances(vertices, radii, boundary, body_b):
     Vb, rb = body_b.vertices, body_b.radius
     wa, wb, d, n, gap = _closest_cores(vertices, boundary, body_b)
     ra = np.broadcast_to(np.asarray(radii, dtype=float), d.shape)
-    scale = np.maximum(np.abs(vertices).max(axis=(1, 2)),
-                       body_b._features.magnitude)
     pen = np.flatnonzero((d <= CONTACT_TOL)
-                         | (gap <= SEPARATION_RTOL * scale))
+                         | _unseparated(vertices, gap, body_b))
     if len(pen):
         depth, n[pen] = _depths(vertices[pen], boundary, Vb, body_b.boundary)
         shift = depth[:, None] * n[pen]
@@ -1385,43 +1368,6 @@ def _depths(Va, boundary_a, Vb, boundary_b):
         rows = np.arange(p)
         depth[s:s + step], n[s:s + step] = h[rows, k], u[:, rows, k].T
     return depth, n
-
-
-def point_distances(points, vertices, boundary):
-    """Distances from the rows of ``points`` (n, dim) to the features of
-    ``boundary``, the boundary complex of conv(vertices): the distances to
-    conv(vertices) of the points outside it, and of every point when it is
-    flat, since its complex then covers it.
-
-    Each is the least over the complex's segments, by clamped projection,
-    and, in 3D, over the triangles whose interior holds the point's foot
-    on their plane: the height there, from one product of the point with
-    the triangles' ``_Triangles`` constants, built once per call, as the
-    distance kernel projects on a fixed body's triangles. Rows go in
-    blocks whose (rows x features x dim) temporaries stay within
-    HIT_BLOCK x vertices x dim elements; a flat point set has every
-    vertex pair as an edge.
-    """
-    edges, triangles = boundary.segments, boundary.triangles
-    V = vertices.T[:, None, :]
-    a0 = V[:, :, edges[:, 0]]
-    e = V[:, :, edges[:, 1]] - a0
-    ee = _dots(e, e)
-    if len(triangles):
-        centre = vertices.sum(axis=0) / len(vertices)
-        planes = _Triangles(vertices - centre, triangles)
-    step = max(1, HIT_BLOCK * len(vertices) // (len(edges) + len(triangles)))
-    out = np.empty(len(points))
-    for s in range(0, len(points), step):
-        x = points[s:s + step]
-        w = x.T[:, :, None] - a0
-        w -= _unit_ratio(_dots(w, e), ee) * e
-        sq = _dots(w, w).min(axis=1)
-        if len(triangles):
-            Q = _products(x - centre, planes.rhs) + planes.shift
-            sq = np.minimum(sq, _Triangles.squared(Q).min(axis=1))
-        out[s:s + step] = np.sqrt(sq)
-    return out
 
 
 # ---------------------------------------------------------------------------

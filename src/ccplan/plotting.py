@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from .geometry import Boundary
 from .kinematics import forward_kinematics, posed_link_shapes
 
 PLOT_SIZE = 640          # pixel width and height of the square canvas
@@ -32,17 +31,27 @@ def _xy(points):
 
 
 def _hull_order(points):
-    """Boundary vertices of the 2D point cloud in drawing order."""
-    if len(points) <= 2:
-        return points
-    hull = Boundary(points).hull
-    if hull is not None:
-        return points[hull.vertices]
-    # Degenerate (collinear) cloud: order along the spread direction.
-    c = points.mean(axis=0)
-    d = points - c
-    u = d[np.argmax(np.linalg.norm(d, axis=1))]
-    return points[np.argsort(d @ u)]
+    """Boundary vertices of the 2D point cloud, counterclockwise, by
+    Andrew's monotone chain (Inf. Proc. Letters, 1979): the lower and
+    upper hulls of the points sorted by x, then y. Coincident points count
+    once, and a collinear cloud gives its two ends."""
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def chain(ordered):
+        out = []
+        for x, y in ordered:
+            # Drop the last point while it does not turn left.
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                    <= (out[-1][1] - out[-2][1]) * (x - out[-2][0])):
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    rows = pts.tolist()
+    return np.array(chain(rows) + chain(rows[::-1]))
 
 
 def _ellipse_boundary(center, sigma, k):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HIT_BLOCK, Boundary, _closest_cores, point_distances
+from .geometry import DISTANCE_BLOCK, _closest_cores, _unseparated
 from .kinematics import posed_link_groups, trajectory_frames
 from .planner import CONVERGED, ITERATION_LIMIT, solve
 
@@ -19,8 +19,9 @@ from .planner import CONVERGED, ITERATION_LIMIT, solve
 # obstacle's largest displacement standard deviation.
 IRA_MARGIN_ETA = 0.5
 
-# Tolerance of the exact Monte Carlo hit test: a sample hits when its
-# distance to the difference hull is within the radius plus this.
+# Tolerance of the exact Monte Carlo hit test: a sample hits when the
+# distance between the link's and the displaced obstacle's cores is within
+# the radius plus this.
 HIT_TOL = 1e-9
 # Room the supporting-plane cull leaves beyond HIT_TOL, so that roundoff in
 # |d|, n.d and the plane gap never drops a sample the exact test would
@@ -59,47 +60,12 @@ def _displacements(obstacle, n, seed, obstacle_index):
     return z @ obstacle.chol.T
 
 
-def _point_polytope_hits(D, W, radius, candidates):
-    """Which displacement rows of ``D[candidates]`` lie within ``radius``
-    (plus HIT_TOL) of conv(W). Returns a boolean array over ``candidates``.
-
-    A full-dimensional W is tested against its Qhull facet planes first: a
-    sample with no positive plane value lies inside the hull and hits; one
-    with a plane value beyond ``radius + HIT_TOL`` misses (the value bounds
-    the distance from below). The others, and every sample of a flat W,
-    which has no facets, are settled by their exact distance to the
-    boundary complex of conv(W) (``geometry.point_distances``). Candidates
-    go HIT_BLOCK at a time; each sample's answer is its own.
-    """
-    boundary = Boundary(W)
-    reach = radius + HIT_TOL
-    hit = np.empty(len(candidates), dtype=bool)
-    for s in range(0, len(candidates), HIT_BLOCK):
-        hit[s:s + HIT_BLOCK] = _block_hits(
-            D[candidates[s:s + HIT_BLOCK]], W, boundary, reach)
-    return hit
-
-
-def _block_hits(d, W, boundary, reach):
-    """``_point_polytope_hits`` for rows ``d``; reach = radius + HIT_TOL."""
-    if boundary.hull is None:
-        return point_distances(d, W, boundary) <= reach
-    eq = boundary.hull.equations
-    plane = np.max(d @ eq[:, :-1].T + eq[:, -1], axis=1)
-    hit = plane <= 0.0
-    band = np.flatnonzero(~hit & (plane <= reach))
-    if band.size:
-        hit[band] = point_distances(d[band], W, boundary) <= reach
-    return hit
-
-
 class _ObstacleSamples:
     """One obstacle's displacement draws, with their norms sorted once so
     that each pair test finds its candidates with one binary search."""
 
     def __init__(self, obstacle, n_samples, seed, obstacle_index):
         self.nominal = obstacle.nominal
-        self.vertices = obstacle.nominal.vertices
         self.radius = obstacle.nominal.radius
         self.D = _displacements(obstacle, n_samples, seed, obstacle_index)
         norms = np.sqrt(np.einsum("ij,ij->i", self.D, self.D))
@@ -107,11 +73,13 @@ class _ObstacleSamples:
         self.sorted_norms = norms[self.order]
 
     def pairs(self, groups):
-        """(timestep, Vt, rt, gap, n) for every posed link shape of
-        ``groups`` (see ``_swept_shapes``), timestep by timestep. n is the
-        distance kernel's unit direction from the link's core to the
-        obstacle's (zero where they touch) and gap the separation of their
-        supporting planes normal to n, from one kernel call per group."""
+        """(timestep, Vt, boundary, rt, gap, n) for every posed link shape
+        of ``groups`` (see ``_swept_shapes``), timestep by timestep:
+        ``boundary`` is the group's complex, which every placement of the
+        shape shares. n is the distance kernel's unit direction from the
+        link's core to the obstacle's (zero where they touch) and gap the
+        separation of their supporting planes normal to n, from one kernel
+        call per group."""
         planes = []
         for g in groups:
             shape = g.vertices.shape
@@ -124,26 +92,30 @@ class _ObstacleSamples:
         for t in range(steps):
             for g, (gap, n) in zip(groups, planes):
                 for j, rt in enumerate(g.radii):
-                    yield t, g.vertices[t, j], rt, gap[t, j], n[t, j]
+                    yield (t, g.vertices[t, j], g.boundary, rt, gap[t, j],
+                           n[t, j])
 
-    def pair_hits(self, Vt, rt, gap, n, done):
+    def pair_hits(self, Vt, boundary, rt, gap, n, done):
         """Indices of the samples not marked in ``done`` that hit the link
-        shape swept from vertices ``Vt`` by radius ``rt``: the one Monte
-        Carlo pair test.
+        shape swept from vertices ``Vt`` (complex ``boundary``) by radius
+        ``rt``: the one Monte Carlo pair test.
 
-        A sample hits when its displacement d lies within r = rt + radius
-        of conv(W), W the difference vertices. Every w of conv W has n.w
-        <= -gap, for the link's plane (gap, n) of ``pairs``, so dist(d,
-        conv W) >= gap + n.d and, as |n| <= 1, >= gap - |d|; gap < 0 where
-        n does not separate the cores, and n = 0 culls nothing. A sample
-        whose bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and is
-        skipped: first the short displacements, by one binary search in
+        The obstacle displaced by d hits the link when the link placed at
+        Vt - d comes within r = rt + radius of the nominal obstacle core.
+        The cores are then dist(d, W) apart, W = conv(Vt) - core. Every w
+        of W has n.w <= -gap, for the link's plane (gap, n) of ``pairs``,
+        so dist(d, W) >= gap + n.d and, as |n| <= 1, >= gap - |d|; gap < 0
+        where n does not separate the cores, and n = 0 culls nothing. A
+        sample whose bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and
+        is skipped: first the short displacements, by one binary search in
         the sorted norms, then, among those left and not done, the ones
-        that stop short of the plane. The others go to the exact test, so
-        the hits are those of testing every sample.
+        that stop short of the plane. The others go to the planner's
+        distance kernel, DISTANCE_BLOCK elements of placements at a time:
+        a sample hits where the cores' closest candidate pair is within
+        r + HIT_TOL, or where their supporting planes do not prove them
+        apart (``_unseparated``), as overlapping cores do. So the hits are
+        those of testing every sample.
         """
-        W = (Vt[:, None, :] - self.vertices[None, :, :]).reshape(
-            -1, Vt.shape[1])
         r = rt + self.radius
         reach = r + HIT_TOL + CULL_SLACK
         candidates = self.order[np.searchsorted(self.sorted_norms,
@@ -151,9 +123,14 @@ class _ObstacleSamples:
         candidates = candidates[~done[candidates]]
         candidates = np.sort(
             candidates[self.D[candidates] @ n <= reach - gap])
-        if candidates.size == 0:
-            return candidates
-        return candidates[_point_polytope_hits(self.D, W, r, candidates)]
+        hit = np.empty(len(candidates), dtype=bool)
+        step = max(1, DISTANCE_BLOCK // Vt.size)
+        for s in range(0, len(candidates), step):
+            Va = Vt - self.D[candidates[s:s + step], None, :]
+            _, _, d, _, gap_d = _closest_cores(Va, boundary, self.nominal)
+            hit[s:s + step] = ((d <= r + HIT_TOL)
+                               | _unseparated(Va, gap_d, self.nominal))
+        return candidates[hit]
 
 
 def _swept_shapes(robot, trajectory):
@@ -170,13 +147,13 @@ def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     hit if any timestep configuration intersects any displaced obstacle.
 
     Each (timestep, link shape, obstacle) pair tests only the trials not yet
-    hit, and culls those whose displacement d cannot reach the difference
-    hull W: the supporting plane that separates the nominal link and
-    obstacle cores, at gap along its unit normal n, gives dist(d, conv W)
-    >= gap + n.d, so a trial is skipped only when that bound exceeds the
-    hit radius plus the exact test's tolerance and a slack. The cull is
-    conservative: the hit count is the one that testing every trial
-    exactly gives.
+    hit, and culls those whose displacement d cannot bring the cores within
+    the hit radius: the supporting plane that separates the nominal link
+    and obstacle cores, at gap along its unit normal n, bounds their
+    distance after the displacement by gap + n.d, so a trial is skipped
+    only when that bound exceeds the hit radius plus the exact test's
+    tolerance and a slack. The cull is conservative: the hit count is the
+    one that testing every trial exactly gives.
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
@@ -184,8 +161,8 @@ def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     hit = np.zeros(n_samples, dtype=bool)
     for oi, ob in enumerate(obstacles):
         samples = _ObstacleSamples(ob, n_samples, seed, oi)
-        for _, Vt, rt, gap, n in samples.pairs(groups):
-            hit[samples.pair_hits(Vt, rt, gap, n, hit)] = True
+        for _, Vt, boundary, rt, gap, n in samples.pairs(groups):
+            hit[samples.pair_hits(Vt, boundary, rt, gap, n, hit)] = True
     return _report(n_samples, int(hit.sum()), seed)
 
 
@@ -200,8 +177,9 @@ def _pair_hit_estimates(robot, trajectory, draws):
     any_hit = np.zeros(n_samples, dtype=bool)
     for oi, samples in enumerate(draws):
         hit_t = np.zeros((T, n_samples), dtype=bool)
-        for t, Vt, rt, gap, n in samples.pairs(groups):
-            hit_t[t, samples.pair_hits(Vt, rt, gap, n, hit_t[t])] = True
+        for t, Vt, boundary, rt, gap, n in samples.pairs(groups):
+            hit_t[t, samples.pair_hits(Vt, boundary, rt, gap, n,
+                                       hit_t[t])] = True
         probs[:, oi] = hit_t.mean(axis=1)
         any_hit |= hit_t.any(axis=0)
     return probs, float(any_hit.mean())

@@ -17,7 +17,9 @@ from ccplan.cli import (
     EXIT_OK,
     main,
 )
-from ccplan.geometry import GeometryError
+from ccplan.geometry import Boundary, Capsule, GeometryError, box
+from ccplan.plotting import _hull_order
+from test_geometry import random_pose
 
 SCENES = files("ccplan") / "scenes"
 CORRIDOR = str(SCENES / "corridor2d.json")
@@ -95,6 +97,63 @@ class TestPlan:
             == (b / "allocation.csv").read_bytes()
 
 
+class TestHullOrder:
+    """The SVG's outline of a body seen from above: the vertices of
+    Qhull's convex hull of its xy points, counterclockwise, found without
+    Qhull."""
+
+    def test_boxes_and_clouds_match_qhull(self):
+        rng = np.random.default_rng(17)
+        clouds = []
+        for dim in (2, 3):
+            for _ in range(10):
+                h = rng.uniform(0.1, 1.0, size=dim)
+                # From above, a 3D box on the axes shows each xy twice.
+                clouds.append(box(h, center=rng.normal(size=dim)).vertices)
+                clouds.append(box(h).posed(random_pose(rng, dim)).vertices)
+        sizes = rng.integers(3, 30, size=100)
+        clouds += [rng.normal(size=(k, 2)) for k in sizes[:50]]
+        # Multiples of 0.25 are exact, so collinear runs along the hull's
+        # edges stay collinear.
+        clouds += [rng.integers(0, 5, size=(k, 2)) * 0.25
+                   for k in sizes[50:]]
+        compared = 0
+        for cloud in clouds:
+            points = cloud[:, :2]
+            hull = Boundary(points).hull
+            if hull is None:
+                continue
+            want, got = points[hull.vertices], _hull_order(points)
+            start = [i for i, p in enumerate(want)
+                     if np.array_equal(p, got[0])]
+            assert len(got) == len(want) and len(start) == 1
+            np.testing.assert_array_equal(np.roll(want, -start[0], axis=0),
+                                          got)
+            compared += 1
+        assert compared >= 90
+
+    def test_collinear_and_coincident_clouds(self):
+        # Clouds without area: Qhull builds no hull, and the outline is
+        # the segment between the ends, or the one point of a vertical
+        # segment seen from above.
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            origin = rng.integers(-4, 5, size=2) * 0.25
+            step = rng.integers(-4, 5, size=2) * 0.5
+            t = rng.integers(-4, 5, size=7)
+            points = origin + t[:, None] * step
+            assert Boundary(points).hull is None
+            ends = points[[t.argmin(), t.argmax()]]
+            if step.any():
+                np.testing.assert_array_equal(
+                    _hull_order(points), ends[np.lexsort(ends.T[::-1])])
+            else:
+                np.testing.assert_array_equal(_hull_order(points), [origin])
+        xy = rng.normal(size=2)
+        vertical = Capsule([*xy, 0.0], [*xy, 1.0], 0.1).vertices[:, :2]
+        np.testing.assert_array_equal(_hull_order(vertical), [xy])
+
+
 class TestCertify:
     def test_reports_per_obstacle(self, tmp_path, capsys):
         code = main(["certify", "--scene", CORRIDOR, "--robot", POINTBOT,
@@ -129,6 +188,35 @@ class TestValidate:
         assert report["estimateWithinCertified"]
         assert report["monteCarlo"]["sampleCount"] == 20000
         assert len(report["certifiedRiskPerTimestep"]) == 10
+
+    def test_pickplace_validate_leaves_qhull_unloaded(self, tmp_path):
+        # The hit test runs the distance kernel on displaced placements of
+        # the links, so a validate process on the bundled box scene builds
+        # no hull and never imports SciPy's spatial module.
+        trajectory = tmp_path / "trajectory.csv"
+        with open(trajectory, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t", "q0", "q1", "q2", "q3"])
+            w.writerows([t, *q] for t, q in enumerate(np.linspace(
+                [-0.8, -0.5, -0.7, -0.3], [0.9, -0.4, -0.8, -0.2], 17)))
+        child = ("import sys\nfrom ccplan.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print('scipy.spatial' in sys.modules)\n"
+                 "sys.exit(code)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(ccplan.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", child, "validate",
+             "--scene", str(SCENES / "pickplace3d.json"),
+             "--robot", str(SCENES / "arm4dof3d.json"),
+             "--trajectory", str(trajectory), "--samples", "20000",
+             "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split()[-1] == "False"
+        report = json.loads((tmp_path / "validate.json").read_text())
+        assert report["monteCarlo"]["hitCount"] > 0
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "traj.csv"

@@ -20,6 +20,11 @@ from ccplan.kinematics import (
 from ccplan.sceneio import parse_robot
 
 
+def apply_pose(pose, point):
+    """The point x placed by ``pose``: R @ x + t."""
+    return pose.rotation @ np.asarray(point, dtype=float) + pose.translation
+
+
 def planar_point_robot(limits=5.0):
     """2D point robot driven by two prismatic joints (x then y)."""
     joints = [
@@ -105,8 +110,8 @@ class TestForwardKinematics:
         child = Sphere([1.0, 0, 0], 0.1)
         robot = RobotModel(joints, [[child]], Pose.identity(3))
         poses = forward_kinematics(robot, [math.pi / 2])
-        np.testing.assert_allclose(poses[0].apply([1.0, 0, 0]), [0, 1, 0],
-                                   atol=1e-12)
+        np.testing.assert_allclose(apply_pose(poses[0], [1.0, 0, 0]),
+                                   [0, 1, 0], atol=1e-12)
 
     def test_matches_transform_chain_oracle(self):
         rng = np.random.default_rng(0)
@@ -198,13 +203,15 @@ class TestPointJacobian:
             link = int(rng.integers(0, 3))
             local = rng.normal(size=3) * 0.3
             poses = forward_kinematics(robot, th)
-            p = poses[link].apply(local)
+            p = apply_pose(poses[link], local)
             J = point_jacobian(robot, th, link, p)
             for k in range(3):
                 dp = np.zeros(3)
                 dp[k] = h
-                pp = forward_kinematics(robot, th + dp)[link].apply(local)
-                pm = forward_kinematics(robot, th - dp)[link].apply(local)
+                pp = apply_pose(forward_kinematics(robot, th + dp)[link],
+                                local)
+                pm = apply_pose(forward_kinematics(robot, th - dp)[link],
+                                local)
                 np.testing.assert_allclose(J[:, k], (pp - pm) / (2 * h),
                                            atol=1e-6)
 
@@ -212,12 +219,12 @@ class TestPointJacobian:
         robot = make_chain(3)
         th = np.array([0.3, -0.2, 0.9])
         poses = forward_kinematics(robot, th)
-        p = poses[0].apply([0.5, 0.1, 0.0])
+        p = apply_pose(poses[0], [0.5, 0.1, 0.0])
         J = point_jacobian(robot, th, 0, p)
         np.testing.assert_allclose(J[:, 1:], 0.0, atol=1e-12)
         # Moving a distal joint leaves the attached point fixed.
         th2 = th + np.array([0.0, 0.5, -0.3])
-        p2 = forward_kinematics(robot, th2)[0].apply([0.5, 0.1, 0.0])
+        p2 = apply_pose(forward_kinematics(robot, th2)[0], [0.5, 0.1, 0.0])
         np.testing.assert_allclose(p, p2, atol=1e-12)
 
     def test_jacobian_step_consistency(self):
@@ -228,11 +235,11 @@ class TestPointJacobian:
             link = int(rng.integers(0, 3))
             local = rng.normal(size=3) * 0.05
             poses = forward_kinematics(robot, th)
-            p = poses[link].apply(local)
+            p = apply_pose(poses[link], local)
             J = point_jacobian(robot, th, link, p)
             dth = rng.normal(size=3)
             dth *= 1e-4 / np.linalg.norm(dth)
-            p2 = forward_kinematics(robot, th + dth)[link].apply(local)
+            p2 = apply_pose(forward_kinematics(robot, th + dth)[link], local)
             err = np.linalg.norm(J @ dth - (p2 - p))
             assert err <= 1e-8 + 1e-4 * np.linalg.norm(dth) ** 2
 
@@ -262,8 +269,10 @@ class TestPointJacobian:
                 for k in range(3):
                     d = np.zeros(3)
                     d[k] = h
-                    pp = forward_kinematics(robot, th + d)[link].apply(local)
-                    pm = forward_kinematics(robot, th - d)[link].apply(local)
+                    pp = apply_pose(forward_kinematics(robot, th + d)[link],
+                                    local)
+                    pm = apply_pose(forward_kinematics(robot, th - d)[link],
+                                    local)
                     np.testing.assert_allclose(
                         point_jacobian(robot, th, link, p, frames)[:, k],
                         (pp - pm) / (2 * h), atol=1e-6)
@@ -281,10 +290,11 @@ class TestPointJacobian:
         # Finite difference check at a nonzero angle.
         h = 1e-6
         th = 0.7
-        J = point_jacobian(robot, [th],
-                           0, forward_kinematics(robot, [th])[0].apply([1, 0]))
-        pp = forward_kinematics(robot, [th + h])[0].apply([1, 0])
-        pm = forward_kinematics(robot, [th - h])[0].apply([1, 0])
+        J = point_jacobian(robot, [th], 0,
+                           apply_pose(forward_kinematics(robot, [th])[0],
+                                      [1, 0]))
+        pp = apply_pose(forward_kinematics(robot, [th + h])[0], [1, 0])
+        pm = apply_pose(forward_kinematics(robot, [th - h])[0], [1, 0])
         np.testing.assert_allclose(J[:, 0], (pp - pm) / (2 * h), atol=1e-6)
 
 

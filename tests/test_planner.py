@@ -24,7 +24,7 @@ from ccplan.qp import ITERATION_LIMIT, OPTIMAL, solve_qp
 from ccplan.risk import (RiskCertificate, UncertainObstacle, certify_lanes,
                          certify_risk, risk_gradient, risk_weights)
 from test_acceptance import corridor_problem, pickplace_problem
-from test_kinematics import planar_point_robot
+from test_kinematics import apply_pose, planar_point_robot
 from test_qp import kkt_residuals
 from test_risk import (assert_same_certificate, check_fd_gradient,
                        nondegenerate, straddle_robot, translating_robot)
@@ -564,7 +564,7 @@ class TestEvaluate:
                     p = np.empty(3)
                     p[axis] = side * (h[axis] + 0.02)
                     p[i], p[j] = u * h[i], slope * u * h[j]
-                    waypoints.append(pose.apply(p))
+                    waypoints.append(apply_pose(pose, p))
             traj = np.array(waypoints)
             T = len(traj)
             problem = TrajectoryProblem(robot, [ob], T, traj[0], traj[-1],

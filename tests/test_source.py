@@ -96,8 +96,8 @@ def test_point_jacobian_only_outside_the_package():
 
 
 def test_convex_hull_only_in_boundary():
-    # Qhull runs in one place, so that the distance kernel, the Monte Carlo
-    # hit test and plotting share one boundary complex.
+    # Qhull runs in one place, for the boundary complexes of body cores
+    # that no constructor lays out itself.
     def uses(n):
         name = (n.id if isinstance(n, ast.Name)
                 else n.attr if isinstance(n, ast.Attribute)
@@ -106,16 +106,24 @@ def test_convex_hull_only_in_boundary():
     assert top_level_users(uses) == {"geometry.Boundary"}
 
 
-def test_boundary_built_only_for_cores_and_hit_hulls():
-    # Boundary complexes are built for body cores (a box with its own
-    # complex), Monte Carlo difference sets and plots; penetration comes
-    # from candidate axes, so the distance kernel never hulls a difference
-    # set.
+def test_boundary_built_only_for_cores():
+    # Boundary complexes are built for body cores only (a box with its own
+    # complex). Penetration comes from candidate axes, the Monte Carlo hit
+    # test places the link against the obstacle's core, and the plot's
+    # outline is a monotone chain, so nothing hulls a difference set or a
+    # projection, and ``validate`` needs neither the complex nor SciPy.
     found = top_level_users(
         lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         and n.func.id == "Boundary")
-    assert found == {"geometry.SweptHull", "geometry.box",
-                     "validate._point_polytope_hits", "plotting._hull_order"}
+    assert found == {"geometry.SweptHull", "geometry.box"}
+    path = Path(ccplan.__file__).parent / "validate.py"
+    imported = {alias.name if isinstance(node, ast.Import)
+                else f"{node.module}.{alias.name}"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not {n for n in imported
+                if n.startswith("scipy") or n.endswith(".Boundary")}
 
 
 def test_layer_trace_names_exist():

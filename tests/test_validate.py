@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from importlib.resources import files
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from ccplan.validate import (
     _displacements,
     _ObstacleSamples,
     _pair_hit_estimates,
-    _point_polytope_hits,
     ira_plan,
     monte_carlo_risk,
     risk_blind_plan,
@@ -106,7 +106,7 @@ class TestRisk:
         assert rep.hit_count == one.hit_count
 
     def test_matches_per_sample_geometry_oracle(self):
-        # Box link against a box obstacle exercises the hull-banded path;
+        # Box link against a box obstacle exercises the kernel's pair test;
         # compare with a direct per-sample intersection oracle.
         joints = [
             Joint("prismatic", Pose.identity(2), np.array([1.0, 0.0])),
@@ -154,15 +154,13 @@ def unculled_hits(robot, trajectory, obstacles, n, seed):
     goes to the exact test at every (obstacle, timestep, link shape)."""
     hit = np.zeros(n, dtype=bool)
     for oi, ob in enumerate(obstacles):
-        Vn, rn = ob.nominal.vertices, ob.nominal.radius
-        D = _displacements(ob, n, seed, oi)
+        samples = _ObstacleSamples(ob, n, seed, oi)
         for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
             poses = forward_kinematics(robot, theta)
             for _, body in posed_link_shapes(robot, poses):
-                Vt, rt = body.vertices, body.radius
-                alive = np.flatnonzero(~hit)
-                W = (Vt[:, None, :] - Vn[None, :, :]).reshape(-1, Vt.shape[1])
-                hit[alive] |= _point_polytope_hits(D, W, rt + rn, alive)
+                hit[samples.pair_hits(body.vertices, body.boundary,
+                                      body.radius, -np.inf,
+                                      np.zeros(robot.dim), hit)] = True
     return hit
 
 
@@ -175,14 +173,15 @@ def cull_plane(Vt, nominal):
 
 
 def culled_pair_hits(samples, Vt, rt, done):
-    return samples.pair_hits(Vt, rt, *cull_plane(Vt, samples.nominal), done)
+    return samples.pair_hits(Vt, SweptHull(Vt, 0.0).boundary, rt,
+                             *cull_plane(Vt, samples.nominal), done)
 
 
 def unculled_pair_hits(samples, Vt, rt, done):
-    W = (Vt[:, None, :] - samples.vertices[None, :, :]).reshape(
-        -1, Vt.shape[1])
-    rest = np.flatnonzero(~done)
-    return rest[_point_polytope_hits(samples.D, W, rt + samples.radius, rest)]
+    """The pair test with the cull off (gap = -inf, n = 0): every sample
+    not marked in ``done`` goes to the exact test."""
+    return samples.pair_hits(Vt, SweptHull(Vt, 0.0).boundary, rt, -np.inf,
+                             np.zeros(Vt.shape[1]), done)
 
 
 def hull_distance(W):
@@ -224,24 +223,26 @@ class TestCulledPairTest:
                                                   monkeypatch):
         problem, traj = pickplace
         n, seed = 20_000, 3
-        tested = []
+        placed = []
 
-        def counted(D, W, radius, candidates):
-            tested.append(len(candidates))
-            return _point_polytope_hits(D, W, radius, candidates)
+        def counted(Va, boundary, body_b):
+            placed.append(len(Va))
+            return _closest_cores(Va, boundary, body_b)
 
-        monkeypatch.setattr(validate, "_point_polytope_hits", counted)
-        rep = monte_carlo_risk(problem.robot, traj, problem.obstacles, n,
-                               seed)
+        with monkeypatch.context() as m:
+            m.setattr(validate, "_closest_cores", counted)
+            rep = monte_carlo_risk(problem.robot, traj, problem.obstacles, n,
+                                   seed)
         hit = unculled_hits(problem.robot, traj, problem.obstacles, n, seed)
         assert hit.sum() > 0
         assert rep.hit_count == int(hit.sum())
         # The plane cull leaves few samples to the exact test (one pass
         # over every pair would be n * pairs; the norm cull alone leaves
-        # about 2.4e-3 of that).
+        # about 2.4e-3 of that). The kernel places every pair's link once
+        # more, for its plane.
         pairs = len(traj) * len(problem.obstacles) * sum(
             len(s) for s in problem.robot.link_shapes)
-        assert sum(tested) < 2e-4 * n * pairs
+        assert sum(placed) - pairs < 2e-4 * n * pairs
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_scenes_match_unculled(self, dim):
@@ -460,6 +461,19 @@ FLAT_SETS = {
 }
 
 
+def exact_hits(Vt, Vn, radius, D):
+    """The pair test with the cull off, of the link conv(Vt) swept by
+    ``radius`` against the obstacle hull conv(Vn) displaced by each row of
+    D, as a mask over the rows."""
+    with mock.patch.object(validate, "_displacements", lambda *args: D):
+        samples = _ObstacleSamples(
+            UncertainObstacle(SweptHull(Vn, 0.0), np.eye(D.shape[1])),
+            len(D), seed=0, obstacle_index=0)
+    hit = np.zeros(len(D), dtype=bool)
+    hit[unculled_pair_hits(samples, Vt, radius, hit)] = True
+    return hit
+
+
 def oracle_hits(Vt, Vn, radius, D):
     """Per-sample ``intersects`` of the link conv(Vt) swept by ``radius``
     with the obstacle hull conv(Vn) displaced by each row of D."""
@@ -471,8 +485,9 @@ def oracle_hits(Vt, Vn, radius, D):
 
 
 class TestHullBandKernel:
-    """The facet-simplex distance that settles the band between the
-    certain hits and certain misses, against per-sample geometry."""
+    """The exact pair test, the distance kernel on the link placed at
+    Vt - d against the nominal obstacle core, against per-sample geometry
+    on samples planted at the difference hull's boundary."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("radius", [0.0, 0.07])
@@ -491,7 +506,7 @@ class TestHullBandKernel:
             want = oracle_hits(Vt, Vn, radius, D)
             with monkeypatch.context() as m:
                 m.setattr(geometry, "_gjk", no_gjk)
-                got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
+                got = exact_hits(Vt, Vn, radius, D)
             np.testing.assert_array_equal(got, want)
             assert 0 < want.sum() < len(D)
 
@@ -499,8 +514,8 @@ class TestHullBandKernel:
     @pytest.mark.parametrize("Vt, Vn", FLAT_SETS.values(),
                              ids=FLAT_SETS.keys())
     def test_flat_sets_match_geometry(self, Vt, Vn, radius, monkeypatch):
-        # A flat difference set has no facets: every sample takes the
-        # distance to its vertex segments and triangles, never GJK.
+        # A flat difference set has no facets: the kernel's candidate pairs
+        # settle every sample, never GJK.
         def no_gjk(*args, **kwargs):
             raise AssertionError("GJK called for a flat difference set")
 
@@ -514,7 +529,7 @@ class TestHullBandKernel:
         want = oracle_hits(Vt, Vn, radius, D)
         np.testing.assert_array_equal(want[:len(rim)], inside)
         monkeypatch.setattr(geometry, "_gjk", no_gjk)
-        got = _point_polytope_hits(D, W, radius, np.arange(len(D)))
+        got = exact_hits(Vt, Vn, radius, D)
         np.testing.assert_array_equal(got, want)
         assert 0 < got.sum() < len(D)
 
@@ -526,14 +541,33 @@ class TestHullBandKernel:
         segment = np.array([[0.0, 0.0], [1.0, 0.0]])
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [1.0, -1.0]])
         for W in (segment, square):
-            assert _point_polytope_hits(d, W, r, np.arange(1)).tolist() \
-                == [True]
+            assert exact_hits(W, np.zeros((1, 2)), r, d).tolist() == [True]
         assert intersects(SweptHull(segment, r), point_body(d[0]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_deep_overlap_hits(self, dim):
+        # A point core 0.45 inside the obstacle's box core, deeper than
+        # the hit radius: its closest candidate pair, the foot on the
+        # nearest face, is farther than r, yet the planes prove no
+        # separation, so every sample that keeps it inside hits.
+        r = 0.1
+        Vt = np.zeros((1, dim))
+        Vt[0, 0] = 0.05
+        ob = UncertainObstacle(box(np.full(dim, 0.5)), 0.02 ** 2 * np.eye(dim))
+        samples = _ObstacleSamples(ob, 2_000, seed=3, obstacle_index=0)
+        assert np.abs(samples.D).max() < 0.3
+        d = _closest_cores(Vt[None], SweptHull(Vt, 0.0).boundary,
+                           ob.nominal)[2]
+        assert d[0] > r + HIT_TOL
+        done = np.zeros(len(samples.D), dtype=bool)
+        for test in (culled_pair_hits, unculled_pair_hits):
+            np.testing.assert_array_equal(test(samples, Vt, r, done),
+                                          np.arange(len(samples.D)))
 
 
 class TestPinnedOutputs:
     """Hit counts and IRA round estimates that the per-sample GJK band test
-    gave, which the facet-simplex distance reproduces bit for bit."""
+    gave, which the distance kernel's pair test reproduces bit for bit."""
 
     def test_pickplace_hit_counts(self, pickplace):
         problem, traj = pickplace
