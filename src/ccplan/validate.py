@@ -62,7 +62,8 @@ def _displacements(obstacle, n, seed, obstacle_index):
 
 class _ObstacleSamples:
     """One obstacle's displacement draws, with their norms sorted once so
-    that each pair test finds its candidates with one binary search."""
+    that the pairs of a link group find their candidates with one binary
+    search."""
 
     def __init__(self, obstacle, n_samples, seed, obstacle_index):
         self.nominal = obstacle.nominal
@@ -72,65 +73,76 @@ class _ObstacleSamples:
         self.order = np.argsort(norms)
         self.sorted_norms = norms[self.order]
 
-    def pairs(self, groups):
-        """(timestep, Vt, boundary, rt, gap, n) for every posed link shape
-        of ``groups`` (see ``_swept_shapes``), timestep by timestep:
-        ``boundary`` is the group's complex, which every placement of the
-        shape shares. n is the distance kernel's unit direction from the
-        link's core to the obstacle's (zero where they touch) and gap the
-        separation of their supporting planes normal to n, from one kernel
-        call per group."""
-        planes = []
-        for g in groups:
-            shape = g.vertices.shape
-            _, _, _, n, gap = _closest_cores(
-                g.vertices.reshape(-1, *shape[2:]), g.boundary,
-                self.nominal)
-            planes.append((gap.reshape(shape[:2]),
-                           n.reshape(*shape[:2], -1)))
-        steps = len(groups[0].vertices) if groups else 0
-        for t in range(steps):
-            for g, (gap, n) in zip(groups, planes):
-                for j, rt in enumerate(g.radii):
-                    yield (t, g.vertices[t, j], g.boundary, rt, gap[t, j],
-                           n[t, j])
+    def mark_hits(self, group, done, rows):
+        """Mark in ``done`` the samples that hit a member of the link group
+        ``group`` (see ``_swept_shapes``): a hit at timestep t is marked in
+        row ``rows[t]`` of the (R, n) mask ``done``, and samples already
+        marked in that row are not tested again. The one Monte Carlo hit
+        test.
 
-    def pair_hits(self, Vt, boundary, rt, gap, n, done):
-        """Indices of the samples not marked in ``done`` that hit the link
-        shape swept from vertices ``Vt`` (complex ``boundary``) by radius
-        ``rt``: the one Monte Carlo pair test.
-
-        The obstacle displaced by d hits the link when the link placed at
-        Vt - d comes within r = rt + radius of the nominal obstacle core.
-        The cores are then dist(d, W) apart, W = conv(Vt) - core. Every w
-        of W has n.w <= -gap, for the link's plane (gap, n) of ``pairs``,
-        so dist(d, W) >= gap + n.d and, as |n| <= 1, >= gap - |d|; gap < 0
-        where n does not separate the cores, and n = 0 culls nothing. A
-        sample whose bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and
-        is skipped: first the short displacements, by one binary search in
-        the sorted norms, then, among those left and not done, the ones
-        that stop short of the plane. The others go to the planner's
-        distance kernel, DISTANCE_BLOCK elements of placements at a time:
-        a sample hits where the cores' closest candidate pair is within
-        r + HIT_TOL, or where their supporting planes do not prove them
-        apart (``_unseparated``), as overlapping cores do. So the hits are
-        those of testing every sample.
+        The obstacle displaced by d hits a link shape when the link placed
+        at Vt - d comes within r = rt + radius of the nominal obstacle
+        core. One kernel call on the nominal placements gives, per pair,
+        the closest candidate pair (wa, wb) of the cores and their
+        supporting plane (gap, n), n the unit direction from wa to wb
+        (zero where they touch). The cores are then dist(d, W) apart, W =
+        conv(Vt) - core, and every w of W has n.w <= -gap, so dist(d, W)
+        >= gap + n.d and, as |n| <= 1, >= gap - |d|; gap < 0 where n does
+        not separate the cores, and n = 0 culls nothing. A sample whose
+        bound exceeds r + HIT_TOL + CULL_SLACK cannot hit and is skipped:
+        first the short displacements, by one binary search in the sorted
+        norms, then, among those left and not marked, the ones that stop
+        short of the plane. wa - d and wb are points of the displaced link
+        and of the obstacle core, so dist(d, W) <= |wb - wa + d|, summed
+        as vectors (its expansion by dot products would lose about
+        sqrt(eps) |d| where it nears 0). A sample whose bound is at most
+        r + HIT_TOL - CULL_SLACK is a hit without the exact test, which
+        would count it too: the kernel's distance is within a few 1e-13
+        of the scene's extent of the true one. The rest are queued over
+        the group's pairs and go to the planner's distance kernel
+        together, once they fill DISTANCE_BLOCK elements of placements
+        and at the group's end: a sample hits where the cores' closest
+        candidate pair is within r + HIT_TOL, or where their supporting
+        planes do not prove them apart (``_unseparated``), as overlapping
+        cores do. So the hits are those of testing every sample.
         """
-        r = rt + self.radius
+        steps, members = group.vertices.shape[:2]
+        V = group.vertices.reshape(-1, *group.vertices.shape[2:])
+        wa, wb, _, n, gap = _closest_cores(V, group.boundary, self.nominal)
+        w = wb - wa
+        r = np.tile(group.radii + self.radius, steps)
+        row = np.repeat(rows, members)
         reach = r + HIT_TOL + CULL_SLACK
-        candidates = self.order[np.searchsorted(self.sorted_norms,
-                                                gap - reach):]
-        candidates = candidates[~done[candidates]]
-        candidates = np.sort(
-            candidates[self.D[candidates] @ n <= reach - gap])
-        hit = np.empty(len(candidates), dtype=bool)
-        step = max(1, DISTANCE_BLOCK // Vt.size)
-        for s in range(0, len(candidates), step):
-            Va = Vt - self.D[candidates[s:s + step], None, :]
-            _, _, d, _, gap_d = _closest_cores(Va, boundary, self.nominal)
-            hit[s:s + step] = ((d <= r + HIT_TOL)
-                               | _unseparated(Va, gap_d, self.nominal))
-        return candidates[hit]
+        sure = r + HIT_TOL - CULL_SLACK
+        starts = np.searchsorted(self.sorted_norms, gap - reach)
+        block = max(1, DISTANCE_BLOCK // V[0].size)
+        queue, queued = [], 0
+        for p in np.flatnonzero(starts < len(self.order)):
+            marked = done[row[p]]
+            candidates = self.order[starts[p]:]
+            candidates = candidates[~marked[candidates]]
+            d = self.D[candidates]
+            near = d @ n[p] <= reach[p] - gap[p]
+            candidates, e = candidates[near], d[near] + w[p]
+            sure_hit = np.sqrt(np.einsum("ij,ij->i", e, e)) <= sure[p]
+            marked[candidates[sure_hit]] = True
+            queue.append((p, candidates[~sure_hit]))
+            queued += len(queue[-1][1])
+            if queued >= block:
+                self._flush(V, group.boundary, r, row, queue, done)
+                queue, queued = [], 0
+        if queued:
+            self._flush(V, group.boundary, r, row, queue, done)
+
+    def _flush(self, V, boundary, r, row, queue, done):
+        """The exact test of the (placement, samples) pairs queued by
+        ``mark_hits``, in one kernel call: marks the hits in ``done``."""
+        p = np.concatenate([np.full(len(s), q) for q, s in queue])
+        s = np.concatenate([s for _, s in queue])
+        Va = V[p] - self.D[s, None, :]
+        _, _, d, _, gap = _closest_cores(Va, boundary, self.nominal)
+        hit = (d <= r[p] + HIT_TOL) | _unseparated(Va, gap, self.nominal)
+        done[row[p[hit]], s[hit]] = True
 
 
 def _swept_shapes(robot, trajectory):
@@ -152,17 +164,21 @@ def monte_carlo_risk(robot, trajectory, obstacles, n_samples, seed):
     and obstacle cores, at gap along its unit normal n, bounds their
     distance after the displacement by gap + n.d, so a trial is skipped
     only when that bound exceeds the hit radius plus the exact test's
-    tolerance and a slack. The cull is conservative: the hit count is the
-    one that testing every trial exactly gives.
+    tolerance and a slack. The nominal cores' closest points bound that
+    distance from above, so a trial they bring within the hit radius is a
+    hit at once; the others go to the exact test, a block of them per
+    kernel call (``_ObstacleSamples.mark_hits``). The hit count is the one
+    that testing every trial exactly gives.
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
     groups = _swept_shapes(robot, trajectory)
-    hit = np.zeros(n_samples, dtype=bool)
+    rows = np.zeros(len(np.atleast_2d(trajectory)), dtype=int)
+    hit = np.zeros((1, n_samples), dtype=bool)
     for oi, ob in enumerate(obstacles):
         samples = _ObstacleSamples(ob, n_samples, seed, oi)
-        for _, Vt, boundary, rt, gap, n in samples.pairs(groups):
-            hit[samples.pair_hits(Vt, boundary, rt, gap, n, hit)] = True
+        for g in groups:
+            samples.mark_hits(g, hit, rows)
     return _report(n_samples, int(hit.sum()), seed)
 
 
@@ -177,9 +193,8 @@ def _pair_hit_estimates(robot, trajectory, draws):
     any_hit = np.zeros(n_samples, dtype=bool)
     for oi, samples in enumerate(draws):
         hit_t = np.zeros((T, n_samples), dtype=bool)
-        for t, Vt, boundary, rt, gap, n in samples.pairs(groups):
-            hit_t[t, samples.pair_hits(Vt, boundary, rt, gap, n,
-                                       hit_t[t])] = True
+        for g in groups:
+            samples.mark_hits(g, hit_t, np.arange(T))
         probs[:, oi] = hit_t.mean(axis=1)
         any_hit |= hit_t.any(axis=0)
     return probs, float(any_hit.mean())

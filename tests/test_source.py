@@ -215,3 +215,27 @@ def test_whitened_search_runs_on_floats():
     found = [f"{name}:{n.lineno}" for name, node in scopes.items()
              for n in ast.walk(node) if array_use(n)]
     assert not found, f"NumPy in the float search: {found}"
+
+
+def test_one_monte_carlo_hit_path():
+    # Monte Carlo hits are tested per link group: ``mark_hits`` takes the
+    # planes and witnesses of every pair from one kernel call and queues
+    # what its culls leave for the kernel calls of ``_flush``. No method
+    # tests a pair on its own.
+    path = Path(ccplan.__file__).parent / "validate.py"
+    tree = ast.parse(path.read_text())
+    samples, = (node for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "_ObstacleSamples")
+    methods = {node.name: node for node in samples.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(methods) == {"__init__", "mark_hits", "_flush"}
+    callers = {name for name, node in methods.items()
+               for n in ast.walk(node)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "_closest_cores"}
+    assert callers == {"mark_hits", "_flush"}
+    users = top_level_users(
+        lambda n: isinstance(n, ast.Name) and n.id == "_closest_cores")
+    assert {u for u in users if u.startswith("validate.")} == {
+        "validate._ObstacleSamples"}

@@ -19,12 +19,14 @@ from ccplan.geometry import (
     Sphere,
     SweptHull,
     _closest_cores,
+    _unseparated,
     box,
     intersects,
     point_body,
 )
 from ccplan.kinematics import (
     Joint,
+    LinkGroup,
     RobotModel,
     forward_kinematics,
     posed_link_shapes,
@@ -149,6 +151,29 @@ class TestRisk:
             monte_carlo_risk(robot, [[1.0, 0.0]], [ob], 0, seed=1)
 
 
+def exact_pair_hits(samples, Vt, boundary, rt, done):
+    """Indices of the samples not marked in ``done`` that hit the link
+    core Vt (complex ``boundary``) swept by ``rt``, by the exact test on
+    every one of them and no cull: the kernel's closest candidate pair of
+    the link placed at Vt - d and the nominal obstacle core is within the
+    hit radius, or their supporting planes do not prove the cores apart."""
+    idx = np.flatnonzero(~done)
+    Va = Vt - samples.D[idx, None, :]
+    _, _, d, _, gap = _closest_cores(Va, boundary, samples.nominal)
+    hit = ((d <= rt + samples.radius + HIT_TOL)
+           | _unseparated(Va, gap, samples.nominal))
+    return idx[hit]
+
+
+def unculled_step_hits(robot, theta, samples, done):
+    """Mark in ``done`` the samples of ``samples`` that hit any link shape
+    of ``robot`` at the joint state ``theta``, by the exact test of every
+    sample not yet marked."""
+    for _, body in posed_link_shapes(robot, forward_kinematics(robot, theta)):
+        done[exact_pair_hits(samples, body.vertices, body.boundary,
+                             body.radius, done)] = True
+
+
 def unculled_hits(robot, trajectory, obstacles, n, seed):
     """The hit mask of the loop without the cull: every sample not yet hit
     goes to the exact test at every (obstacle, timestep, link shape)."""
@@ -156,32 +181,46 @@ def unculled_hits(robot, trajectory, obstacles, n, seed):
     for oi, ob in enumerate(obstacles):
         samples = _ObstacleSamples(ob, n, seed, oi)
         for theta in np.atleast_2d(np.asarray(trajectory, dtype=float)):
-            poses = forward_kinematics(robot, theta)
-            for _, body in posed_link_shapes(robot, poses):
-                hit[samples.pair_hits(body.vertices, body.boundary,
-                                      body.radius, -np.inf,
-                                      np.zeros(robot.dim), hit)] = True
+            unculled_step_hits(robot, theta, samples, hit)
     return hit
+
+
+def culled_hits(robot, trajectory, obstacles, n, seed):
+    """The hit mask of ``monte_carlo_risk``: ``mark_hits`` of every link
+    group against every obstacle, over one row."""
+    groups = validate._swept_shapes(robot, trajectory)
+    rows = np.zeros(len(np.atleast_2d(trajectory)), dtype=int)
+    hit = np.zeros((1, n), dtype=bool)
+    for oi, ob in enumerate(obstacles):
+        samples = _ObstacleSamples(ob, n, seed, oi)
+        for g in groups:
+            samples.mark_hits(g, hit, rows)
+    return hit[0]
 
 
 def cull_plane(Vt, nominal):
     """(gap, n): the supporting plane of link core Vt against the body
-    ``nominal``, as ``_ObstacleSamples.pairs`` gives it."""
+    ``nominal``, as ``_ObstacleSamples.mark_hits`` takes it."""
     _, _, _, n, gap = _closest_cores(Vt[None], SweptHull(Vt, 0.0).boundary,
                                      nominal)
     return gap[0], n[0]
 
 
 def culled_pair_hits(samples, Vt, rt, done):
-    return samples.pair_hits(Vt, SweptHull(Vt, 0.0).boundary, rt,
-                             *cull_plane(Vt, samples.nominal), done)
+    """Indices of the samples not marked in ``done`` that ``mark_hits``
+    finds for the link core Vt swept by ``rt``, as a one-member group at
+    one timestep."""
+    group = LinkGroup([0], [0], np.array([rt]), SweptHull(Vt, 0.0).boundary,
+                      Vt[None, None])
+    hit = done[None].copy()
+    samples.mark_hits(group, hit, np.zeros(1, dtype=int))
+    return np.flatnonzero(hit[0] & ~done)
 
 
 def unculled_pair_hits(samples, Vt, rt, done):
-    """The pair test with the cull off (gap = -inf, n = 0): every sample
-    not marked in ``done`` goes to the exact test."""
-    return samples.pair_hits(Vt, SweptHull(Vt, 0.0).boundary, rt, -np.inf,
-                             np.zeros(Vt.shape[1]), done)
+    """The exact test of every sample not marked in ``done``."""
+    return exact_pair_hits(samples, Vt, SweptHull(Vt, 0.0).boundary, rt,
+                           done)
 
 
 def hull_distance(W):
@@ -333,6 +372,64 @@ class TestCulledPairTest:
         # inside r + HIT_TOL hit it.
         assert {11, 12, 13} <= set(got.tolist())
 
+    def test_samples_on_the_sure_hit_boundary(self, monkeypatch):
+        # The link core is the point w or a square about w facing the
+        # obstacle's point core at the origin, so the nominal witnesses are
+        # w and the origin, and a displacement d = w + s v (v a unit) puts
+        # the sure-hit bound |d - w| at s, as far as the displaced point
+        # core is from the obstacle's. Displacements along seven directions
+        # whose s sits at r + HIT_TOL - CULL_SLACK, and at +-1e-12, 1e-9,
+        # 1.5e-9 and 1e-6 from it, get the exact test's answers; those
+        # inside the bound hit without the exact test.
+        rng = np.random.default_rng(6)
+        w = np.array([0.6, 0.8, 0.0])      # |w| = 1
+        r = 0.3
+        u = w / np.linalg.norm(w)
+        side = np.array([-0.8, 0.6, 0.0])  # orthogonal to u
+        up = np.array([0.0, 0.0, 1.0])
+        units = np.array([u, -u, side, -side, up, u + side, up - u])
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        offsets = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1.5e-9,
+                            1e-6])
+        s = (r + HIT_TOL - CULL_SLACK) + offsets
+        planted = (w + s[:, None, None] * units).reshape(-1, 3)
+        D = np.concatenate([planted, rng.normal(size=(200, 3)) * 0.5])
+        inside = np.flatnonzero(np.repeat(offsets < 0.0, len(units)))
+        monkeypatch.setattr(validate, "_displacements",
+                            lambda ob, n, seed, oi: D)
+        ob = UncertainObstacle(point_body(np.zeros(3)), np.eye(3))
+        samples = _ObstacleSamples(ob, len(D), seed=0, obstacle_index=0)
+        square = w + 0.1 * np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]]) @ [
+            side, up]
+        done = np.zeros(len(D), dtype=bool)
+        for Vt in (w[None, :], square):
+            wa, wb, _, _, _ = _closest_cores(
+                Vt[None], SweptHull(Vt, 0.0).boundary, samples.nominal)
+            np.testing.assert_allclose(wa[0], w, atol=1e-15)
+            np.testing.assert_allclose(wb[0], 0.0, atol=1e-15)
+            placed = []
+
+            def counted(Va, boundary, body_b):
+                placed.append(Va)
+                return _closest_cores(Va, boundary, body_b)
+
+            with monkeypatch.context() as m:
+                m.setattr(validate, "_closest_cores", counted)
+                got = culled_pair_hits(samples, Vt, r, done)
+            np.testing.assert_array_equal(
+                got, unculled_pair_hits(samples, Vt, r, done))
+            assert set(inside.tolist()) <= set(got.tolist())
+            # Past the plane call, the kernel places the link at Vt - d:
+            # no d inside the bound is among them.
+            tested = Vt[0] - np.concatenate(placed[1:])[:, 0]
+            gaps = np.linalg.norm(tested[:, None] - D[inside], axis=2)
+            assert gaps.min() > 1e-14
+        # The point core's bound is its distance: the exact test counts s
+        # up to r + HIT_TOL and no farther.
+        point = culled_pair_hits(samples, w[None, :], r, done)
+        beyond = np.repeat(offsets > 1.2e-9, len(units))
+        assert not set(np.flatnonzero(beyond).tolist()) & set(point.tolist())
+
     def test_pair_estimates_match_monte_carlo(self, pickplace):
         problem, traj = pickplace
         blind = risk_blind_plan(problem).trajectory
@@ -380,6 +477,91 @@ class TestCulledPairTest:
             for d in (W[rng.integers(len(W))] + rng.normal(size=dim) * 0.1,
                       rng.normal(size=dim) * 2.0):
                 assert gap + n @ d <= hull_distance(W - d) + 1e-12
+
+
+class TestBlockQueue:
+    """``mark_hits`` queues the samples its culls leave over every pair of
+    a link group and tests them a block at a time: with blocks so small
+    that each group flushes many times, the hits are still those of the
+    exact test on every sample, in every row of the mask."""
+
+    @staticmethod
+    def straight(problem):
+        return np.linspace(problem.start, problem.goal, problem.timesteps)
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        """Two placements of a two-vertex 3D capsule per block; counts the
+        kernel calls per (obstacle, link group)."""
+        monkeypatch.setattr(validate, "DISTANCE_BLOCK", 12)
+        calls = {}
+
+        def counted(Va, boundary, body_b):
+            key = (id(body_b), id(boundary))
+            calls[key] = calls.get(key, 0) + 1
+            return _closest_cores(Va, boundary, body_b)
+
+        monkeypatch.setattr(validate, "_closest_cores", counted)
+        return calls
+
+    def test_monte_carlo_matches_unculled(self, pickplace, small_blocks):
+        problem, traj = pickplace
+        n, seed = 5_000, 5
+        for trajectory in (traj, self.straight(problem)):
+            small_blocks.clear()
+            got = culled_hits(problem.robot, trajectory, problem.obstacles,
+                              n, seed)
+            assert max(small_blocks.values()) > 3
+            want = unculled_hits(problem.robot, trajectory,
+                                 problem.obstacles, n, seed)
+            np.testing.assert_array_equal(got, want)
+            rep = monte_carlo_risk(problem.robot, trajectory,
+                                   problem.obstacles, n, seed)
+            assert rep.hit_count == int(want.sum()) > 0
+
+    def test_pair_estimates_match_per_timestep_unculled(self, pickplace,
+                                                        small_blocks):
+        problem, traj = pickplace
+        n = 4_000
+        draws = [_ObstacleSamples(ob, n, seed=2, obstacle_index=oi)
+                 for oi, ob in enumerate(problem.obstacles)]
+        for trajectory in (traj, self.straight(problem)):
+            small_blocks.clear()
+            probs, estimate = _pair_hit_estimates(problem.robot, trajectory,
+                                                  draws)
+            assert max(small_blocks.values()) > 3
+            want = np.zeros((len(trajectory), len(draws), n), dtype=bool)
+            for oi, samples in enumerate(draws):
+                for t, theta in enumerate(trajectory):
+                    unculled_step_hits(problem.robot, theta, samples,
+                                       want[t, oi])
+            np.testing.assert_array_equal(probs, want.mean(axis=2))
+            assert estimate == float(want.any(axis=(0, 1)).mean())
+            assert 0.0 < probs.max() < 1.0
+
+    def test_one_kernel_call_per_block(self, pickplace, monkeypatch):
+        # Each (obstacle, link group) takes one call for its planes and one
+        # per block of the samples it queues, never one per pair.
+        problem, traj = pickplace
+        calls = {}
+
+        def counted(Va, boundary, body_b):
+            calls.setdefault((id(body_b), id(boundary)), []).append(len(Va))
+            return _closest_cores(Va, boundary, body_b)
+
+        monkeypatch.setattr(validate, "_closest_cores", counted)
+        monte_carlo_risk(problem.robot, traj, problem.obstacles, 100_000,
+                         seed=1)
+        groups = {id(g.boundary): g
+                  for g in validate._swept_shapes(problem.robot, traj)}
+        assert len(calls) == len(problem.obstacles) * len(groups)
+        for (_, boundary), placed in calls.items():
+            V = groups[boundary].vertices
+            assert placed[0] == V.shape[0] * V.shape[1]
+            block = validate.DISTANCE_BLOCK // V[0, 0].size
+            assert len(placed) - 1 <= math.ceil(sum(placed[1:]) / block)
+        # The pair-by-pair test made 27 calls here.
+        assert sum(len(placed) for placed in calls.values()) <= 3
 
 
 def planted_samples(W, radius):
